@@ -26,10 +26,11 @@ from .data import (
     preprocess,
 )
 from .ensemble import majority_vote
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, ToolkitError, ValidationError
 from .experiment import (
     PROFILES,
     MethodSpec,
+    check_params,
     load_config,
     run_experiment,
     run_method,
@@ -145,6 +146,9 @@ def _cmd_cluster(args) -> int:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--params: invalid JSON: {exc}") from None
+    if not isinstance(params, dict):
+        raise ConfigError("--params: expected a JSON object")
+    check_params(args.method, params, "--params")
     spec = MethodSpec(args.method, args.method, params)
     result = run_method(spec, ds, args.k, args.seed, PROFILES[args.profile])
     out = Path(args.out)
@@ -298,21 +302,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except ToolkitError as exc:  # anything that fails mid-run
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ToolkitError as exc:
-        kind = type(exc).__name__
-        # input-shaped problems are validation; anything mid-run is a failure
-        validation = kind in (
-            "MissingColumn", "NonNumericCell", "EmptyFile", "ConfigError",
-            "LengthMismatch", "UnsupportedK", "EmptyRuns", "NonSquare",
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if validation else 2
+        return 2
     except Exception as exc:  # noqa: BLE001
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ import numpy as np
 from .autoencoder import build, pretrain
 from .data import Dataset
 from .deepcluster import DeepClusterConfig, assign, finetune
-from .errors import EmptyRuns, LengthMismatch, UnsupportedK
+from .errors import EmptyRuns, LengthMismatch, SweepRunFailed, UnsupportedK
 from .metrics import contingency, hungarian_max
 from .util import derive_seed
 
@@ -126,5 +126,5 @@ def run_dimension_sweep(
             dcm = finetune(model, ds, k, cfg)
             rows.append(assign(dcm, ds.X))
         except Exception as exc:
-            raise RuntimeError(f"dimension-sweep run failed at embed_dim={d}") from exc
+            raise SweepRunFailed(d, exc) from exc
     return np.asarray(rows, dtype=int)

@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit.
 
 Every error raised on a violated operation contract derives from
-``ToolkitError`` so callers (notably the CLI) can distinguish input
-validation problems from genuine runtime failures.
+``ToolkitError``. Input-shaped problems (bad config, bad files, bad label
+vectors) further derive from ``ValidationError``, so callers (notably the
+CLI) can tell them apart from genuine runtime failures.
 """
 
 
@@ -10,22 +11,26 @@ class ToolkitError(Exception):
     """Base class for all toolkit-specific errors."""
 
 
+class ValidationError(ToolkitError):
+    """The input was rejected before any computation could fail on it."""
+
+
 # --- data loading / preprocessing -------------------------------------------
 
-class MissingColumn(ToolkitError):
+class MissingColumn(ValidationError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"required column {name!r} not found in CSV header")
 
 
-class NonNumericCell(ToolkitError):
+class NonNumericCell(ValidationError):
     def __init__(self, row: int, col: str):
         self.row = row
         self.col = col
         super().__init__(f"non-numeric cell at data row {row}, column {col!r}")
 
 
-class EmptyFile(ToolkitError):
+class EmptyFile(ValidationError):
     pass
 
 
@@ -79,21 +84,33 @@ class NonFiniteLoss(ToolkitError):
 
 # --- ensembles ----------------------------------------------------------------
 
-class LengthMismatch(ToolkitError):
+class LengthMismatch(ValidationError):
     pass
 
 
-class UnsupportedK(ToolkitError):
+class UnsupportedK(ValidationError):
     pass
 
 
-class EmptyRuns(ToolkitError):
+class EmptyRuns(ValidationError):
     pass
+
+
+class SweepRunFailed(ToolkitError, RuntimeError):
+    """One embedding size of a dimension sweep failed; ``__cause__`` says why."""
+
+    def __init__(self, embed_dim: int, cause: BaseException):
+        self.embed_dim = embed_dim
+        self.cause = cause
+        super().__init__(
+            f"dimension-sweep run failed at embed_dim={embed_dim}: "
+            f"{type(cause).__name__}: {cause}"
+        )
 
 
 # --- metrics ------------------------------------------------------------------
 
-class NonSquare(ToolkitError):
+class NonSquare(ValidationError):
     pass
 
 
@@ -110,5 +127,5 @@ class IncompleteGrid(ToolkitError):
 
 # --- configuration ------------------------------------------------------------
 
-class ConfigError(ToolkitError):
+class ConfigError(ValidationError):
     pass

@@ -109,36 +109,35 @@ class ExperimentConfig:
     output_dir: str = "out"
 
 
+_KMEANS_PARAMS = {"n_init", "max_iter", "tol"}
+_GMM_PARAMS = {"cov_type", "max_iter", "tol", "reg_covar"}
+_PRETRAIN_PARAMS = {
+    "embed_dim", "hidden", "activation", "pretrain_epochs", "learning_rate", "batch_size",
+}
+_DEEP_PARAMS = _PRETRAIN_PARAMS | {
+    "finetune_epochs", "gamma", "target_update_interval", "recon_weight",
+}
+
+# exactly the params each kind reads; anything else is rejected
 _ALLOWED_PARAMS = {
-    "kmeans": {"n_init", "max_iter", "tol"},
-    "gmm": {"cov_type", "max_iter", "tol", "reg_covar"},
-    "deep": {
-        "embed_dim",
-        "hidden",
-        "activation",
-        "pretrain_epochs",
-        "finetune_epochs",
-        "gamma",
-        "target_update_interval",
-        "recon_weight",
-        "learning_rate",
-        "batch_size",
-        "dims",
-    },
+    "kmeans_x": _KMEANS_PARAMS,
+    "gmm_x": _GMM_PARAMS,
+    "kmeans_z": _PRETRAIN_PARAMS | _KMEANS_PARAMS,
+    "gmm_z": _PRETRAIN_PARAMS | _GMM_PARAMS,
+    "deep_student_t": _DEEP_PARAMS,
+    "deep_student_t_recon": _DEEP_PARAMS,
+    "deep_gaussian": _DEEP_PARAMS,
+    # the sweep sets each run's embed_dim from dims
+    "deep_gaussian_sweep": (_DEEP_PARAMS - {"embed_dim"}) | {"dims"},
     "kgg": {"voters"},
 }
 
 
-def _allowed_params(kind: str) -> set[str]:
-    if kind in ("kmeans_x",):
-        return _ALLOWED_PARAMS["kmeans"]
-    if kind in ("gmm_x",):
-        return _ALLOWED_PARAMS["gmm"]
-    if kind in ("kmeans_z", "gmm_z"):
-        return _ALLOWED_PARAMS["deep"] | _ALLOWED_PARAMS["kmeans"] | _ALLOWED_PARAMS["gmm"]
-    if kind == "kgg":
-        return _ALLOWED_PARAMS["kgg"]
-    return _ALLOWED_PARAMS["deep"]
+def check_params(kind: str, params: dict, where: str) -> None:
+    """Raise ConfigError naming ``where`` if ``params`` holds a key ``kind`` does not use."""
+    bad = set(params) - _ALLOWED_PARAMS[kind]
+    if bad:
+        raise ConfigError(f"{where}.{sorted(bad)[0]}: not valid for kind {kind!r}")
 
 
 def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -185,11 +184,7 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
         if kind not in METHOD_KINDS:
             raise ConfigError(f"methods[{i}].kind: unknown kind {kind!r}")
         params = m.get("params", {})
-        bad = set(params) - _allowed_params(kind)
-        if bad:
-            raise ConfigError(
-                f"methods[{i}].params.{sorted(bad)[0]}: not valid for kind {kind!r}"
-            )
+        check_params(kind, params, f"methods[{i}].params")
         methods.append(MethodSpec(name, kind, dict(params)))
 
     kinds = {m.kind for m in methods}
@@ -312,6 +307,29 @@ def _pretrained_embedding(ds: Dataset, cfg: DeepClusterConfig, seed: int):
     return model, encode(model, ds.X), history
 
 
+def _kmeans_labels(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
+    km = kmeans_fit(
+        X, k, seed=seed,
+        n_init=int(p.get("n_init", 10)),
+        max_iter=int(p.get("max_iter", 300)),
+        tol=float(p.get("tol", 1e-4)),
+    )
+    return kmeans_predict(km, X)
+
+
+def _gmm_labels(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
+    gm = gmm_fit(
+        X, k,
+        cov_type=str(p.get("cov_type", "full")),
+        seed=seed,
+        max_iter=int(p.get("max_iter", 300)),
+        tol=float(p.get("tol", 1e-3)),
+        reg_covar=float(p.get("reg_covar", 1e-6)),
+    )
+    labels, _ = gmm_predict(gm, X)
+    return labels
+
+
 def run_method(
     spec: MethodSpec,
     ds: Dataset,
@@ -323,34 +341,14 @@ def run_method(
     """Fit one method on a preprocessed cohort and return its labels."""
     p = spec.params
     if spec.kind == "kmeans_x":
-        km = kmeans_fit(
-            ds.X, k, seed=seed,
-            n_init=int(p.get("n_init", 10)),
-            max_iter=int(p.get("max_iter", 300)),
-            tol=float(p.get("tol", 1e-4)),
-        )
-        return MethodResult(labels=kmeans_predict(km, ds.X))
+        return MethodResult(labels=_kmeans_labels(ds.X, k, seed, p))
     if spec.kind == "gmm_x":
-        gm = gmm_fit(
-            ds.X, k,
-            cov_type=str(p.get("cov_type", "full")),
-            seed=seed,
-            max_iter=int(p.get("max_iter", 300)),
-            tol=float(p.get("tol", 1e-3)),
-            reg_covar=float(p.get("reg_covar", 1e-6)),
-        )
-        labels, _ = gmm_predict(gm, ds.X)
-        return MethodResult(labels=labels)
+        return MethodResult(labels=_gmm_labels(ds.X, k, seed, p))
     if spec.kind in ("kmeans_z", "gmm_z"):
         cfg = _deep_config(profile, p, "gaussian", seed)
         model, Z, history = _pretrained_embedding(ds, cfg, seed)
-        if spec.kind == "kmeans_z":
-            km = kmeans_fit(Z, k, seed=seed, n_init=int(p.get("n_init", 10)))
-            labels = kmeans_predict(km, Z)
-        else:
-            gm = gmm_fit(Z, k, cov_type=str(p.get("cov_type", "full")), seed=seed)
-            labels, _ = gmm_predict(gm, Z)
-        return MethodResult(labels=labels, embedding=Z, pretrain_history=history)
+        fit = _kmeans_labels if spec.kind == "kmeans_z" else _gmm_labels
+        return MethodResult(labels=fit(Z, k, seed, p), embedding=Z, pretrain_history=history)
     if spec.kind in ("deep_student_t", "deep_student_t_recon", "deep_gaussian"):
         variant = "gaussian" if spec.kind == "deep_gaussian" else "student_t"
         defaults = {"deep_student_t": {"gamma": 1.0, "recon_weight": 0.0}}.get(spec.kind, {})
@@ -541,12 +539,10 @@ def _versions() -> dict:
     import platform
 
     import numpy
-    import scipy
 
     return {
         "ehrcluster": __version__,
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 

@@ -9,13 +9,10 @@ index adjusted for chance under the permutation model.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import rankdata
 
 from .errors import IncompleteGrid, LengthMismatch, NonSquare, TooFewSamples
 from .util import write_csv
@@ -44,10 +41,52 @@ def contingency(g, p) -> np.ndarray:
 
 
 def _assignment_value(weight: np.ndarray) -> float:
-    if weight.size == 0:
+    """Largest sum_i weight[i, p[i]] over permutations p of a square matrix.
+
+    Shortest-augmenting-path Hungarian algorithm with dual potentials
+    (Kuhn 1955; Jonker & Volgenant 1987), O(K^3): each row in turn is
+    matched by growing a Dijkstra-like tree over reduced costs until it
+    reaches a free column, then flipping the path. Columns are 1-based
+    below; column 0 is the virtual root that holds the row being added.
+    """
+    n = weight.shape[0]
+    if n == 0:
         return 0.0
-    rows, cols = linear_sum_assignment(weight, maximize=True)
-    return float(weight[rows, cols].sum())
+    if not np.all(np.isfinite(weight)):
+        raise ValueError("assignment weights must be finite")
+    cost = -weight  # maximize weight == minimize cost
+    u = np.zeros(n + 1)  # row potentials
+    v = np.zeros(n + 1)  # column potentials
+    match = np.zeros(n + 1, dtype=int)  # match[j]: row (1-based) on column j, 0 if free
+    for i in range(1, n + 1):
+        match[0] = i
+        way = np.zeros(n + 1, dtype=int)  # predecessor column on the shortest path
+        minv = np.full(n + 1, np.inf)  # tentative path length to each column
+        used = np.zeros(n + 1, dtype=bool)  # columns already in the tree
+        j0 = 0
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            closer = ~used[1:] & (reduced < minv[1:])
+            minv[1:][closer] = reduced[closer]
+            way[1:][closer] = j0
+            free = np.flatnonzero(~used)
+            j1 = int(free[np.argmin(minv[free])])
+            delta = minv[j1]
+            u[match[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:  # flip the augmenting path back to the root
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    cols = np.empty(n, dtype=int)
+    cols[match[1:] - 1] = np.arange(n)
+    return float(weight[np.arange(n), cols].sum())
 
 
 def hungarian_max(weight) -> np.ndarray:
@@ -189,6 +228,17 @@ def score(g, p, method: str = "", cohort: str = "", wall_clock_seconds: float = 
     return ScoreReport(method, cohort, acc(g, p), ari(g, p), nmi(g, p), wall_clock_seconds)
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks in ascending order; tied values share the mean of their
+    ranks, and a NaN anywhere makes every rank NaN."""
+    a = np.asarray(values, dtype=float)
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    _, group, counts = np.unique(a, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return ((last - counts + 1 + last) / 2.0)[group]
+
+
 def average_rank(reports: list[ScoreReport]) -> dict[str, tuple[float, float]]:
     """Per-method (mean, std) of descending-score ranks over (cohort, metric) cells.
 
@@ -217,7 +267,7 @@ def average_rank(reports: list[ScoreReport]) -> dict[str, tuple[float, float]]:
                 if r is None:
                     raise IncompleteGrid(m, cell)
                 scores.append(getattr(r, metric))
-            cell_ranks = rankdata([-s for s in scores], method="average")
+            cell_ranks = _average_ranks([-s for s in scores])
             for m, rank in zip(methods, cell_ranks):
                 ranks[m].append(float(rank))
     return {
@@ -239,7 +289,3 @@ def write_score_reports_csv(
             row.append(r.wall_clock_seconds)
         rows.append(row)
     write_csv(path, header, rows)
-
-
-def score_reports_to_json(reports: list[ScoreReport]) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=2)

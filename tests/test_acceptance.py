@@ -338,6 +338,7 @@ def benchmark_run(tmp_path_factory):
     return result, elapsed, out
 
 
+@pytest.mark.slow
 def test_criterion_7_protocol_benchmark(benchmark_run):
     with criterion(7, "protocol-faithful synthetic benchmark", "< 10 min, complete files, KGG >= median voter"):
         result, elapsed, out = benchmark_run
@@ -446,6 +447,7 @@ def test_criterion_8_preprocessing_fidelity(tmp_path):
 
 # ------------------------------------------------------------- criterion 9
 
+@pytest.mark.slow
 def test_criterion_9_end_to_end_determinism(benchmark_run, tmp_path_factory):
     with criterion(9, "end-to-end determinism", "byte-identical scores.csv"):
         _, _, first_out = benchmark_run

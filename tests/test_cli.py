@@ -1,10 +1,26 @@
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from ehrcluster import cli
 from ehrcluster.cli import main
+from ehrcluster.errors import (
+    ConfigError,
+    EmptyFile,
+    EmptyRuns,
+    LengthMismatch,
+    MissingColumn,
+    NonFiniteLoss,
+    NonNumericCell,
+    NonSquare,
+    SingularCovariance,
+    SweepRunFailed,
+    UnsupportedK,
+)
 
 
 def run_cli(*argv):
@@ -238,3 +254,47 @@ class TestExitCodes:
             "--params", "{oops", "--out", str(tmp_path),
         )
         assert code == 1
+
+    def test_param_the_method_does_not_use_is_validation_error(self, preprocessed, tmp_path):
+        code = run_cli(
+            "cluster", "--csv", str(preprocessed / "preprocessed.csv"),
+            "--label-column", "label", "--method", "kmeans_z",
+            "--params", json.dumps({"cov_type": "diagonal"}), "--out", str(tmp_path),
+        )
+        assert code == 1
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (MissingColumn("age"), 1),
+        (NonNumericCell(3, "age"), 1),
+        (EmptyFile("empty"), 1),
+        (ConfigError("bad"), 1),
+        (LengthMismatch("length"), 1),
+        (UnsupportedK("k"), 1),
+        (EmptyRuns("runs"), 1),
+        (NonSquare("shape"), 1),
+        (NonFiniteLoss(4), 2),
+        (SingularCovariance("singular"), 2),
+        (SweepRunFailed(2, NonFiniteLoss(1)), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_follows_error_type(monkeypatch, tmp_path, exc, code):
+    def fail(_path):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_config", fail)
+    assert run_cli("benchmark", "--config", str(tmp_path / "cfg.json")) == code
+
+
+def test_import_leaves_scipy_unloaded():
+    probe = (
+        "import sys, ehrcluster, ehrcluster.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

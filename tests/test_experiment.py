@@ -59,6 +59,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(doc)
 
+    def test_dims_rejected_outside_the_sweep(self):
+        doc = minimal_doc(methods=[{"name": "m", "kind": "deep_gaussian",
+                                    "params": {"dims": [2, 3]}}])
+        with pytest.raises(ConfigError, match=r"methods\[0\].params.dims"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("kind, param", [
+        ("kmeans_z", "cov_type"),
+        ("kmeans_z", "reg_covar"),
+        ("gmm_z", "n_init"),
+        ("kmeans_z", "finetune_epochs"),
+        ("deep_gaussian_sweep", "embed_dim"),
+    ])
+    def test_params_a_kind_ignores_are_rejected(self, kind, param):
+        doc = minimal_doc(methods=[{"name": "m", "kind": kind, "params": {param: 1}}])
+        with pytest.raises(ConfigError, match=rf"methods\[0\].params.{param}"):
+            parse_config(doc)
+
     def test_unknown_param_carries_field_path(self):
         doc = minimal_doc(methods=[{"name": "m", "kind": "kmeans_x",
                                     "params": {"bananas": 3}}])
@@ -180,6 +198,52 @@ class TestRunExperiment:
         assert manifest["failures"][0]["method"] == "boom"
         # an incomplete grid cannot be ranked
         assert not (tmp_path / "o" / "ranks.csv").exists()
+
+    def test_failed_sweep_run_does_not_abort_grid(self, tmp_path):
+        doc = minimal_doc(
+            methods=[
+                {"name": "kmeans_x", "kind": "kmeans_x"},
+                {"name": "sweep", "kind": "deep_gaussian_sweep",
+                 "params": {"dims": [2, 5], "hidden": [8], "pretrain_epochs": 3,
+                            "finetune_epochs": 2, "learning_rate": 1e12}},
+            ],
+            output_dir=str(tmp_path / "o"),
+        )
+        doc["data"]["synthetic"]["n_samples"] = 200
+        with np.errstate(all="ignore"):
+            res = run_experiment(parse_config(doc))
+        assert [f["method"] for f in res.failures] == ["sweep"]
+        assert "embed_dim=2" in res.failures[0]["error"]
+        assert [r.method for r in res.scores] == ["kmeans_x"]
+        for name in ("scores.csv", "timings.csv", "manifest.json"):
+            assert (tmp_path / "o" / name).exists()
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["failures"][0]["method"] == "sweep"
+
+    @pytest.mark.parametrize("kind, fitter", [
+        ("kmeans_x", "kmeans_fit"),
+        ("kmeans_z", "kmeans_fit"),
+        ("gmm_x", "gmm_fit"),
+        ("gmm_z", "gmm_fit"),
+    ])
+    def test_max_iter_reaches_the_fitter(self, tmp_path, monkeypatch, kind, fitter):
+        import ehrcluster.experiment as experiment
+
+        seen = []
+        real = getattr(experiment, fitter)
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("max_iter"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, fitter, spy)
+        params = {"max_iter": 7}
+        if kind.endswith("_z"):
+            params.update(hidden=[8], embed_dim=2, pretrain_epochs=2)
+        doc = minimal_doc(methods=[{"name": "m", "kind": kind, "params": params}],
+                          output_dir=str(tmp_path / "o"))
+        run_experiment(parse_config(doc))
+        assert seen == [7]
 
     def test_missing_labels_rejected(self, tmp_path):
         doc = minimal_doc(output_dir=str(tmp_path / "o"))

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ehrcluster.errors import IncompleteGrid, LengthMismatch, NonSquare, TooFewSamples
 from ehrcluster.metrics import (
     ScoreReport,
+    _assignment_value,
+    _average_ranks,
     acc,
     ari,
     average_rank,
@@ -74,6 +76,25 @@ class TestHungarianMax:
     def test_tie_break_lexicographic(self):
         W = np.ones((3, 3))
         assert np.array_equal(hungarian_max(W), [0, 1, 2])
+
+
+class TestAssignmentValue:
+    def test_matches_brute_force_up_to_k7(self):
+        # integer weights make every sum exact, so the values must be equal
+        rng = np.random.default_rng(31)
+        for trial in range(120):
+            K = int(rng.integers(1, 8))
+            high = 4 if trial % 2 else 1000  # small range forces ties
+            W = rng.integers(-high, high, size=(K, K)).astype(float)
+            best = max(sum(W[i, p[i]] for i in range(K)) for p in itertools.permutations(range(K)))
+            assert _assignment_value(W) == best, W
+
+    def test_empty(self):
+        assert _assignment_value(np.zeros((0, 0))) == 0.0
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            _assignment_value(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
 class TestAcc:
@@ -189,6 +210,14 @@ class TestAverageRank:
         assert ranks["c"][0] == pytest.approx(np.mean([3, 1.5, 2, 2, 2, 2]))
         assert ranks["a"][1] == pytest.approx(np.std([1, 3, 2, 2, 2, 2]))
 
+    def test_three_tied_for_second(self):
+        reports = [ScoreReport(m, "c", s, s, s) for m, s in
+                   [("a", 0.9), ("b", 0.5), ("c", 0.5), ("d", 0.5), ("e", 0.1)]]
+        ranks = average_rank(reports)
+        assert ranks["a"] == (1.0, 0.0)
+        assert ranks["b"] == ranks["c"] == ranks["d"] == (3.0, 0.0)
+        assert ranks["e"] == (5.0, 0.0)
+
     def test_incomplete_grid(self):
         reports = [
             ScoreReport("a", "c1", 0.9, 0.9, 0.9),
@@ -197,6 +226,17 @@ class TestAverageRank:
         ]
         with pytest.raises(IncompleteGrid):
             average_rank(reports)
+
+
+class TestAverageRanks:
+    def test_ties_share_mean_of_their_ranks(self):
+        assert _average_ranks([0.3, 0.1, 0.3, 0.2, 0.3]).tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
+
+    def test_nan_propagates_to_every_rank(self):
+        assert np.isnan(_average_ranks([0.1, np.nan, 0.3])).all()
+
+    def test_empty(self):
+        assert _average_ranks([]).shape == (0,)
 
 
 def test_score_report_csv_roundtrip(tmp_path):
