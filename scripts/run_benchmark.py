@@ -1,7 +1,7 @@
 """Run the frozen synthetic benchmark grid and print the score table.
 
 Usage:
-    python scripts/run_benchmark.py --out OUTDIR [--config PATH] [--profile desk|paper] [--seed N]
+    python scripts/run_benchmark.py --out OUTDIR [--config PATH] [--profile PROFILE] [--seed N]
 """
 import argparse
 import sys
@@ -12,14 +12,14 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from ehrcluster.experiment import load_config, run_experiment  # noqa: E402
+from ehrcluster.experiment import PROFILES, load_config, run_experiment  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=str(REPO / "configs" / "benchmark.json"))
     parser.add_argument("--out", required=True)
-    parser.add_argument("--profile", choices=("desk", "paper"))
+    parser.add_argument("--profile", choices=sorted(PROFILES))
     parser.add_argument("--seed", type=int)
     args = parser.parse_args()
 

@@ -12,9 +12,7 @@ reconstruction gradient from the decoder.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -276,41 +274,3 @@ def pretrain(
             raise NonFiniteLoss(epoch)
         history.append(loss)
     return model, history
-
-
-# --------------------------------------------------------------------------
-# checkpoints
-# --------------------------------------------------------------------------
-
-def save_checkpoint(model: AutoencoderModel, path: str | Path) -> None:
-    doc = {
-        "format": "ae-checkpoint-v1",
-        "layer_dims": model.layer_dims,
-        "activation": model.activation,
-        "bottleneck": model.bottleneck,
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-    Path(path).write_text(json.dumps(doc))
-
-
-def load_checkpoint(path: str | Path) -> AutoencoderModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "ae-checkpoint-v1":
-        raise ValueError(f"unknown checkpoint format {doc.get('format')!r}")
-    weights = [np.array(w, dtype=float) for w in doc["weights"]]
-    biases = [np.array(b, dtype=float) for b in doc["biases"]]
-    return AutoencoderModel(
-        layer_dims=list(doc["layer_dims"]),
-        weights=weights,
-        biases=biases,
-        activation=doc["activation"],
-        bottleneck=int(doc["bottleneck"]),
-        adam=_zero_adam(weights, biases),
-    )
-
-
-def losses_to_csv(history: list[float], path: str | Path) -> None:
-    from .util import write_csv
-
-    write_csv(path, ["epoch", "loss"], [(i, v) for i, v in enumerate(history)])

@@ -28,6 +28,7 @@ from .data import (
 from .ensemble import majority_vote
 from .errors import ConfigError, ToolkitError, ValidationError
 from .experiment import (
+    METHODS,
     PROFILES,
     MethodSpec,
     check_params,
@@ -35,7 +36,7 @@ from .experiment import (
     run_experiment,
     run_method,
 )
-from .metrics import ScoreReport, average_rank, score, write_score_reports_csv
+from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
 from .util import write_csv
 
 
@@ -146,10 +147,7 @@ def _cmd_cluster(args) -> int:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--params: invalid JSON: {exc}") from None
-    if not isinstance(params, dict):
-        raise ConfigError("--params: expected a JSON object")
-    check_params(args.method, params, "--params")
-    spec = MethodSpec(args.method, args.method, params)
+    spec = MethodSpec(args.method, args.method, check_params(args.method, params, "--params"))
     result = run_method(spec, ds, args.k, args.seed, PROFILES[args.profile])
     out = Path(args.out)
     write_csv(
@@ -220,15 +218,8 @@ def _cmd_rank(args) -> int:
         ScoreReport(r["method"], r["cohort"], float(r["acc"]), float(r["ari"]), float(r["nmi"]))
         for r in rows
     ]
-    ranks = average_rank(reports)
-    ordered = sorted(ranks.items(), key=lambda kv: (kv[1][0], kv[0]))
     out = Path(args.out) if args.out else Path(args.scores).parent
-    write_csv(
-        out / "ranks.csv",
-        ["method", "mean_rank", "std_rank"],
-        [(m, mean, std) for m, (mean, std) in ordered],
-    )
-    for m, (mean, std) in ordered:
+    for m, mean, std in write_ranks_csv(average_rank(reports), out / "ranks.csv"):
         print(f"{m}: {mean:.2f} ({std:.2f})")
     return 0
 
@@ -255,14 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="single method -> labels CSV")
     p.add_argument("--csv", required=True, help="preprocessed numeric CSV")
     p.add_argument("--label-column", help="column to exclude from features")
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=[
-            "kmeans_x", "gmm_x", "kmeans_z", "gmm_z",
-            "deep_student_t", "deep_student_t_recon", "deep_gaussian", "deep_gaussian_sweep",
-        ],
-    )
+    # kgg votes over other methods' labels, so it runs only inside a benchmark grid
+    p.add_argument("--method", required=True, choices=[kind for kind in METHODS if kind != "kgg"])
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", choices=sorted(PROFILES), default="desk")

@@ -75,7 +75,6 @@ class DeepClusterConfig:
     recon_weight: float = 1.0  # 0 trains the clustering loss alone (DEC-style)
     hidden: tuple[int, ...] = (64, 64)
     activation: str = "relu"
-    pretrain_epochs: int = 200
     reg_covar: float = 1e-6
     train: TrainConfig = TrainConfig()
 
@@ -328,15 +327,3 @@ def assign(dcm: DeepClusterModel, X: np.ndarray) -> np.ndarray:
     Z = encode(dcm.network, np.asarray(X, dtype=float))
     S = soft_assign(Z, dcm.params, dcm.variant)
     return S.argmax(axis=1)
-
-
-def history_to_csv(dcm: DeepClusterModel, path) -> None:
-    from .util import write_csv
-
-    rows = [
-        (i, r, k, j)
-        for i, (r, k, j) in enumerate(
-            zip(dcm.recon_history, dcm.kl_history, dcm.joint_history)
-        )
-    ]
-    write_csv(path, ["epoch", "recon_loss", "kl_loss", "joint_loss"], rows)

@@ -122,7 +122,7 @@ def run_dimension_sweep(
         )
         try:
             model = build(ds.n_features, d, cfg.hidden, cfg.activation, seed=seed_d)
-            pretrain(model, ds, replace(cfg.train, epochs=cfg.pretrain_epochs))
+            pretrain(model, ds, cfg.train)
             dcm = finetune(model, ds, k, cfg)
             rows.append(assign(dcm, ds.X))
         except Exception as exc:

@@ -22,32 +22,23 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import traceback
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .autoencoder import TrainConfig, build, encode, losses_to_csv, pretrain
+from .autoencoder import TrainConfig, build, encode, pretrain
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, load_feature_schema, preprocess, stratified_subsample
-from .deepcluster import DeepClusterConfig, assign, finetune, history_to_csv
+from .deepcluster import DeepClusterConfig, assign, finetune
 from .ensemble import dimension_ensemble, majority_vote, run_dimension_sweep, sweep_dims
-from .errors import ConfigError, ToolkitError
-from .metrics import ScoreReport, average_rank, score, write_score_reports_csv
+from .errors import ConfigError
+from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
 from .traditional import gmm_fit, gmm_predict, kmeans_fit, kmeans_predict
 from .util import derive_seed, write_csv
-
-METHOD_KINDS = (
-    "kmeans_x",
-    "gmm_x",
-    "kmeans_z",
-    "gmm_z",
-    "deep_student_t",
-    "deep_student_t_recon",
-    "deep_gaussian",
-    "deep_gaussian_sweep",
-    "kgg",
-)
 
 KGG_VOTER_KINDS = ("kmeans_x", "gmm_x", "deep_gaussian_sweep")
 
@@ -98,6 +89,8 @@ class CohortSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Built by ``parse_config``, which casts method params and resolves kgg voters."""
+
     seed: int
     methods: list[MethodSpec]
     cohorts: list[CohortSpec]
@@ -109,35 +102,223 @@ class ExperimentConfig:
     output_dir: str = "out"
 
 
-_KMEANS_PARAMS = {"n_init", "max_iter", "tol"}
-_GMM_PARAMS = {"cov_type", "max_iter", "tol", "reg_covar"}
-_PRETRAIN_PARAMS = {
-    "embed_dim", "hidden", "activation", "pretrain_epochs", "learning_rate", "batch_size",
-}
-_DEEP_PARAMS = _PRETRAIN_PARAMS | {
-    "finetune_epochs", "gamma", "target_update_interval", "recon_weight",
-}
+@dataclass
+class MethodResult:
+    """What one cell writes: labels, plus whatever else its method produces."""
 
-# exactly the params each kind reads; anything else is rejected
-_ALLOWED_PARAMS = {
-    "kmeans_x": _KMEANS_PARAMS,
-    "gmm_x": _GMM_PARAMS,
-    "kmeans_z": _PRETRAIN_PARAMS | _KMEANS_PARAMS,
-    "gmm_z": _PRETRAIN_PARAMS | _GMM_PARAMS,
-    "deep_student_t": _DEEP_PARAMS,
-    "deep_student_t_recon": _DEEP_PARAMS,
-    "deep_gaussian": _DEEP_PARAMS,
-    # the sweep sets each run's embed_dim from dims
-    "deep_gaussian_sweep": (_DEEP_PARAMS - {"embed_dim"}) | {"dims"},
-    "kgg": {"voters"},
-}
+    labels: np.ndarray
+    embedding: np.ndarray | None = None
+    pretrain_history: list[float] | None = None
+    finetune_history: list[tuple[float, float, float]] | None = None  # (recon, kl, joint) per epoch
+    label_runs: np.ndarray | None = None
+    run_columns: list[str] | None = None
 
 
-def check_params(kind: str, params: dict, where: str) -> None:
-    """Raise ConfigError naming ``where`` if ``params`` holds a key ``kind`` does not use."""
-    bad = set(params) - _ALLOWED_PARAMS[kind]
-    if bad:
-        raise ConfigError(f"{where}.{sorted(bad)[0]}: not valid for kind {kind!r}")
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _list_of(cast: Callable) -> Callable:
+    """Cast for a list param: every item through ``cast``; anything but a list is a TypeError."""
+
+    def parse(value):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return tuple(cast(v) for v in value)
+
+    return parse
+
+
+# a default that reads the profile's field of the same name at run time, since
+# ``benchmark --profile`` may swap the profile after the config is parsed
+FROM_PROFILE = "profile"
+
+# param name -> (cast, default); a None default leaves the param unset
+_KMEANS = {"n_init": (int, 10), "max_iter": (int, 300), "tol": (float, 1e-4)}
+_GMM = {
+    "cov_type": (_str, "full"),
+    "max_iter": (int, 300),
+    "tol": (float, 1e-3),
+    "reg_covar": (float, 1e-6),
+}
+_PRETRAIN = {
+    "embed_dim": (int, FROM_PROFILE),
+    "hidden": (_list_of(int), FROM_PROFILE),
+    "activation": (_str, "relu"),
+    "pretrain_epochs": (int, FROM_PROFILE),
+    "learning_rate": (float, FROM_PROFILE),
+    "batch_size": (int, FROM_PROFILE),
+}
+_DEEP = _PRETRAIN | {
+    "finetune_epochs": (int, FROM_PROFILE),
+    "gamma": (float, 0.1),
+    "target_update_interval": (int, FROM_PROFILE),
+    "recon_weight": (float, 1.0),
+}
+# the DeepClusterConfig fields that share their name with a param
+_FINETUNE_FIELDS = ("embed_dim", "hidden", "activation", "finetune_epochs", "gamma",
+                    "target_update_interval", "recon_weight")
+
+
+def _train_config(p: dict, seed: int) -> TrainConfig:
+    return TrainConfig(
+        learning_rate=p["learning_rate"],
+        batch_size=p["batch_size"],
+        epochs=p["pretrain_epochs"],
+        seed=seed,
+    )
+
+
+def _finetune_config(p: dict, variant: str, seed: int) -> DeepClusterConfig:
+    fields = {name: p[name] for name in _FINETUNE_FIELDS if name in p}
+    return DeepClusterConfig(variant=variant, train=_train_config(p, seed), **fields)
+
+
+def _pretrained(ds: Dataset, p: dict, train: TrainConfig):
+    model = build(ds.n_features, p["embed_dim"], p["hidden"], p["activation"], seed=train.seed)
+    _, history = pretrain(model, ds, train)
+    return model, encode(model, ds.X), history
+
+
+def _kmeans(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
+    km = kmeans_fit(X, k, seed=seed, n_init=p["n_init"], max_iter=p["max_iter"], tol=p["tol"])
+    return kmeans_predict(km, X)
+
+
+def _gmm(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
+    gm = gmm_fit(
+        X, k, cov_type=p["cov_type"], seed=seed,
+        max_iter=p["max_iter"], tol=p["tol"], reg_covar=p["reg_covar"],
+    )
+    labels, _ = gmm_predict(gm, X)
+    return labels
+
+
+# Every fit takes (ds, k, seed, params with defaults filled, labels produced so
+# far in the cohort) and calls the fitters by module-global name, so a swap of
+# one of those names in this module reaches every method.
+def _fit_raw(cluster, ds, k, seed, p, produced) -> MethodResult:
+    return MethodResult(labels=cluster(ds.X, k, seed, p))
+
+
+def _fit_hybrid(cluster, ds, k, seed, p, produced) -> MethodResult:
+    _, Z, history = _pretrained(ds, p, _train_config(p, seed))
+    return MethodResult(labels=cluster(Z, k, seed, p), embedding=Z, pretrain_history=history)
+
+
+def _fit_deep(variant, ds, k, seed, p, produced) -> MethodResult:
+    cfg = _finetune_config(p, variant, seed)
+    model, _, history = _pretrained(ds, p, cfg.train)
+    dcm = finetune(model, ds, k, cfg)
+    return MethodResult(
+        labels=assign(dcm, ds.X),
+        embedding=encode(dcm.network, ds.X),
+        pretrain_history=history,
+        finetune_history=list(zip(dcm.recon_history, dcm.kl_history, dcm.joint_history)),
+    )
+
+
+def _fit_sweep(ds, k, seed, p, produced) -> MethodResult:
+    dims = p.get("dims", sweep_dims(ds.n_features))
+    runs = run_dimension_sweep(ds, dims, _finetune_config(p, "gaussian", seed), k=k)
+    return MethodResult(
+        labels=dimension_ensemble(runs), label_runs=runs, run_columns=[f"d{d}" for d in dims],
+    )
+
+
+def _fit_kgg(ds, k, seed, p, produced) -> MethodResult:
+    runs = [produced[name] for name in p["voters"]]
+    return MethodResult(
+        labels=majority_vote(runs),
+        label_runs=np.asarray(runs, dtype=int),
+        run_columns=list(p["voters"]),
+    )
+
+
+@dataclass(frozen=True)
+class Method:
+    """One method kind: exactly the params its fit reads, each as (cast, default)."""
+
+    params: dict[str, tuple[Callable, object]]
+    fit: Callable[..., MethodResult]
+
+
+METHODS = {
+    "kmeans_x": Method(_KMEANS, partial(_fit_raw, _kmeans)),
+    "gmm_x": Method(_GMM, partial(_fit_raw, _gmm)),
+    "kmeans_z": Method(_PRETRAIN | _KMEANS, partial(_fit_hybrid, _kmeans)),
+    "gmm_z": Method(_PRETRAIN | _GMM, partial(_fit_hybrid, _gmm)),
+    "deep_student_t": Method(
+        _DEEP | {"gamma": (float, 1.0), "recon_weight": (float, 0.0)},
+        partial(_fit_deep, "student_t"),
+    ),
+    "deep_student_t_recon": Method(_DEEP, partial(_fit_deep, "student_t")),
+    "deep_gaussian": Method(_DEEP, partial(_fit_deep, "gaussian")),
+    # the sweep sets each run's embed_dim from dims, which default to sweep_dims(n_features)
+    "deep_gaussian_sweep": Method(
+        {name: v for name, v in _DEEP.items() if name != "embed_dim"} | {"dims": (_list_of(int), None)},
+        _fit_sweep,
+    ),
+    # voters default to the first method of each KGG_VOTER_KINDS kind; see _kgg_voters
+    "kgg": Method({"voters": (_list_of(_str), None)}, _fit_kgg),
+}
+
+
+def check_params(kind: str, params: dict, where: str) -> dict:
+    """Return ``params`` cast for ``kind``; a ConfigError names ``where``.<param> if one is
+    unknown to the kind or will not cast."""
+    if not isinstance(params, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    schema = METHODS[kind].params
+    out = {}
+    for name, value in params.items():
+        if name not in schema:
+            raise ConfigError(f"{where}.{name}: not valid for kind {kind!r}")
+        try:
+            out[name] = schema[name][0](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}.{name}: {exc}") from None
+    return out
+
+
+def run_method(
+    spec: MethodSpec,
+    ds: Dataset,
+    k: int,
+    seed: int,
+    profile: Profile,
+    produced: dict[str, np.ndarray] | None = None,
+) -> MethodResult:
+    """Fit one method on a preprocessed cohort; ``produced`` holds a kgg method's voter labels."""
+    method = METHODS[spec.kind]
+    p = {
+        name: getattr(profile, name) if default == FROM_PROFILE else default
+        for name, (_, default) in method.params.items()
+        if default is not None
+    }
+    return method.fit(ds, k, seed, {**p, **spec.params}, produced)
+
+
+def _kgg_voters(methods: list[MethodSpec], spec: MethodSpec, where: str) -> tuple[str, ...]:
+    """A kgg method's three voters: its own, or the first method of each voter kind."""
+    voters = spec.params.get("voters")
+    if voters is None:
+        first = {}
+        for m in methods:
+            first.setdefault(m.kind, m.name)
+        missing = [kind for kind in KGG_VOTER_KINDS if kind not in first]
+        if missing:
+            raise ConfigError(f"methods: kgg requires voter kinds {missing} to be present")
+        voters = tuple(first[kind] for kind in KGG_VOTER_KINDS)
+    if len(voters) != 3:
+        raise ConfigError(f"{where}: kgg needs exactly 3 voters, got {list(voters)}")
+    known = {m.name for m in methods if m.kind != "kgg"}
+    for v in voters:
+        if v not in known:
+            raise ConfigError(f"{where}: {v!r} is not a configured non-kgg method")
+    return voters
 
 
 def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -181,17 +362,15 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
         if name in seen:
             raise ConfigError(f"methods[{i}].name: duplicate {name!r}")
         seen.add(name)
-        if kind not in METHOD_KINDS:
+        if kind not in METHODS:
             raise ConfigError(f"methods[{i}].kind: unknown kind {kind!r}")
-        params = m.get("params", {})
-        check_params(kind, params, f"methods[{i}].params")
-        methods.append(MethodSpec(name, kind, dict(params)))
-
-    kinds = {m.kind for m in methods}
-    if "kgg" in kinds:
-        missing = [k for k in KGG_VOTER_KINDS if k not in kinds]
-        if missing:
-            raise ConfigError(f"methods: kgg requires voter kinds {missing} to be present")
+        params = check_params(kind, m.get("params", {}), f"methods[{i}].params")
+        methods.append(MethodSpec(name, kind, params))
+    methods = [
+        replace(m, params={"voters": _kgg_voters(methods, m, f"methods[{i}].params.voters")})
+        if m.kind == "kgg" else m
+        for i, m in enumerate(methods)
+    ]
 
     cohorts_raw = doc.get("cohorts") or [{"name": "all"}]
     cohorts = []
@@ -268,149 +447,6 @@ def _load_cohort(config: ExperimentConfig, cohort: CohortSpec) -> Dataset:
     return ds
 
 
-def _deep_config(profile: Profile, params: dict, variant: str, seed: int) -> DeepClusterConfig:
-    train = TrainConfig(
-        learning_rate=float(params.get("learning_rate", profile.learning_rate)),
-        batch_size=int(params.get("batch_size", profile.batch_size)),
-        epochs=int(params.get("pretrain_epochs", profile.pretrain_epochs)),
-        seed=seed,
-    )
-    return DeepClusterConfig(
-        variant=variant,
-        gamma=float(params.get("gamma", 0.1)),
-        embed_dim=int(params.get("embed_dim", profile.embed_dim)),
-        finetune_epochs=int(params.get("finetune_epochs", profile.finetune_epochs)),
-        target_update_interval=int(
-            params.get("target_update_interval", profile.target_update_interval)
-        ),
-        recon_weight=float(params.get("recon_weight", 1.0)),
-        hidden=tuple(params.get("hidden", profile.hidden)),
-        activation=str(params.get("activation", "relu")),
-        pretrain_epochs=int(params.get("pretrain_epochs", profile.pretrain_epochs)),
-        train=train,
-    )
-
-
-@dataclass
-class MethodResult:
-    labels: np.ndarray
-    embedding: np.ndarray | None = None
-    pretrain_history: list[float] | None = None
-    deep_model: object | None = None
-    label_runs: np.ndarray | None = None
-    run_columns: list[str] | None = None
-
-
-def _pretrained_embedding(ds: Dataset, cfg: DeepClusterConfig, seed: int):
-    model = build(ds.n_features, cfg.embed_dim, cfg.hidden, cfg.activation, seed=seed)
-    _, history = pretrain(model, ds, replace(cfg.train, epochs=cfg.pretrain_epochs))
-    return model, encode(model, ds.X), history
-
-
-def _kmeans_labels(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
-    km = kmeans_fit(
-        X, k, seed=seed,
-        n_init=int(p.get("n_init", 10)),
-        max_iter=int(p.get("max_iter", 300)),
-        tol=float(p.get("tol", 1e-4)),
-    )
-    return kmeans_predict(km, X)
-
-
-def _gmm_labels(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
-    gm = gmm_fit(
-        X, k,
-        cov_type=str(p.get("cov_type", "full")),
-        seed=seed,
-        max_iter=int(p.get("max_iter", 300)),
-        tol=float(p.get("tol", 1e-3)),
-        reg_covar=float(p.get("reg_covar", 1e-6)),
-    )
-    labels, _ = gmm_predict(gm, X)
-    return labels
-
-
-def run_method(
-    spec: MethodSpec,
-    ds: Dataset,
-    k: int,
-    seed: int,
-    profile: Profile,
-    voter_labels: dict[str, np.ndarray] | None = None,
-) -> MethodResult:
-    """Fit one method on a preprocessed cohort and return its labels."""
-    p = spec.params
-    if spec.kind == "kmeans_x":
-        return MethodResult(labels=_kmeans_labels(ds.X, k, seed, p))
-    if spec.kind == "gmm_x":
-        return MethodResult(labels=_gmm_labels(ds.X, k, seed, p))
-    if spec.kind in ("kmeans_z", "gmm_z"):
-        cfg = _deep_config(profile, p, "gaussian", seed)
-        model, Z, history = _pretrained_embedding(ds, cfg, seed)
-        fit = _kmeans_labels if spec.kind == "kmeans_z" else _gmm_labels
-        return MethodResult(labels=fit(Z, k, seed, p), embedding=Z, pretrain_history=history)
-    if spec.kind in ("deep_student_t", "deep_student_t_recon", "deep_gaussian"):
-        variant = "gaussian" if spec.kind == "deep_gaussian" else "student_t"
-        defaults = {"deep_student_t": {"gamma": 1.0, "recon_weight": 0.0}}.get(spec.kind, {})
-        merged = {**defaults, **p}
-        cfg = _deep_config(profile, merged, variant, seed)
-        model, Z, history = _pretrained_embedding(ds, cfg, seed)
-        dcm = finetune(model, ds, k, cfg)
-        return MethodResult(
-            labels=assign(dcm, ds.X),
-            embedding=encode(dcm.network, ds.X),
-            pretrain_history=history,
-            deep_model=dcm,
-        )
-    if spec.kind == "deep_gaussian_sweep":
-        cfg = _deep_config(profile, p, "gaussian", seed)
-        dims = [int(d) for d in p.get("dims", sweep_dims(ds.n_features))]
-        runs = run_dimension_sweep(ds, dims, cfg, k=k)
-        return MethodResult(
-            labels=dimension_ensemble(runs),
-            label_runs=runs,
-            run_columns=[f"d{d}" for d in dims],
-        )
-    if spec.kind == "kgg":
-        names = list(p.get("voters", [])) or None
-        if voter_labels is None:
-            raise ConfigError("kgg voters are not available")
-        if names is None:
-            raise ConfigError("kgg voter names unresolved")
-        try:
-            runs = [voter_labels[name] for name in names]
-        except KeyError as exc:
-            raise ConfigError(f"kgg voter {exc.args[0]!r} has no labels") from None
-        return MethodResult(
-            labels=majority_vote(runs),
-            label_runs=np.asarray(runs, dtype=int),
-            run_columns=list(names),
-        )
-    raise ConfigError(f"unknown method kind {spec.kind!r}")
-
-
-def _resolve_kgg_voters(config: ExperimentConfig) -> dict[str, list[str]]:
-    """Map each kgg method to its voter method names (explicit or by kind)."""
-    out = {}
-    by_kind = {}
-    for m in config.methods:
-        by_kind.setdefault(m.kind, m.name)
-    for m in config.methods:
-        if m.kind != "kgg":
-            continue
-        voters = m.params.get("voters")
-        if voters is None:
-            voters = [by_kind[k] for k in KGG_VOTER_KINDS if k in by_kind]
-        if len(voters) != 3:
-            raise ConfigError(f"kgg method {m.name!r} needs exactly 3 voters, got {voters}")
-        known = {x.name for x in config.methods}
-        for v in voters:
-            if v not in known:
-                raise ConfigError(f"kgg voter {v!r} is not a configured method")
-        out[m.name] = list(voters)
-    return out
-
-
 @dataclass
 class ExperimentResult:
     output_dir: Path
@@ -423,11 +459,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the cohort x method grid and write every report file."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    kgg_voters = _resolve_kgg_voters(config)
 
     scores: list[ScoreReport] = []
     failures: list[dict] = []
     cells: list[dict] = []
+    method_index = {m.name: j for j, m in enumerate(config.methods)}
+    # kgg methods run after their voters regardless of config order
+    ordered = sorted(config.methods, key=lambda m: m.kind == "kgg")
 
     for ci, cohort in enumerate(config.cohorts):
         raw = _load_cohort(config, cohort)
@@ -437,28 +475,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         truth = prep.labels
 
         produced: dict[str, np.ndarray] = {}
-        method_index = {m.name: j for j, m in enumerate(config.methods)}
-        # kgg methods run after their voters regardless of config order
-        ordered = [m for m in config.methods if m.kind != "kgg"] + [
-            m for m in config.methods if m.kind == "kgg"
-        ]
         for spec in ordered:
             cell_seed = derive_seed(config.seed, ci, method_index[spec.name])
-            voter_map = None
-            if spec.kind == "kgg":
-                names = kgg_voters[spec.name]
-                if not all(n in produced for n in names):
-                    failures.append(
-                        {"cohort": cohort.name, "method": spec.name, "error": "voter labels missing"}
-                    )
-                    continue
-                voter_map = {n: produced[n] for n in names}
-                spec = replace(spec, params={**spec.params, "voters": names})
+            failure = {"cohort": cohort.name, "method": spec.name}
+            if spec.kind == "kgg" and not all(n in produced for n in spec.params["voters"]):
+                failures.append({**failure, "error": "voter labels missing"})
+                continue
             t0 = time.perf_counter()
             try:
-                result = run_method(spec, prep, config.k, cell_seed, PROFILES[config.profile], voter_map)
-            except ToolkitError as exc:
-                failures.append({"cohort": cohort.name, "method": spec.name, "error": str(exc)})
+                result = run_method(
+                    spec, prep, config.k, cell_seed, PROFILES[config.profile], produced
+                )
+            except Exception as exc:  # noqa: BLE001 -- one failed cell must not stop the grid
+                failures.append({
+                    **failure,
+                    "error": str(exc),
+                    "type": type(exc).__name__,
+                    "traceback": traceback.format_exc(),
+                })
                 continue
             elapsed = time.perf_counter() - t0
 
@@ -487,9 +521,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     result.embedding.tolist(),
                 )
             if result.pretrain_history is not None:
-                losses_to_csv(result.pretrain_history, out / "history" / f"{stem}__pretrain.csv")
-            if result.deep_model is not None:
-                history_to_csv(result.deep_model, out / "history" / f"{stem}.csv")
+                write_csv(
+                    out / "history" / f"{stem}__pretrain.csv",
+                    ["epoch", "loss"],
+                    list(enumerate(result.pretrain_history)),
+                )
+            if result.finetune_history is not None:
+                write_csv(
+                    out / "history" / f"{stem}.csv",
+                    ["epoch", "recon_loss", "kl_loss", "joint_loss"],
+                    [(i, *losses) for i, losses in enumerate(result.finetune_history)],
+                )
             if result.label_runs is not None:
                 write_csv(
                     out / "labels_runs" / f"{stem}.csv",
@@ -510,18 +552,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ranks = {}
     if not failures:
         ranks = average_rank(scores)
-        ordered_ranks = sorted(ranks.items(), key=lambda kv: (kv[1][0], kv[0]))
-        write_csv(
-            out / "ranks.csv",
-            ["method", "mean_rank", "std_rank"],
-            [(m, mean, std) for m, (mean, std) in ordered_ranks],
-        )
+        write_ranks_csv(ranks, out / "ranks.csv")
 
+    doc = _config_doc(config)
+    # the hash identifies the config, wherever its outputs were written
+    hashed = {key: value for key, value in doc.items() if key != "output_dir"}
     manifest = {
-        "config": _config_doc(config),
-        "config_hash": hashlib.sha256(
-            json.dumps(_config_doc(config), sort_keys=True).encode()
-        ).hexdigest(),
+        "config": doc,
+        "config_hash": hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest(),
         "versions": _versions(),
         "profile": asdict(PROFILES[config.profile]),
         "cells": cells,

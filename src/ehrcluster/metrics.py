@@ -276,6 +276,14 @@ def average_rank(reports: list[ScoreReport]) -> dict[str, tuple[float, float]]:
     }
 
 
+def write_ranks_csv(ranks: dict[str, tuple[float, float]], path: str | Path) -> list[tuple]:
+    """Write ``method,mean_rank,std_rank``, best mean rank first, ties by name; return the rows."""
+    ordered = sorted(ranks.items(), key=lambda kv: (kv[1][0], kv[0]))
+    rows = [(m, mean, std) for m, (mean, std) in ordered]
+    write_csv(path, ["method", "mean_rank", "std_rank"], rows)
+    return rows
+
+
 def write_score_reports_csv(
     reports: list[ScoreReport], path: str | Path, include_wall_clock: bool = True
 ) -> None:

@@ -7,9 +7,7 @@ non-decreasing up to the tiny covariance regularization.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -87,6 +85,8 @@ def kmeans_fit(
         raise DimensionMismatch("X must be 2-dimensional")
     if k < 2:
         raise DegenerateInput("k must be >= 2")
+    if n_init < 1:
+        raise DegenerateInput(f"n_init must be >= 1, got {n_init}")
     if X.shape[0] < k:
         raise DegenerateInput(f"need at least k={k} samples, got {X.shape[0]}")
     if not np.all(np.isfinite(X)):
@@ -262,61 +262,3 @@ def gmm_predict(model: GmmModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     )
     resp = np.exp(log_resp)
     return resp.argmax(axis=1), resp
-
-
-# --------------------------------------------------------------------------
-# serialization (reproducibility audits)
-# --------------------------------------------------------------------------
-
-def model_to_json(model: KMeansModel | GmmModel) -> str:
-    if isinstance(model, KMeansModel):
-        doc = {
-            "format": "kmeans-v1",
-            "centroids": model.centroids.tolist(),
-            "inertia": model.inertia,
-            "n_iter": model.n_iter,
-            "inertia_history": model.inertia_history,
-        }
-    else:
-        doc = {
-            "format": "gmm-v1",
-            "weights": model.weights.tolist(),
-            "means": model.means.tolist(),
-            "covariances": model.covariances.tolist(),
-            "cov_type": model.cov_type,
-            "reg_covar": model.reg_covar,
-            "log_likelihood_history": model.log_likelihood_history,
-            "n_iter": model.n_iter,
-        }
-    return json.dumps(doc)
-
-
-def model_from_json(text: str) -> KMeansModel | GmmModel:
-    doc = json.loads(text)
-    fmt = doc.get("format")
-    if fmt == "kmeans-v1":
-        return KMeansModel(
-            np.array(doc["centroids"], dtype=float),
-            float(doc["inertia"]),
-            int(doc["n_iter"]),
-            [float(x) for x in doc["inertia_history"]],
-        )
-    if fmt == "gmm-v1":
-        return GmmModel(
-            np.array(doc["weights"], dtype=float),
-            np.array(doc["means"], dtype=float),
-            np.array(doc["covariances"], dtype=float),
-            doc["cov_type"],
-            float(doc["reg_covar"]),
-            [float(x) for x in doc["log_likelihood_history"]],
-            int(doc["n_iter"]),
-        )
-    raise ValueError(f"unknown model format {fmt!r}")
-
-
-def save_model(model: KMeansModel | GmmModel, path: str | Path) -> None:
-    Path(path).write_text(model_to_json(model))
-
-
-def load_model(path: str | Path) -> KMeansModel | GmmModel:
-    return model_from_json(Path(path).read_text())

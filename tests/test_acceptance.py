@@ -267,7 +267,7 @@ def test_criterion_5_loss_identities():
         ds, _ = standardize(ds)
         cfg = DeepClusterConfig(
             variant="student_t", gamma=0.0, embed_dim=3, finetune_epochs=50,
-            hidden=(12,), pretrain_epochs=60,
+            hidden=(12,),
             train=TrainConfig(epochs=60, batch_size=128, seed=550),
         )
         model = build(8, 3, (12,), "relu", seed=550)

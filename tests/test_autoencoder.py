@@ -8,10 +8,8 @@ from ehrcluster.autoencoder import (
     build,
     encode,
     forward,
-    load_checkpoint,
     pretrain,
     reconstruction_loss,
-    save_checkpoint,
 )
 from ehrcluster.data import SyntheticSpec, generate_synthetic, standardize
 from ehrcluster.errors import (
@@ -264,14 +262,3 @@ class TestPretrain:
         m = build(10, 3, [8], seed=1)
         with pytest.raises(NonFiniteLoss):
             pretrain(m, ds, TrainConfig(epochs=30, learning_rate=1e200))
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    m = build(6, 2, [5], seed=11)
-    save_checkpoint(m, tmp_path / "m.json")
-    back = load_checkpoint(tmp_path / "m.json")
-    X = np.random.default_rng(0).normal(size=(4, 6))
-    _, xhat_a, _ = forward(m, X)
-    _, xhat_b, _ = forward(back, X)
-    assert np.array_equal(xhat_a, xhat_b)
-    assert back.layer_dims == m.layer_dims

@@ -180,6 +180,15 @@ class TestRank:
         assert rows[1]["method"] == "bad" and float(rows[1]["mean_rank"]) == 2.0
 
 
+def test_method_choices_are_the_table_kinds_but_kgg():
+    from ehrcluster.experiment import METHODS
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    method = next(a for a in sub.choices["cluster"]._actions if a.dest == "method")
+    assert list(method.choices) == [kind for kind in METHODS if kind != "kgg"]
+
+
 class TestBenchmarkCommand:
     def test_tiny_grid_round_trip(self, tmp_path):
         config = {
@@ -205,6 +214,9 @@ class TestBenchmarkCommand:
         assert (tmp_path / "o" / "manifest.json").exists()
         timings = read_rows(tmp_path / "o" / "timings.csv")
         assert all(float(r["wall_clock_seconds"]) > 0 for r in timings)
+        # rank rewrites the grid's ranks.csv byte for byte
+        assert run_cli("rank", "--scores", str(tmp_path / "o" / "scores.csv"), "--out", str(tmp_path)) == 0
+        assert (tmp_path / "ranks.csv").read_bytes() == (tmp_path / "o" / "ranks.csv").read_bytes()
 
 
 class TestExitCodes:
@@ -231,6 +243,26 @@ class TestExitCodes:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(config))
         assert run_cli("benchmark", "--config", str(p)) == 1
+
+    @pytest.mark.parametrize("kind, params", [
+        ("kmeans_x", {"n_init": "ten"}),
+        ("gmm_z", {"hidden": 5}),
+        ("kgg", {"voters": "kmeans_x"}),
+    ])
+    def test_mistyped_param_is_validation_error(self, tmp_path, capsys, kind, params):
+        config = {
+            "seed": 1,
+            "data": {"synthetic": {"n_samples": 50, "n_features": 4,
+                                    "class_ratio": 1.0, "separation": 2.0,
+                                    "cluster_shape": "spherical",
+                                    "missing_rate": 0.0, "seed": 1}},
+            "methods": [{"name": "m", "kind": kind, "params": params}],
+        }
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        assert run_cli("benchmark", "--config", str(p), "--out", str(tmp_path / "o")) == 1
+        assert f"methods[0].params.{next(iter(params))}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unreadable_labels_is_validation_error(self, tmp_path):
         p = tmp_path / "x.csv"

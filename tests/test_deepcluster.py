@@ -252,7 +252,7 @@ class TestFinetune:
     def base_config(self, seed=9, **overrides):
         cfg = DeepClusterConfig(
             variant="student_t", gamma=0.1, embed_dim=4, finetune_epochs=100,
-            hidden=(16,), pretrain_epochs=100,
+            hidden=(16,),
             train=TrainConfig(epochs=100, batch_size=128, seed=seed),
         )
         return replace(cfg, **overrides) if overrides else cfg

@@ -169,7 +169,7 @@ def tiny_cohort():
 def tiny_config(seed=3):
     return DeepClusterConfig(
         variant="gaussian", gamma=0.1, embed_dim=2, finetune_epochs=6,
-        target_update_interval=3, hidden=(8,), pretrain_epochs=10,
+        target_update_interval=3, hidden=(8,),
         train=TrainConfig(epochs=10, batch_size=64, seed=seed),
     )
 
@@ -192,7 +192,7 @@ class TestRunDimensionSweep:
         seed_d = derive_seed(cfg.train.seed, 3)
         direct_cfg = replace(cfg, embed_dim=3, train=replace(cfg.train, seed=seed_d))
         model = build(tiny_cohort.n_features, 3, cfg.hidden, cfg.activation, seed=seed_d)
-        pretrain(model, tiny_cohort, replace(direct_cfg.train, epochs=cfg.pretrain_epochs))
+        pretrain(model, tiny_cohort, replace(direct_cfg.train, epochs=cfg.train.epochs))
         dcm = finetune(model, tiny_cohort, 2, direct_cfg)
         assert np.array_equal(runs[0], assign(dcm, tiny_cohort.X))
 

@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from ehrcluster.data import SyntheticSpec, generate_synthetic
 from ehrcluster.errors import ConfigError
 from ehrcluster.experiment import (
     PROFILES,
+    MethodSpec,
     load_config,
     parse_config,
     run_experiment,
+    run_method,
 )
 
 
@@ -89,6 +92,54 @@ class TestParseConfig:
             {"name": "kgg", "kind": "kgg"},
         ])
         with pytest.raises(ConfigError, match="kgg"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("kind, params, field", [
+        ("kmeans_x", {"n_init": "ten"}, "n_init"),
+        ("gmm_x", {"tol": None}, "tol"),
+        ("deep_gaussian", {"hidden": 5}, "hidden"),
+        ("deep_gaussian", {"hidden": ["wide"]}, "hidden"),
+        ("deep_gaussian_sweep", {"dims": 3}, "dims"),
+        ("kgg", {"voters": "kmeans_x"}, "voters"),
+        ("gmm_x", {"cov_type": 1}, "cov_type"),
+    ])
+    def test_param_of_the_wrong_type_carries_field_path(self, kind, params, field):
+        doc = minimal_doc(methods=[{"name": "m", "kind": kind, "params": params}])
+        with pytest.raises(ConfigError, match=rf"methods\[0\].params.{field}"):
+            parse_config(doc)
+
+    def test_params_are_cast_once_at_load(self):
+        doc = minimal_doc(methods=[{"name": "m", "kind": "kmeans_z",
+                                    "params": {"n_init": "3", "tol": 1, "hidden": [8, 4]}}])
+        assert parse_config(doc).methods[0].params == {"n_init": 3, "tol": 1.0, "hidden": (8, 4)}
+
+    def test_non_object_params_rejected(self):
+        doc = minimal_doc(methods=[{"name": "m", "kind": "kmeans_x", "params": [1]}])
+        with pytest.raises(ConfigError, match=r"methods\[0\].params"):
+            parse_config(doc)
+
+    def test_kgg_voters_resolved_at_load(self):
+        doc = minimal_doc(methods=[
+            {"name": "vote", "kind": "kgg"},
+            {"name": "km", "kind": "kmeans_x"},
+            {"name": "km2", "kind": "kmeans_x"},
+            {"name": "gm", "kind": "gmm_x"},
+            {"name": "sw", "kind": "deep_gaussian_sweep"},
+        ])
+        assert parse_config(doc).methods[0].params == {"voters": ("km", "gm", "sw")}
+
+    @pytest.mark.parametrize("voters, message", [
+        (["km", "gm"], "exactly 3"),
+        (["km", "gm", "nope"], "'nope'"),
+        (["km", "gm", "vote"], "'vote'"),
+    ])
+    def test_explicit_kgg_voters_validated(self, voters, message):
+        doc = minimal_doc(methods=[
+            {"name": "km", "kind": "kmeans_x"},
+            {"name": "gm", "kind": "gmm_x"},
+            {"name": "vote", "kind": "kgg", "params": {"voters": voters}},
+        ])
+        with pytest.raises(ConfigError, match=rf"methods\[2\].params.voters: .*{message}"):
             parse_config(doc)
 
     def test_unknown_profile(self):
@@ -244,6 +295,56 @@ class TestRunExperiment:
                           output_dir=str(tmp_path / "o"))
         run_experiment(parse_config(doc))
         assert seen == [7]
+
+    def test_non_toolkit_error_in_one_cell_is_recorded(self, tmp_path, monkeypatch):
+        import ehrcluster.experiment as experiment
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(experiment, "gmm_fit", singular)
+        doc = minimal_doc(
+            methods=[
+                {"name": "kmeans_x", "kind": "kmeans_x"},
+                {"name": "gmm_x", "kind": "gmm_x"},
+                {"name": "again", "kind": "kmeans_x", "params": {"n_init": 2}},
+            ],
+            output_dir=str(tmp_path / "o"),
+        )
+        res = run_experiment(parse_config(doc))
+        assert [r.method for r in res.scores] == ["kmeans_x", "again"]
+        (failure,) = res.failures
+        assert failure["method"] == "gmm_x"
+        assert failure["type"] == "LinAlgError"
+        assert "Singular matrix" in failure["error"]
+        assert "LinAlgError" in failure["traceback"]
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["failures"][0]["type"] == "LinAlgError"
+
+    def test_config_hash_ignores_output_dir(self, tmp_path):
+        def config_hash(out, seed=3):
+            run_experiment(parse_config(minimal_doc(seed=seed, output_dir=str(tmp_path / out))))
+            return json.loads((tmp_path / out / "manifest.json").read_text())["config_hash"]
+
+        first = config_hash("a")
+        assert config_hash("b") == first
+        assert config_hash("c", seed=4) != first
+
+    def test_profile_defaults_filled_at_run_time(self, monkeypatch):
+        import ehrcluster.experiment as experiment
+
+        seen = []
+
+        def stop(input_dim, embed_dim, hidden, activation, seed):
+            seen.append((embed_dim, tuple(hidden), activation))
+            raise RuntimeError("stop before training")
+
+        monkeypatch.setattr(experiment, "build", stop)
+        ds = generate_synthetic(SyntheticSpec(40, 5, 1.0, 4.0, "spherical", 0.0, seed=1))
+        for profile, params in (("desk", {}), ("paper", {}), ("paper", {"hidden": (8,), "embed_dim": 2})):
+            with pytest.raises(RuntimeError, match="stop"):
+                run_method(MethodSpec("m", "kmeans_z", params), ds, 2, 0, PROFILES[profile])
+        assert seen == [(10, (64, 64), "relu"), (10, (500, 500, 2000), "relu"), (2, (8,), "relu")]
 
     def test_missing_labels_rejected(self, tmp_path):
         doc = minimal_doc(output_dir=str(tmp_path / "o"))

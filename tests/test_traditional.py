@@ -13,10 +13,6 @@ from ehrcluster.traditional import (
     gmm_predict,
     kmeans_fit,
     kmeans_predict,
-    load_model,
-    model_from_json,
-    model_to_json,
-    save_model,
 )
 
 
@@ -52,6 +48,11 @@ class TestKMeansFit:
             kmeans_fit(np.ones((5, 2)), 1, seed=0)
         with pytest.raises(DegenerateInput):
             kmeans_fit(np.array([[np.nan, 1.0], [0.0, 1.0]]), 2, seed=0)
+
+    def test_zero_restarts_rejected(self):
+        X, _ = blob_pair(n=40)
+        with pytest.raises(DegenerateInput, match="n_init"):
+            kmeans_fit(X, 2, seed=0, n_init=0)
 
     def test_inertia_history_non_increasing(self):
         rng = np.random.default_rng(5)
@@ -181,21 +182,3 @@ class TestGmmPredict:
         gm = self._separated_model()
         with pytest.raises(DimensionMismatch):
             gmm_predict(gm, np.zeros((2, 7)))
-
-
-class TestSerialization:
-    def test_kmeans_roundtrip(self, tmp_path):
-        X, _ = blob_pair(n=60, separation=3.0, seed=0)
-        km = kmeans_fit(X, 2, seed=1)
-        save_model(km, tmp_path / "km.json")
-        back = load_model(tmp_path / "km.json")
-        assert np.array_equal(back.centroids, km.centroids)
-        assert back.inertia == km.inertia
-
-    def test_gmm_roundtrip(self):
-        X, _ = blob_pair(n=60, separation=3.0, seed=0)
-        gm = gmm_fit(X, 2, seed=1)
-        back = model_from_json(model_to_json(gm))
-        assert np.array_equal(back.means, gm.means)
-        assert np.array_equal(back.covariances, gm.covariances)
-        assert back.cov_type == gm.cov_type
