@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -24,6 +25,7 @@ from .data import (
     load_csv,
     load_feature_schema,
     preprocess,
+    synthetic_feature_specs,
 )
 from .ensemble import majority_vote
 from .errors import ConfigError, ToolkitError, ValidationError
@@ -47,20 +49,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_dataset_csv(ds: Dataset, path: Path, label_column: str = "label") -> None:
+    """One row per sample, a blank cell where a value is missing, the label last."""
     header = [s.name for s in ds.feature_specs]
+    rows = [["" if math.isnan(v) else v for v in row] for row in ds.X.tolist()]
     if ds.labels is not None:
         header.append(label_column)
-    rows = []
-    for i in range(ds.n_samples):
-        row = ["" if ds.missing[i, j] else repr(float(ds.X[i, j])) for j in range(ds.n_features)]
-        if ds.labels is not None:
-            row.append(str(int(ds.labels[i])))
-        rows.append(row)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row, label in zip(rows, ds.labels.tolist()):
+            row.append(label)
+    write_csv(path, header, rows)
 
 
 def _read_matrix_csv(path: Path, label_column: str | None):
@@ -140,9 +136,9 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_cluster(args) -> int:
     X, labels, _names = _read_matrix_csv(Path(args.csv), args.label_column)
-    from .data import synthetic_feature_specs
-
-    ds = Dataset(X, np.zeros_like(X, dtype=bool), synthetic_feature_specs(X.shape[1]), labels=labels)
+    if np.isnan(X).any():
+        raise ConfigError(f"{args.csv}: a cell is nan; cluster needs a fully imputed CSV")
+    ds = Dataset(X, synthetic_feature_specs(X.shape[1]), labels=labels)
     try:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:

@@ -6,15 +6,14 @@ The preprocessing pipeline used throughout the toolkit is:
     -> per-feature median imputation -> z-score standardization
 
 Every operation is pure: it returns a new :class:`Dataset` and never
-mutates its input. Missing cells are represented twice, as ``NaN`` in the
-value matrix and as ``True`` in the boolean mask; the mask is the source
-of truth.
+mutates its input. A missing cell is ``NaN`` in the value matrix and
+nothing else; ``Dataset.missing`` is derived from it.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .errors import (
     NonNumericCell,
 )
 
-DEFAULT_MISSING_TOKENS = ("", "NA")
+MISSING_TOKENS = ("", "NA")
 
 CLUSTER_SHAPES = ("spherical", "diagonal", "correlated")
 
@@ -51,32 +50,27 @@ class FeatureSpec:
 
 @dataclass
 class Dataset:
-    """A numeric cohort: values, missing mask, schema, and optional truth labels.
+    """A numeric cohort: values (``NaN`` where missing), schema, and optional truth labels.
 
     ``labels`` are ground-truth class assignments used only for evaluation;
     they are deliberately kept outside ``X`` so no fit can touch them.
     """
 
     X: np.ndarray
-    missing: np.ndarray
     feature_specs: list[FeatureSpec]
     labels: np.ndarray | None = None
-    class_names: list[str] | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        self.missing = np.asarray(self.missing, dtype=bool)
         if self.X.ndim != 2:
             raise ConfigError("X must be 2-dimensional")
-        if self.X.shape != self.missing.shape:
-            raise ConfigError("X and missing mask shapes differ")
         if self.X.shape[1] != len(self.feature_specs):
             raise ConfigError("n_features does not match len(feature_specs)")
         names = [s.name for s in self.feature_specs]
         if len(set(names)) != len(names):
             raise ConfigError("feature names must be unique")
-        if not np.all(np.isfinite(self.X[~self.missing])):
-            raise ConfigError("X must be finite wherever not missing")
+        if np.isinf(self.X).any():
+            raise ConfigError("X must not hold +-inf (NaN marks a missing cell)")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if self.labels.shape != (self.X.shape[0],):
@@ -85,9 +79,11 @@ class Dataset:
                 raise ConfigError("labels must be integers")
             if self.labels.size and self.labels.min() < 0:
                 raise ConfigError("labels must be non-negative")
-            if self.class_names is not None and self.labels.size:
-                if self.labels.max() >= len(self.class_names):
-                    raise ConfigError("label value outside class_names range")
+
+    @property
+    def missing(self) -> np.ndarray:
+        """Boolean mask of the missing cells, ``np.isnan(X)``; computed on each read."""
+        return np.isnan(self.X)
 
     @property
     def n_samples(self) -> int:
@@ -116,6 +112,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_samples < 1:
+            raise ConfigError("n_samples must be >= 1")
         if self.n_features < 2:
             raise ConfigError("n_features must be >= 2")
         if not 0 < self.class_ratio <= 1:
@@ -160,21 +158,18 @@ def load_feature_schema(path: str | Path | None = None) -> list[FeatureSpec]:
     return specs
 
 
-def load_csv(
-    path: str | Path,
-    specs: list[FeatureSpec],
-    label_column: str | None = None,
-    missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS,
-) -> Dataset:
+def load_csv(path: str | Path, specs: list[FeatureSpec], label_column: str | None = None) -> Dataset:
     """Load a header-bearing CSV into a Dataset, column order following ``specs``.
 
-    Cells equal to one of ``missing_tokens`` (after stripping whitespace)
-    become missing; anything else must parse as a finite float. The label
+    Cells equal to one of ``MISSING_TOKENS`` (after stripping whitespace)
+    become ``NaN``; anything else must parse as a finite float. The label
     column, when given, must hold non-negative integers on every row.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: not a readable CSV: {exc}") from None
     if not rows:
         raise EmptyFile(f"{path}: no header row")
     header, data_rows = rows[0], rows[1:]
@@ -190,14 +185,12 @@ def load_csv(
 
     n, f = len(data_rows), len(specs)
     X = np.empty((n, f))
-    missing = np.zeros((n, f), dtype=bool)
     labels = np.empty(n, dtype=int) if label_column else None
     for i, row in enumerate(data_rows):
         for j, spec in enumerate(specs):
             cell = row[col_index[spec.name]].strip() if col_index[spec.name] < len(row) else ""
-            if cell in missing_tokens:
+            if cell in MISSING_TOKENS:
                 X[i, j] = np.nan
-                missing[i, j] = True
                 continue
             try:
                 value = float(cell)
@@ -215,7 +208,7 @@ def load_csv(
             if not value.is_integer() or value < 0:
                 raise NonNumericCell(i, label_column)
             labels[i] = int(value)
-    return Dataset(X, missing, list(specs), labels=labels)
+    return Dataset(X, list(specs), labels=labels)
 
 
 def apply_bounds(ds: Dataset) -> Dataset:
@@ -224,56 +217,42 @@ def apply_bounds(ds: Dataset) -> Dataset:
     hi = np.array([s.bound_hi for s in ds.feature_specs])
     X = ds.X.copy()
     # NaN compares false on both sides, so already-missing cells are untouched.
-    out = (X < lo) | (X > hi)
-    X[out] = np.nan
-    return Dataset(
-        X,
-        ds.missing | out,
-        ds.feature_specs,
-        labels=None if ds.labels is None else ds.labels.copy(),
-        class_names=ds.class_names,
-    )
+    X[(X < lo) | (X > hi)] = np.nan
+    return replace(ds, X=X)
+
+
+def subset_rows(ds: Dataset, rows: np.ndarray) -> Dataset:
+    """The samples that ``rows`` (a boolean mask or an index array) selects, in that order."""
+    return replace(ds, X=ds.X[rows], labels=None if ds.labels is None else ds.labels[rows])
 
 
 def filter_missing_rate(ds: Dataset, max_rate: float) -> Dataset:
     """Drop samples whose missing fraction strictly exceeds ``max_rate``."""
     if not 0 <= max_rate <= 1:
         raise ConfigError("max_rate must be in [0, 1]")
-    frac = ds.missing.sum(axis=1) / ds.n_features
-    keep = frac <= max_rate
+    keep = ds.missing.sum(axis=1) / ds.n_features <= max_rate
     if not keep.any():
         raise AllSamplesRemoved(
             f"no sample has missing rate <= {max_rate}; all {ds.n_samples} removed"
         )
-    return Dataset(
-        ds.X[keep].copy(),
-        ds.missing[keep].copy(),
-        ds.feature_specs,
-        labels=None if ds.labels is None else ds.labels[keep].copy(),
-        class_names=ds.class_names,
-    )
+    return subset_rows(ds, keep)
 
 
 def impute_median(ds: Dataset) -> Dataset:
     """Replace each missing cell with the per-feature median of observed values.
 
     The median of an even count is the mean of the two central order
-    statistics. Observed cells are returned unchanged and the mask clears.
+    statistics. Observed cells are returned unchanged.
     """
     X = ds.X.copy()
+    missing = ds.missing
     for j, spec in enumerate(ds.feature_specs):
-        observed = X[~ds.missing[:, j], j]
+        observed = X[~missing[:, j], j]
         if observed.size == 0:
             raise AllMissingFeature(spec.name)
-        if ds.missing[:, j].any():
-            X[ds.missing[:, j], j] = np.median(observed)
-    return Dataset(
-        X,
-        np.zeros_like(ds.missing),
-        ds.feature_specs,
-        labels=None if ds.labels is None else ds.labels.copy(),
-        class_names=ds.class_names,
-    )
+        if missing[:, j].any():
+            X[missing[:, j], j] = np.median(observed)
+    return replace(ds, X=X)
 
 
 def standardize(ds: Dataset) -> tuple[Dataset, ScalerParams]:
@@ -288,16 +267,7 @@ def standardize(ds: Dataset) -> tuple[Dataset, ScalerParams]:
     std = ds.X.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
     params = ScalerParams(mean=mean, std=std)
-    return (
-        Dataset(
-            params.apply(ds.X),
-            np.zeros_like(ds.missing),
-            ds.feature_specs,
-            labels=None if ds.labels is None else ds.labels.copy(),
-            class_names=ds.class_names,
-        ),
-        params,
-    )
+    return replace(ds, X=params.apply(ds.X)), params
 
 
 def minority_count(n: int, class_ratio: float) -> int:
@@ -316,6 +286,8 @@ def stratified_subsample(ds: Dataset, n: int, class_ratio: float, seed: int) -> 
     classes = np.unique(ds.labels)
     if not np.array_equal(classes, [0, 1]):
         raise ConfigError("stratified_subsample expects binary labels {0, 1}")
+    if n < 1 or class_ratio < 0:
+        raise ConfigError("stratified_subsample needs n >= 1 and class_ratio >= 0")
     n_min = minority_count(n, class_ratio)
     n_maj = n - n_min
     rng = np.random.default_rng(seed)
@@ -325,14 +297,7 @@ def stratified_subsample(ds: Dataset, n: int, class_ratio: float, seed: int) -> 
         if needed > pool.size:
             raise InsufficientClassSamples(cls, needed, pool.size)
         picked.append(rng.choice(pool, size=needed, replace=False))
-    idx = np.sort(np.concatenate(picked))
-    return Dataset(
-        ds.X[idx].copy(),
-        ds.missing[idx].copy(),
-        ds.feature_specs,
-        labels=ds.labels[idx].copy(),
-        class_names=ds.class_names,
-    )
+    return subset_rows(ds, np.sort(np.concatenate(picked)))
 
 
 def synthetic_feature_specs(n_features: int) -> list[FeatureSpec]:
@@ -386,18 +351,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     order = rng.permutation(n)
     X, labels = X[order], labels[order]
 
-    missing = np.zeros((n, d), dtype=bool)
     if spec.missing_rate > 0:
-        missing = rng.random((n, d)) < spec.missing_rate
-        X[missing] = np.nan
-
-    return Dataset(
-        X,
-        missing,
-        synthetic_feature_specs(d),
-        labels=labels,
-        class_names=["majority", "minority"],
-    )
+        X[rng.random((n, d)) < spec.missing_rate] = np.nan
+    return Dataset(X, synthetic_feature_specs(d), labels=labels)
 
 
 def preprocess(ds: Dataset, max_missing_rate: float = 0.05) -> tuple[Dataset, ScalerParams]:

@@ -39,6 +39,7 @@ from .autoencoder import (
 from .data import Dataset
 from .errors import DegenerateInput, DimensionMismatch, InvalidDimension, NonFiniteLoss
 from .traditional import (
+    _gmm_m_step,
     gaussian_log_responsibilities,
     gmm_fit,
     kmeans_fit,
@@ -196,15 +197,7 @@ def clustering_gradients(
 
 def _em_refresh(Z: np.ndarray, params: ClusterParams, reg_covar: float) -> ClusterParams:
     """One EM step for the gaussian variant's mixture on the current embedding."""
-    resp = soft_assign_gaussian(Z, params)
-    nk = resp.sum(axis=0) + 10 * np.finfo(float).eps
-    pi = nk / nk.sum()
-    mu = (resp.T @ Z) / nk[:, None]
-    d = Z.shape[1]
-    sigma = np.empty((params.k, d, d))
-    for j in range(params.k):
-        diff = Z - mu[j]
-        sigma[j] = (resp[:, j, None] * diff).T @ diff / nk[j] + reg_covar * np.eye(d)
+    pi, mu, sigma = _gmm_m_step(Z, soft_assign_gaussian(Z, params), "full", reg_covar)
     return ClusterParams(mu=mu, sigma=sigma, pi=pi)
 
 

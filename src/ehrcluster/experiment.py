@@ -23,7 +23,7 @@ import hashlib
 import json
 import time
 import traceback
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -32,7 +32,10 @@ import numpy as np
 
 from . import __version__
 from .autoencoder import TrainConfig, build, encode, pretrain
-from .data import Dataset, SyntheticSpec, generate_synthetic, load_csv, load_feature_schema, preprocess, stratified_subsample
+from .data import (
+    Dataset, SyntheticSpec, generate_synthetic, load_csv, load_feature_schema, preprocess,
+    stratified_subsample, subset_rows,
+)
 from .deepcluster import DeepClusterConfig, assign, finetune
 from .ensemble import dimension_ensemble, majority_vote, run_dimension_sweep, sweep_dims
 from .errors import ConfigError
@@ -266,6 +269,14 @@ METHODS = {
 }
 
 
+def _cast(cast: Callable, value, where: str):
+    """``cast(value)``; a value that will not cast is a ConfigError naming ``where``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def check_params(kind: str, params: dict, where: str) -> dict:
     """Return ``params`` cast for ``kind``; a ConfigError names ``where``.<param> if one is
     unknown to the kind or will not cast."""
@@ -276,11 +287,31 @@ def check_params(kind: str, params: dict, where: str) -> dict:
     for name, value in params.items():
         if name not in schema:
             raise ConfigError(f"{where}.{name}: not valid for kind {kind!r}")
-        try:
-            out[name] = schema[name][0](value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{where}.{name}: {exc}") from None
+        out[name] = _cast(schema[name][0], value, f"{where}.{name}")
     return out
+
+
+# the cast of a config dataclass field, by its annotation; a "... | None" field also takes null
+_FIELD_CASTS = {"int": int, "float": float, "str": _str}
+
+
+def _build(cls, raw, where: str, **defaults):
+    """``cls`` from a JSON object, every field cast by its annotation; a ConfigError names
+    ``where``.<field> if one is unknown, absent but required, or will not cast."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = dict(defaults)
+    for name, value in raw.items():
+        if name not in types:
+            raise ConfigError(f"{where}.{name}: unknown field")
+        optional = types[name].endswith(" | None")
+        cast = _FIELD_CASTS[types[name].removesuffix(" | None")]
+        kwargs[name] = None if optional and value is None else _cast(cast, value, f"{where}.{name}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in kwargs:
+            raise ConfigError(f"{where}.{f.name}: required")
+    return cls(**kwargs)
 
 
 def run_method(
@@ -333,36 +364,32 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
     synthetic = None
     csv_source = None
     if "synthetic" in data:
-        try:
-            synthetic = SyntheticSpec(**data["synthetic"])
-        except TypeError as exc:
-            raise ConfigError(f"data.synthetic: {exc}") from None
+        synthetic = _build(SyntheticSpec, data["synthetic"], "data.synthetic")
     else:
-        raw = data["csv"]
-        if "path" not in raw:
-            raise ConfigError("data.csv.path: required")
-        path = str(raw["path"])
-        schema = raw.get("schema")
+        csv_source = _build(CsvSource, data["csv"], "data.csv")
         if base_dir is not None:
+            path, schema = csv_source.path, csv_source.schema
             path = str((base_dir / path).resolve()) if not Path(path).is_absolute() else path
             if schema is not None and not Path(schema).is_absolute():
                 schema = str((base_dir / schema).resolve())
-        csv_source = CsvSource(path, schema, raw.get("label_column"))
+            csv_source = replace(csv_source, path=path, schema=schema)
 
     methods_raw = doc.get("methods")
-    if not methods_raw:
-        raise ConfigError("methods: at least one method is required")
+    if not methods_raw or not isinstance(methods_raw, list):
+        raise ConfigError("methods: a list of at least one method is required")
     methods = []
     seen = set()
     for i, m in enumerate(methods_raw):
+        if not isinstance(m, dict):
+            raise ConfigError(f"methods[{i}]: expected a JSON object")
         name = m.get("name")
         kind = m.get("kind")
-        if not name:
-            raise ConfigError(f"methods[{i}].name: required")
+        if not name or not isinstance(name, str):
+            raise ConfigError(f"methods[{i}].name: required, a non-empty string")
         if name in seen:
             raise ConfigError(f"methods[{i}].name: duplicate {name!r}")
         seen.add(name)
-        if kind not in METHODS:
+        if not isinstance(kind, str) or kind not in METHODS:
             raise ConfigError(f"methods[{i}].kind: unknown kind {kind!r}")
         params = check_params(kind, m.get("params", {}), f"methods[{i}].params")
         methods.append(MethodSpec(name, kind, params))
@@ -373,38 +400,28 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
     ]
 
     cohorts_raw = doc.get("cohorts") or [{"name": "all"}]
+    if not isinstance(cohorts_raw, list):
+        raise ConfigError("cohorts: expected a list")
     cohorts = []
-    cohort_names = set()
     for i, c in enumerate(cohorts_raw):
-        if "name" not in c:
-            raise ConfigError(f"cohorts[{i}].name: required")
-        if c["name"] in cohort_names:
-            raise ConfigError(f"cohorts[{i}].name: duplicate {c['name']!r}")
-        cohort_names.add(c["name"])
-        cohorts.append(
-            CohortSpec(
-                name=c["name"],
-                seed_offset=int(c.get("seed_offset", i)),
-                group_column=c.get("group_column"),
-                group_value=c.get("group_value"),
-                subsample_n=c.get("subsample_n"),
-                subsample_ratio=c.get("subsample_ratio"),
-            )
-        )
+        cohort = _build(CohortSpec, c, f"cohorts[{i}]", seed_offset=i)
+        if cohort.name in {earlier.name for earlier in cohorts}:
+            raise ConfigError(f"cohorts[{i}].name: duplicate {cohort.name!r}")
+        cohorts.append(cohort)
 
-    profile = doc.get("profile", "desk")
+    profile = _cast(_str, doc.get("profile", "desk"), "profile")
     if profile not in PROFILES:
         raise ConfigError(f"profile: unknown profile {profile!r}")
     return ExperimentConfig(
-        seed=int(doc["seed"]),
+        seed=_cast(int, doc["seed"], "seed"),
         methods=methods,
         cohorts=cohorts,
         synthetic=synthetic,
         csv=csv_source,
         profile=profile,
-        k=int(doc.get("k", 2)),
-        max_missing_rate=float(doc.get("max_missing_rate", 0.05)),
-        output_dir=str(doc.get("output_dir", "out")),
+        k=_cast(int, doc.get("k", 2), "k"),
+        max_missing_rate=_cast(float, doc.get("max_missing_rate", 0.05), "max_missing_rate"),
+        output_dir=_cast(_str, doc.get("output_dir", "out"), "output_dir"),
     )
 
 
@@ -430,13 +447,7 @@ def _load_cohort(config: ExperimentConfig, cohort: CohortSpec) -> Dataset:
             names = [s.name for s in specs]
             if cohort.group_column not in names:
                 raise ConfigError(f"cohorts: group_column {cohort.group_column!r} not in schema")
-            keep = ds.X[:, names.index(cohort.group_column)] == cohort.group_value
-            ds = Dataset(
-                ds.X[keep],
-                ds.missing[keep],
-                ds.feature_specs,
-                labels=None if ds.labels is None else ds.labels[keep],
-            )
+            ds = subset_rows(ds, ds.X[:, names.index(cohort.group_column)] == cohort.group_value)
     if cohort.subsample_n is not None:
         ds = stratified_subsample(
             ds,

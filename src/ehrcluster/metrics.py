@@ -134,11 +134,9 @@ def acc(g, p) -> float:
     k = max(table.shape)
     padded = np.zeros((k, k), dtype=float)
     padded[: table.shape[0], : table.shape[1]] = table
-    # rows = predicted label, cols = true label: the mapping permutes
-    # predicted names onto true names.
-    perm = hungarian_max(padded.T)
-    matched = padded.T[np.arange(k), perm].sum()
-    return float(matched / g.size)
+    # every optimal label mapping matches the same count, and the counts are
+    # integers, so the optimum's value is exact whichever mapping attains it
+    return _assignment_value(padded) / g.size
 
 
 def _entropy(counts: np.ndarray) -> float:

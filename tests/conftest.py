@@ -6,9 +6,9 @@ from ehrcluster.data import Dataset, SyntheticSpec, generate_synthetic, standard
 
 def make_dataset(X, missing=None, labels=None):
     X = np.asarray(X, dtype=float)
-    if missing is None:
-        missing = np.isnan(X)
-    return Dataset(X, missing, synthetic_feature_specs(X.shape[1]), labels=labels)
+    # a missing cell is NaN in X; a mask, when given, must say the same
+    assert missing is None or np.array_equal(missing, np.isnan(X))
+    return Dataset(X, synthetic_feature_specs(X.shape[1]), labels=labels)
 
 
 @pytest.fixture

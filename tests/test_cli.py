@@ -27,6 +27,20 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def tiny_config(tmp_path, **overrides) -> str:
+    """Write a one-method synthetic benchmark config with ``overrides``; return its path."""
+    config = {
+        "seed": 1,
+        "data": {"synthetic": {"n_samples": 50, "n_features": 4,
+                                "class_ratio": 1.0, "separation": 2.0}},
+        "methods": [{"name": "m", "kind": "kmeans_x"}],
+        **overrides,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    return str(p)
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -263,6 +277,53 @@ class TestExitCodes:
         assert run_cli("benchmark", "--config", str(p), "--out", str(tmp_path / "o")) == 1
         assert f"methods[0].params.{next(iter(params))}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"methods": ["kmeans_x"]}, "methods[0]"),
+        ({"methods": {"a": 1}}, "methods"),
+        ({"methods": [{"name": ["m"], "kind": "kmeans_x"}]}, "methods[0].name"),
+        ({"methods": [{"name": "m", "kind": ["kmeans_x"]}]}, "methods[0].kind"),
+        ({"k": "two"}, "k"),
+        ({"seed": None}, "seed"),
+        ({"max_missing_rate": "lots"}, "max_missing_rate"),
+        ({"profile": ["desk"]}, "profile"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"cohorts": "all"}, "cohorts"),
+        ({"cohorts": ["c"]}, "cohorts[0]"),
+        ({"cohorts": [{"seed_offset": 1}]}, "cohorts[0].name"),
+        ({"cohorts": [{"name": "c", "seed_offset": "x"}]}, "cohorts[0].seed_offset"),
+        ({"cohorts": [{"name": "c", "subsample_n": "ten"}]}, "cohorts[0].subsample_n"),
+        ({"cohorts": [{"name": "c", "group_column": 3}]}, "cohorts[0].group_column"),
+        ({"cohorts": [{"name": "c", "subsample": 10}]}, "cohorts[0].subsample"),
+        ({"data": {"synthetic": {"n_samples": "many", "n_features": 4,
+                                 "class_ratio": 1.0, "separation": 2.0}}}, "data.synthetic.n_samples"),
+        ({"data": {"synthetic": "synth.json"}}, "data.synthetic"),
+        ({"data": {"csv": "data.csv"}}, "data.csv"),
+        ({"data": {"csv": {"schema": "s.json"}}}, "data.csv.path"),
+        ({"data": {"csv": {"path": 1}}}, "data.csv.path"),
+    ])
+    def test_malformed_config_field_is_validation_error(self, tmp_path, capsys, overrides, field):
+        assert run_cli("benchmark", "--config", tiny_config(tmp_path, **overrides),
+                       "--out", str(tmp_path / "o")) == 1
+        assert f"error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"data": {"synthetic": {"n_samples": -3, "n_features": 4,
+                                "class_ratio": 1.0, "separation": 2.0}}},
+        {"cohorts": [{"name": "c", "subsample_n": -4}]},
+        {"cohorts": [{"name": "c", "subsample_n": 10, "subsample_ratio": -0.5}]},
+    ])
+    def test_negative_config_size_is_validation_error(self, tmp_path, overrides):
+        assert run_cli("benchmark", "--config", tiny_config(tmp_path, **overrides),
+                       "--out", str(tmp_path / "o")) == 1
+
+    def test_nan_cluster_input_is_validation_error(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f00,f01\n1.0,2.0\nnan,3.0\n4.0,5.0\n")
+        assert run_cli("cluster", "--csv", str(p), "--method", "kmeans_x",
+                       "--out", str(tmp_path)) == 1
 
     def test_unreadable_labels_is_validation_error(self, tmp_path):
         p = tmp_path / "x.csv"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ehrcluster.data import (
@@ -26,6 +26,7 @@ from ehrcluster.errors import (
     InsufficientClassSamples,
     MissingColumn,
     NonNumericCell,
+    ToolkitError,
 )
 from ehrcluster.metrics import acc, ari
 from ehrcluster.traditional import kmeans_fit, kmeans_predict
@@ -85,6 +86,37 @@ class TestLoadCsv:
         assert np.array_equal(ds.X, [[1, 2], [3, 4]])
         assert np.array_equal(ds.labels, [0, 1])
 
+    def test_missing_is_where_x_is_nan(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,NA\n,2\n 3 , \n4\n")
+        ds = load_csv(p, two_specs())
+        assert np.array_equal(ds.missing, np.isnan(ds.X))
+        assert ds.missing.tolist() == [[False, True], [True, False], [False, True], [False, True]]
+
+    @given(st.one_of(
+        st.text(alphabet="ab,y\n\r\"NA 0123456789.-einf", max_size=60).map(str.encode),
+        st.text(alphabet=",\n\r\"NA 0123456789.-einf", max_size=60).map(lambda body: b"a,b,y\n" + body.encode()),
+        st.binary(max_size=40).map(lambda body: b"a,b,y\n" + body),  # mostly not UTF-8
+    ), st.booleans())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_bytes_load_or_fail_with_a_toolkit_error(self, tmp_path, content, labelled):
+        p = tmp_path / "fuzz.csv"
+        p.write_bytes(content)
+        try:
+            ds = load_csv(p, two_specs(), label_column="y" if labelled else None)
+        except ToolkitError:
+            return
+        assert np.array_equal(ds.missing, np.isnan(ds.X))
+
+
+# ----------------------------------------------------------------- Dataset
+
+class TestDataset:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_value_rejected(self, value):
+        with pytest.raises(ConfigError):
+            Dataset(np.array([[1.0, value]]), two_specs())
+
 
 # ------------------------------------------------------------ apply_bounds
 
@@ -97,7 +129,7 @@ class TestApplyBounds:
         for j, s in enumerate(specs):
             X[:, j] = (s.bound_lo + s.bound_hi) / 2
         X[0, age] = 115.0
-        ds = Dataset(X, np.zeros_like(X, dtype=bool), specs)
+        ds = Dataset(X, specs)
         out = apply_bounds(ds)
         assert out.missing[0, age] and np.isnan(out.X[0, age])
         assert out.missing.sum() == 1
@@ -109,14 +141,14 @@ class TestApplyBounds:
 
     def test_bounds_inclusive(self):
         specs = two_specs()
-        ds = Dataset(np.array([[10.0, 0.0]]), np.zeros((1, 2), bool), specs)
+        ds = Dataset(np.array([[10.0, 0.0]]), specs)
         out = apply_bounds(ds)
         assert not out.missing.any()  # exactly at hi / lo is retained
 
     def test_input_unmodified(self):
         specs = two_specs()
         X = np.array([[11.0, 5.0]])
-        ds = Dataset(X, np.zeros((1, 2), bool), specs)
+        ds = Dataset(X, specs)
         out = apply_bounds(ds)
         assert ds.X[0, 0] == 11.0 and not ds.missing.any()
         assert out.missing[0, 0]
@@ -127,7 +159,7 @@ class TestApplyBounds:
         rng = np.random.default_rng(seed)
         specs = [FeatureSpec("a", "", -1.0, 1.0), FeatureSpec("b", "", -2.0, 2.0)]
         X = rng.normal(scale=2.0, size=(8, 2))
-        ds = Dataset(X, np.zeros_like(X, dtype=bool), specs)
+        ds = Dataset(X, specs)
         once = apply_bounds(ds)
         twice = apply_bounds(once)
         assert np.array_equal(once.missing, twice.missing)
@@ -144,7 +176,7 @@ class TestFilterMissingRate:
         missing[1, 0] = missing[1, 1] = True  # 2/34 = 5.88% > 5%
         missing[2, 0] = True                  # 1/34 = 2.94% <= 5%
         X[missing] = np.nan
-        ds = Dataset(X, missing, synthetic_feature_specs(n_feat), labels=np.array([0, 1, 1]))
+        ds = Dataset(X, synthetic_feature_specs(n_feat), labels=np.array([0, 1, 1]))
         out = filter_missing_rate(ds, 0.05)
         assert out.n_samples == 2
         assert np.array_equal(out.labels, [0, 1])

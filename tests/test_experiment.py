@@ -1,7 +1,11 @@
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrcluster.data import SyntheticSpec, generate_synthetic
 from ehrcluster.errors import ConfigError
@@ -26,6 +30,23 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+FROZEN_DOC = json.loads((Path(__file__).resolve().parents[1] / "configs" / "benchmark.json").read_text())
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def field_paths(node, path=()):
+    """The path of every field under a JSON object or list, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
 
 
 class TestParseConfig:
@@ -150,6 +171,25 @@ class TestParseConfig:
         doc = minimal_doc(cohorts=[{"name": "c"}, {"name": "c"}])
         with pytest.raises(ConfigError, match=r"cohorts\[1\].name"):
             parse_config(doc)
+
+    def test_nullable_fields_take_null(self):
+        doc = minimal_doc(cohorts=[{"name": "c", "group_column": None, "subsample_n": None}])
+        assert parse_config(doc).cohorts[0].group_column is None
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fields_swapped_for_any_json_value_parse_or_raise_config_error(self, data):
+        doc = copy.deepcopy(FROZEN_DOC)
+        for _ in range(data.draw(st.integers(1, 3))):
+            *parents, key = data.draw(st.sampled_from(list(field_paths(doc))))
+            node = doc
+            for step in parents:
+                node = node[step]
+            node[key] = data.draw(JSON_VALUES)
+        try:
+            parse_config(doc)
+        except ConfigError:
+            pass
 
     def test_profiles_table(self):
         assert PROFILES["desk"].pretrain_epochs == 200
