@@ -21,6 +21,11 @@ from .errors import DimensionMismatch, InvalidDimension, NonFiniteLoss, StaleCac
 
 ACTIVATIONS = ("relu", "tanh")
 
+# Adam's constants, for the network's step and for fine-tuning's student-t centres
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -28,9 +33,6 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 200
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -214,7 +216,7 @@ def adam_step(model: AutoencoderModel, grads: Gradients, config: TrainConfig) ->
     """Standard Adam with bias correction; updates the model in place."""
     s = model.adam
     s.step += 1
-    b1, b2, eps, lr = config.adam_beta1, config.adam_beta2, config.adam_eps, config.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, config.learning_rate
     c1 = 1.0 - b1**s.step
     c2 = 1.0 - b2**s.step
     for l in range(model.n_layers):

@@ -33,6 +33,8 @@ from .experiment import (
     METHODS,
     PROFILES,
     MethodSpec,
+    _build,
+    check_k,
     check_params,
     load_config,
     run_experiment,
@@ -48,12 +50,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write_dataset_csv(ds: Dataset, path: Path, label_column: str = "label") -> None:
+def _write_dataset_csv(ds: Dataset, path: Path) -> None:
     """One row per sample, a blank cell where a value is missing, the label last."""
     header = [s.name for s in ds.feature_specs]
     rows = [["" if math.isnan(v) else v for v in row] for row in ds.X.tolist()]
     if ds.labels is not None:
-        header.append(label_column)
+        header.append("label")
         for row, label in zip(rows, ds.labels.tolist()):
             row.append(label)
     write_csv(path, header, rows)
@@ -89,13 +91,22 @@ def _read_labels_csv(path: Path) -> np.ndarray:
         raise ConfigError(f"{path}: empty labels file")
     header, data = rows[0], rows[1:]
     col = header.index("label") if "label" in header else len(header) - 1
+    labels = []
+    for i, row in enumerate(data):
+        try:
+            value = float(row[col])
+        except (ValueError, IndexError):
+            value = math.nan
+        if not value.is_integer() or value < 0:
+            raise ConfigError(f"{path}: data row {i}: the label is not a non-negative integer")
+        labels.append(int(value))
     try:
         if "sample_index" in header:
             key = header.index("sample_index")
-            data = sorted(data, key=lambda r: int(r[key]))
-        return np.array([int(float(r[col])) for r in data])
+            labels = [labels[i] for i in sorted(range(len(data)), key=lambda i: int(data[i][key]))]
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    return np.array(labels)
 
 
 def _cmd_generate(args) -> int:
@@ -103,10 +114,7 @@ def _cmd_generate(args) -> int:
         doc = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
-    try:
-        spec = SyntheticSpec(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"synthetic spec: {exc}") from None
+    spec = _build(SyntheticSpec, doc, "synthetic")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     ds = generate_synthetic(spec)
@@ -144,7 +152,8 @@ def _cmd_cluster(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--params: invalid JSON: {exc}") from None
     spec = MethodSpec(args.method, args.method, check_params(args.method, params, "--params"))
-    result = run_method(spec, ds, args.k, args.seed, PROFILES[args.profile])
+    k = check_k(args.k, [args.method], "--k")
+    result = run_method(spec, ds, k, args.seed, PROFILES[args.profile])
     out = Path(args.out)
     write_csv(
         out / f"{args.method}_labels.csv",

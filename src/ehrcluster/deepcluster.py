@@ -26,6 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autoencoder import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AutoencoderModel,
     TrainConfig,
     adam_step,
@@ -51,6 +54,10 @@ VARIANTS = ("student_t", "gaussian")
 
 _SHUFFLE_SALT = 0xF17E
 
+# covariance floor of the gaussian variant's EM refresh and reseeds; gmm_fit's
+# default, which the mixture's initial fit uses
+_REG_COVAR = 1e-6
+
 
 @dataclass
 class ClusterParams:
@@ -70,13 +77,9 @@ class ClusterParams:
 class DeepClusterConfig:
     variant: str = "gaussian"
     gamma: float = 0.1
-    embed_dim: int = 10
     finetune_epochs: int = 100
     target_update_interval: int = 10
     recon_weight: float = 1.0  # 0 trains the clustering loss alone (DEC-style)
-    hidden: tuple[int, ...] = (64, 64)
-    activation: str = "relu"
-    reg_covar: float = 1e-6
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
@@ -95,7 +98,6 @@ class DeepClusterModel:
     network: AutoencoderModel
     params: ClusterParams
     variant: str
-    n_clusters: int
     recon_history: list[float] = field(default_factory=list)
     kl_history: list[float] = field(default_factory=list)
     joint_history: list[float] = field(default_factory=list)
@@ -195,9 +197,9 @@ def clustering_gradients(
     return dZ, dMu
 
 
-def _em_refresh(Z: np.ndarray, params: ClusterParams, reg_covar: float) -> ClusterParams:
+def _em_refresh(Z: np.ndarray, params: ClusterParams) -> ClusterParams:
     """One EM step for the gaussian variant's mixture on the current embedding."""
-    pi, mu, sigma = _gmm_m_step(Z, soft_assign_gaussian(Z, params), "full", reg_covar)
+    pi, mu, sigma = _gmm_m_step(Z, soft_assign_gaussian(Z, params), "full", _REG_COVAR)
     return ClusterParams(mu=mu, sigma=sigma, pi=pi)
 
 
@@ -206,7 +208,6 @@ def _reseed_collapsed(
     params: ClusterParams,
     S: np.ndarray,
     epoch: int,
-    reg_covar: float,
     events: list[tuple[int, int]],
     variant: str,
 ) -> tuple[ClusterParams, np.ndarray]:
@@ -222,7 +223,7 @@ def _reseed_collapsed(
         if variant == "gaussian":
             d = Z.shape[1]
             centered = Z - Z.mean(axis=0)
-            params.sigma[j] = centered.T @ centered / Z.shape[0] + reg_covar * np.eye(d)
+            params.sigma[j] = centered.T @ centered / Z.shape[0] + _REG_COVAR * np.eye(d)
             params.pi[j] = 1.0 / params.k
             params.pi /= params.pi.sum()
         events.append((epoch, j))
@@ -246,23 +247,17 @@ def finetune(
         raise DimensionMismatch("finetune requires a fully imputed dataset")
     if k < 2:
         raise DegenerateInput("k must be >= 2")
-    if model.embed_dim != config.embed_dim:
-        raise DimensionMismatch(
-            f"model embed_dim {model.embed_dim} != config embed_dim {config.embed_dim}"
-        )
     X = ds.X
     n = X.shape[0]
     seed = config.train.seed
-
+    params = init_clusters(encode(model, X), k, config.variant, seed)
+    dcm = DeepClusterModel(model, params, config.variant)
     if config.gamma == 0.0:
         # hybrid baseline: cluster the pretrained embedding, no fine-tuning
-        params = init_clusters(encode(model, X), k, config.variant, seed)
-        return DeepClusterModel(model, params, config.variant, k)
+        return dcm
 
     reset_adam(model)
-    params = init_clusters(encode(model, X), k, config.variant, seed)
     rng = np.random.default_rng(derive_seed(seed, _SHUFFLE_SALT))
-    dcm = DeepClusterModel(model, params, config.variant, k)
 
     mu_m = np.zeros_like(params.mu)
     mu_v = np.zeros_like(params.mu)
@@ -274,11 +269,11 @@ def finetune(
         if epoch % config.target_update_interval == 0:
             Z_full = encode(model, X)
             if config.variant == "gaussian":
-                params = _em_refresh(Z_full, params, config.reg_covar)
+                params = _em_refresh(Z_full, params)
                 dcm.params = params
             S_full = soft_assign(Z_full, params, config.variant)
             params, S_full = _reseed_collapsed(
-                Z_full, params, S_full, epoch, config.reg_covar, dcm.collapse_events, config.variant
+                Z_full, params, S_full, epoch, dcm.collapse_events, config.variant
             )
             T_full = target_distribution(S_full)
 
@@ -294,11 +289,11 @@ def finetune(
             if config.variant == "student_t":
                 g = config.gamma * dMu
                 mu_step += 1
-                mu_m = cfg_t.adam_beta1 * mu_m + (1 - cfg_t.adam_beta1) * g
-                mu_v = cfg_t.adam_beta2 * mu_v + (1 - cfg_t.adam_beta2) * g * g
-                mhat = mu_m / (1 - cfg_t.adam_beta1**mu_step)
-                vhat = mu_v / (1 - cfg_t.adam_beta2**mu_step)
-                params.mu -= cfg_t.learning_rate * mhat / (np.sqrt(vhat) + cfg_t.adam_eps)
+                mu_m = ADAM_BETA1 * mu_m + (1 - ADAM_BETA1) * g
+                mu_v = ADAM_BETA2 * mu_v + (1 - ADAM_BETA2) * g * g
+                mhat = mu_m / (1 - ADAM_BETA1**mu_step)
+                vhat = mu_v / (1 - ADAM_BETA2**mu_step)
+                params.mu -= cfg_t.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
         zf, xhatf, _ = forward(model, X)
         sf = soft_assign(zf, params, config.variant)

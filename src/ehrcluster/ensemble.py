@@ -89,9 +89,9 @@ def majority_vote(voters) -> np.ndarray:
     return _binary_vote(voters)
 
 
-def sweep_dims(n_features: int, start: int = 2, step: int = 3) -> list[int]:
-    """Embedding sizes from ``start`` up to n_features in steps of ``step``."""
-    return list(range(start, n_features + 1, step))
+def sweep_dims(n_features: int) -> list[int]:
+    """Embedding sizes from 2 up to n_features in steps of 3."""
+    return list(range(2, n_features + 1, 3))
 
 
 def run_dimension_sweep(
@@ -99,12 +99,15 @@ def run_dimension_sweep(
     dims: list[int],
     base_config: DeepClusterConfig,
     k: int = 2,
+    hidden: list[int] | tuple[int, ...] = (),
+    activation: str = "relu",
 ) -> np.ndarray:
     """Train one gaussian-variant model per embedding size; stack their labels.
 
-    Each run is fully independent with a seed derived only from
-    (base seed, dimension), so the sweep is reproducible and its result
-    cannot depend on execution order.
+    Every run builds a network of ``hidden`` layers and ``activation`` (as
+    ``build`` takes them) around its own embedding size. Each run is fully
+    independent with a seed derived only from (base seed, dimension), so the
+    sweep is reproducible and its result cannot depend on execution order.
     """
     if not dims:
         raise EmptyRuns("dims must be non-empty")
@@ -114,14 +117,9 @@ def run_dimension_sweep(
     rows = []
     for d in dims:
         seed_d = derive_seed(base_config.train.seed, d)
-        cfg = replace(
-            base_config,
-            variant="gaussian",
-            embed_dim=d,
-            train=replace(base_config.train, seed=seed_d),
-        )
+        cfg = replace(base_config, variant="gaussian", train=replace(base_config.train, seed=seed_d))
         try:
-            model = build(ds.n_features, d, cfg.hidden, cfg.activation, seed=seed_d)
+            model = build(ds.n_features, d, hidden, activation, seed=seed_d)
             pretrain(model, ds, cfg.train)
             dcm = finetune(model, ds, k, cfg)
             rows.append(assign(dcm, ds.X))

@@ -48,21 +48,16 @@ KGG_VOTER_KINDS = ("kmeans_x", "gmm_x", "deep_gaussian_sweep")
 
 @dataclass(frozen=True)
 class Profile:
-    name: str
     pretrain_epochs: int
     finetune_epochs: int
     hidden: tuple[int, ...]
-    batch_size: int
-    learning_rate: float
-    target_update_interval: int = 10
-    embed_dim: int = 10
 
 
 PROFILES = {
     # desk: small hidden stack so the full grid fits a laptop-scale budget
-    "desk": Profile("desk", 200, 100, (64, 64), 256, 1e-3),
+    "desk": Profile(200, 100, (64, 64)),
     # paper: the h-500-500-2000-d stack and long schedules
-    "paper": Profile("paper", 1000, 1000, (500, 500, 2000), 256, 1e-3),
+    "paper": Profile(1000, 1000, (500, 500, 2000)),
 }
 
 
@@ -123,6 +118,13 @@ def _str(value) -> str:
     return value
 
 
+def _int(value) -> int:
+    """``int(value)``, refusing a bool or a fraction rather than truncating it."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _list_of(cast: Callable) -> Callable:
     """Cast for a list param: every item through ``cast``; anything but a list is a TypeError."""
 
@@ -139,30 +141,29 @@ def _list_of(cast: Callable) -> Callable:
 FROM_PROFILE = "profile"
 
 # param name -> (cast, default); a None default leaves the param unset
-_KMEANS = {"n_init": (int, 10), "max_iter": (int, 300), "tol": (float, 1e-4)}
+_KMEANS = {"n_init": (_int, 10), "max_iter": (_int, 300), "tol": (float, 1e-4)}
 _GMM = {
     "cov_type": (_str, "full"),
-    "max_iter": (int, 300),
+    "max_iter": (_int, 300),
     "tol": (float, 1e-3),
     "reg_covar": (float, 1e-6),
 }
 _PRETRAIN = {
-    "embed_dim": (int, FROM_PROFILE),
-    "hidden": (_list_of(int), FROM_PROFILE),
+    "embed_dim": (_int, 10),
+    "hidden": (_list_of(_int), FROM_PROFILE),
     "activation": (_str, "relu"),
-    "pretrain_epochs": (int, FROM_PROFILE),
-    "learning_rate": (float, FROM_PROFILE),
-    "batch_size": (int, FROM_PROFILE),
+    "pretrain_epochs": (_int, FROM_PROFILE),
+    "learning_rate": (float, 1e-3),
+    "batch_size": (_int, 256),
 }
 _DEEP = _PRETRAIN | {
-    "finetune_epochs": (int, FROM_PROFILE),
+    "finetune_epochs": (_int, FROM_PROFILE),
     "gamma": (float, 0.1),
-    "target_update_interval": (int, FROM_PROFILE),
+    "target_update_interval": (_int, 10),
     "recon_weight": (float, 1.0),
 }
 # the DeepClusterConfig fields that share their name with a param
-_FINETUNE_FIELDS = ("embed_dim", "hidden", "activation", "finetune_epochs", "gamma",
-                    "target_update_interval", "recon_weight")
+_FINETUNE_FIELDS = ("finetune_epochs", "gamma", "target_update_interval", "recon_weight")
 
 
 def _train_config(p: dict, seed: int) -> TrainConfig:
@@ -175,7 +176,7 @@ def _train_config(p: dict, seed: int) -> TrainConfig:
 
 
 def _finetune_config(p: dict, variant: str, seed: int) -> DeepClusterConfig:
-    fields = {name: p[name] for name in _FINETUNE_FIELDS if name in p}
+    fields = {name: p[name] for name in _FINETUNE_FIELDS}
     return DeepClusterConfig(variant=variant, train=_train_config(p, seed), **fields)
 
 
@@ -225,7 +226,8 @@ def _fit_deep(variant, ds, k, seed, p, produced) -> MethodResult:
 
 def _fit_sweep(ds, k, seed, p, produced) -> MethodResult:
     dims = p.get("dims", sweep_dims(ds.n_features))
-    runs = run_dimension_sweep(ds, dims, _finetune_config(p, "gaussian", seed), k=k)
+    cfg = _finetune_config(p, "gaussian", seed)
+    runs = run_dimension_sweep(ds, dims, cfg, k=k, hidden=p["hidden"], activation=p["activation"])
     return MethodResult(
         labels=dimension_ensemble(runs), label_runs=runs, run_columns=[f"d{d}" for d in dims],
     )
@@ -246,6 +248,7 @@ class Method:
 
     params: dict[str, tuple[Callable, object]]
     fit: Callable[..., MethodResult]
+    binary: bool = False  # votes binary labels, so runs only at k = 2
 
 
 METHODS = {
@@ -261,11 +264,12 @@ METHODS = {
     "deep_gaussian": Method(_DEEP, partial(_fit_deep, "gaussian")),
     # the sweep sets each run's embed_dim from dims, which default to sweep_dims(n_features)
     "deep_gaussian_sweep": Method(
-        {name: v for name, v in _DEEP.items() if name != "embed_dim"} | {"dims": (_list_of(int), None)},
+        {name: v for name, v in _DEEP.items() if name != "embed_dim"} | {"dims": (_list_of(_int), None)},
         _fit_sweep,
+        binary=True,
     ),
     # voters default to the first method of each KGG_VOTER_KINDS kind; see _kgg_voters
-    "kgg": Method({"voters": (_list_of(_str), None)}, _fit_kgg),
+    "kgg": Method({"voters": (_list_of(_str), None)}, _fit_kgg, binary=True),
 }
 
 
@@ -292,7 +296,18 @@ def check_params(kind: str, params: dict, where: str) -> dict:
 
 
 # the cast of a config dataclass field, by its annotation; a "... | None" field also takes null
-_FIELD_CASTS = {"int": int, "float": float, "str": _str}
+_FIELD_CASTS = {"int": _int, "float": float, "str": _str}
+
+
+def check_k(k, kinds, where: str) -> int:
+    """``k`` cast; a ConfigError names ``where`` if it is below 2, or is not 2 for binary kinds."""
+    k = _cast(_int, k, where)
+    if k < 2:
+        raise ConfigError(f"{where}: must be >= 2, got {k}")
+    binary = sorted({kind for kind in kinds if METHODS[kind].binary})
+    if binary and k != 2:
+        raise ConfigError(f"{where}: must be 2, got {k}; {binary} vote binary labels")
+    return k
 
 
 def _build(cls, raw, where: str, **defaults):
@@ -413,13 +428,13 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if profile not in PROFILES:
         raise ConfigError(f"profile: unknown profile {profile!r}")
     return ExperimentConfig(
-        seed=_cast(int, doc["seed"], "seed"),
+        seed=_cast(_int, doc["seed"], "seed"),
         methods=methods,
         cohorts=cohorts,
         synthetic=synthetic,
         csv=csv_source,
         profile=profile,
-        k=_cast(int, doc.get("k", 2), "k"),
+        k=check_k(doc.get("k", 2), [m.kind for m in methods], "k"),
         max_missing_rate=_cast(float, doc.get("max_missing_rate", 0.05), "max_missing_rate"),
         output_dir=_cast(_str, doc.get("output_dir", "out"), "output_dir"),
     )

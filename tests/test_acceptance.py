@@ -266,8 +266,7 @@ def test_criterion_5_loss_identities():
         ds = generate_synthetic(SyntheticSpec(300, 8, 1 / 1.9, 6.0, "spherical", 0.0, seed=55))
         ds, _ = standardize(ds)
         cfg = DeepClusterConfig(
-            variant="student_t", gamma=0.0, embed_dim=3, finetune_epochs=50,
-            hidden=(12,),
+            variant="student_t", gamma=0.0, finetune_epochs=50,
             train=TrainConfig(epochs=60, batch_size=128, seed=550),
         )
         model = build(8, 3, (12,), "relu", seed=550)

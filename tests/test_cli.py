@@ -262,6 +262,7 @@ class TestExitCodes:
         ("kmeans_x", {"n_init": "ten"}),
         ("gmm_z", {"hidden": 5}),
         ("kgg", {"voters": "kmeans_x"}),
+        ("kmeans_x", {"n_init": 2.7}),
     ])
     def test_mistyped_param_is_validation_error(self, tmp_path, capsys, kind, params):
         config = {
@@ -301,6 +302,13 @@ class TestExitCodes:
         ({"data": {"csv": "data.csv"}}, "data.csv"),
         ({"data": {"csv": {"schema": "s.json"}}}, "data.csv.path"),
         ({"data": {"csv": {"path": 1}}}, "data.csv.path"),
+        ({"k": 0}, "k"),
+        ({"k": 3, "methods": [{"name": "km", "kind": "kmeans_x"}, {"name": "gm", "kind": "gmm_x"},
+                              {"name": "sw", "kind": "deep_gaussian_sweep"},
+                              {"name": "vote", "kind": "kgg"}]}, "k"),
+        ({"k": 2.9}, "k"),
+        ({"k": True}, "k"),
+        ({"seed": 1.5}, "seed"),
     ])
     def test_malformed_config_field_is_validation_error(self, tmp_path, capsys, overrides, field):
         assert run_cli("benchmark", "--config", tiny_config(tmp_path, **overrides),
@@ -318,6 +326,43 @@ class TestExitCodes:
     def test_negative_config_size_is_validation_error(self, tmp_path, overrides):
         assert run_cli("benchmark", "--config", tiny_config(tmp_path, **overrides),
                        "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "kmeans_x", "--k", "1"],
+        ["--method", "deep_gaussian_sweep", "--k", "3"],
+    ])
+    def test_cluster_k_is_checked(self, tmp_path, capsys, argv):
+        p = tmp_path / "d.csv"
+        p.write_text("f00,f01\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        assert run_cli("cluster", "--csv", str(p), *argv, "--out", str(tmp_path / "o")) == 1
+        assert "error: --k:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("extra, field", [
+        ({"n_features": 3.5}, "synthetic.n_features"),
+        ({"shape": "spherical"}, "synthetic.shape"),
+    ])
+    def test_malformed_generate_spec_is_validation_error(self, tmp_path, capsys, extra, field):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"n_samples": 50, "n_features": 4, "class_ratio": 1.0,
+                                 "separation": 2.0, **extra}))
+        assert run_cli("generate", "--config", str(p), "--out", str(tmp_path / "o")) == 1
+        assert f"error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
+    @pytest.mark.parametrize("cell", ["1.9", "-1"])
+    def test_label_that_is_not_a_class_is_validation_error(self, tmp_path, capsys, command, cell):
+        good = tmp_path / "good.csv"
+        good.write_text("sample_index,label\n0,0\n1,1\n2,1\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"sample_index,label\n0,0\n1,{cell}\n2,1\n")
+        if command == "evaluate":
+            argv = ["evaluate", "--truth", str(bad), "--pred", str(good)]
+        else:
+            argv = ["ensemble", str(good), str(bad), str(good), "--out", str(tmp_path / "o")]
+        assert run_cli(*argv) == 1
+        assert f"{bad}: data row 1:" in capsys.readouterr().err
 
     def test_nan_cluster_input_is_validation_error(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -251,8 +251,7 @@ def pretrained_on_blobs(blobs, seed=9):
 class TestFinetune:
     def base_config(self, seed=9, **overrides):
         cfg = DeepClusterConfig(
-            variant="student_t", gamma=0.1, embed_dim=4, finetune_epochs=100,
-            hidden=(16,),
+            variant="student_t", gamma=0.1, finetune_epochs=100,
             train=TrainConfig(epochs=100, batch_size=128, seed=seed),
         )
         return replace(cfg, **overrides) if overrides else cfg
@@ -295,11 +294,6 @@ class TestFinetune:
         assert len(dcm.recon_history) == len(dcm.kl_history) == len(dcm.joint_history) == 8
         assert all(np.isfinite(v) for v in dcm.joint_history)
 
-    def test_embed_dim_mismatch(self, blobs):
-        model, _ = pretrained_on_blobs(blobs)
-        with pytest.raises(DimensionMismatch):
-            finetune(model, blobs, 2, self.base_config(embed_dim=7))
-
     def test_config_validation(self):
         with pytest.raises(InvalidDimension):
             DeepClusterConfig(variant="banana")
@@ -316,8 +310,7 @@ class TestCollapseReseed:
         S = soft_assign(Z, params, "student_t")
         assert S.sum(axis=0)[1] < 1.0
         events = []
-        params, S = _reseed_collapsed(Z, params, S, epoch=3, reg_covar=1e-6,
-                                      events=events, variant="student_t")
+        params, S = _reseed_collapsed(Z, params, S, epoch=3, events=events, variant="student_t")
         assert events and events[0][0] == 3 and events[0][1] == 1
         assert (S.sum(axis=0) >= 1.0).all()
         assert any(np.array_equal(params.mu[1], z) for z in Z)
@@ -327,8 +320,8 @@ class TestAssign:
     def test_fit_time_consistency(self, blobs):
         model, _ = pretrained_on_blobs(blobs)
         dcm = finetune(model, blobs, 2, DeepClusterConfig(
-            variant="gaussian", gamma=0.1, embed_dim=4, finetune_epochs=10,
-            hidden=(16,), train=TrainConfig(batch_size=128, seed=9),
+            variant="gaussian", gamma=0.1, finetune_epochs=10,
+            train=TrainConfig(batch_size=128, seed=9),
         ))
         Z = encode(dcm.network, blobs.X)
         fit_time = soft_assign(Z, dcm.params, "gaussian").argmax(axis=1)
@@ -339,7 +332,7 @@ class TestAssign:
         params = ClusterParams(mu=np.array([[0.0, 0.0], [4.0, 4.0]]))
         from ehrcluster.deepcluster import DeepClusterModel
 
-        dcm = DeepClusterModel(model, params, "student_t", 2)
+        dcm = DeepClusterModel(model, params, "student_t")
         # craft an input that encodes exactly onto mu_1
         W = model.weights[0]
         x = np.linalg.lstsq(W.T, params.mu[1], rcond=None)[0]
@@ -348,8 +341,8 @@ class TestAssign:
     def test_duplicate_rows_same_label(self, blobs):
         model, _ = pretrained_on_blobs(blobs)
         dcm = finetune(model, blobs, 2, DeepClusterConfig(
-            variant="student_t", gamma=0.1, embed_dim=4, finetune_epochs=5,
-            hidden=(16,), train=TrainConfig(batch_size=128, seed=9),
+            variant="student_t", gamma=0.1, finetune_epochs=5,
+            train=TrainConfig(batch_size=128, seed=9),
         ))
         x = blobs.X[:1]
         doubled = np.vstack([x, x])

@@ -168,16 +168,16 @@ def tiny_cohort():
 
 def tiny_config(seed=3):
     return DeepClusterConfig(
-        variant="gaussian", gamma=0.1, embed_dim=2, finetune_epochs=6,
-        target_update_interval=3, hidden=(8,),
+        variant="gaussian", gamma=0.1, finetune_epochs=6,
+        target_update_interval=3,
         train=TrainConfig(epochs=10, batch_size=64, seed=seed),
     )
 
 
 class TestRunDimensionSweep:
     def test_deterministic_label_matrix(self, tiny_cohort):
-        a = run_dimension_sweep(tiny_cohort, [2, 3], tiny_config())
-        b = run_dimension_sweep(tiny_cohort, [2, 3], tiny_config())
+        a = run_dimension_sweep(tiny_cohort, [2, 3], tiny_config(), hidden=(8,))
+        b = run_dimension_sweep(tiny_cohort, [2, 3], tiny_config(), hidden=(8,))
         assert a.shape == (2, tiny_cohort.n_samples)
         assert np.array_equal(a, b)
 
@@ -187,24 +187,24 @@ class TestRunDimensionSweep:
         from ehrcluster.util import derive_seed
 
         cfg = tiny_config()
-        runs = run_dimension_sweep(tiny_cohort, [3], cfg)
+        runs = run_dimension_sweep(tiny_cohort, [3], cfg, hidden=(8,))
 
         seed_d = derive_seed(cfg.train.seed, 3)
-        direct_cfg = replace(cfg, embed_dim=3, train=replace(cfg.train, seed=seed_d))
-        model = build(tiny_cohort.n_features, 3, cfg.hidden, cfg.activation, seed=seed_d)
+        direct_cfg = replace(cfg, train=replace(cfg.train, seed=seed_d))
+        model = build(tiny_cohort.n_features, 3, (8,), "relu", seed=seed_d)
         pretrain(model, tiny_cohort, replace(direct_cfg.train, epochs=cfg.train.epochs))
         dcm = finetune(model, tiny_cohort, 2, direct_cfg)
         assert np.array_equal(runs[0], assign(dcm, tiny_cohort.X))
 
     def test_dims_validation(self, tiny_cohort):
         with pytest.raises(EmptyRuns):
-            run_dimension_sweep(tiny_cohort, [], tiny_config())
+            run_dimension_sweep(tiny_cohort, [], tiny_config(), hidden=(8,))
         with pytest.raises(UnsupportedK):
-            run_dimension_sweep(tiny_cohort, [99], tiny_config())
+            run_dimension_sweep(tiny_cohort, [99], tiny_config(), hidden=(8,))
 
     def test_failure_tagged_with_dim(self, tiny_cohort):
         cfg = replace(tiny_config(), train=TrainConfig(epochs=10, batch_size=64,
                                                        seed=3, learning_rate=1e200))
         with pytest.raises(RuntimeError, match="embed_dim=2"):
             with np.errstate(all="ignore"):
-                run_dimension_sweep(tiny_cohort, [2], cfg)
+                run_dimension_sweep(tiny_cohort, [2], cfg, hidden=(8,))

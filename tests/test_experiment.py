@@ -123,6 +123,8 @@ class TestParseConfig:
         ("deep_gaussian_sweep", {"dims": 3}, "dims"),
         ("kgg", {"voters": "kmeans_x"}, "voters"),
         ("gmm_x", {"cov_type": 1}, "cov_type"),
+        ("kmeans_x", {"n_init": 2.7}, "n_init"),
+        ("kmeans_x", {"n_init": True}, "n_init"),
     ])
     def test_param_of_the_wrong_type_carries_field_path(self, kind, params, field):
         doc = minimal_doc(methods=[{"name": "m", "kind": kind, "params": params}])
@@ -133,6 +135,11 @@ class TestParseConfig:
         doc = minimal_doc(methods=[{"name": "m", "kind": "kmeans_z",
                                     "params": {"n_init": "3", "tol": 1, "hidden": [8, 4]}}])
         assert parse_config(doc).methods[0].params == {"n_init": 3, "tol": 1.0, "hidden": (8, 4)}
+
+    def test_integral_values_load_as_integers(self):
+        cfg = parse_config(minimal_doc(seed=4.0, k=3.0))
+        assert (cfg.seed, cfg.k) == (4, 3)
+        assert isinstance(cfg.k, int)
 
     def test_non_object_params_rejected(self):
         doc = minimal_doc(methods=[{"name": "m", "kind": "kmeans_x", "params": [1]}])
