@@ -7,41 +7,25 @@ bad input files), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .data import (
-    Dataset,
-    SyntheticSpec,
-    generate_synthetic,
-    load_csv,
-    load_feature_schema,
-    preprocess,
-    synthetic_feature_specs,
+    Dataset, FeatureSpec, SyntheticSpec, dataset_from_rows, generate_synthetic, load_csv,
+    load_feature_schema, preprocess, read_labels, write_labels,
 )
 from .ensemble import majority_vote
 from .errors import ConfigError, ToolkitError, ValidationError
 from .experiment import (
-    METHODS,
-    PROFILES,
-    MethodSpec,
-    _build,
-    check_k,
-    check_params,
-    load_config,
-    run_experiment,
-    run_method,
+    METHODS, PROFILES, MethodSpec, check_k, check_params, load_config, run_experiment, run_method,
 )
-from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
-from .util import write_csv
+from .metrics import average_rank, read_score_reports, score, write_ranks_csv, write_score_reports_csv
+from .util import _build, read_csv_rows, read_json, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,70 +45,14 @@ def _write_dataset_csv(ds: Dataset, path: Path) -> None:
     write_csv(path, header, rows)
 
 
-def _read_matrix_csv(path: Path, label_column: str | None):
-    """Read a fully numeric CSV; all non-label columns become features."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ConfigError(f"{path}: need a header plus at least one data row")
-    header, data = rows[0], rows[1:]
-    label_idx = None
-    if label_column is not None:
-        if label_column not in header:
-            raise ConfigError(f"{path}: no column {label_column!r}")
-        label_idx = header.index(label_column)
-    feat_idx = [j for j in range(len(header)) if j != label_idx]
-    try:
-        X = np.array([[float(r[j]) for j in feat_idx] for r in data])
-        labels = None
-        if label_idx is not None:
-            labels = np.array([int(float(r[label_idx])) for r in data])
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return X, labels, [header[j] for j in feat_idx]
-
-
-def _read_labels_csv(path: Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ConfigError(f"{path}: empty labels file")
-    header, data = rows[0], rows[1:]
-    col = header.index("label") if "label" in header else len(header) - 1
-    labels = []
-    for i, row in enumerate(data):
-        try:
-            value = float(row[col])
-        except (ValueError, IndexError):
-            value = math.nan
-        if not value.is_integer() or value < 0:
-            raise ConfigError(f"{path}: data row {i}: the label is not a non-negative integer")
-        labels.append(int(value))
-    try:
-        if "sample_index" in header:
-            key = header.index("sample_index")
-            labels = [labels[i] for i in sorted(range(len(data)), key=lambda i: int(data[i][key]))]
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return np.array(labels)
-
-
 def _cmd_generate(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
-    spec = _build(SyntheticSpec, doc, "synthetic")
+    spec = _build(SyntheticSpec, read_json(args.config), "synthetic")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     ds = generate_synthetic(spec)
     out = Path(args.out)
     _write_dataset_csv(ds, out / "synthetic.csv")
-    schema = [
-        {"name": s.name, "unit": s.unit, "bound_lo": s.bound_lo, "bound_hi": s.bound_hi}
-        for s in ds.feature_specs
-    ]
-    (out / "schema.json").write_text(json.dumps(schema, indent=2))
+    (out / "schema.json").write_text(json.dumps([asdict(s) for s in ds.feature_specs], indent=2))
     print(f"wrote {out / 'synthetic.csv'} ({ds.n_samples} x {ds.n_features})")
     return 0
 
@@ -143,10 +71,12 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    X, labels, _names = _read_matrix_csv(Path(args.csv), args.label_column)
-    if np.isnan(X).any():
-        raise ConfigError(f"{args.csv}: a cell is nan; cluster needs a fully imputed CSV")
-    ds = Dataset(X, synthetic_feature_specs(X.shape[1]), labels=labels)
+    # every column but the label is a feature, with no plausibility bounds
+    header, rows = read_csv_rows(args.csv)
+    specs = [FeatureSpec(name, "", -math.inf, math.inf) for name in header if name != args.label_column]
+    ds = dataset_from_rows(args.csv, header, rows, specs, args.label_column)
+    if ds.missing.any():
+        raise ConfigError(f"{args.csv}: a cell is missing; cluster needs a fully imputed CSV")
     try:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
@@ -155,11 +85,7 @@ def _cmd_cluster(args) -> int:
     k = check_k(args.k, [args.method], "--k")
     result = run_method(spec, ds, k, args.seed, PROFILES[args.profile])
     out = Path(args.out)
-    write_csv(
-        out / f"{args.method}_labels.csv",
-        ["sample_index", "label"],
-        list(enumerate(result.labels.tolist())),
-    )
+    write_labels(out / f"{args.method}_labels.csv", result.labels)
     if result.embedding is not None:
         write_csv(
             out / f"{args.method}_embedding.csv",
@@ -171,27 +97,21 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    runs = [_read_labels_csv(Path(p)) for p in args.labels]
-    combined = majority_vote(runs)
+    if len(args.labels) < 2:
+        raise ConfigError(f"ensemble: needs two or more label files, got {len(args.labels)}")
+    combined = majority_vote([read_labels(p) for p in args.labels])
     out = Path(args.out)
-    write_csv(
-        out / "ensemble_labels.csv",
-        ["sample_index", "label"],
-        list(enumerate(combined.tolist())),
-    )
+    write_labels(out / "ensemble_labels.csv", combined)
     print(f"wrote {out / 'ensemble_labels.csv'}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    truth = _read_labels_csv(Path(args.truth))
-    pred = _read_labels_csv(Path(args.pred))
+    truth = read_labels(args.truth)
+    pred = read_labels(args.pred)
     t0 = time.perf_counter()
     report = score(truth, pred, method=args.method, cohort=args.cohort)
-    report = ScoreReport(
-        report.method, report.cohort, report.acc, report.ari, report.nmi,
-        time.perf_counter() - t0,
-    )
+    report = replace(report, wall_clock_seconds=time.perf_counter() - t0)
     print(json.dumps({"acc": report.acc, "ari": report.ari, "nmi": report.nmi}))
     if args.out:
         write_score_reports_csv([report], Path(args.out) / "scores.csv")
@@ -215,16 +135,9 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    with open(args.scores, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ConfigError(f"{args.scores}: empty scores file")
-    reports = [
-        ScoreReport(r["method"], r["cohort"], float(r["acc"]), float(r["ari"]), float(r["nmi"]))
-        for r in rows
-    ]
+    ranks = average_rank(read_score_reports(args.scores))
     out = Path(args.out) if args.out else Path(args.scores).parent
-    for m, mean, std in write_ranks_csv(average_rank(reports), out / "ranks.csv"):
+    for m, mean, std in write_ranks_csv(ranks, out / "ranks.csv"):
         print(f"{m}: {mean:.2f} ({std:.2f})")
     return 0
 
@@ -292,7 +205,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ToolkitError as exc:  # anything that fails mid-run

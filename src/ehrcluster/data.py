@@ -11,10 +11,7 @@ nothing else; ``Dataset.missing`` is derived from it.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
-from importlib import resources as importlib_resources
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +20,10 @@ from .errors import (
     AllMissingFeature,
     AllSamplesRemoved,
     ConfigError,
-    EmptyFile,
     InsufficientClassSamples,
-    MissingColumn,
     NonNumericCell,
 )
+from .util import _build, column_index, read_csv_rows, read_json, write_csv
 
 MISSING_TOKENS = ("", "NA")
 
@@ -138,23 +134,20 @@ class ScalerParams:
 
 
 def load_feature_schema(path: str | Path | None = None) -> list[FeatureSpec]:
-    """Read a JSON feature schema; defaults to the shipped 33-feature EHR panel."""
+    """Read a JSON feature schema; defaults to the shipped 33-feature EHR panel.
+
+    The schema is a non-empty list of ``{name, unit, bound_lo, bound_hi}``
+    objects (``unit`` may be left out); an error names the file and the entry.
+    """
     if path is None:
-        text = (
-            importlib_resources.files("ehrcluster.resources")
-            .joinpath("feature_specs.json")
-            .read_text()
-        )
-    else:
-        text = Path(path).read_text()
-    raw = json.loads(text)
-    specs = [
-        FeatureSpec(r["name"], r.get("unit", ""), float(r["bound_lo"]), float(r["bound_hi"]))
-        for r in raw
-    ]
+        path = Path(__file__).parent / "resources" / "feature_specs.json"
+    raw = read_json(path)
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{path}: expected a non-empty JSON list of features")
+    specs = [_build(FeatureSpec, entry, f"{path}[{i}]", unit="") for i, entry in enumerate(raw)]
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
-        raise ConfigError("feature schema contains duplicate names")
+        raise ConfigError(f"{path}: feature schema contains duplicate names")
     return specs
 
 
@@ -165,24 +158,14 @@ def load_csv(path: str | Path, specs: list[FeatureSpec], label_column: str | Non
     become ``NaN``; anything else must parse as a finite float. The label
     column, when given, must hold non-negative integers on every row.
     """
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"{path}: not a readable CSV: {exc}") from None
-    if not rows:
-        raise EmptyFile(f"{path}: no header row")
-    header, data_rows = rows[0], rows[1:]
-    if not data_rows:
-        raise EmptyFile(f"{path}: no data rows")
+    header, data_rows = read_csv_rows(path)
+    return dataset_from_rows(path, header, data_rows, specs, label_column)
 
-    col_index: dict[str, int] = {}
-    for name in [s.name for s in specs] + ([label_column] if label_column else []):
-        try:
-            col_index[name] = header.index(name)
-        except ValueError:
-            raise MissingColumn(name) from None
 
+def dataset_from_rows(path, header: list[str], data_rows: list[list[str]], specs: list[FeatureSpec],
+                      label_column: str | None) -> Dataset:
+    """``load_csv`` on the header and rows ``read_csv_rows`` read from ``path``."""
+    col_index = column_index(path, header, [s.name for s in specs] + ([label_column] if label_column else []))
     n, f = len(data_rows), len(specs)
     X = np.empty((n, f))
     labels = np.empty(n, dtype=int) if label_column else None
@@ -195,20 +178,48 @@ def load_csv(path: str | Path, specs: list[FeatureSpec], label_column: str | Non
             try:
                 value = float(cell)
             except ValueError:
-                raise NonNumericCell(i, spec.name) from None
+                raise NonNumericCell(path, i, spec.name) from None
             if not np.isfinite(value):
-                raise NonNumericCell(i, spec.name)
+                raise NonNumericCell(path, i, spec.name)
             X[i, j] = value
         if label_column:
-            cell = row[col_index[label_column]].strip() if col_index[label_column] < len(row) else ""
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonNumericCell(i, label_column) from None
-            if not value.is_integer() or value < 0:
-                raise NonNumericCell(i, label_column)
-            labels[i] = int(value)
+            labels[i] = _count_cell(path, row, i, col_index[label_column], label_column)
     return Dataset(X, list(specs), labels=labels)
+
+
+def _count_cell(path, row: list[str], i: int, j: int, col: str) -> int:
+    """The non-negative integer in cell ``j`` of data row ``i``; anything else is a NonNumericCell."""
+    try:
+        value = float(row[j].strip() if j < len(row) else "")
+    except ValueError:
+        value = np.nan
+    # below 2**63, so it fits the int64 label arrays
+    if not (value.is_integer() and 0 <= value < 2**63):
+        raise NonNumericCell(path, i, col, "a non-negative integer")
+    return int(value)
+
+
+def read_labels(path: str | Path) -> np.ndarray:
+    """The labels of a ``sample_index,label`` file, in index order.
+
+    Every ``sample_index`` must be one of ``0..n-1`` exactly once, in any row
+    order, and every label a non-negative integer; other columns are ignored.
+    """
+    header, rows = read_csv_rows(path)
+    col = column_index(path, header, ["sample_index", "label"])
+    n = len(rows)
+    labels = np.full(n, -1)
+    for i, row in enumerate(rows):
+        index = _count_cell(path, row, i, col["sample_index"], "sample_index")
+        if index >= n or labels[index] >= 0:
+            raise ConfigError(f"{path}: data row {i}: sample_index {index} is outside 0..{n - 1} or repeated")
+        labels[index] = _count_cell(path, row, i, col["label"], "label")
+    return labels
+
+
+def write_labels(path: str | Path, labels: np.ndarray) -> None:
+    """Write the ``sample_index,label`` file that ``read_labels`` reads."""
+    write_csv(path, ["sample_index", "label"], enumerate(labels.tolist()))
 
 
 def apply_bounds(ds: Dataset) -> Dataset:

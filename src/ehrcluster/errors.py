@@ -2,8 +2,8 @@
 
 Every error raised on a violated operation contract derives from
 ``ToolkitError``. Input-shaped problems (bad config, bad files, bad label
-vectors) further derive from ``ValidationError``, so callers (notably the
-CLI) can tell them apart from genuine runtime failures.
+vectors, data a step cannot take) further derive from ``ValidationError``,
+so callers (notably the CLI) can tell them apart from genuine runtime failures.
 """
 
 
@@ -18,27 +18,27 @@ class ValidationError(ToolkitError):
 # --- data loading / preprocessing -------------------------------------------
 
 class MissingColumn(ValidationError):
-    def __init__(self, name: str):
+    def __init__(self, path, name: str):
         self.name = name
-        super().__init__(f"required column {name!r} not found in CSV header")
+        super().__init__(f"{path}: required column {name!r} not found in the header")
 
 
 class NonNumericCell(ValidationError):
-    def __init__(self, row: int, col: str):
+    def __init__(self, path, row: int, col: str, expected: str = "a finite number"):
         self.row = row
         self.col = col
-        super().__init__(f"non-numeric cell at data row {row}, column {col!r}")
+        super().__init__(f"{path}: data row {row}: column {col!r} is not {expected}")
 
 
 class EmptyFile(ValidationError):
     pass
 
 
-class AllSamplesRemoved(ToolkitError):
+class AllSamplesRemoved(ValidationError):
     pass
 
 
-class AllMissingFeature(ToolkitError):
+class AllMissingFeature(ValidationError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"feature {name!r} has no observed values to impute from")
@@ -56,8 +56,8 @@ class InsufficientClassSamples(ToolkitError):
 
 # --- numerics (clustering, autoencoder) --------------------------------------
 
-class DegenerateInput(ToolkitError):
-    pass
+class DegenerateInput(ValidationError):
+    """Data or settings a fit refuses before computing: too few samples, k < 2, overflow."""
 
 
 class DimensionMismatch(ToolkitError):
@@ -118,11 +118,8 @@ class TooFewSamples(ToolkitError):
     pass
 
 
-class IncompleteGrid(ToolkitError):
-    def __init__(self, method: str, cell: str):
-        self.method = method
-        self.cell = cell
-        super().__init__(f"method {method!r} has no score for cell {cell}")
+class IncompleteGrid(ValidationError):
+    """Score reports that miss or repeat a (method, cohort) pair, so they cannot be ranked."""
 
 
 # --- configuration ------------------------------------------------------------

@@ -23,7 +23,7 @@ import hashlib
 import json
 import time
 import traceback
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -34,14 +34,14 @@ from . import __version__
 from .autoencoder import TrainConfig, build, encode, pretrain
 from .data import (
     Dataset, SyntheticSpec, generate_synthetic, load_csv, load_feature_schema, preprocess,
-    stratified_subsample, subset_rows,
+    stratified_subsample, subset_rows, write_labels,
 )
 from .deepcluster import DeepClusterConfig, assign, finetune
 from .ensemble import dimension_ensemble, majority_vote, run_dimension_sweep, sweep_dims
 from .errors import ConfigError
 from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
 from .traditional import gmm_fit, gmm_predict, kmeans_fit, kmeans_predict
-from .util import derive_seed, write_csv
+from .util import _build, _cast, _int, _str, derive_seed, read_json, write_csv
 
 KGG_VOTER_KINDS = ("kmeans_x", "gmm_x", "deep_gaussian_sweep")
 
@@ -110,19 +110,6 @@ class MethodResult:
     finetune_history: list[tuple[float, float, float]] | None = None  # (recon, kl, joint) per epoch
     label_runs: np.ndarray | None = None
     run_columns: list[str] | None = None
-
-
-def _str(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _int(value) -> int:
-    """``int(value)``, refusing a bool or a fraction rather than truncating it."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _list_of(cast: Callable) -> Callable:
@@ -273,14 +260,6 @@ METHODS = {
 }
 
 
-def _cast(cast: Callable, value, where: str):
-    """``cast(value)``; a value that will not cast is a ConfigError naming ``where``."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
 def check_params(kind: str, params: dict, where: str) -> dict:
     """Return ``params`` cast for ``kind``; a ConfigError names ``where``.<param> if one is
     unknown to the kind or will not cast."""
@@ -295,10 +274,6 @@ def check_params(kind: str, params: dict, where: str) -> dict:
     return out
 
 
-# the cast of a config dataclass field, by its annotation; a "... | None" field also takes null
-_FIELD_CASTS = {"int": _int, "float": float, "str": _str}
-
-
 def check_k(k, kinds, where: str) -> int:
     """``k`` cast; a ConfigError names ``where`` if it is below 2, or is not 2 for binary kinds."""
     k = _cast(_int, k, where)
@@ -308,25 +283,6 @@ def check_k(k, kinds, where: str) -> int:
     if binary and k != 2:
         raise ConfigError(f"{where}: must be 2, got {k}; {binary} vote binary labels")
     return k
-
-
-def _build(cls, raw, where: str, **defaults):
-    """``cls`` from a JSON object, every field cast by its annotation; a ConfigError names
-    ``where``.<field> if one is unknown, absent but required, or will not cast."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    types = {f.name: f.type for f in fields(cls)}
-    kwargs = dict(defaults)
-    for name, value in raw.items():
-        if name not in types:
-            raise ConfigError(f"{where}.{name}: unknown field")
-        optional = types[name].endswith(" | None")
-        cast = _FIELD_CASTS[types[name].removesuffix(" | None")]
-        kwargs[name] = None if optional and value is None else _cast(cast, value, f"{where}.{name}")
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in kwargs:
-            raise ConfigError(f"{where}.{f.name}: required")
-    return cls(**kwargs)
 
 
 def run_method(
@@ -442,13 +398,7 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return parse_config(doc, base_dir=path.parent)
+    return parse_config(read_json(path), base_dir=path.parent)
 
 
 def _load_cohort(config: ExperimentConfig, cohort: CohortSpec) -> Dataset:
@@ -535,11 +485,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             )
 
             stem = f"{cohort.name}__{spec.name}"
-            write_csv(
-                out / "labels" / f"{stem}.csv",
-                ["sample_index", "label"],
-                list(enumerate(result.labels.tolist())),
-            )
+            write_labels(out / "labels" / f"{stem}.csv", result.labels)
             if result.embedding is not None:
                 write_csv(
                     out / "embeddings" / f"{stem}.csv",

@@ -9,13 +9,14 @@ index adjusted for chance under the permutation model.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IncompleteGrid, LengthMismatch, NonSquare, TooFewSamples
-from .util import write_csv
+from .errors import IncompleteGrid, LengthMismatch, NonNumericCell, NonSquare, TooFewSamples
+from .util import column_index, read_csv_rows, write_csv
 
 METRIC_NAMES = ("acc", "ari", "nmi")
 
@@ -38,6 +39,12 @@ def contingency(g, p) -> np.ndarray:
     table = np.zeros((kg, kp), dtype=np.int64)
     np.add.at(table, (g, p), 1)
     return table
+
+
+def _occurring_contingency(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``contingency`` over the labels that occur, so no label's value sizes the table;
+    the dropped all-zero rows and columns change no score."""
+    return contingency(np.unique(g, return_inverse=True)[1], np.unique(p, return_inverse=True)[1])
 
 
 def _assignment_value(weight: np.ndarray) -> float:
@@ -130,7 +137,7 @@ def acc(g, p) -> float:
         raise LengthMismatch(f"length {g.size} vs {p.size}")
     if g.size == 0:
         raise TooFewSamples("acc requires at least one sample")
-    table = contingency(g, p)
+    table = _occurring_contingency(g, p)
     k = max(table.shape)
     padded = np.zeros((k, k), dtype=float)
     padded[: table.shape[0], : table.shape[1]] = table
@@ -156,7 +163,7 @@ def nmi(g, p) -> float:
         raise LengthMismatch(f"length {g.size} vs {p.size}")
     if g.size == 0:
         raise TooFewSamples("nmi requires at least one sample")
-    table = contingency(g, p).astype(float)
+    table = _occurring_contingency(g, p).astype(float)
     n = g.size
     a = table.sum(axis=1)
     b = table.sum(axis=0)
@@ -192,7 +199,7 @@ def ari(g, p) -> float:
     n = g.size
     if n < 2:
         raise TooFewSamples("ari requires at least two samples")
-    table = contingency(g, p)
+    table = _occurring_contingency(g, p)
 
     def pairs(x: np.ndarray) -> float:
         x = x.astype(np.int64)
@@ -251,9 +258,11 @@ def average_rank(reports: list[ScoreReport]) -> dict[str, tuple[float, float]]:
     for r in reports:
         if r.cohort not in cohorts:
             cohorts.append(r.cohort)
-    by_key = {(r.method, r.cohort): r for r in reports}
-    if len(by_key) != len(reports):
-        raise IncompleteGrid("?", "duplicate (method, cohort) rows")
+    by_key = {}
+    for r in reports:
+        if (r.method, r.cohort) in by_key:
+            raise IncompleteGrid(f"method {r.method!r} has more than one score for cohort {r.cohort!r}")
+        by_key[(r.method, r.cohort)] = r
 
     ranks: dict[str, list[float]] = {m: [] for m in methods}
     for cohort in cohorts:
@@ -263,7 +272,7 @@ def average_rank(reports: list[ScoreReport]) -> dict[str, tuple[float, float]]:
             for m in methods:
                 r = by_key.get((m, cohort))
                 if r is None:
-                    raise IncompleteGrid(m, cell)
+                    raise IncompleteGrid(f"method {m!r} has no score for cell {cell}")
                 scores.append(getattr(r, metric))
             cell_ranks = _average_ranks([-s for s in scores])
             for m, rank in zip(methods, cell_ranks):
@@ -295,3 +304,27 @@ def write_score_reports_csv(
             row.append(r.wall_clock_seconds)
         rows.append(row)
     write_csv(path, header, rows)
+
+
+def read_score_reports(path: str | Path) -> list[ScoreReport]:
+    """The ``cohort,method,acc,ari,nmi`` rows of a scores file, such as
+    ``write_score_reports_csv`` writes; other columns are ignored.
+
+    Every score must be a finite number; an error names the file, row and column.
+    """
+    header, rows = read_csv_rows(path)
+    col = column_index(path, header, ["cohort", "method", *METRIC_NAMES])
+    reports = []
+    for i, row in enumerate(rows):
+        cells = {name: row[j] if j < len(row) else "" for name, j in col.items()}
+        values = []
+        for name in METRIC_NAMES:
+            try:
+                value = float(cells[name])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise NonNumericCell(path, i, name)
+            values.append(value)
+        reports.append(ScoreReport(cells["method"], cells["cohort"], *values))
+    return reports

@@ -89,8 +89,11 @@ def kmeans_fit(
         raise DegenerateInput(f"n_init must be >= 1, got {n_init}")
     if X.shape[0] < k:
         raise DegenerateInput(f"need at least k={k} samples, got {X.shape[0]}")
-    if not np.all(np.isfinite(X)):
-        raise DegenerateInput("X must be finite")
+    # n times the summed squared ranges bounds every sum of squared distances
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = X.shape[0] * np.square(np.ptp(X, axis=0)).sum()
+    if not np.isfinite(bound):
+        raise DegenerateInput("X must be finite, and its squared distances must not overflow")
 
     best: KMeansModel | None = None
     for restart in range(n_init):

@@ -1,11 +1,16 @@
-"""Small shared helpers: deterministic seed derivation and CSV writing."""
+"""Small shared helpers: deterministic seeds, the one CSV and JSON file readers,
+typed casts of JSON fields, and CSV writing."""
 from __future__ import annotations
 
 import csv
+import json
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .errors import ConfigError, EmptyFile, MissingColumn
 
 _MASK64 = (1 << 64) - 1
 
@@ -32,6 +37,96 @@ def derive_seed(*parts: int) -> int:
 def rng_from(*parts: int) -> np.random.Generator:
     """Seeded generator keyed on ``derive_seed(*parts)``."""
     return np.random.default_rng(derive_seed(*parts))
+
+
+def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """The header and the data rows of a UTF-8 CSV file.
+
+    A file that cannot be opened, decoded or parsed is a ConfigError naming it;
+    one without a header or without a data row is an EmptyFile.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: not a readable CSV: {exc}") from None
+    if not rows:
+        raise EmptyFile(f"{path}: no header row")
+    if len(rows) < 2:
+        raise EmptyFile(f"{path}: no data rows")
+    return rows[0], rows[1:]
+
+
+def column_index(path: str | Path, header: list[str], names: Iterable[str]) -> dict[str, int]:
+    """Each name's position in ``header``; it must appear there exactly once."""
+    index = {}
+    for name in names:
+        if name not in header:
+            raise MissingColumn(path, name)
+        if header.count(name) > 1:
+            raise ConfigError(f"{path}: column {name!r} appears {header.count(name)} times in the header")
+        index[name] = header.index(name)
+    return index
+
+
+def read_json(path: str | Path):
+    """The JSON document in a UTF-8 file; one that cannot be opened, decoded or
+    parsed is a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    # ValueError covers UnicodeDecodeError and JSONDecodeError, and an integer
+    # literal over Python's digit limit; RecursionError, nesting too deep to parse
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: not a readable JSON file: {exc}") from None
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _int(value) -> int:
+    """``int(value)``, refusing a bool or a fraction rather than truncating it."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _cast(cast: Callable, value, where: str):
+    """``cast(value)``; a value that will not cast is a ConfigError naming ``where``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+# the cast of a config dataclass field, by its annotation; a "... | None" field also takes null
+_FIELD_CASTS = {"int": _int, "float": float, "str": _str}
+
+
+def _build(cls, raw, where: str, **defaults):
+    """``cls`` from a JSON object, every field cast by its annotation; a ConfigError names
+    ``where``.<field> if one is unknown, absent but required, or will not cast, and
+    ``where`` if ``cls`` refuses the values."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = dict(defaults)
+    for name, value in raw.items():
+        if name not in types:
+            raise ConfigError(f"{where}.{name}: unknown field")
+        optional = types[name].endswith(" | None")
+        cast = _FIELD_CASTS[types[name].removesuffix(" | None")]
+        kwargs[name] = None if optional and value is None else _cast(cast, value, f"{where}.{name}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in kwargs:
+            raise ConfigError(f"{where}.{f.name}: required")
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -6,6 +6,7 @@ configs/benchmark.json end to end; everything else is oracle-based:
 brute-force enumeration, direct pair counting, from-scratch entropy
 computations, and central finite differences.
 """
+import hashlib
 import itertools
 import math
 import time
@@ -456,3 +457,10 @@ def test_criterion_9_end_to_end_determinism(benchmark_run, tmp_path_factory):
         first = (first_out / "scores.csv").read_bytes()
         second = (second_out / "scores.csv").read_bytes()
         assert first == second
+        # the frozen grid's outputs, as recorded since the first benchmark of record
+        assert hashlib.sha256(first).hexdigest() == (
+            "7a67f61c3e673fe4e85711d64098ffcb796b2ecdead0634bc3c2a486e6dcf865"
+        )
+        assert hashlib.sha256((first_out / "ranks.csv").read_bytes()).hexdigest() == (
+            "32d140d16a2ae0c4d82bc24567190d52382c922526ca3f231c6708a6d4972b30"
+        )

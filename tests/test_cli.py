@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ehrcluster import cli
 from ehrcluster.cli import main
@@ -405,8 +407,8 @@ class TestExitCodes:
 @pytest.mark.parametrize(
     "exc, code",
     [
-        (MissingColumn("age"), 1),
-        (NonNumericCell(3, "age"), 1),
+        (MissingColumn("cohort.csv", "age"), 1),
+        (NonNumericCell("cohort.csv", 3, "age"), 1),
         (EmptyFile("empty"), 1),
         (ConfigError("bad"), 1),
         (LengthMismatch("length"), 1),
@@ -436,3 +438,133 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# Each input below is one bad file; every command must exit 1 with an error that starts
+# with that file's path or, where ``named`` is given, with what is wrong with the input.
+LABELS = "sample_index,label\n0,0\n1,1\n2,1\n"
+NOT_UTF8 = b"sample_index,label\n0,\xff\xfe\n"
+SCHEMA_CONFIG = {"seed": 1, "data": {"csv": {"path": "labels.csv", "schema": "bad"}},
+                 "methods": [{"name": "m", "kind": "kmeans_x"}]}
+
+
+@pytest.mark.parametrize("argv, content, named", [
+    (["evaluate", "--truth", "{labels}", "--pred", "{bad}"], "sample_index,label\n0,0\n0,1\n2,1\n", None),
+    (["evaluate", "--truth", "{labels}", "--pred", "{bad}"], "sample_index,label\n0,0\n1,1\n5,1\n", None),
+    (["evaluate", "--truth", "{labels}", "--pred", "{bad}"], "sample_index,cls\n0,0\n1,1\n2,1\n", None),
+    (["rank", "--scores", "{bad}", "--out", "{out}"], "cohort,method,acc,ari,nmi\nc,m,x,0.5,0.5\n", None),
+    (["rank", "--scores", "{bad}", "--out", "{out}"], "cohort,method,acc,nmi\nc,m,0.5,0.5\n", None),
+    (["rank", "--scores", "{bad}", "--out", "{out}"], "cohort,method,acc,ari,nmi\nc,m,nan,0.5,0.5\n", None),
+    (["rank", "--scores", "{bad}", "--out", "{out}"],
+     "cohort,method,acc,ari,nmi\nc,m,0.5,0.5,0.5\nc,n,0.4,0.4,0.4\nc,m,0.3,0.3,0.3\n",
+     "method 'm' has more than one score for cohort 'c'"),
+    (["rank", "--scores", "{bad}", "--out", "{out}"],
+     "cohort,method,acc,ari,nmi\nc1,a,0.9,0.9,0.9\nc1,b,0.5,0.5,0.5\nc2,a,0.9,0.9,0.9\n",
+     "method 'b' has no score for cell (c2, acc)"),
+    (["ensemble", "{bad}", "--out", "{out}"], LABELS, "ensemble: needs two or more label files, got 1"),
+    (["cluster", "--csv", "{bad}", "--method", "kmeans_x", "--out", "{out}"], b"f00,f01\n1.0,\xff\n", None),
+    (["evaluate", "--truth", "{bad}", "--pred", "{labels}"], NOT_UTF8, None),
+    (["rank", "--scores", "{bad}", "--out", "{out}"], b"cohort,method,acc,ari,nmi\nc,\xe9,1,1,1\n", None),
+    (["benchmark", "--config", "{bad}", "--out", "{out}"], b'{"seed": "\xff"}', None),
+    (["generate", "--config", "{bad}", "--out", "{out}"], b'{"n_samples": "\xff"}', None),
+    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"], b'[{"name": "\xff"}]', None),
+    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"], "[{oops", None),
+    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"],
+     '{"name": "label", "bound_lo": 0, "bound_hi": 1}', None),
+    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"],
+     '[{"unit": "u", "bound_lo": 0, "bound_hi": 1}]', None),
+    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"],
+     '[{"name": "label", "bound_lo": "x", "bound_hi": 1}]', None),
+    (["benchmark", "--config", "{config}", "--out", "{out}"],
+     '[{"unit": "u", "bound_lo": 0, "bound_hi": 1}]', None),
+    (["evaluate", "--truth", "{bad}", "--pred", "{labels}"], None, None),  # a directory
+    (["cluster", "--csv", "{bad}", "--label-column", "y", "--method", "kmeans_x", "--out", "{out}"],
+     "f00,y\n1.0,0\n2.0,1.9\n3.0,1\n", None),
+    (["cluster", "--csv", "{bad}", "--method", "kmeans_x", "--out", "{out}"], "f00,f00\n1,2\n3,4\n5,6\n", None),
+    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"],
+     '[{"name": "label", "bound_lo": 5, "bound_hi": 9}]', "no sample has missing rate <= 0.05; all 3 removed"),
+], ids=[
+    "pred-index-repeated", "pred-index-out-of-range", "pred-without-label-column", "score-x",
+    "scores-without-ari", "score-nan", "scores-pair-repeated", "scores-cell-missing", "ensemble-one-file",
+    "cluster-not-utf8", "truth-not-utf8", "scores-not-utf8", "config-not-utf8", "spec-not-utf8",
+    "schema-not-utf8", "schema-not-json", "schema-an-object", "schema-entry-without-name",
+    "schema-bound-not-a-number", "config-schema-entry-without-name", "truth-a-directory",
+    "cluster-label-a-fraction", "cluster-column-named-twice", "schema-leaves-no-sample",
+])
+def test_bad_input_file_exits_1_and_names_itself(tmp_path, capsys, argv, content, named):
+    tmp_path = tmp_path.resolve()
+    labels, bad, config = tmp_path / "labels.csv", tmp_path / "bad", tmp_path / "cfg.json"
+    labels.write_text(LABELS)
+    config.write_text(json.dumps(SCHEMA_CONFIG))
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    argv = [a.format(labels=labels, bad=bad, config=config, out=tmp_path / "o") for a in argv]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {named or bad}")
+
+
+def fuzzed_csv(header: bytes, alphabet: str):
+    """Arbitrary bytes, alone or after a valid header, and header-led text of CSV-ish characters."""
+    return st.one_of(
+        st.binary(max_size=40),
+        st.binary(max_size=40).map(lambda body: header + body),
+        st.text(alphabet=alphabet, max_size=60).map(lambda body: header + body.encode()),
+    )
+
+
+def fuzzed_json(keys):
+    """Arbitrary bytes, and JSON documents of lists and objects whose keys are drawn from ``keys``."""
+    leaves = st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.sampled_from(["", "a", "y"])
+    docs = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=4),
+        max_leaves=10,
+    )
+    return st.one_of(st.binary(max_size=40), docs.map(lambda doc: json.dumps(doc).encode()))
+
+
+NUMBERS = ",\n\r\" NA0123456789.-e"
+FUZZED_INPUTS = {
+    "cluster --csv": (["cluster", "--csv", "{f}", "--method", "kmeans_x", "--out", "{out}"],
+                      fuzzed_csv(b"a,b\n", NUMBERS)),
+    "evaluate --truth": (["evaluate", "--truth", "{f}", "--pred", "{labels}"],
+                         fuzzed_csv(b"sample_index,label\n", NUMBERS)),
+    "evaluate --pred": (["evaluate", "--truth", "{labels}", "--pred", "{f}"],
+                        fuzzed_csv(b"sample_index,label\n", NUMBERS)),
+    **{
+        f"ensemble file {i}": (["ensemble", *["{labels}"] * i, "{f}", *["{labels}"] * (2 - i), "--out", "{out}"],
+                               fuzzed_csv(b"sample_index,label\n", NUMBERS))
+        for i in range(3)
+    },
+    "rank --scores": (["rank", "--scores", "{f}", "--out", "{out}"],
+                      fuzzed_csv(b"cohort,method,acc,ari,nmi\n", NUMBERS + "cm")),
+    "preprocess --csv": (["preprocess", "--csv", "{f}", "--schema", "{schema}", "--label-column", "y",
+                          "--out", "{out}"], fuzzed_csv(b"a,b,y\n", NUMBERS)),
+    "preprocess --schema": (["preprocess", "--csv", "{data}", "--schema", "{f}", "--label-column", "y",
+                             "--out", "{out}"],
+                            fuzzed_json(st.sampled_from(["name", "unit", "bound_lo", "bound_hi"]))),
+    # keys too short to spell a spec's or config's required fields, so no document starts a run
+    "generate --config": (["generate", "--config", "{f}", "--out", "{out}"], fuzzed_json(st.text(max_size=3))),
+    "benchmark --config": (["benchmark", "--config", "{f}", "--out", "{out}"], fuzzed_json(st.text(max_size=3))),
+}
+
+
+@pytest.mark.parametrize("name", FUZZED_INPUTS)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_bytes_in_any_input_file_exit_0_or_1(tmp_path, name, data):
+    argv, contents = FUZZED_INPUTS[name]
+    files = {
+        "labels": LABELS,
+        "schema": json.dumps([{"name": n, "bound_lo": 0, "bound_hi": 10} for n in "ab"]),
+        "data": "a,b,y\n1,2,0\n3,,1\n5,6,1\n",
+    }
+    paths = {key: tmp_path / f"{key}.in" for key in files}
+    for key, text in files.items():
+        paths[key].write_text(text)
+    fuzzed = tmp_path / "fuzzed.in"
+    fuzzed.write_bytes(data.draw(contents))
+    argv = [a.format(f=fuzzed, out=tmp_path / "o", **paths) for a in argv]
+    assert run_cli(*argv) in (0, 1)

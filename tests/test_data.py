@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,9 +16,11 @@ from ehrcluster.data import (
     load_csv,
     load_feature_schema,
     minority_count,
+    read_labels,
     standardize,
     stratified_subsample,
     synthetic_feature_specs,
+    write_labels,
 )
 from ehrcluster.errors import (
     AllMissingFeature,
@@ -27,6 +31,7 @@ from ehrcluster.errors import (
     MissingColumn,
     NonNumericCell,
     ToolkitError,
+    ValidationError,
 )
 from ehrcluster.metrics import acc, ari
 from ehrcluster.traditional import kmeans_fit, kmeans_predict
@@ -107,6 +112,49 @@ class TestLoadCsv:
         except ToolkitError:
             return
         assert np.array_equal(ds.missing, np.isnan(ds.X))
+
+
+    def test_column_named_twice_is_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,a\n1,2,3\n")
+        with pytest.raises(ConfigError, match=f"^{p}: column 'a' appears 2 times"):
+            load_csv(p, two_specs())
+
+    @pytest.mark.parametrize("cell", ["1.9", "-1", "x", "", "1e30"])
+    def test_label_that_is_not_a_count_names_file_and_row(self, tmp_path, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"a,b,y\n1,2,0\n3,4,{cell}\n")
+        with pytest.raises(NonNumericCell, match=f"^{p}: data row 1: column 'y' is not a non-negative integer"):
+            load_csv(p, two_specs(), label_column="y")
+
+
+# -------------------------------------------------------------- label files
+
+class TestLabelFiles:
+    def test_round_trip(self, tmp_path):
+        labels = np.array([1, 0, 2, 2])
+        write_labels(tmp_path / "l.csv", labels)
+        assert (tmp_path / "l.csv").read_text() == "sample_index,label\n0,1\n1,0\n2,2\n3,2\n"
+        assert np.array_equal(read_labels(tmp_path / "l.csv"), labels)
+
+    def test_rows_in_any_order_come_back_in_index_order(self, tmp_path):
+        p = tmp_path / "l.csv"
+        p.write_text("label,note,sample_index\n5,x,2\n3,y,0\n4,z,1\n")
+        assert read_labels(p).tolist() == [3, 4, 5]
+
+    @pytest.mark.parametrize("body, error", [
+        ("sample_index,cls\n0,1\n", "required column 'label'"),
+        ("label\n0\n", "required column 'sample_index'"),
+        ("sample_index,label\n0,1\n0,1\n", "data row 1: sample_index 0 is outside 0..1 or repeated"),
+        ("sample_index,label\n0,1\n2,1\n", "data row 1: sample_index 2 is outside 0..1 or repeated"),
+        ("sample_index,label\n0,1\n1.5,1\n", "data row 1: column 'sample_index' is not a non-negative"),
+        ("sample_index,label\n0,1\n1,-2\n", "data row 1: column 'label' is not a non-negative"),
+    ])
+    def test_malformed_file_names_itself(self, tmp_path, body, error):
+        p = tmp_path / "l.csv"
+        p.write_text(body)
+        with pytest.raises(ValidationError, match=f"^{p}: {re.escape(error)}"):
+            read_labels(p)
 
 
 # ----------------------------------------------------------------- Dataset
@@ -373,3 +421,24 @@ class TestFeatureSchema:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ConfigError):
             FeatureSpec("x", "", 5.0, 5.0)
+
+    def test_unit_may_be_left_out(self, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text('[{"name": "a", "bound_lo": 0, "bound_hi": 1}]')
+        assert load_feature_schema(p) == [FeatureSpec("a", "", 0.0, 1.0)]
+
+    @pytest.mark.parametrize("text, error", [
+        ("[]", ": expected a non-empty JSON list"),
+        ('{"name": "a"}', ": expected a non-empty JSON list"),
+        ('[{"name": "a", "bound_lo": 0, "bound_hi": 1, "colour": "red"}]', "[0].colour: unknown field"),
+        ('[{"name": "a", "bound_lo": 0}]', "[0].bound_hi: required"),
+        ('[{"name": "a", "bound_lo": 0, "bound_hi": 1}, {"name": "b", "bound_lo": 1, "bound_hi": 1}]',
+         "[1]: feature 'b': bound_lo must be < bound_hi"),
+        ('[{"name": "a", "bound_lo": 0, "bound_hi": 1}, {"name": "a", "bound_lo": 0, "bound_hi": 1}]',
+         ": feature schema contains duplicate names"),
+    ])
+    def test_malformed_schema_names_the_file_and_entry(self, tmp_path, text, error):
+        p = tmp_path / "s.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p) + error)}"):
+            load_feature_schema(p)

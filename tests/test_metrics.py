@@ -1,11 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrcluster.errors import IncompleteGrid, LengthMismatch, NonSquare, TooFewSamples
+from ehrcluster.errors import IncompleteGrid, LengthMismatch, NonNumericCell, NonSquare, TooFewSamples
 from ehrcluster.metrics import (
     ScoreReport,
     _assignment_value,
@@ -16,6 +17,7 @@ from ehrcluster.metrics import (
     contingency,
     hungarian_max,
     nmi,
+    read_score_reports,
     write_score_reports_csv,
 )
 
@@ -224,8 +226,10 @@ class TestAverageRank:
             ScoreReport("b", "c1", 0.5, 0.5, 0.5),
             ScoreReport("a", "c2", 0.9, 0.9, 0.9),
         ]
-        with pytest.raises(IncompleteGrid):
+        with pytest.raises(IncompleteGrid, match=r"method 'b' has no score for cell \(c2, acc\)"):
             average_rank(reports)
+        with pytest.raises(IncompleteGrid, match="method 'a' has more than one score for cohort 'c1'"):
+            average_rank(reports + [ScoreReport("b", "c2", 0.5, 0.5, 0.5), ScoreReport("a", "c1", 0.1, 0.1, 0.1)])
 
 
 class TestAverageRanks:
@@ -239,9 +243,30 @@ class TestAverageRanks:
         assert _average_ranks([]).shape == (0,)
 
 
+def test_scores_read_only_the_labels_that_occur():
+    # a table sized by the label's value would need 10**12 columns
+    g, p = [0, 0, 1, 1, 1], [3, 3, 10**12, 10**12, 3]
+    dense = [0, 0, 1, 1, 0]
+    assert (acc(g, p), ari(g, p), nmi(g, p)) == (acc(g, dense), ari(g, dense), nmi(g, dense))
+
+
 def test_score_report_csv_roundtrip(tmp_path):
     reports = [ScoreReport("m", "c", 0.5, 0.25, 0.125, 1.5)]
     write_score_reports_csv(reports, tmp_path / "s.csv")
     text = (tmp_path / "s.csv").read_text()
     assert text.splitlines()[0] == "cohort,method,acc,ari,nmi,wall_clock_seconds"
     assert "c,m,0.5,0.25,0.125,1.5" in text
+
+
+def test_score_reports_read_back(tmp_path):
+    reports = [ScoreReport("m", "c", 0.5, 0.25, 0.125, 1.5), ScoreReport("n", "c", 1.0, 1.0, 1.0, 2.0)]
+    write_score_reports_csv(reports, tmp_path / "s.csv")
+    assert read_score_reports(tmp_path / "s.csv") == [replace(r, wall_clock_seconds=0.0) for r in reports]
+
+
+@pytest.mark.parametrize("cell", ["x", "", "nan", "inf"])
+def test_score_that_is_not_a_finite_number_names_file_row_and_column(tmp_path, cell):
+    p = tmp_path / "s.csv"
+    p.write_text(f"cohort,method,acc,ari,nmi\nc,m,1,1,1\nc,n,1,{cell},1\n")
+    with pytest.raises(NonNumericCell, match=f"^{p}: data row 1: column 'ari' is not a finite number$"):
+        read_score_reports(p)

@@ -7,11 +7,13 @@ traced benchmark run.
 """
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from ehrcluster.experiment import parse_config, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
 
 
 def load(name):
@@ -32,21 +34,9 @@ def test_every_traced_function_exists():
 
 def test_traced_grid_makes_the_calls_its_config_implies(tmp_path):
     tracer_module, run = load("tracer"), load("run")
-    # batches smaller than the cohort, since a full-data forward is told apart by its row count
-    pretrain = {"pretrain_epochs": 1, "hidden": [4], "batch_size": 32}
-    deep = {**pretrain, "finetune_epochs": 2, "target_update_interval": 1}
-    params = {"kmeans_z": pretrain, "gmm_z": pretrain, "deep_student_t": deep,
-              "deep_student_t_recon": deep, "deep_gaussian": deep, "deep_gaussian_sweep": deep}
-    kinds = ["kmeans_x", "gmm_x", "kmeans_z", "gmm_z", "deep_student_t", "deep_student_t_recon",
-             "deep_gaussian", "deep_gaussian_sweep", "kgg"]
-    doc = {
-        "seed": 20260810,
-        "data": {"synthetic": {"n_samples": 60, "n_features": 33, "class_ratio": 1.0,
-                               "separation": 3.0}},
-        "cohorts": [{"name": "c"}],
-        "methods": [{"name": kind, "kind": kind, "params": params.get(kind, {})} for kind in kinds],
-        "output_dir": str(tmp_path),
-    }
+    # the golden grid: batches smaller than the cohort, since a full-data forward is
+    # told apart by its row count
+    doc = {**json.loads(GOLDEN_CONFIG.read_text()), "output_dir": str(tmp_path)}
     tracer = tracer_module.Tracer()
     tracer.install()
     try:

@@ -48,6 +48,9 @@ class TestKMeansFit:
             kmeans_fit(np.ones((5, 2)), 1, seed=0)
         with pytest.raises(DegenerateInput):
             kmeans_fit(np.array([[np.nan, 1.0], [0.0, 1.0]]), 2, seed=0)
+        # finite, but its squared distances overflow to inf
+        with pytest.raises(DegenerateInput, match="overflow"):
+            kmeans_fit(np.array([[1e200, 1.0], [-1e200, 2.0], [3.0, 4.0]]), 2, seed=0)
 
     def test_zero_restarts_rejected(self):
         X, _ = blob_pair(n=40)
