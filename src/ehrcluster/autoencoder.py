@@ -6,9 +6,11 @@ layer are linear. The reconstruction objective is the mean over samples
 of the squared Euclidean reconstruction error (the 1/N factor of a
 summed objective is absorbed into the learning rate).
 
-``backward`` accepts an extra gradient injected at the bottleneck so a
-clustering loss on the embedding can flow into the encoder alongside the
-reconstruction gradient from the decoder.
+``forward``'s cache holds one array per layer, the activations a_0 (input)
+.. a_L (output), and ``backward`` reads both activation derivatives from
+them. ``backward`` also accepts an extra gradient injected at the bottleneck
+so a clustering loss on the embedding can flow into the encoder alongside
+the reconstruction gradient from the decoder.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ class TrainConfig:
         if self.batch_size < 1:
             raise InvalidDimension("batch_size must be >= 1")
         if self.epochs < 0:
-            raise InvalidDimension("epochs must be >= 0")
+            raise InvalidDimension("epochs (pretrain_epochs) must be >= 0")
 
 
 @dataclass
@@ -61,7 +63,6 @@ class Gradients:
 @dataclass
 class ForwardCache:
     activations: list[np.ndarray]  # a_0 (input) .. a_L (output)
-    preacts: list[np.ndarray]      # u_1 .. u_L
     version: int
 
 
@@ -109,7 +110,7 @@ def build(
     hidden = list(hidden)
     dims = [input_dim] + hidden + [embed_dim] + hidden[::-1] + [input_dim]
     if any(d < 1 for d in dims):
-        raise InvalidDimension(f"all layer dims must be >= 1, got {dims}")
+        raise InvalidDimension(f"every layer dim, embed_dim included, must be >= 1, got {dims}")
     if activation not in ACTIVATIONS:
         raise InvalidDimension(f"activation must be one of {ACTIVATIONS}")
     rng = np.random.default_rng(seed)
@@ -129,11 +130,13 @@ def build(
 
 
 def _activate(u: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(u, 0.0) if kind == "relu" else np.tanh(u)
+    # writes over u, so callers pass a fresh a @ W + b, never an array they keep
+    return np.maximum(u, 0.0, out=u) if kind == "relu" else np.tanh(u, out=u)
 
 
-def _activate_grad(u: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    return (u > 0).astype(float) if kind == "relu" else 1.0 - a * a
+def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    # a = max(u, 0) is > 0 exactly where u is, NaN and -0.0 included
+    return a > 0 if kind == "relu" else 1.0 - a * a
 
 
 def _is_linear(model: AutoencoderModel, layer: int) -> bool:
@@ -146,15 +149,11 @@ def forward(model: AutoencoderModel, batch: np.ndarray):
     if X.shape[1] != model.input_dim:
         raise DimensionMismatch(f"batch width {X.shape[1]} != input dim {model.input_dim}")
     activations = [X]
-    preacts = []
-    a = X
     for l in range(model.n_layers):
-        u = a @ model.weights[l] + model.biases[l]
-        a = u if _is_linear(model, l) else _activate(u, model.activation)
-        preacts.append(u)
-        activations.append(a)
+        u = activations[-1] @ model.weights[l] + model.biases[l]
+        activations.append(u if _is_linear(model, l) else _activate(u, model.activation))
     Z = activations[model.bottleneck + 1]
-    return Z, activations[-1], ForwardCache(activations, preacts, model.version)
+    return Z, activations[-1], ForwardCache(activations, model.version)
 
 
 def encode(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
@@ -201,7 +200,7 @@ def backward(
     d_b = [None] * model.n_layers
     for l in range(model.n_layers - 1, -1, -1):
         if not _is_linear(model, l):
-            g = g * _activate_grad(cache.preacts[l], cache.activations[l + 1], model.activation)
+            g = g * _activate_grad(cache.activations[l + 1], model.activation)
         d_w[l] = cache.activations[l].T @ g
         d_b[l] = g.sum(axis=0)
         g = g @ model.weights[l].T

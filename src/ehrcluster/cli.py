@@ -20,7 +20,7 @@ from .data import (
     load_feature_schema, preprocess, read_labels, write_labels,
 )
 from .ensemble import majority_vote
-from .errors import ConfigError, ToolkitError, ValidationError
+from .errors import ConfigError, LengthMismatch, ToolkitError, ValidationError
 from .experiment import (
     METHODS, PROFILES, MethodSpec, check_k, check_params, load_config, run_experiment, run_method,
 )
@@ -43,6 +43,15 @@ def _write_dataset_csv(ds: Dataset, path: Path) -> None:
         for row, label in zip(rows, ds.labels.tolist()):
             row.append(label)
     write_csv(path, header, rows)
+
+
+def _read_label_files(paths: list[str]) -> list:
+    """Each file's labels; unless every file has as many rows, a LengthMismatch names each one."""
+    runs = [read_labels(p) for p in paths]
+    if len({len(r) for r in runs}) > 1:
+        counts = ", ".join(f"{p} has {len(r)} rows" for p, r in zip(paths, runs))
+        raise LengthMismatch(f"label files differ in length: {counts}")
+    return runs
 
 
 def _cmd_generate(args) -> int:
@@ -74,6 +83,8 @@ def _cmd_cluster(args) -> int:
     # every column but the label is a feature, with no plausibility bounds
     header, rows = read_csv_rows(args.csv)
     specs = [FeatureSpec(name, "", -math.inf, math.inf) for name in header if name != args.label_column]
+    if not specs:
+        raise ConfigError(f"{args.csv}: no feature column besides the label column {args.label_column!r}")
     ds = dataset_from_rows(args.csv, header, rows, specs, args.label_column)
     if ds.missing.any():
         raise ConfigError(f"{args.csv}: a cell is missing; cluster needs a fully imputed CSV")
@@ -99,7 +110,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_ensemble(args) -> int:
     if len(args.labels) < 2:
         raise ConfigError(f"ensemble: needs two or more label files, got {len(args.labels)}")
-    combined = majority_vote([read_labels(p) for p in args.labels])
+    combined = majority_vote(_read_label_files(args.labels))
     out = Path(args.out)
     write_labels(out / "ensemble_labels.csv", combined)
     print(f"wrote {out / 'ensemble_labels.csv'}")
@@ -107,8 +118,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    truth = read_labels(args.truth)
-    pred = read_labels(args.pred)
+    truth, pred = _read_label_files([args.truth, args.pred])
     t0 = time.perf_counter()
     report = score(truth, pred, method=args.method, cohort=args.cohort)
     report = replace(report, wall_clock_seconds=time.perf_counter() - t0)

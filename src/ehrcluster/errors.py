@@ -44,7 +44,7 @@ class AllMissingFeature(ValidationError):
         super().__init__(f"feature {name!r} has no observed values to impute from")
 
 
-class InsufficientClassSamples(ToolkitError):
+class InsufficientClassSamples(ValidationError):
     def __init__(self, cls: int, needed: int, available: int):
         self.cls = cls
         self.needed = needed
@@ -68,8 +68,8 @@ class SingularCovariance(ToolkitError):
     pass
 
 
-class InvalidDimension(ToolkitError):
-    pass
+class InvalidDimension(ValidationError):
+    """A layer size, training setting or variant the caller or config chose is out of range."""
 
 
 class StaleCache(ToolkitError):

@@ -160,7 +160,8 @@ def _kink_safe_instance(hidden, activation, variant, base_seed, D=5, d=3, K=2, M
                 mu=rng.normal(size=(K, d)), sigma=sigma, pi=np.array([0.4, 0.6])
             )
         _, _, cache = forward(model, X)
-        if activation == "tanh" or min(np.abs(u).min() for u in cache.preacts) > 1e-3:
+        preacts = (a @ w + b for a, w, b in zip(cache.activations, model.weights, model.biases))
+        if activation == "tanh" or min(np.abs(u).min() for u in preacts) > 1e-3:
             return model, X, params
     raise AssertionError("no kink-safe seed found")
 

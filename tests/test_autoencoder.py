@@ -27,7 +27,8 @@ def kink_safe_model_and_data(hidden, activation, seed0, D=5, d=3, M=8, margin=1e
         model = build(D, d, hidden, activation, seed=seed)
         X = np.random.default_rng(seed + 1000).normal(size=(M, D))
         _, _, cache = forward(model, X)
-        if activation == "tanh" or min(np.abs(u).min() for u in cache.preacts) > margin:
+        preacts = (a @ w + b for a, w, b in zip(cache.activations, model.weights, model.biases))
+        if activation == "tanh" or min(np.abs(u).min() for u in preacts) > margin:
             return model, X
     raise AssertionError("no kink-safe seed found")
 
@@ -114,6 +115,17 @@ class TestForward:
         z, _, _ = forward(m, X)
         assert np.array_equal(encode(m, X), z)
 
+    @pytest.mark.parametrize("hidden", [[], [5]])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_input_is_left_unchanged(self, hidden, activation):
+        # each activation is written over its pre-activation, never over the caller's array
+        m = build(6, 3, hidden, activation, seed=3)
+        X = np.random.default_rng(4).normal(size=(7, 6))
+        before = X.copy()
+        forward(m, X)
+        encode(m, X)
+        assert np.array_equal(X, before)
+
 
 class TestReconstructionLoss:
     def test_zero_on_identity(self):
@@ -159,6 +171,37 @@ class TestBackward:
             [g.ravel() for g in grads.d_weights] + [g.ravel() for g in grads.d_biases]
         )
         assert max_rel_err(analytic, fd_gradients(model, X, loss)) < 1e-4
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_matches_derivatives_of_the_pre_activations_bit_for_bit(self, activation):
+        m = build(5, 2, [4, 3], activation, seed=6)
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(8, 5))
+        X[[1, 4]] = 0.0  # zero rows through zero biases: every pre-activation of theirs is exactly 0
+        z, xhat, cache = forward(m, X)
+        d_xhat, d_z = 2.0 * (xhat - X) / 8, rng.normal(size=z.shape)
+        got = backward(m, cache, d_xhat, d_z)
+
+        # reference: keep every pre-activation u and take relu' as (u > 0) in floats
+        acts, preacts = [X], []
+        for l in range(m.n_layers):
+            u = acts[-1] @ m.weights[l] + m.biases[l]
+            linear = l in (m.bottleneck, m.n_layers - 1)
+            preacts.append(u)
+            acts.append(u if linear else np.maximum(u, 0.0) if activation == "relu" else np.tanh(u))
+        assert any((u[[1, 4]] == 0.0).all() for u in preacts)
+        g, want_w, want_b = d_xhat, [None] * m.n_layers, [None] * m.n_layers
+        for l in range(m.n_layers - 1, -1, -1):
+            if l not in (m.bottleneck, m.n_layers - 1):
+                a = acts[l + 1]
+                g = g * ((preacts[l] > 0).astype(float) if activation == "relu" else 1.0 - a * a)
+            want_w[l] = acts[l].T @ g
+            want_b[l] = g.sum(axis=0)
+            g = g @ m.weights[l].T
+            if l == m.bottleneck + 1:
+                g = g + d_z
+        assert all(np.array_equal(a, b) for a, b in zip(got.d_weights, want_w))
+        assert all(np.array_equal(a, b) for a, b in zip(got.d_biases, want_b))
 
     def test_embedding_only_gradient_skips_decoder(self):
         m = build(5, 2, [4], seed=2)

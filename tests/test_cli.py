@@ -14,6 +14,8 @@ from ehrcluster.errors import (
     ConfigError,
     EmptyFile,
     EmptyRuns,
+    InsufficientClassSamples,
+    InvalidDimension,
     LengthMismatch,
     MissingColumn,
     NonFiniteLoss,
@@ -395,6 +397,35 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("params, named", [
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"embed_dim": 0}, "embed_dim included, must be >= 1"),
+        ({"learning_rate": -1}, "learning_rate must be > 0"),
+        ({"gamma": -1}, "gamma must be >= 0"),
+        ({"target_update_interval": 0}, "target_update_interval must be >= 1"),
+        ({"pretrain_epochs": -1}, "pretrain_epochs) must be >= 0"),
+        ({"activation": "sigmoid"}, "activation must be one of"),
+    ])
+    def test_out_of_range_param_is_validation_error(self, tmp_path, capsys, params, named):
+        p = tmp_path / "d.csv"
+        p.write_text("f00,f01\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        assert run_cli("cluster", "--csv", str(p), "--method", "deep_gaussian",
+                       "--params", json.dumps(params), "--out", str(tmp_path / "o")) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
+    def test_label_files_of_differing_length_are_named(self, tmp_path, capsys, command):
+        short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+        short.write_text("sample_index,label\n0,0\n1,1\n2,1\n")
+        long.write_text("sample_index,label\n0,0\n1,1\n2,1\n3,0\n")
+        if command == "evaluate":
+            argv = ["evaluate", "--truth", str(short), "--pred", str(long)]
+        else:
+            argv = ["ensemble", str(short), str(long), "--out", str(tmp_path / "o")]
+        assert run_cli(*argv) == 1
+        assert f"{short} has 3 rows, {long} has 4 rows" in capsys.readouterr().err
+
     def test_param_the_method_does_not_use_is_validation_error(self, preprocessed, tmp_path):
         code = run_cli(
             "cluster", "--csv", str(preprocessed / "preprocessed.csv"),
@@ -415,6 +446,8 @@ class TestExitCodes:
         (UnsupportedK("k"), 1),
         (EmptyRuns("runs"), 1),
         (NonSquare("shape"), 1),
+        (InvalidDimension("batch_size must be >= 1"), 1),
+        (InsufficientClassSamples(0, 250, 30), 1),
         (NonFiniteLoss(4), 2),
         (SingularCovariance("singular"), 2),
         (SweepRunFailed(2, NonFiniteLoss(1)), 2),
@@ -481,6 +514,8 @@ SCHEMA_CONFIG = {"seed": 1, "data": {"csv": {"path": "labels.csv", "schema": "ba
     (["cluster", "--csv", "{bad}", "--label-column", "y", "--method", "kmeans_x", "--out", "{out}"],
      "f00,y\n1.0,0\n2.0,1.9\n3.0,1\n", None),
     (["cluster", "--csv", "{bad}", "--method", "kmeans_x", "--out", "{out}"], "f00,f00\n1,2\n3,4\n5,6\n", None),
+    (["cluster", "--csv", "{bad}", "--label-column", "y", "--method", "kmeans_x", "--out", "{out}"],
+     "y\n1\n2\n", None),
     (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"],
      '[{"name": "label", "bound_lo": 5, "bound_hi": 9}]', "no sample has missing rate <= 0.05; all 3 removed"),
 ], ids=[
@@ -489,7 +524,8 @@ SCHEMA_CONFIG = {"seed": 1, "data": {"csv": {"path": "labels.csv", "schema": "ba
     "cluster-not-utf8", "truth-not-utf8", "scores-not-utf8", "config-not-utf8", "spec-not-utf8",
     "schema-not-utf8", "schema-not-json", "schema-an-object", "schema-entry-without-name",
     "schema-bound-not-a-number", "config-schema-entry-without-name", "truth-a-directory",
-    "cluster-label-a-fraction", "cluster-column-named-twice", "schema-leaves-no-sample",
+    "cluster-label-a-fraction", "cluster-column-named-twice", "cluster-only-the-label-column",
+    "schema-leaves-no-sample",
 ])
 def test_bad_input_file_exits_1_and_names_itself(tmp_path, capsys, argv, content, named):
     tmp_path = tmp_path.resolve()
