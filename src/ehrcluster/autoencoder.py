@@ -99,6 +99,17 @@ def _zero_adam(weights, biases) -> AdamState:
     )
 
 
+def mirrored_dims(input_dim: int, embed_dim: int, hidden, activation: str) -> list[int]:
+    """``build``'s full chain of layer widths; InvalidDimension if a width or the activation is invalid."""
+    hidden = list(hidden)
+    dims = [input_dim] + hidden + [embed_dim] + hidden[::-1] + [input_dim]
+    if any(d < 1 for d in dims):
+        raise InvalidDimension(f"every layer dim, embed_dim included, must be >= 1, got {dims}")
+    if activation not in ACTIVATIONS:
+        raise InvalidDimension(f"activation must be one of {ACTIVATIONS}")
+    return dims
+
+
 def build(
     input_dim: int,
     embed_dim: int,
@@ -107,12 +118,7 @@ def build(
     seed: int = 0,
 ) -> AutoencoderModel:
     """He-uniform initialized weights, zero biases, mirrored decoder."""
-    hidden = list(hidden)
-    dims = [input_dim] + hidden + [embed_dim] + hidden[::-1] + [input_dim]
-    if any(d < 1 for d in dims):
-        raise InvalidDimension(f"every layer dim, embed_dim included, must be >= 1, got {dims}")
-    if activation not in ACTIVATIONS:
-        raise InvalidDimension(f"activation must be one of {ACTIVATIONS}")
+    dims = mirrored_dims(input_dim, embed_dim, hidden, activation)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

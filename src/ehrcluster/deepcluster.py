@@ -6,7 +6,9 @@ Two soft-assignment variants share one training loop:
   gradient alongside the network.
 * ``gaussian``: s_ij is the posterior responsibility of a Gaussian mixture
   over the embedding; mixture parameters are refreshed by one EM step at
-  each target refresh instead of by gradient (keeps covariances PD).
+  each target refresh instead of by gradient (keeps covariances PD). The
+  mixture is factored once per refresh or reseed, when its ``ClusterParams``
+  is built (``traditional.GmmModel``), and never per batch.
 
 The target distribution T is the squared, frequency-normalized transform
 of S, recomputed on the full dataset every ``target_update_interval``
@@ -15,9 +17,10 @@ epochs and held fixed between refreshes. The joint objective is
     recon_weight * mean_i ||x_i - xhat_i||^2 + gamma * KL(T || S) / M
 
 with the KL term normalized per sample so gamma means the same thing at
-any dataset size. gamma = 0 degenerates to the hybrid baseline: no
-fine-tuning epochs run and the labels are exactly those of k-means / GMM
-on the pretrained embedding.
+any dataset size. ``kl_loss`` and ``joint_loss`` take log S, so the loss
+stays finite where S underflows to 0 but log S does not. gamma = 0
+degenerates to the hybrid baseline: no fine-tuning epochs run and the
+labels are exactly those of k-means / GMM on the pretrained embedding.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ from .autoencoder import (
 from .data import Dataset
 from .errors import DegenerateInput, DimensionMismatch, InvalidDimension, NonFiniteLoss
 from .traditional import (
+    GmmModel,
     _gmm_m_step,
     gaussian_log_responsibilities,
     gmm_fit,
@@ -61,12 +65,18 @@ _REG_COVAR = 1e-6
 
 @dataclass
 class ClusterParams:
-    """Cluster centers in embedding space; covariances and mixing weights
-    are present only in the gaussian variant."""
+    """Cluster centers in embedding space; the gaussian variant adds covariances and
+    mixing weights, factored once into ``mixture``, which holds ``mu`` itself.
+    New covariances or weights need a new ``ClusterParams``."""
 
     mu: np.ndarray
     sigma: np.ndarray | None = None  # (k, d, d)
     pi: np.ndarray | None = None     # (k,)
+    mixture: GmmModel | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        gaussian = self.sigma is not None and self.pi is not None
+        self.mixture = GmmModel(self.pi, self.mu, self.sigma) if gaussian else None
 
     @property
     def k(self) -> int:
@@ -108,11 +118,10 @@ def init_clusters(Z: np.ndarray, k: int, variant: str, seed: int) -> ClusterPara
     """Student-t: k-means centroids of Z. Gaussian: GMM fit on Z."""
     Z = np.asarray(Z, dtype=float)
     if variant == "student_t":
-        km = kmeans_fit(Z, k, seed=seed)
-        return ClusterParams(mu=km.centroids.copy())
+        return ClusterParams(kmeans_fit(Z, k, seed=seed).centroids)
     if variant == "gaussian":
         gm = gmm_fit(Z, k, cov_type="full", seed=seed)
-        return ClusterParams(mu=gm.means.copy(), sigma=gm.covariances.copy(), pi=gm.weights.copy())
+        return ClusterParams(gm.means, gm.covariances, gm.weights)
     raise InvalidDimension(f"unknown variant {variant!r}")
 
 
@@ -128,11 +137,9 @@ def soft_assign_student_t(Z: np.ndarray, params: ClusterParams) -> np.ndarray:
 def soft_assign_gaussian(Z: np.ndarray, params: ClusterParams) -> np.ndarray:
     """Posterior responsibilities pi_j N(z; mu_j, sigma_j), log-sum-exp normalized."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if params.sigma is None or params.pi is None:
+    if params.mixture is None:
         raise DimensionMismatch("gaussian variant requires sigma and pi")
-    if Z.shape[1] != params.mu.shape[1]:
-        raise DimensionMismatch(f"Z dim {Z.shape[1]} != centers dim {params.mu.shape[1]}")
-    log_resp, _ = gaussian_log_responsibilities(Z, params.pi, params.mu, params.sigma, "full")
+    log_resp, _ = gaussian_log_responsibilities(Z, params.mixture)
     return np.exp(log_resp)
 
 
@@ -150,21 +157,21 @@ def target_distribution(S: np.ndarray) -> np.ndarray:
     return weighted / weighted.sum(axis=1, keepdims=True)
 
 
-def kl_loss(T: np.ndarray, S: np.ndarray) -> float:
-    """KL(T || S) summed over samples and clusters; 0 log(0/s) counts as 0."""
+def kl_loss(T: np.ndarray, log_S: np.ndarray) -> float:
+    """KL(T || S) summed over samples and clusters, from T and log S; 0 log(0/s) counts as 0."""
     T = np.atleast_2d(np.asarray(T, dtype=float))
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    if T.shape != S.shape:
-        raise DimensionMismatch(f"shape {T.shape} vs {S.shape}")
+    log_S = np.atleast_2d(np.asarray(log_S, dtype=float))
+    if T.shape != log_S.shape:
+        raise DimensionMismatch(f"shape {T.shape} vs {log_S.shape}")
     mask = T > 0
-    return float((T[mask] * (np.log(T[mask]) - np.log(S[mask]))).sum())
+    return float((T[mask] * (np.log(T[mask]) - log_S[mask])).sum())
 
 
-def joint_loss(X, Xhat, T, S, gamma: float) -> float:
+def joint_loss(X, Xhat, T, log_S, gamma: float) -> float:
     """Reconstruction loss plus gamma times the per-sample mean KL term."""
     recon = reconstruction_loss(X, Xhat)
     m = np.atleast_2d(np.asarray(T)).shape[0]
-    return recon + gamma * kl_loss(T, S) / m
+    return recon + gamma * kl_loss(T, log_S) / m
 
 
 def clustering_gradients(
@@ -185,22 +192,10 @@ def clustering_gradients(
         dZ = (2.0 / m) * (A.sum(axis=1, keepdims=True) * Z - A @ params.mu)
         dMu = (-2.0 / m) * (A.T @ Z - A.sum(axis=0)[:, None] * params.mu)
         return dZ, dMu
-    S = soft_assign_gaussian(Z, params)
-    G = (S - T) / m  # dKL/d(log pi_j N_j) before normalization
-    dZ = np.zeros_like(Z)
-    dMu = np.zeros_like(params.mu)
-    for j in range(params.k):
-        diff = Z - params.mu[j]
-        w = np.linalg.solve(params.sigma[j], diff.T).T  # sigma_j^-1 (z - mu_j)
-        dZ -= G[:, j : j + 1] * w
-        dMu[j] = w.T @ G[:, j]
-    return dZ, dMu
-
-
-def _em_refresh(Z: np.ndarray, params: ClusterParams) -> ClusterParams:
-    """One EM step for the gaussian variant's mixture on the current embedding."""
-    pi, mu, sigma = _gmm_m_step(Z, soft_assign_gaussian(Z, params), "full", _REG_COVAR)
-    return ClusterParams(mu=mu, sigma=sigma, pi=pi)
+    G = (soft_assign_gaussian(Z, params) - T) / m  # dKL/d(log pi_j N_j) before normalization
+    # W[j] = (Z - mu_j) sigma_j^-1, all components in one stacked matmul
+    W = (Z[None, :, :] - params.mu[:, None, :]) @ params.mixture.precisions
+    return -np.einsum("mj,jmd->md", G, W), np.einsum("mj,jmd->jd", G, W)
 
 
 def _reseed_collapsed(
@@ -211,21 +206,22 @@ def _reseed_collapsed(
     events: list[tuple[int, int]],
     variant: str,
 ) -> tuple[ClusterParams, np.ndarray]:
-    """Move any cluster with soft mass < 1 to the least-confident sample."""
+    """Move any cluster with soft mass < 1 to the least-confident sample; the
+    returned params are new, never the given ones written over."""
     for _ in range(params.k):
-        f = S.sum(axis=0)
-        dead = np.flatnonzero(f < 1.0)
+        dead = np.flatnonzero(S.sum(axis=0) < 1.0)
         if dead.size == 0:
             break
         j = int(dead[0])
-        worst = int(S.max(axis=1).argmin())
-        params.mu[j] = Z[worst]
+        mu, sigma, pi = params.mu.copy(), params.sigma, params.pi
+        mu[j] = Z[int(S.max(axis=1).argmin())]
         if variant == "gaussian":
-            d = Z.shape[1]
             centered = Z - Z.mean(axis=0)
-            params.sigma[j] = centered.T @ centered / Z.shape[0] + _REG_COVAR * np.eye(d)
-            params.pi[j] = 1.0 / params.k
-            params.pi /= params.pi.sum()
+            sigma, pi = sigma.copy(), pi.copy()
+            sigma[j] = centered.T @ centered / Z.shape[0] + _REG_COVAR * np.eye(Z.shape[1])
+            pi[j] = 1.0 / params.k
+            pi /= pi.sum()
+        params = ClusterParams(mu, sigma, pi)
         events.append((epoch, j))
         S = soft_assign(Z, params, variant)
     return params, S
@@ -263,14 +259,13 @@ def finetune(
     mu_v = np.zeros_like(params.mu)
     mu_step = 0
     cfg_t = config.train
-    T_full = None
 
     for epoch in range(config.finetune_epochs):
         if epoch % config.target_update_interval == 0:
             Z_full = encode(model, X)
-            if config.variant == "gaussian":
-                params = _em_refresh(Z_full, params)
-                dcm.params = params
+            if config.variant == "gaussian":  # one EM step, into a new mixture
+                pi, mu, sigma = _gmm_m_step(Z_full, soft_assign_gaussian(Z_full, params), "full", _REG_COVAR)
+                params = ClusterParams(mu, sigma, pi)
             S_full = soft_assign(Z_full, params, config.variant)
             params, S_full = _reseed_collapsed(
                 Z_full, params, S_full, epoch, dcm.collapse_events, config.variant
@@ -296,9 +291,12 @@ def finetune(
                 params.mu -= cfg_t.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
         zf, xhatf, _ = forward(model, X)
-        sf = soft_assign(zf, params, config.variant)
+        if config.variant == "gaussian":
+            log_sf, _ = gaussian_log_responsibilities(zf, params.mixture)
+        else:
+            log_sf = np.log(soft_assign_student_t(zf, params))
         recon = reconstruction_loss(X, xhatf)
-        kl = kl_loss(T_full, sf) / n
+        kl = kl_loss(T_full, log_sf) / n
         joint = config.recon_weight * recon + config.gamma * kl
         if not np.isfinite(joint) or not params_finite(model) or not np.all(np.isfinite(params.mu)):
             raise NonFiniteLoss(epoch)

@@ -31,14 +31,14 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .autoencoder import TrainConfig, build, encode, pretrain
+from .autoencoder import TrainConfig, build, encode, mirrored_dims, pretrain
 from .data import (
     Dataset, SyntheticSpec, generate_synthetic, load_csv, load_feature_schema, preprocess,
     stratified_subsample, subset_rows, write_labels,
 )
 from .deepcluster import DeepClusterConfig, assign, finetune
 from .ensemble import dimension_ensemble, majority_vote, run_dimension_sweep, sweep_dims
-from .errors import ConfigError
+from .errors import ConfigError, InvalidDimension
 from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
 from .traditional import gmm_fit, gmm_predict, kmeans_fit, kmeans_predict
 from .util import _build, _cast, _int, _str, derive_seed, read_json, write_csv
@@ -260,9 +260,30 @@ METHODS = {
 }
 
 
+def _with_defaults(kind: str, profile: Profile, params: dict) -> dict:
+    """``params`` over ``kind``'s defaults, the FROM_PROFILE ones read from ``profile``."""
+    defaults = {
+        name: getattr(profile, name) if default == FROM_PROFILE else default
+        for name, (_, default) in METHODS[kind].params.items()
+        if default is not None
+    }
+    return {**defaults, **params}
+
+
+def _check_ranges(p: dict) -> None:
+    """Raise InvalidDimension where the fit would: in its training configs or its layer widths."""
+    if "gamma" in p:
+        _finetune_config(p, "gaussian", 0)
+    elif "batch_size" in p:
+        _train_config(p, 0)
+    if "hidden" in p:
+        for embed_dim in p.get("dims", [p.get("embed_dim", 1)]):
+            mirrored_dims(1, embed_dim, p["hidden"], p["activation"])
+
+
 def check_params(kind: str, params: dict, where: str) -> dict:
     """Return ``params`` cast for ``kind``; a ConfigError names ``where``.<param> if one is
-    unknown to the kind or will not cast."""
+    unknown to the kind, will not cast or is out of the range its fit accepts."""
     if not isinstance(params, dict):
         raise ConfigError(f"{where}: expected a JSON object")
     schema = METHODS[kind].params
@@ -271,6 +292,11 @@ def check_params(kind: str, params: dict, where: str) -> dict:
         if name not in schema:
             raise ConfigError(f"{where}.{name}: not valid for kind {kind!r}")
         out[name] = _cast(schema[name][0], value, f"{where}.{name}")
+        # every other param at its default, which is in range, so a failure is this one's
+        try:
+            _check_ranges(_with_defaults(kind, PROFILES["desk"], {name: out[name]}))
+        except InvalidDimension as exc:
+            raise ConfigError(f"{where}.{name}: {exc}") from None
     return out
 
 
@@ -294,13 +320,7 @@ def run_method(
     produced: dict[str, np.ndarray] | None = None,
 ) -> MethodResult:
     """Fit one method on a preprocessed cohort; ``produced`` holds a kgg method's voter labels."""
-    method = METHODS[spec.kind]
-    p = {
-        name: getattr(profile, name) if default == FROM_PROFILE else default
-        for name, (_, default) in method.params.items()
-        if default is not None
-    }
-    return method.fit(ds, k, seed, {**p, **spec.params}, produced)
+    return METHODS[spec.kind].fit(ds, k, seed, _with_defaults(spec.kind, profile, spec.params), produced)
 
 
 def _kgg_voters(methods: list[MethodSpec], spec: MethodSpec, where: str) -> tuple[str, ...]:

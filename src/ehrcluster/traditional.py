@@ -7,7 +7,7 @@ non-decreasing up to the tiny covariance regularization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,48 +142,58 @@ def kmeans_predict(model: KMeansModel, X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GmmModel:
+    """A Gaussian mixture, factored once at construction, so evaluating it only
+    multiplies. The arrays are held, not copied: a changed mixture is a new model."""
+
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray  # (k, d, d) full or (k, d) diagonal variances
-    cov_type: str
-    reg_covar: float
-    log_likelihood_history: list[float]
+    cov_type: str = "full"
+    log_likelihood_history: list[float] = field(default_factory=list)
     n_iter: int = 0
+    # set by the constructor: (k, d, d) inv(cholesky(sigma_j)) and sigma_j^-1 (None if
+    # diagonal), and (k,) 0.5 log det sigma_j
+    prec_chol: np.ndarray | None = field(default=None, init=False, repr=False)
+    precisions: np.ndarray | None = field(default=None, init=False, repr=False)
+    half_logdet: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.cov_type == "diagonal":
+            self.half_logdet = 0.5 * np.log(self.covariances).sum(axis=1)
+            return
+        try:
+            L = np.linalg.cholesky(self.covariances)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovariance("a component covariance is not positive definite") from exc
+        self.prec_chol = np.linalg.inv(L)
+        self.precisions = self.prec_chol.transpose(0, 2, 1) @ self.prec_chol
+        self.half_logdet = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
 
 
-def gaussian_log_responsibilities(
-    X: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    covariances: np.ndarray,
-    cov_type: str,
-) -> tuple[np.ndarray, np.ndarray]:
+def gaussian_log_responsibilities(X: np.ndarray, model: GmmModel) -> tuple[np.ndarray, np.ndarray]:
     """Posterior log-responsibilities via log-sum-exp.
 
     Returns (log_resp (n x k), log_prob (n,)) where log_prob is the
     per-sample mixture log-density.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.means.shape[1]:
+        raise DimensionMismatch(
+            f"X has {X.shape[-1] if X.ndim else 0} columns, model expects {model.means.shape[1]}"
+        )
     n, d = X.shape
-    k = means.shape[0]
+    k = model.means.shape[0]
     log_gauss = np.empty((n, k))
     const = -0.5 * d * np.log(2.0 * np.pi)
     for j in range(k):
-        diff = X - means[j]
-        if cov_type == "diagonal":
-            var = covariances[j]
-            maha = ((diff * diff) / var).sum(axis=1)
-            half_logdet = 0.5 * np.log(var).sum()
+        diff = X - model.means[j]
+        if model.cov_type == "diagonal":
+            maha = ((diff * diff) / model.covariances[j]).sum(axis=1)
         else:
-            try:
-                L = np.linalg.cholesky(covariances[j])
-            except np.linalg.LinAlgError as exc:
-                raise SingularCovariance(f"component {j} covariance not PD") from exc
-            y = np.linalg.solve(L, diff.T)
-            maha = (y * y).sum(axis=0)
-            half_logdet = np.log(np.diag(L)).sum()
-        log_gauss[:, j] = const - half_logdet - 0.5 * maha
-    weighted = log_gauss + np.log(weights)
+            y = diff @ model.prec_chol[j].T  # L_j^-1 (x - mu_j), row by row
+            maha = (y * y).sum(axis=1)
+        log_gauss[:, j] = const - model.half_logdet[j] - 0.5 * maha
+    weighted = log_gauss + np.log(model.weights)
     log_prob = np.logaddexp.reduce(weighted, axis=1)
     return weighted - log_prob[:, None], log_prob
 
@@ -235,33 +245,24 @@ def gmm_fit(
         raise DegenerateInput("reg_covar must be > 0")
 
     km = kmeans_fit(X, k, seed=seed)
-    hard = kmeans_predict(km, X)
-    resp = np.zeros((X.shape[0], k))
-    resp[np.arange(X.shape[0]), hard] = 1.0
-    weights, means, covs = _gmm_m_step(X, resp, cov_type, reg_covar)
+    resp = np.eye(k)[kmeans_predict(km, X)]  # one-hot k-means labels
+    model = GmmModel(*_gmm_m_step(X, resp, cov_type, reg_covar), cov_type)
 
     history: list[float] = []
     n_iter = 0
     for _ in range(max_iter):
-        log_resp, log_prob = gaussian_log_responsibilities(X, weights, means, covs, cov_type)
-        ll = float(log_prob.mean())
-        history.append(ll)
+        log_resp, log_prob = gaussian_log_responsibilities(X, model)
+        history.append(float(log_prob.mean()))
         if len(history) >= 2 and history[-1] - history[-2] < tol:
             break
-        weights, means, covs = _gmm_m_step(X, np.exp(log_resp), cov_type, reg_covar)
+        model = GmmModel(*_gmm_m_step(X, np.exp(log_resp), cov_type, reg_covar), cov_type)
         n_iter += 1
-    return GmmModel(weights, means, covs, cov_type, reg_covar, history, n_iter)
+    model.log_likelihood_history, model.n_iter = history, n_iter
+    return model
 
 
 def gmm_predict(model: GmmModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels (argmax posterior, ties to lowest index) and responsibilities."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.means.shape[1]:
-        raise DimensionMismatch(
-            f"X has {X.shape[-1] if X.ndim else 0} columns, model expects {model.means.shape[1]}"
-        )
-    log_resp, _ = gaussian_log_responsibilities(
-        X, model.weights, model.means, model.covariances, model.cov_type
-    )
+    log_resp, _ = gaussian_log_responsibilities(X, model)
     resp = np.exp(log_resp)
     return resp.argmax(axis=1), resp

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,20 @@ from ehrcluster.errors import (
     SweepRunFailed,
     UnsupportedK,
 )
+
+
+GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
+
+# params out of the range their fit accepts, each with its error's wording
+OUT_OF_RANGE = [
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+    ({"embed_dim": 0}, "embed_dim included, must be >= 1"),
+    ({"learning_rate": -1}, "learning_rate must be > 0"),
+    ({"gamma": -1}, "gamma must be >= 0"),
+    ({"target_update_interval": 0}, "target_update_interval must be >= 1"),
+    ({"pretrain_epochs": -1}, "pretrain_epochs) must be >= 0"),
+    ({"activation": "sigmoid"}, "activation must be one of"),
+]
 
 
 def run_cli(*argv):
@@ -397,21 +412,25 @@ class TestExitCodes:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("params, named", [
-        ({"batch_size": 0}, "batch_size must be >= 1"),
-        ({"embed_dim": 0}, "embed_dim included, must be >= 1"),
-        ({"learning_rate": -1}, "learning_rate must be > 0"),
-        ({"gamma": -1}, "gamma must be >= 0"),
-        ({"target_update_interval": 0}, "target_update_interval must be >= 1"),
-        ({"pretrain_epochs": -1}, "pretrain_epochs) must be >= 0"),
-        ({"activation": "sigmoid"}, "activation must be one of"),
-    ])
+    @pytest.mark.parametrize("params, named", OUT_OF_RANGE)
     def test_out_of_range_param_is_validation_error(self, tmp_path, capsys, params, named):
         p = tmp_path / "d.csv"
         p.write_text("f00,f01\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
         assert run_cli("cluster", "--csv", str(p), "--method", "deep_gaussian",
                        "--params", json.dumps(params), "--out", str(tmp_path / "o")) == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("params, named", OUT_OF_RANGE)
+    def test_out_of_range_param_fails_the_benchmark_config_load(self, tmp_path, capsys, params, named):
+        doc = json.loads(GOLDEN_CONFIG.read_text())
+        i = next(i for i, m in enumerate(doc["methods"]) if m["kind"] == "deep_gaussian")
+        doc["methods"][i]["params"].update(params)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli("benchmark", "--config", str(p), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert f"methods[{i}].params.{next(iter(params))}: " in err and named in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "ensemble"])

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -146,19 +148,26 @@ class TestTargetDistribution:
 class TestKlLoss:
     def test_identity_zero(self):
         S = normalize_rows(np.random.default_rng(0).uniform(0.1, 1, (5, 3)))
-        assert abs(kl_loss(S, S)) < 1e-12
+        assert abs(kl_loss(S, np.log(S))) < 1e-12
 
     def test_ln_two(self):
-        assert kl_loss([[1.0, 0.0]], [[0.5, 0.5]]) == pytest.approx(np.log(2), abs=1e-12)
+        assert kl_loss([[1.0, 0.0]], np.log([[0.5, 0.5]])) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_zero_entry_convention(self):
-        assert np.isfinite(kl_loss([[0.0, 1.0]], [[0.3, 0.7]]))
+        assert np.isfinite(kl_loss([[0.0, 1.0]], np.log([[0.3, 0.7]])))
+
+    def test_finite_where_s_underflows(self):
+        # S = exp(log_S) is exactly 0 where T > 0; the loss is still 1e-300 * (800 + log 1e-300)
+        T = [[1 - 1e-300, 1e-300]]
+        with np.errstate(all="raise"):
+            loss = kl_loss(T, [[0.0, -800.0]])
+        assert np.isfinite(loss) and loss > 0
 
     @given(row_strategy, row_strategy)
     @settings(max_examples=40, deadline=None)
     def test_gibbs_inequality(self, a, b):
         T, S = normalize_rows(a), normalize_rows(b)
-        assert kl_loss(T, S) >= -1e-12
+        assert kl_loss(T, np.log(S)) >= -1e-12
 
 
 class TestJointLoss:
@@ -169,19 +178,19 @@ class TestJointLoss:
         S = normalize_rows(rng.uniform(0.1, 1, (4, 2)))
         from ehrcluster.autoencoder import reconstruction_loss
 
-        assert joint_loss(X, Xhat, T, S, 0.0) == reconstruction_loss(X, Xhat)
+        assert joint_loss(X, Xhat, T, np.log(S), 0.0) == reconstruction_loss(X, Xhat)
 
     def test_identity_zero(self):
         X = np.ones((3, 2))
         S = normalize_rows(np.random.default_rng(1).uniform(0.1, 1, (3, 2)))
-        assert joint_loss(X, X, S, S, 0.7) == pytest.approx(0.0, abs=1e-12)
+        assert joint_loss(X, X, S, np.log(S), 0.7) == pytest.approx(0.0, abs=1e-12)
 
     def test_arithmetic(self):
         # recon 1.0, per-sample-mean kl 0.5, gamma 0.1 -> 1.05
         X, Xhat = np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])
         s00 = np.exp(-0.5)
         T, S = np.array([[1.0, 0.0]]), np.array([[s00, 1 - s00]])
-        assert joint_loss(X, Xhat, T, S, 0.1) == pytest.approx(1.05, abs=1e-12)
+        assert joint_loss(X, Xhat, T, np.log(S), 0.1) == pytest.approx(1.05, abs=1e-12)
 
 
 class TestInitClusters:
@@ -223,7 +232,7 @@ class TestClusteringGradients:
         T = normalize_rows(rng.uniform(0.05, 1.0, size=(M, K)))
 
         def loss():
-            return kl_loss(T, soft_assign(Z0, params, variant)) / M
+            return kl_loss(T, np.log(soft_assign(Z0, params, variant))) / M
 
         dZ, dMu = clustering_gradients(Z0, params, T, variant)
         h = 1e-6
@@ -294,6 +303,24 @@ class TestFinetune:
         assert len(dcm.recon_history) == len(dcm.kl_history) == len(dcm.joint_history) == 8
         assert all(np.isfinite(v) for v in dcm.joint_history)
 
+    def test_gaussian_factors_no_covariance_per_batch(self, blobs, monkeypatch):
+        # the mixture is factored at its fit, at each refresh and at each reseed,
+        # so 50 batches per epoch factor no more often than 7 do
+        model, _ = pretrained_on_blobs(blobs)
+        cholesky = np.linalg.cholesky
+        counts = []
+        for batch_size in (8, 64):
+            calls = []
+            monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+            cfg = self.base_config(
+                variant="gaussian", finetune_epochs=4, target_update_interval=2,
+                train=TrainConfig(batch_size=batch_size, seed=9),
+            )
+            dcm = finetune(copy.deepcopy(model), blobs, 2, cfg)
+            assert dcm.collapse_events == []
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_config_validation(self):
         with pytest.raises(InvalidDimension):
             DeepClusterConfig(variant="banana")
@@ -314,6 +341,21 @@ class TestCollapseReseed:
         assert events and events[0][0] == 3 and events[0][1] == 1
         assert (S.sum(axis=0) >= 1.0).all()
         assert any(np.array_equal(params.mu[1], z) for z in Z)
+
+    def test_gaussian_reseed_leaves_no_stale_factor(self):
+        rng = np.random.default_rng(0)
+        Z = rng.normal(size=(40, 2))
+        sigma, pi = np.array([np.eye(2), np.eye(2)]), np.array([0.5, 0.5])
+        params = ClusterParams(mu=np.array([[0.0, 0.0], [1e3, 1e3]]), sigma=sigma, pi=pi)
+        S = soft_assign(Z, params, "gaussian")
+        events = []
+        params, S = _reseed_collapsed(Z, params, S, epoch=0, events=events, variant="gaussian")
+        assert events == [(0, 1)]
+        fresh = ClusterParams(params.mu.copy(), params.sigma.copy(), params.pi.copy())
+        assert np.array_equal(soft_assign(Z, params, "gaussian"), soft_assign(Z, fresh, "gaussian"))
+        assert np.array_equal(S, soft_assign(Z, fresh, "gaussian"))
+        # the given covariances and weights are left as they were
+        assert np.array_equal(sigma, [np.eye(2), np.eye(2)]) and np.array_equal(pi, [0.5, 0.5])
 
 
 class TestAssign:

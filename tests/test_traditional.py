@@ -163,7 +163,6 @@ class TestGmmPredict:
             means=np.array([[-1.0, 0.0], [1.0, 0.0]]),
             covariances=cov,
             cov_type="full",
-            reg_covar=1e-6,
             log_likelihood_history=[],
         )
         labels, resp = gmm_predict(gm, np.array([[0.0, 0.0]]))
