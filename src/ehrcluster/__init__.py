@@ -37,7 +37,6 @@ from .autoencoder import (  # noqa: F401
     reconstruction_loss,
 )
 from .deepcluster import (  # noqa: F401
-    ClusterParams,
     DeepClusterConfig,
     DeepClusterModel,
     assign,

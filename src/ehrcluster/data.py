@@ -23,7 +23,7 @@ from .errors import (
     InsufficientClassSamples,
     NonNumericCell,
 )
-from .util import _build, column_index, read_csv_rows, read_json, write_csv
+from .util import _build, _cast, column_index, read_csv_rows, read_json, write_csv
 
 MISSING_TOKENS = ("", "NA")
 
@@ -237,10 +237,17 @@ def subset_rows(ds: Dataset, rows: np.ndarray) -> Dataset:
     return replace(ds, X=ds.X[rows], labels=None if ds.labels is None else ds.labels[rows])
 
 
+def check_missing_rate(value) -> float:
+    """``value`` as a missing-rate bound, a float in [0, 1]; a ValueError if it is not one."""
+    rate = float(value)
+    if not 0 <= rate <= 1:
+        raise ValueError(f"must be in [0, 1], got {rate}")
+    return rate
+
+
 def filter_missing_rate(ds: Dataset, max_rate: float) -> Dataset:
     """Drop samples whose missing fraction strictly exceeds ``max_rate``."""
-    if not 0 <= max_rate <= 1:
-        raise ConfigError("max_rate must be in [0, 1]")
+    max_rate = _cast(check_missing_rate, max_rate, "max_rate")
     keep = ds.missing.sum(axis=1) / ds.n_features <= max_rate
     if not keep.any():
         raise AllSamplesRemoved(

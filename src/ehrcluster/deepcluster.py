@@ -1,14 +1,16 @@
 """Joint fine-tuning of a pretrained encoder with a clustering loss.
 
-Two soft-assignment variants share one training loop:
+The clustering head is the fitted model itself, and its type says which
+soft assignment applies; two heads share one training loop:
 
-* ``student_t``: s_ij propto (1 + ||z_i - mu_j||^2)^-1, centers updated by
-  gradient alongside the network.
-* ``gaussian``: s_ij is the posterior responsibility of a Gaussian mixture
-  over the embedding; mixture parameters are refreshed by one EM step at
-  each target refresh instead of by gradient (keeps covariances PD). The
-  mixture is factored once per refresh or reseed, when its ``ClusterParams``
-  is built (``traditional.GmmModel``), and never per batch.
+* ``student_t``: a (k, d) array of centers, s_ij propto
+  (1 + ||z_i - mu_j||^2)^-1; the centers are updated in place by their own
+  Adam step alongside the network.
+* ``gaussian``: a full-covariance ``traditional.GmmModel``, s_ij its
+  posterior responsibility. The initial head is ``gmm_fit``'s model; each
+  target refresh takes one EM step into a new model instead of a gradient
+  step (keeps covariances PD). A model is factored once when it is built,
+  so no batch factors a covariance.
 
 The target distribution T is the squared, frequency-normalized transform
 of S, recomputed on the full dataset every ``target_update_interval``
@@ -45,6 +47,7 @@ from .autoencoder import (
 from .data import Dataset
 from .errors import DegenerateInput, DimensionMismatch, InvalidDimension, NonFiniteLoss
 from .traditional import (
+    REG_COVAR,
     GmmModel,
     _gmm_m_step,
     gaussian_log_responsibilities,
@@ -58,29 +61,8 @@ VARIANTS = ("student_t", "gaussian")
 
 _SHUFFLE_SALT = 0xF17E
 
-# covariance floor of the gaussian variant's EM refresh and reseeds; gmm_fit's
-# default, which the mixture's initial fit uses
-_REG_COVAR = 1e-6
-
-
-@dataclass
-class ClusterParams:
-    """Cluster centers in embedding space; the gaussian variant adds covariances and
-    mixing weights, factored once into ``mixture``, which holds ``mu`` itself.
-    New covariances or weights need a new ``ClusterParams``."""
-
-    mu: np.ndarray
-    sigma: np.ndarray | None = None  # (k, d, d)
-    pi: np.ndarray | None = None     # (k,)
-    mixture: GmmModel | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        gaussian = self.sigma is not None and self.pi is not None
-        self.mixture = GmmModel(self.pi, self.mu, self.sigma) if gaussian else None
-
-    @property
-    def k(self) -> int:
-        return self.mu.shape[0]
+# a clustering head: a full-covariance gaussian mixture, or the (k, d) student-t centers
+Head = GmmModel | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,47 +88,46 @@ class DeepClusterConfig:
 @dataclass
 class DeepClusterModel:
     network: AutoencoderModel
-    params: ClusterParams
-    variant: str
+    params: Head
     recon_history: list[float] = field(default_factory=list)
     kl_history: list[float] = field(default_factory=list)
     joint_history: list[float] = field(default_factory=list)
     collapse_events: list[tuple[int, int]] = field(default_factory=list)  # (epoch, cluster)
 
 
-def init_clusters(Z: np.ndarray, k: int, variant: str, seed: int) -> ClusterParams:
-    """Student-t: k-means centroids of Z. Gaussian: GMM fit on Z."""
+def init_clusters(Z: np.ndarray, k: int, variant: str, seed: int) -> Head:
+    """The head fitted to Z: k-means centroids for student_t, gmm_fit's full-covariance model for gaussian."""
     Z = np.asarray(Z, dtype=float)
     if variant == "student_t":
-        return ClusterParams(kmeans_fit(Z, k, seed=seed).centroids)
+        return kmeans_fit(Z, k, seed=seed).centroids
     if variant == "gaussian":
-        gm = gmm_fit(Z, k, cov_type="full", seed=seed)
-        return ClusterParams(gm.means, gm.covariances, gm.weights)
+        return gmm_fit(Z, k, cov_type="full", seed=seed)
     raise InvalidDimension(f"unknown variant {variant!r}")
 
 
-def soft_assign_student_t(Z: np.ndarray, params: ClusterParams) -> np.ndarray:
+def _centers(head: Head) -> np.ndarray:
+    return head.means if isinstance(head, GmmModel) else head
+
+
+def soft_assign_student_t(Z: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Row-normalized t-kernel (one degree of freedom): (1 + ||z - mu||^2)^-1."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if Z.shape[1] != params.mu.shape[1]:
-        raise DimensionMismatch(f"Z dim {Z.shape[1]} != centers dim {params.mu.shape[1]}")
-    q = 1.0 / (1.0 + squared_distances(Z, params.mu))
+    if Z.shape[1] != mu.shape[1]:
+        raise DimensionMismatch(f"Z dim {Z.shape[1]} != centers dim {mu.shape[1]}")
+    q = 1.0 / (1.0 + squared_distances(Z, mu))
     return q / q.sum(axis=1, keepdims=True)
 
 
-def soft_assign_gaussian(Z: np.ndarray, params: ClusterParams) -> np.ndarray:
+def soft_assign_gaussian(Z: np.ndarray, mixture: GmmModel) -> np.ndarray:
     """Posterior responsibilities pi_j N(z; mu_j, sigma_j), log-sum-exp normalized."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if params.mixture is None:
-        raise DimensionMismatch("gaussian variant requires sigma and pi")
-    log_resp, _ = gaussian_log_responsibilities(Z, params.mixture)
+    log_resp, _ = gaussian_log_responsibilities(np.atleast_2d(np.asarray(Z, dtype=float)), mixture)
     return np.exp(log_resp)
 
 
-def soft_assign(Z: np.ndarray, params: ClusterParams, variant: str) -> np.ndarray:
-    if variant == "student_t":
-        return soft_assign_student_t(Z, params)
-    return soft_assign_gaussian(Z, params)
+def soft_assign(Z: np.ndarray, head: Head) -> np.ndarray:
+    if isinstance(head, GmmModel):
+        return soft_assign_gaussian(Z, head)
+    return soft_assign_student_t(Z, head)
 
 
 def target_distribution(S: np.ndarray) -> np.ndarray:
@@ -174,9 +155,7 @@ def joint_loss(X, Xhat, T, log_S, gamma: float) -> float:
     return recon + gamma * kl_loss(T, log_S) / m
 
 
-def clustering_gradients(
-    Z: np.ndarray, params: ClusterParams, T: np.ndarray, variant: str
-) -> tuple[np.ndarray, np.ndarray]:
+def clustering_gradients(Z: np.ndarray, head: Head, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradients of KL(T || S)/M w.r.t. the embedding and the centers.
 
     T is treated as a constant, matching how training freezes it between
@@ -185,46 +164,46 @@ def clustering_gradients(
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
     m = Z.shape[0]
-    if variant == "student_t":
-        q = 1.0 / (1.0 + squared_distances(Z, params.mu))
+    if not isinstance(head, GmmModel):
+        q = 1.0 / (1.0 + squared_distances(Z, head))
         S = q / q.sum(axis=1, keepdims=True)
         A = q * (T - S)
-        dZ = (2.0 / m) * (A.sum(axis=1, keepdims=True) * Z - A @ params.mu)
-        dMu = (-2.0 / m) * (A.T @ Z - A.sum(axis=0)[:, None] * params.mu)
+        dZ = (2.0 / m) * (A.sum(axis=1, keepdims=True) * Z - A @ head)
+        dMu = (-2.0 / m) * (A.T @ Z - A.sum(axis=0)[:, None] * head)
         return dZ, dMu
-    G = (soft_assign_gaussian(Z, params) - T) / m  # dKL/d(log pi_j N_j) before normalization
+    if head.precisions is None:
+        raise InvalidDimension(f"a gaussian head needs full covariances, got cov_type {head.cov_type!r}")
+    G = (soft_assign_gaussian(Z, head) - T) / m  # dKL/d(log pi_j N_j) before normalization
     # W[j] = (Z - mu_j) sigma_j^-1, all components in one stacked matmul
-    W = (Z[None, :, :] - params.mu[:, None, :]) @ params.mixture.precisions
+    W = (Z[None, :, :] - head.means[:, None, :]) @ head.precisions
     return -np.einsum("mj,jmd->md", G, W), np.einsum("mj,jmd->jd", G, W)
 
 
 def _reseed_collapsed(
-    Z: np.ndarray,
-    params: ClusterParams,
-    S: np.ndarray,
-    epoch: int,
-    events: list[tuple[int, int]],
-    variant: str,
-) -> tuple[ClusterParams, np.ndarray]:
+    Z: np.ndarray, head: Head, S: np.ndarray, epoch: int, events: list[tuple[int, int]]
+) -> tuple[Head, np.ndarray]:
     """Move any cluster with soft mass < 1 to the least-confident sample; the
-    returned params are new, never the given ones written over."""
-    for _ in range(params.k):
+    returned head is new, never the given one written over."""
+    k = S.shape[1]
+    for _ in range(k):
         dead = np.flatnonzero(S.sum(axis=0) < 1.0)
         if dead.size == 0:
             break
         j = int(dead[0])
-        mu, sigma, pi = params.mu.copy(), params.sigma, params.pi
+        mu = _centers(head).copy()
         mu[j] = Z[int(S.max(axis=1).argmin())]
-        if variant == "gaussian":
+        if isinstance(head, GmmModel):
             centered = Z - Z.mean(axis=0)
-            sigma, pi = sigma.copy(), pi.copy()
-            sigma[j] = centered.T @ centered / Z.shape[0] + _REG_COVAR * np.eye(Z.shape[1])
-            pi[j] = 1.0 / params.k
+            sigma, pi = head.covariances.copy(), head.weights.copy()
+            sigma[j] = centered.T @ centered / Z.shape[0] + REG_COVAR * np.eye(Z.shape[1])
+            pi[j] = 1.0 / k
             pi /= pi.sum()
-        params = ClusterParams(mu, sigma, pi)
+            head = GmmModel(pi, mu, sigma)
+        else:
+            head = mu
         events.append((epoch, j))
-        S = soft_assign(Z, params, variant)
-    return params, S
+        S = soft_assign(Z, head)
+    return head, S
 
 
 def finetune(
@@ -232,12 +211,12 @@ def finetune(
 ) -> DeepClusterModel:
     """Alternate target refreshes with mini-batch joint gradient steps.
 
-    Every ``target_update_interval`` epochs the full-data embedding is
-    recomputed, the gaussian variant's mixture takes one EM step, collapsed
-    clusters are reseeded, and T is frozen. Between refreshes each batch
-    takes one Adam step on the joint objective, with the clustering
-    gradient injected at the bottleneck (student-t centers get their own
-    Adam update).
+    ``config.variant`` chooses the head (``init_clusters``). Every
+    ``target_update_interval`` epochs the full-data embedding is recomputed,
+    a gaussian head takes one EM step into a new mixture, collapsed clusters
+    are reseeded, and T is frozen. Between refreshes each batch takes one
+    Adam step on the joint objective, with the clustering gradient injected
+    at the bottleneck (student-t centers get their own Adam update, in place).
     """
     if ds.missing.any():
         raise DimensionMismatch("finetune requires a fully imputed dataset")
@@ -246,8 +225,8 @@ def finetune(
     X = ds.X
     n = X.shape[0]
     seed = config.train.seed
-    params = init_clusters(encode(model, X), k, config.variant, seed)
-    dcm = DeepClusterModel(model, params, config.variant)
+    head = init_clusters(encode(model, X), k, config.variant, seed)
+    dcm = DeepClusterModel(model, head)
     if config.gamma == 0.0:
         # hybrid baseline: cluster the pretrained embedding, no fine-tuning
         return dcm
@@ -255,21 +234,19 @@ def finetune(
     reset_adam(model)
     rng = np.random.default_rng(derive_seed(seed, _SHUFFLE_SALT))
 
-    mu_m = np.zeros_like(params.mu)
-    mu_v = np.zeros_like(params.mu)
+    gaussian = isinstance(head, GmmModel)
+    mu_m = np.zeros_like(_centers(head))
+    mu_v = np.zeros_like(_centers(head))
     mu_step = 0
     cfg_t = config.train
 
     for epoch in range(config.finetune_epochs):
         if epoch % config.target_update_interval == 0:
             Z_full = encode(model, X)
-            if config.variant == "gaussian":  # one EM step, into a new mixture
-                pi, mu, sigma = _gmm_m_step(Z_full, soft_assign_gaussian(Z_full, params), "full", _REG_COVAR)
-                params = ClusterParams(mu, sigma, pi)
-            S_full = soft_assign(Z_full, params, config.variant)
-            params, S_full = _reseed_collapsed(
-                Z_full, params, S_full, epoch, dcm.collapse_events, config.variant
-            )
+            if gaussian:  # one EM step, into a new mixture, as in gmm_fit's loop
+                head = GmmModel(*_gmm_m_step(Z_full, soft_assign_gaussian(Z_full, head), "full", REG_COVAR))
+            S_full = soft_assign(Z_full, head)
+            head, S_full = _reseed_collapsed(Z_full, head, S_full, epoch, dcm.collapse_events)
             T_full = target_distribution(S_full)
 
         perm = rng.permutation(n)
@@ -278,38 +255,38 @@ def finetune(
             xb = X[idx]
             zb, xhat, cache = forward(model, xb)
             d_xhat = config.recon_weight * 2.0 * (xhat - xb) / xb.shape[0]
-            dZ, dMu = clustering_gradients(zb, params, T_full[idx], config.variant)
+            dZ, dMu = clustering_gradients(zb, head, T_full[idx])
             grads = backward(model, cache, d_xhat, config.gamma * dZ)
             adam_step(model, grads, cfg_t)
-            if config.variant == "student_t":
+            if not gaussian:  # the centers' own Adam step, in place
                 g = config.gamma * dMu
                 mu_step += 1
                 mu_m = ADAM_BETA1 * mu_m + (1 - ADAM_BETA1) * g
                 mu_v = ADAM_BETA2 * mu_v + (1 - ADAM_BETA2) * g * g
                 mhat = mu_m / (1 - ADAM_BETA1**mu_step)
                 vhat = mu_v / (1 - ADAM_BETA2**mu_step)
-                params.mu -= cfg_t.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+                head -= cfg_t.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
         zf, xhatf, _ = forward(model, X)
-        if config.variant == "gaussian":
-            log_sf, _ = gaussian_log_responsibilities(zf, params.mixture)
+        if gaussian:
+            log_sf, _ = gaussian_log_responsibilities(zf, head)
         else:
-            log_sf = np.log(soft_assign_student_t(zf, params))
+            log_sf = np.log(soft_assign_student_t(zf, head))
         recon = reconstruction_loss(X, xhatf)
         kl = kl_loss(T_full, log_sf) / n
         joint = config.recon_weight * recon + config.gamma * kl
-        if not np.isfinite(joint) or not params_finite(model) or not np.all(np.isfinite(params.mu)):
+        if not np.isfinite(joint) or not params_finite(model) or not np.all(np.isfinite(_centers(head))):
             raise NonFiniteLoss(epoch)
         dcm.recon_history.append(recon)
         dcm.kl_history.append(kl)
         dcm.joint_history.append(joint)
 
-    dcm.params = params
+    dcm.params = head
     return dcm
 
 
 def assign(dcm: DeepClusterModel, X: np.ndarray) -> np.ndarray:
-    """Encode X and return the per-row argmax of the variant's soft assignment."""
+    """Encode X and return the per-row argmax of the head's soft assignment."""
     Z = encode(dcm.network, np.asarray(X, dtype=float))
-    S = soft_assign(Z, dcm.params, dcm.variant)
+    S = soft_assign(Z, dcm.params)
     return S.argmax(axis=1)

@@ -94,6 +94,12 @@ def sweep_dims(n_features: int) -> list[int]:
     return list(range(2, n_features + 1, 3))
 
 
+def check_sweep_dims(dims) -> None:
+    """EmptyRuns if ``run_dimension_sweep`` would have no embedding size to run."""
+    if not dims:
+        raise EmptyRuns("dims must be non-empty")
+
+
 def run_dimension_sweep(
     ds: Dataset,
     dims: list[int],
@@ -109,8 +115,7 @@ def run_dimension_sweep(
     independent with a seed derived only from (base seed, dimension), so the
     sweep is reproducible and its result cannot depend on execution order.
     """
-    if not dims:
-        raise EmptyRuns("dims must be non-empty")
+    check_sweep_dims(dims)
     for d in dims:
         if d < 1 or d > ds.n_features:
             raise UnsupportedK(f"embed dim {d} outside [1, {ds.n_features}]")

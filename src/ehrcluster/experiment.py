@@ -33,14 +33,16 @@ import numpy as np
 from . import __version__
 from .autoencoder import TrainConfig, build, encode, mirrored_dims, pretrain
 from .data import (
-    Dataset, SyntheticSpec, generate_synthetic, load_csv, load_feature_schema, preprocess,
-    stratified_subsample, subset_rows, write_labels,
+    Dataset, SyntheticSpec, check_missing_rate, generate_synthetic, load_csv, load_feature_schema,
+    preprocess, stratified_subsample, subset_rows, write_labels,
 )
 from .deepcluster import DeepClusterConfig, assign, finetune
-from .ensemble import dimension_ensemble, majority_vote, run_dimension_sweep, sweep_dims
-from .errors import ConfigError, InvalidDimension
+from .ensemble import check_sweep_dims, dimension_ensemble, majority_vote, run_dimension_sweep, sweep_dims
+from .errors import ConfigError, ValidationError
 from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
-from .traditional import gmm_fit, gmm_predict, kmeans_fit, kmeans_predict
+from .traditional import (
+    REG_COVAR, check_gmm_params, check_kmeans_params, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict,
+)
 from .util import _build, _cast, _int, _str, derive_seed, read_json, write_csv
 
 KGG_VOTER_KINDS = ("kmeans_x", "gmm_x", "deep_gaussian_sweep")
@@ -133,7 +135,7 @@ _GMM = {
     "cov_type": (_str, "full"),
     "max_iter": (_int, 300),
     "tol": (float, 1e-3),
-    "reg_covar": (float, 1e-6),
+    "reg_covar": (float, REG_COVAR),
 }
 _PRETRAIN = {
     "embed_dim": (_int, 10),
@@ -271,11 +273,18 @@ def _with_defaults(kind: str, profile: Profile, params: dict) -> dict:
 
 
 def _check_ranges(p: dict) -> None:
-    """Raise InvalidDimension where the fit would: in its training configs or its layer widths."""
+    """Raise the error the fit would raise on a setting out of range: in its training configs,
+    its layer widths, its k-means or GMM settings, or its sweep dims."""
     if "gamma" in p:
         _finetune_config(p, "gaussian", 0)
     elif "batch_size" in p:
         _train_config(p, 0)
+    if "n_init" in p:
+        check_kmeans_params(p["n_init"])
+    if "cov_type" in p:
+        check_gmm_params(p["cov_type"], p["reg_covar"])
+    if "dims" in p:
+        check_sweep_dims(p["dims"])
     if "hidden" in p:
         for embed_dim in p.get("dims", [p.get("embed_dim", 1)]):
             mirrored_dims(1, embed_dim, p["hidden"], p["activation"])
@@ -295,7 +304,7 @@ def check_params(kind: str, params: dict, where: str) -> dict:
         # every other param at its default, which is in range, so a failure is this one's
         try:
             _check_ranges(_with_defaults(kind, PROFILES["desk"], {name: out[name]}))
-        except InvalidDimension as exc:
+        except ValidationError as exc:
             raise ConfigError(f"{where}.{name}: {exc}") from None
     return out
 
@@ -341,6 +350,23 @@ def _kgg_voters(methods: list[MethodSpec], spec: MethodSpec, where: str) -> tupl
         if v not in known:
             raise ConfigError(f"{where}: {v!r} is not a configured non-kgg method")
     return voters
+
+
+# a cohort field -> the field its load needs beside it
+_COHORT_NEEDS = {
+    "group_column": "group_value", "group_value": "group_column", "subsample_ratio": "subsample_n",
+}
+
+
+def _check_cohort(cohort: CohortSpec, synthetic: bool, where: str) -> None:
+    """ConfigError naming ``where``.<field> for a field the cohort's load would ignore or misread."""
+    for name, needs in _COHORT_NEEDS.items():
+        if getattr(cohort, name) is None:
+            continue
+        if synthetic and name.startswith("group_"):
+            raise ConfigError(f"{where}.{name}: synthetic data has no column to group by")
+        if getattr(cohort, needs) is None:
+            raise ConfigError(f"{where}.{name}: requires {needs}")
 
 
 def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -398,6 +424,7 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
         cohort = _build(CohortSpec, c, f"cohorts[{i}]", seed_offset=i)
         if cohort.name in {earlier.name for earlier in cohorts}:
             raise ConfigError(f"cohorts[{i}].name: duplicate {cohort.name!r}")
+        _check_cohort(cohort, synthetic is not None, f"cohorts[{i}]")
         cohorts.append(cohort)
 
     profile = _cast(_str, doc.get("profile", "desk"), "profile")
@@ -411,7 +438,7 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
         csv=csv_source,
         profile=profile,
         k=check_k(doc.get("k", 2), [m.kind for m in methods], "k"),
-        max_missing_rate=_cast(float, doc.get("max_missing_rate", 0.05), "max_missing_rate"),
+        max_missing_rate=_cast(check_missing_rate, doc.get("max_missing_rate", 0.05), "max_missing_rate"),
         output_dir=_cast(_str, doc.get("output_dir", "out"), "output_dir"),
     )
 
@@ -432,7 +459,12 @@ def _load_cohort(config: ExperimentConfig, cohort: CohortSpec) -> Dataset:
             names = [s.name for s in specs]
             if cohort.group_column not in names:
                 raise ConfigError(f"cohorts: group_column {cohort.group_column!r} not in schema")
-            ds = subset_rows(ds, ds.X[:, names.index(cohort.group_column)] == cohort.group_value)
+            in_group = ds.X[:, names.index(cohort.group_column)] == cohort.group_value
+            if not in_group.any():
+                raise ConfigError(
+                    f"cohort {cohort.name!r}: no row has {cohort.group_column} == {cohort.group_value}"
+                )
+            ds = subset_rows(ds, in_group)
     if cohort.subsample_n is not None:
         ds = stratified_subsample(
             ds,

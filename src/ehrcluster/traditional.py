@@ -66,6 +66,12 @@ def _fix_empty_clusters(X, centers, labels, d2):
     return centers, labels, d2
 
 
+def check_kmeans_params(n_init: int) -> None:
+    """DegenerateInput if ``kmeans_fit`` would refuse these settings."""
+    if n_init < 1:
+        raise DegenerateInput(f"n_init must be >= 1, got {n_init}")
+
+
 def kmeans_fit(
     X: np.ndarray,
     k: int,
@@ -85,8 +91,7 @@ def kmeans_fit(
         raise DimensionMismatch("X must be 2-dimensional")
     if k < 2:
         raise DegenerateInput("k must be >= 2")
-    if n_init < 1:
-        raise DegenerateInput(f"n_init must be >= 1, got {n_init}")
+    check_kmeans_params(n_init)
     if X.shape[0] < k:
         raise DegenerateInput(f"need at least k={k} samples, got {X.shape[0]}")
     # n times the summed squared ranges bounds every sum of squared distances
@@ -139,6 +144,10 @@ def kmeans_predict(model: KMeansModel, X: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Gaussian mixture
 # --------------------------------------------------------------------------
+
+# the covariance floor: gmm_fit's default, and the one deep clustering's mixtures use
+REG_COVAR = 1e-6
+
 
 @dataclass
 class GmmModel:
@@ -217,6 +226,14 @@ def _gmm_m_step(X, resp, cov_type, reg_covar):
     return weights, means, covs
 
 
+def check_gmm_params(cov_type: str, reg_covar: float) -> None:
+    """DegenerateInput if ``gmm_fit`` would refuse these settings."""
+    if cov_type not in ("full", "diagonal"):
+        raise DegenerateInput(f"unknown cov_type {cov_type!r}")
+    if not reg_covar > 0:  # NaN too
+        raise DegenerateInput("reg_covar must be > 0")
+
+
 def gmm_fit(
     X: np.ndarray,
     k: int,
@@ -224,7 +241,7 @@ def gmm_fit(
     seed: int = 0,
     max_iter: int = 300,
     tol: float = 1e-3,
-    reg_covar: float = 1e-6,
+    reg_covar: float = REG_COVAR,
 ) -> GmmModel:
     """EM for a k-component Gaussian mixture, initialized from k-means.
 
@@ -239,10 +256,7 @@ def gmm_fit(
         raise DegenerateInput("k must be >= 2")
     if X.shape[0] <= k:
         raise DegenerateInput(f"need more than k={k} samples, got {X.shape[0]}")
-    if cov_type not in ("full", "diagonal"):
-        raise DegenerateInput(f"unknown cov_type {cov_type!r}")
-    if reg_covar <= 0:
-        raise DegenerateInput("reg_covar must be > 0")
+    check_gmm_params(cov_type, reg_covar)
 
     km = kmeans_fit(X, k, seed=seed)
     resp = np.eye(k)[kmeans_predict(km, X)]  # one-hot k-means labels

@@ -21,7 +21,6 @@ import pytest
 from ehrcluster.autoencoder import TrainConfig, backward, build, encode, forward, pretrain, reconstruction_loss
 from ehrcluster.data import generate_synthetic, load_feature_schema
 from ehrcluster.deepcluster import (
-    ClusterParams,
     DeepClusterConfig,
     assign,
     clustering_gradients,
@@ -34,7 +33,7 @@ from ehrcluster.deepcluster import (
 from ehrcluster.ensemble import dimension_ensemble, majority_vote
 from ehrcluster.experiment import load_config, run_experiment
 from ehrcluster.metrics import acc, ari, hungarian_max, nmi
-from ehrcluster.traditional import gmm_fit, gmm_predict, kmeans_fit, kmeans_predict
+from ehrcluster.traditional import GmmModel, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict
 
 REPO = Path(__file__).resolve().parents[1]
 BENCHMARK_CONFIG = REPO / "configs" / "benchmark.json"
@@ -145,24 +144,22 @@ def test_criterion_2_hungarian_brute_force():
 # ------------------------------------------------------------- criterion 3
 
 def _kink_safe_instance(hidden, activation, variant, base_seed, D=5, d=3, K=2, M=8):
-    """Model, batch, and cluster parameters whose relu pre-activations all
+    """Model, batch, and clustering head whose relu pre-activations all
     clear a margin, so finite differences never straddle a kink."""
     for seed in range(base_seed, base_seed + 60):
         model = build(D, d, hidden, activation, seed=seed)
         rng = np.random.default_rng(seed + 9000)
         X = rng.normal(size=(M, D))
         if variant == "student_t":
-            params = ClusterParams(mu=rng.normal(size=(K, d)))
+            head = rng.normal(size=(K, d))
         else:
             A = rng.normal(size=(K, d, d)) * 0.2
             sigma = np.einsum("kij,klj->kil", A, A) + 0.5 * np.eye(d)
-            params = ClusterParams(
-                mu=rng.normal(size=(K, d)), sigma=sigma, pi=np.array([0.4, 0.6])
-            )
+            head = GmmModel(np.array([0.4, 0.6]), rng.normal(size=(K, d)), sigma)
         _, _, cache = forward(model, X)
         preacts = (a @ w + b for a, w, b in zip(cache.activations, model.weights, model.biases))
         if activation == "tanh" or min(np.abs(u).min() for u in preacts) > 1e-3:
-            return model, X, params
+            return model, X, head
     raise AssertionError("no kink-safe seed found")
 
 
@@ -172,17 +169,19 @@ def _max_rel_err(analytic, fd):
 
 
 def _joint_gradient_check(hidden, activation, variant, gamma, base_seed):
-    model, X, params = _kink_safe_instance(hidden, activation, variant, base_seed)
+    model, X, head = _kink_safe_instance(hidden, activation, variant, base_seed)
+    # perturbed in place below; the mixture holds its means without copying
+    centers = head if variant == "student_t" else head.means
     M = X.shape[0]
     Z0, _, _ = forward(model, X)
-    T = target_distribution(soft_assign(Z0, params, variant))  # then held fixed
+    T = target_distribution(soft_assign(Z0, head))  # then held fixed
 
     def loss():
         Z, Xhat, _ = forward(model, X)
-        return joint_loss(X, Xhat, T, np.log(soft_assign(Z, params, variant)), gamma)
+        return joint_loss(X, Xhat, T, np.log(soft_assign(Z, head)), gamma)
 
     Z, Xhat, cache = forward(model, X)
-    dZ, dMu = clustering_gradients(Z, params, T, variant)
+    dZ, dMu = clustering_gradients(Z, head, T)
     grads = backward(model, cache, 2.0 * (Xhat - X) / M, gamma * dZ)
     analytic = np.concatenate(
         [g.ravel() for g in grads.d_weights]
@@ -191,7 +190,7 @@ def _joint_gradient_check(hidden, activation, variant, gamma, base_seed):
     )
     h = 1e-5
     fd = []
-    for arr in model.weights + model.biases + [params.mu]:
+    for arr in model.weights + model.biases + [centers]:
         flat = arr.ravel()
         for i in range(flat.size):
             orig = flat[i]

@@ -30,15 +30,20 @@ from ehrcluster.errors import (
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
 
-# params out of the range their fit accepts, each with its error's wording
+# params out of the range their fit accepts, each with its error's wording and the kind it applies to
 OUT_OF_RANGE = [
-    ({"batch_size": 0}, "batch_size must be >= 1"),
-    ({"embed_dim": 0}, "embed_dim included, must be >= 1"),
-    ({"learning_rate": -1}, "learning_rate must be > 0"),
-    ({"gamma": -1}, "gamma must be >= 0"),
-    ({"target_update_interval": 0}, "target_update_interval must be >= 1"),
-    ({"pretrain_epochs": -1}, "pretrain_epochs) must be >= 0"),
-    ({"activation": "sigmoid"}, "activation must be one of"),
+    ({"batch_size": 0}, "batch_size must be >= 1", "deep_gaussian"),
+    ({"embed_dim": 0}, "embed_dim included, must be >= 1", "deep_gaussian"),
+    ({"learning_rate": -1}, "learning_rate must be > 0", "deep_gaussian"),
+    ({"gamma": -1}, "gamma must be >= 0", "deep_gaussian"),
+    ({"target_update_interval": 0}, "target_update_interval must be >= 1", "deep_gaussian"),
+    ({"pretrain_epochs": -1}, "pretrain_epochs) must be >= 0", "deep_gaussian"),
+    ({"activation": "sigmoid"}, "activation must be one of", "deep_gaussian"),
+    ({"cov_type": "spherical"}, "unknown cov_type 'spherical'", "gmm_x"),
+    ({"reg_covar": 0}, "reg_covar must be > 0", "gmm_x"),
+    ({"reg_covar": float("nan")}, "reg_covar must be > 0", "gmm_x"),
+    ({"n_init": 0}, "n_init must be >= 1", "kmeans_x"),
+    ({"dims": []}, "dims must be non-empty", "deep_gaussian_sweep"),
 ]
 
 
@@ -328,6 +333,10 @@ class TestExitCodes:
         ({"k": 2.9}, "k"),
         ({"k": True}, "k"),
         ({"seed": 1.5}, "seed"),
+        ({"max_missing_rate": 2}, "max_missing_rate"),
+        ({"cohorts": [{"name": "c", "group_column": "f00", "group_value": 1}]}, "cohorts[0].group_column"),
+        ({"cohorts": [{"name": "c", "group_value": 1}]}, "cohorts[0].group_value"),
+        ({"cohorts": [{"name": "c", "subsample_ratio": 0.5}]}, "cohorts[0].subsample_ratio"),
     ])
     def test_malformed_config_field_is_validation_error(self, tmp_path, capsys, overrides, field):
         assert run_cli("benchmark", "--config", tiny_config(tmp_path, **overrides),
@@ -412,19 +421,19 @@ class TestExitCodes:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("params, named", OUT_OF_RANGE)
-    def test_out_of_range_param_is_validation_error(self, tmp_path, capsys, params, named):
+    @pytest.mark.parametrize("params, named, kind", OUT_OF_RANGE)
+    def test_out_of_range_param_is_validation_error(self, tmp_path, capsys, params, named, kind):
         p = tmp_path / "d.csv"
         p.write_text("f00,f01\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        assert run_cli("cluster", "--csv", str(p), "--method", "deep_gaussian",
+        assert run_cli("cluster", "--csv", str(p), "--method", kind,
                        "--params", json.dumps(params), "--out", str(tmp_path / "o")) == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("params, named", OUT_OF_RANGE)
-    def test_out_of_range_param_fails_the_benchmark_config_load(self, tmp_path, capsys, params, named):
+    @pytest.mark.parametrize("params, named, kind", OUT_OF_RANGE)
+    def test_out_of_range_param_fails_the_benchmark_config_load(self, tmp_path, capsys, params, named, kind):
         doc = json.loads(GOLDEN_CONFIG.read_text())
-        i = next(i for i, m in enumerate(doc["methods"]) if m["kind"] == "deep_gaussian")
+        i = next(i for i, m in enumerate(doc["methods"]) if m["kind"] == kind)
         doc["methods"][i]["params"].update(params)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(doc))
@@ -432,6 +441,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"methods[{i}].params.{next(iter(params))}: " in err and named in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cohort, named", [
+        ({"name": "c", "group_column": "f00"}, "cohorts[0].group_column: requires group_value"),
+        ({"name": "c", "group_column": "f00", "group_value": 7}, "cohort 'c': no row has f00 == 7.0"),
+    ])
+    def test_csv_group_that_selects_no_row_is_named(self, tmp_path, capsys, cohort, named):
+        (tmp_path / "d.csv").write_text("f00,f01,y\n" + "".join(f"{i % 2},{i},{i % 2}\n" for i in range(12)))
+        (tmp_path / "s.json").write_text(json.dumps([
+            {"name": name, "unit": "", "bound_lo": -100, "bound_hi": 100} for name in ("f00", "f01")
+        ]))
+        config = {
+            "seed": 1,
+            "data": {"csv": {"path": "d.csv", "schema": "s.json", "label_column": "y"}},
+            "cohorts": [cohort],
+            "methods": [{"name": "m", "kind": "kmeans_x"}],
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_cli("benchmark", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")) == 1
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
     def test_label_files_of_differing_length_are_named(self, tmp_path, capsys, command):

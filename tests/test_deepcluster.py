@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from ehrcluster.autoencoder import TrainConfig, build, encode, pretrain
 from ehrcluster.data import SyntheticSpec, generate_synthetic
 from ehrcluster.deepcluster import (
-    ClusterParams,
     DeepClusterConfig,
     _reseed_collapsed,
     assign,
@@ -26,7 +25,7 @@ from ehrcluster.deepcluster import (
 )
 from ehrcluster.errors import DimensionMismatch, InvalidDimension
 from ehrcluster.metrics import acc
-from ehrcluster.traditional import gmm_fit, gmm_predict, kmeans_fit, kmeans_predict
+from ehrcluster.traditional import GmmModel, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict
 
 row_strategy = arrays(
     float, (4, 3),
@@ -40,50 +39,50 @@ def normalize_rows(m):
 
 class TestSoftAssignStudentT:
     def test_equidistant_row(self):
-        params = ClusterParams(mu=np.array([[-1.0, 0.0], [1.0, 0.0]]))
-        s = soft_assign_student_t(np.array([[0.0, 5.0]]), params)
+        mu = np.array([[-1.0, 0.0], [1.0, 0.0]])
+        s = soft_assign_student_t(np.array([[0.0, 5.0]]), mu)
         assert s[0, 0] == s[0, 1] == 0.5
 
     def test_kernel_values_at_center(self):
         # distance 0 to mu0 and squared distance 3 to mu1:
         # q = (1, 1/4), normalized (0.8, 0.2)
         mu = np.array([[0.0, 0.0], [np.sqrt(3.0), 0.0]])
-        s = soft_assign_student_t(np.array([[0.0, 0.0]]), ClusterParams(mu=mu))
+        s = soft_assign_student_t(np.array([[0.0, 0.0]]), mu)
         assert s[0] == pytest.approx([0.8, 0.2], abs=1e-12)
 
     @given(arrays(float, (5, 2), elements=st.floats(-3, 3)))
     @settings(max_examples=30, deadline=None)
     def test_rows_sum_to_one(self, Z):
-        params = ClusterParams(mu=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
-        s = soft_assign_student_t(Z, params)
+        mu = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        s = soft_assign_student_t(Z, mu)
         assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-9
         assert (s > 0).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            soft_assign_student_t(np.zeros((2, 3)), ClusterParams(mu=np.zeros((2, 2))))
+            soft_assign_student_t(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestSoftAssignGaussian:
-    def symmetric_params(self):
-        return ClusterParams(
-            mu=np.array([[-1.0, 0.0], [1.0, 0.0]]),
-            sigma=np.array([np.eye(2), np.eye(2)]),
-            pi=np.array([0.5, 0.5]),
+    def symmetric_mixture(self):
+        return GmmModel(
+            weights=np.array([0.5, 0.5]),
+            means=np.array([[-1.0, 0.0], [1.0, 0.0]]),
+            covariances=np.array([np.eye(2), np.eye(2)]),
         )
 
     def test_midpoint_symmetry(self):
-        s = soft_assign_gaussian(np.array([[0.0, 0.0]]), self.symmetric_params())
+        s = soft_assign_gaussian(np.array([[0.0, 0.0]]), self.symmetric_mixture())
         assert s[0, 0] == s[0, 1]
         assert s[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_confident_at_center(self):
-        params = ClusterParams(
-            mu=np.array([[0.0, 0.0], [10.0, 0.0]]),
-            sigma=np.array([np.eye(2), np.eye(2)]),
-            pi=np.array([0.5, 0.5]),
+        mixture = GmmModel(
+            weights=np.array([0.5, 0.5]),
+            means=np.array([[0.0, 0.0], [10.0, 0.0]]),
+            covariances=np.array([np.eye(2), np.eye(2)]),
         )
-        s = soft_assign_gaussian(np.array([[0.0, 0.0]]), params)
+        s = soft_assign_gaussian(np.array([[0.0, 0.0]]), mixture)
         assert s[0, 0] > 0.99
 
     def test_shared_sigma_scaling_keeps_argmax(self):
@@ -92,20 +91,16 @@ class TestSoftAssignGaussian:
         mu = rng.normal(size=(2, 3))
         base = np.eye(3)
         for scale in (0.5, 1.0, 4.0):
-            params = ClusterParams(
-                mu=mu,
-                sigma=np.array([scale * base, scale * base]),
-                pi=np.array([0.5, 0.5]),
+            mixture = GmmModel(
+                weights=np.array([0.5, 0.5]),
+                means=mu,
+                covariances=np.array([scale * base, scale * base]),
             )
-            s = soft_assign_gaussian(Z, params)
+            s = soft_assign_gaussian(Z, mixture)
             if scale == 0.5:
                 ref = s.argmax(axis=1)
             else:
                 assert np.array_equal(s.argmax(axis=1), ref)
-
-    def test_requires_sigma_pi(self):
-        with pytest.raises(DimensionMismatch):
-            soft_assign_gaussian(np.zeros((1, 2)), ClusterParams(mu=np.zeros((2, 2))))
 
 
 class TestTargetDistribution:
@@ -196,15 +191,15 @@ class TestJointLoss:
 class TestInitClusters:
     def test_exact_point_clusters(self):
         Z = np.array([[0.0, 0.0]] * 4 + [[6.0, 6.0]] * 4)
-        params = init_clusters(Z, 2, "student_t", seed=0)
-        assert {tuple(m) for m in params.mu} == {(0.0, 0.0), (6.0, 6.0)}
-        assert params.sigma is None
+        head = init_clusters(Z, 2, "student_t", seed=0)
+        assert {tuple(m) for m in head} == {(0.0, 0.0), (6.0, 6.0)}
+        assert not isinstance(head, GmmModel)
 
     def test_gaussian_covariance_close_to_truth(self):
         ds = generate_synthetic(SyntheticSpec(1500, 3, 1.0, 10.0, "spherical", 0.0, seed=4))
-        params = init_clusters(ds.X, 2, "gaussian", seed=0)
+        head = init_clusters(ds.X, 2, "gaussian", seed=0)
         for j in range(2):
-            err = np.linalg.norm(params.sigma[j] - np.eye(3)) / np.linalg.norm(np.eye(3))
+            err = np.linalg.norm(head.covariances[j] - np.eye(3)) / np.linalg.norm(np.eye(3))
             assert err < 0.2
 
     def test_deterministic(self):
@@ -212,7 +207,18 @@ class TestInitClusters:
         Z = rng.normal(size=(60, 4))
         a = init_clusters(Z, 3, "gaussian", seed=5)
         b = init_clusters(Z, 3, "gaussian", seed=5)
-        assert np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma, b.sigma)
+        assert np.array_equal(a.means, b.means) and np.array_equal(a.covariances, b.covariances)
+
+    def test_gaussian_factors_only_in_its_gmm_fit(self, monkeypatch):
+        # the initial head is gmm_fit's model, so no covariance is factored a second time
+        Z = np.random.default_rng(2).normal(size=(60, 4))
+        cholesky = np.linalg.cholesky
+        calls = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+        gmm_fit(Z, 3, cov_type="full", seed=5)
+        fit_calls = len(calls)
+        init_clusters(Z, 3, "gaussian", seed=5)
+        assert len(calls) - fit_calls == fit_calls > 0
 
 
 class TestClusteringGradients:
@@ -224,19 +230,22 @@ class TestClusteringGradients:
         M, d, K = 6, 3, 2
         Z0 = rng.normal(size=(M, d))
         if variant == "student_t":
-            params = ClusterParams(mu=rng.normal(size=(K, d)))
+            head = centers = rng.normal(size=(K, d))
         else:
             A = rng.normal(size=(K, d, d)) * 0.2
             sigma = np.einsum("kij,klj->kil", A, A) + 0.5 * np.eye(d)
-            params = ClusterParams(mu=rng.normal(size=(K, d)), sigma=sigma, pi=np.array([0.3, 0.7]))
+            head = GmmModel(np.array([0.3, 0.7]), rng.normal(size=(K, d)), sigma)
+            # the model holds its means without copying, and its factors do not read
+            # them, so perturbing them in place moves the soft assignment
+            centers = head.means
         T = normalize_rows(rng.uniform(0.05, 1.0, size=(M, K)))
 
         def loss():
-            return kl_loss(T, np.log(soft_assign(Z0, params, variant))) / M
+            return kl_loss(T, np.log(soft_assign(Z0, head))) / M
 
-        dZ, dMu = clustering_gradients(Z0, params, T, variant)
+        dZ, dMu = clustering_gradients(Z0, head, T)
         h = 1e-6
-        for arr, grad in ((Z0, dZ), (params.mu, dMu)):
+        for arr, grad in ((Z0, dZ), (centers, dMu)):
             flat, gflat = arr.ravel(), grad.ravel()
             for i in range(flat.size):
                 orig = flat[i]
@@ -248,6 +257,12 @@ class TestClusteringGradients:
                 fd = (lp - lm) / (2 * h)
                 denom = max(abs(fd), abs(gflat[i]), 1e-6)
                 assert abs(fd - gflat[i]) / denom < 1e-4
+
+    def test_diagonal_mixture_head_is_refused(self):
+        Z = np.random.default_rng(0).normal(size=(40, 3))
+        head = gmm_fit(Z, 2, cov_type="diagonal", seed=0)
+        with pytest.raises(InvalidDimension, match="full covariances"):
+            clustering_gradients(Z, head, soft_assign(Z, head))
 
 
 def pretrained_on_blobs(blobs, seed=9):
@@ -333,27 +348,29 @@ class TestCollapseReseed:
         rng = np.random.default_rng(0)
         Z = rng.normal(size=(40, 2))
         # second center far away from every sample: soft mass ~ 0
-        params = ClusterParams(mu=np.array([[0.0, 0.0], [1e6, 1e6]]))
-        S = soft_assign(Z, params, "student_t")
+        centers = np.array([[0.0, 0.0], [1e6, 1e6]])
+        S = soft_assign(Z, centers)
         assert S.sum(axis=0)[1] < 1.0
         events = []
-        params, S = _reseed_collapsed(Z, params, S, epoch=3, events=events, variant="student_t")
+        head, S = _reseed_collapsed(Z, centers, S, epoch=3, events=events)
         assert events and events[0][0] == 3 and events[0][1] == 1
         assert (S.sum(axis=0) >= 1.0).all()
-        assert any(np.array_equal(params.mu[1], z) for z in Z)
+        assert any(np.array_equal(head[1], z) for z in Z)
+        # the given centers are left as they were
+        assert np.array_equal(centers, [[0.0, 0.0], [1e6, 1e6]])
 
     def test_gaussian_reseed_leaves_no_stale_factor(self):
         rng = np.random.default_rng(0)
         Z = rng.normal(size=(40, 2))
         sigma, pi = np.array([np.eye(2), np.eye(2)]), np.array([0.5, 0.5])
-        params = ClusterParams(mu=np.array([[0.0, 0.0], [1e3, 1e3]]), sigma=sigma, pi=pi)
-        S = soft_assign(Z, params, "gaussian")
+        head = GmmModel(pi, np.array([[0.0, 0.0], [1e3, 1e3]]), sigma)
+        S = soft_assign(Z, head)
         events = []
-        params, S = _reseed_collapsed(Z, params, S, epoch=0, events=events, variant="gaussian")
+        head, S = _reseed_collapsed(Z, head, S, epoch=0, events=events)
         assert events == [(0, 1)]
-        fresh = ClusterParams(params.mu.copy(), params.sigma.copy(), params.pi.copy())
-        assert np.array_equal(soft_assign(Z, params, "gaussian"), soft_assign(Z, fresh, "gaussian"))
-        assert np.array_equal(S, soft_assign(Z, fresh, "gaussian"))
+        fresh = GmmModel(head.weights.copy(), head.means.copy(), head.covariances.copy())
+        assert np.array_equal(soft_assign(Z, head), soft_assign(Z, fresh))
+        assert np.array_equal(S, soft_assign(Z, fresh))
         # the given covariances and weights are left as they were
         assert np.array_equal(sigma, [np.eye(2), np.eye(2)]) and np.array_equal(pi, [0.5, 0.5])
 
@@ -366,18 +383,18 @@ class TestAssign:
             train=TrainConfig(batch_size=128, seed=9),
         ))
         Z = encode(dcm.network, blobs.X)
-        fit_time = soft_assign(Z, dcm.params, "gaussian").argmax(axis=1)
+        fit_time = soft_assign(Z, dcm.params).argmax(axis=1)
         assert np.array_equal(assign(dcm, blobs.X), fit_time)
 
     def test_point_at_center_gets_its_label(self):
         model = build(3, 2, [], seed=0)
-        params = ClusterParams(mu=np.array([[0.0, 0.0], [4.0, 4.0]]))
+        centers = np.array([[0.0, 0.0], [4.0, 4.0]])
         from ehrcluster.deepcluster import DeepClusterModel
 
-        dcm = DeepClusterModel(model, params, "student_t")
+        dcm = DeepClusterModel(model, centers)
         # craft an input that encodes exactly onto mu_1
         W = model.weights[0]
-        x = np.linalg.lstsq(W.T, params.mu[1], rcond=None)[0]
+        x = np.linalg.lstsq(W.T, centers[1], rcond=None)[0]
         assert assign(dcm, x[None, :])[0] == 1
 
     def test_duplicate_rows_same_label(self, blobs):
