@@ -6,15 +6,29 @@ layer are linear. The reconstruction objective is the mean over samples
 of the squared Euclidean reconstruction error (the 1/N factor of a
 summed objective is absorbed into the learning rate).
 
+Every weight and bias lives in one flat vector, ``model.theta``;
+``model.weights`` and ``model.biases`` are views of it, and Adam's moments
+share its layout, so ``adam_step`` updates all parameters in one pass.
+
 ``forward``'s cache holds one array per layer, the activations a_0 (input)
 .. a_L (output), and ``backward`` reads both activation derivatives from
 them. ``backward`` also accepts an extra gradient injected at the bottleneck
 so a clustering loss on the embedding can flow into the encoder alongside
 the reconstruction gradient from the decoder.
+
+Training reuses its arrays: ``forward(model, batch, out=cache)`` writes into
+a ``ForwardCache.for_model`` cache (a shorter batch uses leading rows), and
+``backward(..., out=grads)`` into a ``Gradients.for_model``. ``backward``
+writes each hidden layer's delta over its activation once that is read for
+the last time, so the cache is then spent: a second ``backward`` on it
+raises ``StaleCache`` until a forward refills it. ``backward`` never writes
+over Z, Xhat or the input; with ``out=``, the next forward into the same
+cache does. Without ``out=`` both functions return fresh arrays; ``encode``
+always does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +41,8 @@ ACTIVATIONS = ("relu", "tanh")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# parameters adam_step updates per pass, with two scratch rows of this length
+ADAM_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -47,10 +63,9 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: np.ndarray                  # first moments, in the model's flat parameter layout
+    v: np.ndarray                  # second moments, same layout
+    scratch: np.ndarray = field(repr=False)  # adam_step's two work rows, up to ADAM_CHUNK long
     step: int = 0
 
 
@@ -58,23 +73,41 @@ class AdamState:
 class Gradients:
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
+    flat: np.ndarray | None = None  # the one vector both lists view, when made by for_model
+
+    @classmethod
+    def for_model(cls, model: "AutoencoderModel") -> "Gradients":
+        """Zero gradients laid out like the model's flat parameter vector, for ``backward(out=)``."""
+        flat = np.zeros_like(model.theta)
+        return cls(*_layer_views(flat, model.layer_dims), flat)
 
 
 @dataclass
 class ForwardCache:
-    activations: list[np.ndarray]  # a_0 (input) .. a_L (output)
-    version: int
+    buffers: list[np.ndarray]      # storage for a_1 .. a_L, as many rows as the cache holds
+    activations: list[np.ndarray] = field(default_factory=list)  # a_0 (input) .. a_L of the last forward
+    version: int = -1
+    spent: bool = True             # set by backward, which writes deltas over the hidden activations
+
+    @classmethod
+    def for_model(cls, model: "AutoencoderModel", rows: int) -> "ForwardCache":
+        """Room for one forward pass of up to ``rows`` samples, for ``forward(out=)``."""
+        return cls([np.empty((rows, width)) for width in model.layer_dims[1:]])
 
 
 @dataclass
 class AutoencoderModel:
     layer_dims: list[int]          # full chain: in, hidden..., d, mirrored hidden..., in
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    theta: np.ndarray              # every parameter, layer by layer: W_0 row-major, b_0, W_1, b_1, ...
     activation: str
     bottleneck: int                # index of the layer whose output is Z
     adam: AdamState
     version: int = 0
+    weights: list[np.ndarray] = field(init=False, repr=False)  # (fan_in, fan_out) views of theta
+    biases: list[np.ndarray] = field(init=False, repr=False)   # (fan_out,) views of theta
+
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.theta, self.layer_dims)
 
     @property
     def input_dim(self) -> int:
@@ -89,14 +122,15 @@ class AutoencoderModel:
         return len(self.weights)
 
 
-def _zero_adam(weights, biases) -> AdamState:
-    return AdamState(
-        m_w=[np.zeros_like(w) for w in weights],
-        v_w=[np.zeros_like(w) for w in weights],
-        m_b=[np.zeros_like(b) for b in biases],
-        v_b=[np.zeros_like(b) for b in biases],
-        step=0,
-    )
+def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's weight and bias as views of one flat vector, in ``AutoencoderModel.theta``'s layout."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
 def mirrored_dims(input_dim: int, embed_dim: int, hidden, activation: str) -> list[int]:
@@ -120,46 +154,53 @@ def build(
     """He-uniform initialized weights, zero biases, mirrored decoder."""
     dims = mirrored_dims(input_dim, embed_dim, hidden, activation)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return AutoencoderModel(
-        layer_dims=dims,
-        weights=weights,
-        biases=biases,
-        activation=activation,
-        bottleneck=len(hidden),
-        adam=_zero_adam(weights, biases),
-    )
+    size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    adam = AdamState(np.zeros(size), np.zeros(size), np.empty((2, min(size, ADAM_CHUNK))))
+    model = AutoencoderModel(dims, np.zeros(size), activation, bottleneck=len(hidden), adam=adam)
+    for w in model.weights:
+        limit = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 def _activate(u: np.ndarray, kind: str) -> np.ndarray:
-    # writes over u, so callers pass a fresh a @ W + b, never an array they keep
+    # writes over u, so callers pass their own a @ W + b, never an array they keep
     return np.maximum(u, 0.0, out=u) if kind == "relu" else np.tanh(u, out=u)
 
 
 def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    # a = max(u, 0) is > 0 exactly where u is, NaN and -0.0 included
-    return a > 0 if kind == "relu" else 1.0 - a * a
+    # writes the derivative over a, read from it: a = max(u, 0) is > 0 exactly
+    # where u is, NaN and -0.0 included; tanh' = 1 - a^2
+    if kind == "relu":
+        return np.greater(a, 0.0, out=a)
+    np.multiply(a, a, out=a)
+    return np.subtract(1.0, a, out=a)
 
 
 def _is_linear(model: AutoencoderModel, layer: int) -> bool:
     return layer == model.bottleneck or layer == model.n_layers - 1
 
 
-def forward(model: AutoencoderModel, batch: np.ndarray):
-    """Full pass. Returns (Z, Xhat, cache); cache feeds ``backward``."""
+def forward(model: AutoencoderModel, batch: np.ndarray, *, out: ForwardCache | None = None):
+    """Full pass. Returns (Z, Xhat, cache); cache feeds ``backward``.
+
+    With ``out``, the activations are written into that cache, which must
+    hold at least the batch's rows, and Z and Xhat are views into it.
+    """
     X = np.atleast_2d(np.asarray(batch, dtype=float))
     if X.shape[1] != model.input_dim:
         raise DimensionMismatch(f"batch width {X.shape[1]} != input dim {model.input_dim}")
+    rows = X.shape[0]
+    cache = ForwardCache.for_model(model, rows) if out is None else out
+    if rows > len(cache.buffers[0]) or [b.shape[1] for b in cache.buffers] != model.layer_dims[1:]:
+        raise DimensionMismatch(f"a {rows}-row batch does not fit the cache")
     activations = [X]
-    for l in range(model.n_layers):
-        u = activations[-1] @ model.weights[l] + model.biases[l]
+    for l, buffer in enumerate(cache.buffers):
+        u = np.matmul(activations[-1], model.weights[l], out=buffer[:rows])
+        u += model.biases[l]
         activations.append(u if _is_linear(model, l) else _activate(u, model.activation))
-    Z = activations[model.bottleneck + 1]
-    return Z, activations[-1], ForwardCache(activations, model.version)
+    cache.activations, cache.version, cache.spent = activations, model.version, False
+    return activations[model.bottleneck + 1], activations[-1], cache
 
 
 def encode(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
@@ -173,13 +214,18 @@ def encode(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     return a
 
 
-def reconstruction_loss(X: np.ndarray, Xhat: np.ndarray) -> float:
-    """Mean over samples of the squared Euclidean reconstruction error."""
+def reconstruction_loss(X: np.ndarray, Xhat: np.ndarray, *, out: np.ndarray | None = None) -> float:
+    """Mean over samples of the squared Euclidean reconstruction error.
+
+    ``out``, an array of X's shape (Xhat itself is allowed), takes the
+    squared residuals in place of a temporary.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xhat = np.atleast_2d(np.asarray(Xhat, dtype=float))
     if X.shape != Xhat.shape:
         raise DimensionMismatch(f"shape {X.shape} vs {Xhat.shape}")
-    return float(((X - Xhat) ** 2).sum(axis=1).mean())
+    r = np.subtract(X, Xhat, out=out)
+    return float(np.square(r, out=r).sum(axis=1).mean())
 
 
 def backward(
@@ -187,67 +233,105 @@ def backward(
     cache: ForwardCache,
     dL_dXhat: np.ndarray,
     dL_dZ: np.ndarray | None = None,
+    *,
+    out: Gradients | None = None,
 ) -> Gradients:
     """Reverse-mode gradients of a scalar loss.
 
     ``dL_dXhat`` is the upstream gradient at the output; ``dL_dZ``, when
     given, is added at the bottleneck so embedding losses reach the encoder.
+    With ``out`` (a ``Gradients.for_model``), the gradients are written into
+    it. Each hidden delta is written over its activation, so the cache is
+    spent afterwards. Of Xhat only the shape is read, so ``dL_dXhat`` may
+    be written over it.
     """
+    if cache.spent:
+        raise StaleCache("cache is spent: backward already ran on it, or forward never did")
     if cache.version != model.version:
         raise StaleCache("cache was produced by an older parameter version")
     g = np.atleast_2d(np.asarray(dL_dXhat, dtype=float))
-    if g.shape != cache.activations[-1].shape:
+    activations = cache.activations
+    if g.shape != activations[-1].shape:
         raise DimensionMismatch("dL_dXhat shape does not match the forward output")
     if dL_dZ is not None:
         dL_dZ = np.atleast_2d(np.asarray(dL_dZ, dtype=float))
-        if dL_dZ.shape != cache.activations[model.bottleneck + 1].shape:
+        if dL_dZ.shape != activations[model.bottleneck + 1].shape:
             raise DimensionMismatch("dL_dZ shape does not match the embedding")
-    d_w = [None] * model.n_layers
-    d_b = [None] * model.n_layers
+    grads = Gradients.for_model(model) if out is None else out
+    if grads.flat is None or grads.flat.shape != model.theta.shape:
+        raise DimensionMismatch("out must be Gradients.for_model(model)")
+    cache.spent = True
     for l in range(model.n_layers - 1, -1, -1):
         if not _is_linear(model, l):
-            g = g * _activate_grad(cache.activations[l + 1], model.activation)
-        d_w[l] = cache.activations[l].T @ g
-        d_b[l] = g.sum(axis=0)
+            a = activations[l + 1]  # read for the last time: the delta goes over it
+            g = np.multiply(g, _activate_grad(a, model.activation), out=a)
+        np.matmul(activations[l].T, g, out=grads.d_weights[l])
+        np.sum(g, axis=0, out=grads.d_biases[l])
+        if l == 0:
+            break  # nothing reads dL/dX
         g = g @ model.weights[l].T
         # g is now dL/d(a_l); once a_l is the embedding, fold in the
         # clustering-loss gradient before continuing into the encoder.
         if l == model.bottleneck + 1 and dL_dZ is not None:
-            g = g + dL_dZ
-    return Gradients(d_w, d_b)
+            g += dL_dZ
+    return grads
+
+
+def _flat_gradient(model: AutoencoderModel, grads: Gradients) -> np.ndarray:
+    """Gradients built from per-layer lists, copied into theta's layout."""
+    if len(grads.d_weights) != model.n_layers or len(grads.d_biases) != model.n_layers:
+        raise DimensionMismatch("gradient shape does not match parameter shape")
+    parts = []
+    for d_w, d_b, w, b in zip(grads.d_weights, grads.d_biases, model.weights, model.biases):
+        if d_w.shape != w.shape or d_b.shape != b.shape:
+            raise DimensionMismatch("gradient shape does not match parameter shape")
+        parts += [d_w.ravel(), d_b]
+    return np.concatenate(parts)
 
 
 def adam_step(model: AutoencoderModel, grads: Gradients, config: TrainConfig) -> AutoencoderModel:
-    """Standard Adam with bias correction; updates the model in place."""
+    """Standard Adam with bias correction; updates the model in place.
+
+    One pass over the flat parameter vector, ``ADAM_CHUNK`` entries at a
+    time, with the per-tensor update's operations in the same order.
+    """
+    g_all = _flat_gradient(model, grads) if grads.flat is None else grads.flat
+    if g_all.shape != model.theta.shape:
+        raise DimensionMismatch("gradient shape does not match parameter shape")
     s = model.adam
     s.step += 1
     b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, config.learning_rate
     c1 = 1.0 - b1**s.step
     c2 = 1.0 - b2**s.step
-    for l in range(model.n_layers):
-        for theta, g, m, v in (
-            (model.weights[l], grads.d_weights[l], s.m_w[l], s.v_w[l]),
-            (model.biases[l], grads.d_biases[l], s.m_b[l], s.v_b[l]),
-        ):
-            if g.shape != theta.shape:
-                raise DimensionMismatch("gradient shape does not match parameter shape")
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    for start in range(0, g_all.size, ADAM_CHUNK):
+        chunk = slice(start, start + ADAM_CHUNK)
+        theta, g, m, v = model.theta[chunk], g_all[chunk], s.m[chunk], s.v[chunk]
+        t1, t2 = s.scratch[0, : g.size], s.scratch[1, : g.size]
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=t1)  # m = b1 m + (1 - b1) g
+        v *= b2
+        np.multiply(g, g, out=t1)
+        t1 *= 1.0 - b2
+        v += t1  # v = b2 v + (1 - b2) g^2
+        np.divide(v, c2, out=t1)
+        np.sqrt(t1, out=t1)
+        t1 += eps
+        np.divide(m, c1, out=t2)
+        t2 *= lr
+        t2 /= t1
+        theta -= t2  # theta -= lr (m / c1) / (sqrt(v / c2) + eps)
     model.version += 1
     return model
 
 
 def reset_adam(model: AutoencoderModel) -> None:
-    model.adam = _zero_adam(model.weights, model.biases)
+    model.adam.m.fill(0.0)
+    model.adam.v.fill(0.0)
+    model.adam.step = 0
 
 
 def params_finite(model: AutoencoderModel) -> bool:
-    return all(np.all(np.isfinite(w)) for w in model.weights) and all(
-        np.all(np.isfinite(b)) for b in model.biases
-    )
+    return bool(np.isfinite(model.theta).all())
 
 
 def pretrain(
@@ -258,25 +342,31 @@ def pretrain(
     The history holds the full-dataset reconstruction loss after each
     epoch. The last incomplete mini-batch is used, not dropped. Raises
     ``NonFiniteLoss`` (training aborted) if the loss or any parameter
-    stops being finite.
+    stops being finite. One batch cache, one full-data cache and one set
+    of gradients serve every step.
     """
     if ds.missing.any():
         raise DimensionMismatch("pretrain requires a fully imputed dataset")
     X = ds.X
     rng = np.random.default_rng(config.seed)
     n = X.shape[0]
+    cache = ForwardCache.for_model(model, min(config.batch_size, n))
+    full = ForwardCache.for_model(model, n)
+    grads = Gradients.for_model(model)
     history: list[float] = []
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             xb = X[idx]
-            _, xhat, cache = forward(model, xb)
-            d_xhat = 2.0 * (xhat - xb) / xb.shape[0]
-            grads = backward(model, cache, d_xhat)
+            _, xhat, _ = forward(model, xb, out=cache)
+            d_xhat = np.subtract(xhat, xb, out=xhat)  # 2 (xhat - xb) / rows, over xhat
+            d_xhat *= 2.0
+            d_xhat /= xb.shape[0]
+            backward(model, cache, d_xhat, out=grads)
             adam_step(model, grads, config)
-        _, xhat, _ = forward(model, X)
-        loss = reconstruction_loss(X, xhat)
+        _, xhat, _ = forward(model, X, out=full)
+        loss = reconstruction_loss(X, xhat, out=xhat)
         if not np.isfinite(loss) or not params_finite(model):
             raise NonFiniteLoss(epoch)
         history.append(loss)

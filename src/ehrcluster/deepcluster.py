@@ -35,6 +35,8 @@ from .autoencoder import (
     ADAM_BETA2,
     ADAM_EPS,
     AutoencoderModel,
+    ForwardCache,
+    Gradients,
     TrainConfig,
     adam_step,
     backward,
@@ -217,6 +219,8 @@ def finetune(
     are reseeded, and T is frozen. Between refreshes each batch takes one
     Adam step on the joint objective, with the clustering gradient injected
     at the bottleneck (student-t centers get their own Adam update, in place).
+    One batch cache and one set of gradients serve every step, and one
+    full-data cache every epoch between two refreshes.
     """
     if ds.missing.any():
         raise DimensionMismatch("finetune requires a fully imputed dataset")
@@ -239,10 +243,16 @@ def finetune(
     mu_v = np.zeros_like(_centers(head))
     mu_step = 0
     cfg_t = config.train
+    cache = ForwardCache.for_model(model, min(cfg_t.batch_size, n))
+    grads = Gradients.for_model(model)
 
     for epoch in range(config.finetune_epochs):
         if epoch % config.target_update_interval == 0:
+            # the full-data cache is dropped while the refresh encodes and then taken
+            # anew, untouched, so the two never hold memory at the same time
+            full = None
             Z_full = encode(model, X)
+            full = ForwardCache.for_model(model, n)
             if gaussian:  # one EM step, into a new mixture, as in gmm_fit's loop
                 head = GmmModel(*_gmm_m_step(Z_full, soft_assign_gaussian(Z_full, head), "full", REG_COVAR))
             S_full = soft_assign(Z_full, head)
@@ -253,10 +263,12 @@ def finetune(
         for start in range(0, n, cfg_t.batch_size):
             idx = perm[start : start + cfg_t.batch_size]
             xb = X[idx]
-            zb, xhat, cache = forward(model, xb)
-            d_xhat = config.recon_weight * 2.0 * (xhat - xb) / xb.shape[0]
+            zb, xhat, _ = forward(model, xb, out=cache)
+            d_xhat = np.subtract(xhat, xb, out=xhat)  # recon_weight 2 (xhat - xb) / rows, over xhat
+            d_xhat *= config.recon_weight * 2.0
+            d_xhat /= xb.shape[0]
             dZ, dMu = clustering_gradients(zb, head, T_full[idx])
-            grads = backward(model, cache, d_xhat, config.gamma * dZ)
+            backward(model, cache, d_xhat, config.gamma * dZ, out=grads)
             adam_step(model, grads, cfg_t)
             if not gaussian:  # the centers' own Adam step, in place
                 g = config.gamma * dMu
@@ -267,12 +279,12 @@ def finetune(
                 vhat = mu_v / (1 - ADAM_BETA2**mu_step)
                 head -= cfg_t.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
-        zf, xhatf, _ = forward(model, X)
+        zf, xhatf, full = forward(model, X, out=full)  # no other name may keep the cache
         if gaussian:
             log_sf, _ = gaussian_log_responsibilities(zf, head)
         else:
             log_sf = np.log(soft_assign_student_t(zf, head))
-        recon = reconstruction_loss(X, xhatf)
+        recon = reconstruction_loss(X, xhatf, out=xhatf)
         kl = kl_loss(T_full, log_sf) / n
         joint = config.recon_weight * recon + config.gamma * kl
         if not np.isfinite(joint) or not params_finite(model) or not np.all(np.isfinite(_centers(head))):

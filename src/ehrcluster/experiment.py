@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__
 from .autoencoder import TrainConfig, build, encode, mirrored_dims, pretrain
 from .data import (
-    Dataset, SyntheticSpec, check_missing_rate, generate_synthetic, load_csv, load_feature_schema,
-    preprocess, stratified_subsample, subset_rows, write_labels,
+    Dataset, FeatureSpec, SyntheticSpec, check_missing_rate, generate_synthetic, load_csv,
+    load_feature_schema, preprocess, stratified_subsample, subset_rows, write_labels,
 )
 from .deepcluster import DeepClusterConfig, assign, finetune
 from .ensemble import check_sweep_dims, dimension_ensemble, majority_vote, run_dimension_sweep, sweep_dims
@@ -280,9 +280,9 @@ def _check_ranges(p: dict) -> None:
     elif "batch_size" in p:
         _train_config(p, 0)
     if "n_init" in p:
-        check_kmeans_params(p["n_init"])
+        check_kmeans_params(p["n_init"], p["max_iter"], p["tol"])
     if "cov_type" in p:
-        check_gmm_params(p["cov_type"], p["reg_covar"])
+        check_gmm_params(p["cov_type"], p["reg_covar"], p["max_iter"], p["tol"])
     if "dims" in p:
         check_sweep_dims(p["dims"])
     if "hidden" in p:
@@ -448,17 +448,26 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(read_json(path), base_dir=path.parent)
 
 
-def _load_cohort(config: ExperimentConfig, cohort: CohortSpec) -> Dataset:
+def _csv_schema(config: ExperimentConfig) -> list[FeatureSpec] | None:
+    """The CSV source's feature schema, every cohort's group_column checked against it."""
+    if config.csv is None:
+        return None
+    specs = load_feature_schema(config.csv.schema)
+    names = [s.name for s in specs]
+    for i, cohort in enumerate(config.cohorts):
+        if cohort.group_column is not None and cohort.group_column not in names:
+            raise ConfigError(f"cohorts[{i}].group_column: {cohort.group_column!r} not in schema")
+    return specs
+
+
+def _load_cohort(config: ExperimentConfig, cohort: CohortSpec, specs: list[FeatureSpec] | None) -> Dataset:
     if config.synthetic is not None:
         spec = replace(config.synthetic, seed=derive_seed(config.synthetic.seed, cohort.seed_offset))
         ds = generate_synthetic(spec)
     else:
-        specs = load_feature_schema(config.csv.schema)
         ds = load_csv(config.csv.path, specs, label_column=config.csv.label_column)
         if cohort.group_column is not None:
             names = [s.name for s in specs]
-            if cohort.group_column not in names:
-                raise ConfigError(f"cohorts: group_column {cohort.group_column!r} not in schema")
             in_group = ds.X[:, names.index(cohort.group_column)] == cohort.group_value
             if not in_group.any():
                 raise ConfigError(
@@ -485,6 +494,7 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the cohort x method grid and write every report file."""
+    specs = _csv_schema(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -496,7 +506,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ordered = sorted(config.methods, key=lambda m: m.kind == "kgg")
 
     for ci, cohort in enumerate(config.cohorts):
-        raw = _load_cohort(config, cohort)
+        raw = _load_cohort(config, cohort, specs)
         prep, _scaler = preprocess(raw, config.max_missing_rate)
         if prep.labels is None:
             raise ConfigError(f"cohort {cohort.name!r} has no ground-truth labels to score against")

@@ -66,10 +66,18 @@ def _fix_empty_clusters(X, centers, labels, d2):
     return centers, labels, d2
 
 
-def check_kmeans_params(n_init: int) -> None:
+def _check_iterations(max_iter: int, tol: float) -> None:
+    if max_iter < 1:
+        raise DegenerateInput(f"max_iter must be >= 1, got {max_iter}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise DegenerateInput(f"tol must be finite and >= 0, got {tol}")
+
+
+def check_kmeans_params(n_init: int, max_iter: int, tol: float) -> None:
     """DegenerateInput if ``kmeans_fit`` would refuse these settings."""
     if n_init < 1:
         raise DegenerateInput(f"n_init must be >= 1, got {n_init}")
+    _check_iterations(max_iter, tol)
 
 
 def kmeans_fit(
@@ -91,7 +99,7 @@ def kmeans_fit(
         raise DimensionMismatch("X must be 2-dimensional")
     if k < 2:
         raise DegenerateInput("k must be >= 2")
-    check_kmeans_params(n_init)
+    check_kmeans_params(n_init, max_iter, tol)
     if X.shape[0] < k:
         raise DegenerateInput(f"need at least k={k} samples, got {X.shape[0]}")
     # n times the summed squared ranges bounds every sum of squared distances
@@ -226,12 +234,13 @@ def _gmm_m_step(X, resp, cov_type, reg_covar):
     return weights, means, covs
 
 
-def check_gmm_params(cov_type: str, reg_covar: float) -> None:
+def check_gmm_params(cov_type: str, reg_covar: float, max_iter: int, tol: float) -> None:
     """DegenerateInput if ``gmm_fit`` would refuse these settings."""
     if cov_type not in ("full", "diagonal"):
         raise DegenerateInput(f"unknown cov_type {cov_type!r}")
     if not reg_covar > 0:  # NaN too
         raise DegenerateInput("reg_covar must be > 0")
+    _check_iterations(max_iter, tol)
 
 
 def gmm_fit(
@@ -256,7 +265,7 @@ def gmm_fit(
         raise DegenerateInput("k must be >= 2")
     if X.shape[0] <= k:
         raise DegenerateInput(f"need more than k={k} samples, got {X.shape[0]}")
-    check_gmm_params(cov_type, reg_covar)
+    check_gmm_params(cov_type, reg_covar, max_iter, tol)
 
     km = kmeans_fit(X, k, seed=seed)
     resp = np.eye(k)[kmeans_predict(km, X)]  # one-hot k-means labels

@@ -1,15 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ehrcluster.autoencoder import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    ForwardCache,
+    Gradients,
     TrainConfig,
     adam_step,
     backward,
     build,
     encode,
     forward,
+    params_finite,
     pretrain,
     reconstruction_loss,
+    reset_adam,
 )
 from ehrcluster.data import SyntheticSpec, generate_synthetic, standardize
 from ehrcluster.errors import (
@@ -256,6 +265,137 @@ class TestAdamStep:
             _, xhat, cache = forward(m, X)
             adam_step(m, backward(m, cache, 2 * (xhat - X) / 5), TrainConfig())
         assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReusedBuffers:
+    """forward(out=), backward(out=) and the flat Adam step against the fresh, per-tensor calls."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("with_dz", [False, True])
+    def test_out_calls_equal_fresh_calls_bit_for_bit(self, activation, with_dz):
+        m = build(6, 3, [5, 4], activation, seed=11)
+        rng = np.random.default_rng(11)
+        cache, grads = ForwardCache.for_model(m, 8), Gradients.for_model(m)
+        for rows in (8, 5, 8):  # the 5-row batch runs through leading-row views of the cache
+            X = rng.normal(size=(rows, 6))
+            d_z = rng.normal(size=(rows, 3)) if with_dz else None
+            z, xhat, fresh = forward(m, X)
+            want = backward(m, fresh, 2.0 * (xhat - X) / rows, d_z)
+            zo, xhato, _ = forward(m, X, out=cache)
+            assert same_bits(zo, z) and same_bits(xhato, xhat)
+            got = backward(m, cache, 2.0 * (xhato - X) / rows, d_z, out=grads)
+            assert got is grads
+            assert all(same_bits(a, b) for a, b in zip(got.d_weights, want.d_weights))
+            assert all(same_bits(a, b) for a, b in zip(got.d_biases, want.d_biases))
+            # backward writes deltas over hidden activations only, never over Z or Xhat
+            assert same_bits(zo, z) and same_bits(xhato, xhat)
+
+    def test_weights_and_gradients_are_views_of_one_flat_vector(self):
+        m = build(4, 2, [3], seed=0)
+        assert m.theta.size == sum(w.size + b.size for w, b in zip(m.weights, m.biases))
+        m.theta[:] = 7.0
+        assert all((w == 7.0).all() for w in m.weights) and all((b == 7.0).all() for b in m.biases)
+        g = Gradients.for_model(m)
+        g.flat[:] = 3.0
+        assert all((w == 3.0).all() for w in g.d_weights) and all((b == 3.0).all() for b in g.d_biases)
+
+    def test_flat_adam_equals_per_tensor_reference_bit_for_bit(self):
+        cfg = TrainConfig(learning_rate=3e-3)
+        m = build(5, 2, [4, 3], "tanh", seed=21)
+        ref_w = [w.copy() for w in m.weights]
+        ref_b = [b.copy() for b in m.biases]
+        moments = [[np.zeros_like(t), np.zeros_like(t)] for t in ref_w + ref_b]
+        grads = Gradients.for_model(m)
+        rng = np.random.default_rng(21)
+        for step in range(1, 21):
+            grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-6, 3)
+            adam_step(m, grads, cfg)
+            # the per-tensor update, operation for operation
+            c1, c2 = 1.0 - ADAM_BETA1**step, 1.0 - ADAM_BETA2**step
+            for theta, g, (mo, v) in zip(ref_w + ref_b, grads.d_weights + grads.d_biases, moments):
+                mo *= ADAM_BETA1
+                mo += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * (g * g)
+                theta -= cfg.learning_rate * (mo / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        assert all(same_bits(a, b) for a, b in zip(m.weights, ref_w))
+        assert all(same_bits(a, b) for a, b in zip(m.biases, ref_b))
+
+    def test_list_gradients_step_like_flat_ones(self):
+        a, b = build(4, 2, [3], seed=8), build(4, 2, [3], seed=8)
+        grads = Gradients.for_model(a)
+        grads.flat[:] = np.random.default_rng(8).normal(size=grads.flat.size)
+        adam_step(a, grads, TrainConfig())
+        adam_step(b, Gradients([w.copy() for w in grads.d_weights], [x.copy() for x in grads.d_biases]),
+                  TrainConfig())
+        assert same_bits(a.theta, b.theta)
+        with pytest.raises(DimensionMismatch):
+            adam_step(b, Gradients([w.T for w in grads.d_weights], grads.d_biases), TrainConfig())
+
+    def test_spent_cache_raises(self):
+        m = build(4, 2, [3], seed=0)
+        X = np.random.default_rng(0).normal(size=(5, 4))
+        cache = ForwardCache.for_model(m, 5)
+        _, xhat, _ = forward(m, X, out=cache)
+        backward(m, cache, xhat - X)
+        with pytest.raises(StaleCache, match="spent"):
+            backward(m, cache, xhat - X)
+        _, xhat, _ = forward(m, X, out=cache)  # a forward refills it
+        backward(m, cache, xhat - X)
+
+    def test_batch_larger_than_the_cache_is_refused(self):
+        m = build(4, 2, [3], seed=0)
+        with pytest.raises(DimensionMismatch):
+            forward(m, np.zeros((6, 4)), out=ForwardCache.for_model(m, 5))
+        with pytest.raises(DimensionMismatch):
+            forward(m, np.zeros((2, 4)), out=ForwardCache.for_model(build(4, 2, [5], seed=0), 5))
+
+    def test_reconstruction_loss_over_xhat_equals_the_fresh_loss(self):
+        rng = np.random.default_rng(3)
+        X, Xhat = rng.normal(size=(40, 7)), rng.normal(size=(40, 7))
+        want = reconstruction_loss(X, Xhat)
+        assert want == float(((X - Xhat) ** 2).sum(axis=1).mean())
+        assert reconstruction_loss(X, Xhat, out=Xhat) == want
+
+    def test_reset_adam_and_params_finite_act_on_the_flat_vectors(self):
+        m = build(4, 2, [3], seed=0)
+        grads = Gradients.for_model(m)
+        grads.flat[:] = 1.0
+        adam_step(m, grads, TrainConfig())
+        reset_adam(m)
+        assert m.adam.step == 0 and not m.adam.m.any() and not m.adam.v.any()
+        assert params_finite(m)
+        m.biases[-1][0] = np.nan
+        assert not params_finite(m)
+
+    def test_warm_batch_step_allocates_under_two_hidden_activations(self):
+        # pretrain's step on the desk network: 33-64-64-10-64-64-33, 256-row batches
+        m = build(33, 10, [64, 64], seed=0)
+        X = np.random.default_rng(0).normal(size=(2000, 33))
+        perm = np.random.default_rng(1).permutation(2000)
+        cache, grads, cfg = ForwardCache.for_model(m, 256), Gradients.for_model(m), TrainConfig()
+
+        def step(idx):
+            xb = X[idx]
+            _, xhat, _ = forward(m, xb, out=cache)
+            d_xhat = np.subtract(xhat, xb, out=xhat)
+            d_xhat *= 2.0
+            d_xhat /= xb.shape[0]
+            backward(m, cache, d_xhat, out=grads)
+            adam_step(m, grads, cfg)
+
+        step(perm[:256])
+        tracemalloc.start()
+        try:
+            step(perm[256:512])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 256 * 64 * 8
 
 
 def small_training_set(n=500, seed=0):

@@ -44,6 +44,14 @@ OUT_OF_RANGE = [
     ({"reg_covar": float("nan")}, "reg_covar must be > 0", "gmm_x"),
     ({"n_init": 0}, "n_init must be >= 1", "kmeans_x"),
     ({"dims": []}, "dims must be non-empty", "deep_gaussian_sweep"),
+    ({"max_iter": 0}, "max_iter must be >= 1", "kmeans_x"),
+    ({"max_iter": -3}, "max_iter must be >= 1", "gmm_x"),
+    ({"max_iter": 0}, "max_iter must be >= 1", "kmeans_z"),
+    ({"max_iter": -3}, "max_iter must be >= 1", "gmm_z"),
+    ({"tol": -1}, "tol must be finite and >= 0", "kmeans_x"),
+    ({"tol": float("nan")}, "tol must be finite and >= 0", "gmm_x"),
+    ({"tol": float("inf")}, "tol must be finite and >= 0", "kmeans_z"),
+    ({"tol": -1}, "tol must be finite and >= 0", "gmm_z"),
 ]
 
 
@@ -460,6 +468,22 @@ class TestExitCodes:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         assert run_cli("benchmark", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")) == 1
         assert named in capsys.readouterr().err
+
+    def test_csv_group_column_not_in_schema_fails_before_the_output_dir(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("f00,f01,y\n" + "".join(f"{i % 2},{i},{i % 2}\n" for i in range(12)))
+        (tmp_path / "s.json").write_text(json.dumps([
+            {"name": name, "unit": "", "bound_lo": -100, "bound_hi": 100} for name in ("f00", "f01")
+        ]))
+        config = {
+            "seed": 1,
+            "data": {"csv": {"path": "d.csv", "schema": "s.json", "label_column": "y"}},
+            "cohorts": [{"name": "a"}, {"name": "c", "group_column": "zz", "group_value": 1}],
+            "methods": [{"name": "m", "kind": "kmeans_x"}],
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_cli("benchmark", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")) == 1
+        assert "cohorts[1].group_column: 'zz' not in schema" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
     def test_label_files_of_differing_length_are_named(self, tmp_path, capsys, command):
