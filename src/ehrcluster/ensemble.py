@@ -19,6 +19,7 @@ under their own names.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -100,6 +101,29 @@ def check_sweep_dims(dims) -> None:
         raise EmptyRuns("dims must be non-empty")
 
 
+def sweep_run(
+    ds: Dataset,
+    base_config: DeepClusterConfig,
+    k: int,
+    hidden: list[int] | tuple[int, ...],
+    activation: str,
+    embed_dim: int,
+) -> np.ndarray:
+    """One run of ``run_dimension_sweep``: the labels of a gaussian-variant model at ``embed_dim``.
+
+    Raises ``SweepRunFailed`` naming ``embed_dim`` when the run fails.
+    """
+    seed_d = derive_seed(base_config.train.seed, embed_dim)
+    cfg = replace(base_config, variant="gaussian", train=replace(base_config.train, seed=seed_d))
+    try:
+        model = build(ds.n_features, embed_dim, hidden, activation, seed=seed_d)
+        pretrain(model, ds, cfg.train)
+        dcm = finetune(model, ds, k, cfg)
+        return assign(dcm, ds.X)
+    except Exception as exc:
+        raise SweepRunFailed(embed_dim, exc) from exc
+
+
 def run_dimension_sweep(
     ds: Dataset,
     dims: list[int],
@@ -107,6 +131,7 @@ def run_dimension_sweep(
     k: int = 2,
     hidden: list[int] | tuple[int, ...] = (),
     activation: str = "relu",
+    map=map,
 ) -> np.ndarray:
     """Train one gaussian-variant model per embedding size; stack their labels.
 
@@ -114,20 +139,14 @@ def run_dimension_sweep(
     ``build`` takes them) around its own embedding size. Each run is fully
     independent with a seed derived only from (base seed, dimension), so the
     sweep is reproducible and its result cannot depend on execution order.
+    ``map(run, dims)`` yields ``run(d)`` for each size in order, where ``run``
+    is ``sweep_run`` with every argument but the size bound; a process pool's
+    map may stand in for the built-in one. The first failed size, in order,
+    is raised as ``SweepRunFailed``.
     """
     check_sweep_dims(dims)
     for d in dims:
         if d < 1 or d > ds.n_features:
             raise UnsupportedK(f"embed dim {d} outside [1, {ds.n_features}]")
-    rows = []
-    for d in dims:
-        seed_d = derive_seed(base_config.train.seed, d)
-        cfg = replace(base_config, variant="gaussian", train=replace(base_config.train, seed=seed_d))
-        try:
-            model = build(ds.n_features, d, hidden, activation, seed=seed_d)
-            pretrain(model, ds, cfg.train)
-            dcm = finetune(model, ds, k, cfg)
-            rows.append(assign(dcm, ds.X))
-        except Exception as exc:
-            raise SweepRunFailed(d, exc) from exc
-    return np.asarray(rows, dtype=int)
+    runs = map(partial(sweep_run, ds, base_config, k, hidden, activation), dims)
+    return np.asarray(list(runs), dtype=int)

@@ -7,8 +7,21 @@ so callers (notably the CLI) can tell them apart from genuine runtime failures.
 """
 
 
+def _restore(cls, args):
+    """The error ``cls`` holding ``args`` as it was raised, without rerunning its ``__init__``."""
+    return cls.__new__(cls, *args)
+
+
 class ToolkitError(Exception):
-    """Base class for all toolkit-specific errors."""
+    """Base class for all toolkit-specific errors.
+
+    A pickle round trip (as from a worker process) keeps the type, the message
+    and every attribute, also of a subclass whose ``__init__`` formats the
+    message from other arguments.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args), self.__dict__
 
 
 class ValidationError(ToolkitError):

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, replace
@@ -37,7 +39,9 @@ from .data import (
     load_feature_schema, preprocess, stratified_subsample, subset_rows, write_labels,
 )
 from .deepcluster import DeepClusterConfig, assign, finetune
-from .ensemble import check_sweep_dims, dimension_ensemble, majority_vote, run_dimension_sweep, sweep_dims
+from .ensemble import (
+    check_sweep_dims, dimension_ensemble, majority_vote, run_dimension_sweep, sweep_dims, sweep_run,
+)
 from .errors import ConfigError, ValidationError
 from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
 from .traditional import (
@@ -213,10 +217,10 @@ def _fit_deep(variant, ds, k, seed, p, produced) -> MethodResult:
     )
 
 
-def _fit_sweep(ds, k, seed, p, produced) -> MethodResult:
+def _fit_sweep(ds, k, seed, p, produced, map=map) -> MethodResult:
     dims = p.get("dims", sweep_dims(ds.n_features))
     cfg = _finetune_config(p, "gaussian", seed)
-    runs = run_dimension_sweep(ds, dims, cfg, k=k, hidden=p["hidden"], activation=p["activation"])
+    runs = run_dimension_sweep(ds, dims, cfg, k=k, hidden=p["hidden"], activation=p["activation"], map=map)
     return MethodResult(
         labels=dimension_ensemble(runs), label_runs=runs, run_columns=[f"d{d}" for d in dims],
     )
@@ -492,8 +496,192 @@ class ExperimentResult:
     failures: list[dict]
 
 
+# the thread-count variables of the BLAS builds numpy may use, set to 1 in each pool worker
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def _timed(fn, *args):
+    """``fn(*args)`` and the seconds it took, measured in the process that ran it."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
+def _attempt(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``'s outcome: its result, or the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 -- one failed cell must not stop the grid
+        return exc
+
+
+def _module_functions() -> dict[tuple[str, str], object]:
+    """Every callable bound at module level in the loaded ehrcluster modules."""
+    return {
+        (name, attr): value
+        for name, module in list(sys.modules.items())
+        if name == "ehrcluster" or name.startswith("ehrcluster.")
+        for attr, value in vars(module).items()
+        if callable(value)
+    }
+
+
+def _usable_cores() -> int:
+    """Usable cores, or 1 if a module-level function has been swapped (a spy, a tracer)
+    since import: a pool worker imports the package afresh and would not see the swap."""
+    now = _module_functions()
+    if any(now.get(key) is not value for key, value in _AT_IMPORT.items()):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _jobs(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) -> list[tuple]:
+    """A cell's training jobs, each (weight, fn, args): the cell itself if it trains a network,
+    one per dimension for the sweep, none for a raw or voting cell. The weight is its epochs."""
+    p = _with_defaults(spec.kind, profile, spec.params)
+    if "pretrain_epochs" not in p:
+        return []
+    weight = p["pretrain_epochs"] + p.get("finetune_epochs", 0)
+    if spec.kind == "deep_gaussian_sweep":
+        cfg = _finetune_config(p, "gaussian", seed)
+        run = (ds, cfg, k, p["hidden"], p["activation"])
+        return [(weight, sweep_run, (*run, d)) for d in p.get("dims", sweep_dims(ds.n_features))]
+    return [(weight, run_method, (spec, ds, k, seed, profile))]
+
+
+def _fit_on_pool(jobs: list[tuple], workers: int, meanwhile: Callable[[], None] = lambda: None) -> list:
+    """Each job's outcome, in job order: ``_timed``'s (result, seconds) or the exception raised.
+
+    The jobs go, heaviest first, to a spawn pool of ``workers`` processes, each started with
+    one BLAS thread; the parent's environment is restored once they are started.
+    ``meanwhile`` runs in this process while they fit, and every worker is joined before
+    this returns. A worker that dies breaks the pool for every job not yet done; each of
+    those reruns alone in a new pool, so only a job that kills its own worker fails, with
+    ``BrokenProcessPool``.
+    """
+    # imported here, not at module level, so that runs without a pool never pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        try:
+            heaviest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])
+            futures = {i: pool.submit(_timed, jobs[i][1], *jobs[i][2]) for i in heaviest_first}
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
+        meanwhile()
+        outcomes = [_attempt(futures[i].result) for i in range(len(jobs))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if len(jobs) == 1:
+        return outcomes
+    return [
+        _fit_on_pool([job], 1)[0] if isinstance(outcome, BrokenProcessPool) else outcome
+        for job, outcome in zip(jobs, outcomes)
+    ]
+
+
+def _replay(outcomes: list, run, dims):
+    """A map for ``run_dimension_sweep`` over runs the pool has already fitted: each run's
+    labels in order, raising the first failed run's ``SweepRunFailed``."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome[0]
+
+
+def _fit_cohort(config: ExperimentConfig, ci: int, prep: Dataset, cores: int) -> tuple[dict[str, object], int]:
+    """Every cell's outcome by method name, and the number of processes its jobs ran on.
+
+    An outcome is (MethodResult, seconds), the exception the cell raised, or None for a kgg
+    cell whose voters failed. With two or more ``cores`` and training jobs, the jobs run
+    on a pool while the raw cells run here; otherwise every cell runs here.
+    """
+    profile = PROFILES[config.profile]
+    seeds = {m.name: derive_seed(config.seed, ci, j) for j, m in enumerate(config.methods)}
+    fitted = [m for m in config.methods if m.kind != "kgg"]
+
+    def fit_here(specs):
+        return {m.name: _attempt(_timed, run_method, m, prep, config.k, seeds[m.name], profile) for m in specs}
+
+    jobs = {m.name: _jobs(m, prep, config.k, seeds[m.name], profile) for m in fitted}
+    flat = [job for cell in jobs.values() for job in cell]
+    workers = min(cores, len(flat))
+    if workers < 2:
+        workers = 1
+        outcomes = fit_here(fitted)
+    else:
+        outcomes = {}
+        done = iter(_fit_on_pool(
+            flat, workers, lambda: outcomes.update(fit_here([m for m in fitted if not jobs[m.name]])),
+        ))
+        for m in fitted:
+            if not jobs[m.name]:
+                continue
+            runs = [next(done) for _ in jobs[m.name]]
+            if m.kind != "deep_gaussian_sweep":
+                outcomes[m.name] = runs[0]
+                continue
+            p = _with_defaults(m.kind, profile, m.params)
+            result = _attempt(_fit_sweep, prep, config.k, seeds[m.name], p, None, map=partial(_replay, runs))
+            seconds = sum(run[1] for run in runs if not isinstance(run, Exception))
+            outcomes[m.name] = result if isinstance(result, Exception) else (result, seconds)
+
+    produced = {name: out[0].labels for name, out in outcomes.items() if isinstance(out, tuple)}
+    for m in config.methods:
+        if m.kind != "kgg":
+            continue
+        outcomes[m.name] = None
+        if all(v in produced for v in m.params["voters"]):
+            outcomes[m.name] = _attempt(_timed, run_method, m, prep, config.k, seeds[m.name], profile, produced)
+    return outcomes, workers
+
+
+def _write_result(out: Path, stem: str, result: MethodResult) -> None:
+    write_labels(out / "labels" / f"{stem}.csv", result.labels)
+    if result.embedding is not None:
+        write_csv(
+            out / "embeddings" / f"{stem}.csv",
+            [f"z{i}" for i in range(result.embedding.shape[1])],
+            result.embedding.tolist(),
+        )
+    if result.pretrain_history is not None:
+        write_csv(
+            out / "history" / f"{stem}__pretrain.csv",
+            ["epoch", "loss"],
+            list(enumerate(result.pretrain_history)),
+        )
+    if result.finetune_history is not None:
+        write_csv(
+            out / "history" / f"{stem}.csv",
+            ["epoch", "recon_loss", "kl_loss", "joint_loss"],
+            [(i, *losses) for i, losses in enumerate(result.finetune_history)],
+        )
+    if result.label_runs is not None:
+        write_csv(
+            out / "labels_runs" / f"{stem}.csv",
+            result.run_columns,
+            result.label_runs.T.tolist(),
+        )
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the cohort x method grid and write every report file."""
+    """Run the cohort x method grid and write every report file.
+
+    A cohort's network trainings (each training cell, each sweep dimension) run on a spawn
+    pool of one process per usable core, at most one per job, when there are at least two
+    of them, at least two cores, and no module-level function of the package has been
+    swapped since import; otherwise every cell runs in this process. Either way every file
+    is written in config order once all of the cohort's cells are back.
+    """
     specs = _csv_schema(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -501,9 +689,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     scores: list[ScoreReport] = []
     failures: list[dict] = []
     cells: list[dict] = []
-    method_index = {m.name: j for j, m in enumerate(config.methods)}
-    # kgg methods run after their voters regardless of config order
-    ordered = sorted(config.methods, key=lambda m: m.kind == "kgg")
+    cores = _usable_cores()
+    used = 1
 
     for ci, cohort in enumerate(config.cohorts):
         raw = _load_cohort(config, cohort, specs)
@@ -511,72 +698,38 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if prep.labels is None:
             raise ConfigError(f"cohort {cohort.name!r} has no ground-truth labels to score against")
         truth = prep.labels
+        outcomes, workers = _fit_cohort(config, ci, prep, cores)
+        used = max(used, workers)
 
-        produced: dict[str, np.ndarray] = {}
-        for spec in ordered:
-            cell_seed = derive_seed(config.seed, ci, method_index[spec.name])
+        for j, spec in enumerate(config.methods):
             failure = {"cohort": cohort.name, "method": spec.name}
-            if spec.kind == "kgg" and not all(n in produced for n in spec.params["voters"]):
+            outcome = outcomes[spec.name]
+            if outcome is None:
                 failures.append({**failure, "error": "voter labels missing"})
                 continue
-            t0 = time.perf_counter()
-            try:
-                result = run_method(
-                    spec, prep, config.k, cell_seed, PROFILES[config.profile], produced
-                )
-            except Exception as exc:  # noqa: BLE001 -- one failed cell must not stop the grid
+            if isinstance(outcome, Exception):
                 failures.append({
                     **failure,
-                    "error": str(exc),
-                    "type": type(exc).__name__,
-                    "traceback": traceback.format_exc(),
+                    "error": str(outcome),
+                    "type": type(outcome).__name__,
+                    "traceback": "".join(traceback.format_exception(outcome)),
                 })
                 continue
-            elapsed = time.perf_counter() - t0
-
-            produced[spec.name] = result.labels
+            result, elapsed = outcome
             scores.append(score(truth, result.labels, spec.name, cohort.name, elapsed))
             cells.append(
                 {
                     "cohort": cohort.name,
                     "method": spec.name,
                     "kind": spec.kind,
-                    "seed": cell_seed,
+                    "seed": derive_seed(config.seed, ci, j),
                     "wall_clock_seconds": elapsed,
                 }
             )
-
-            stem = f"{cohort.name}__{spec.name}"
-            write_labels(out / "labels" / f"{stem}.csv", result.labels)
-            if result.embedding is not None:
-                write_csv(
-                    out / "embeddings" / f"{stem}.csv",
-                    [f"z{i}" for i in range(result.embedding.shape[1])],
-                    result.embedding.tolist(),
-                )
-            if result.pretrain_history is not None:
-                write_csv(
-                    out / "history" / f"{stem}__pretrain.csv",
-                    ["epoch", "loss"],
-                    list(enumerate(result.pretrain_history)),
-                )
-            if result.finetune_history is not None:
-                write_csv(
-                    out / "history" / f"{stem}.csv",
-                    ["epoch", "recon_loss", "kl_loss", "joint_loss"],
-                    [(i, *losses) for i, losses in enumerate(result.finetune_history)],
-                )
-            if result.label_runs is not None:
-                write_csv(
-                    out / "labels_runs" / f"{stem}.csv",
-                    result.run_columns,
-                    result.label_runs.T.tolist(),
-                )
+            _write_result(out, f"{cohort.name}__{spec.name}", result)
 
     # scores.csv stays free of wall-clock so reruns are byte-identical;
     # timings carry the clock.
-    order = {(c.name, m.name): (i, j) for i, c in enumerate(config.cohorts) for j, m in enumerate(config.methods)}
-    scores.sort(key=lambda r: order[(r.cohort, r.method)])
     write_score_reports_csv(scores, out / "scores.csv", include_wall_clock=False)
     write_csv(
         out / "timings.csv",
@@ -596,6 +749,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "config_hash": hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest(),
         "versions": _versions(),
         "profile": asdict(PROFILES[config.profile]),
+        "workers": used,
         "cells": cells,
         "failures": failures,
         "notes": (
@@ -634,3 +788,7 @@ def _config_doc(config: ExperimentConfig) -> dict:
     else:
         doc["data"] = {"csv": asdict(config.csv)}
     return doc
+
+
+# identities of the package's functions once imported, for _usable_cores
+_AT_IMPORT = _module_functions()

@@ -1,5 +1,8 @@
 import copy
 import json
+import multiprocessing
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +13,10 @@ from hypothesis import strategies as st
 from ehrcluster.data import SyntheticSpec, generate_synthetic
 from ehrcluster.errors import ConfigError
 from ehrcluster.experiment import (
+    BLAS_THREAD_VARS,
     PROFILES,
     MethodSpec,
+    _fit_on_pool,
     load_config,
     parse_config,
     run_experiment,
@@ -408,6 +413,49 @@ class TestRunExperiment:
         doc["data"] = {"csv": {"path": str(csv_path), "schema": str(schema)}}
         with pytest.raises(ConfigError, match="labels"):
             run_experiment(parse_config(doc))
+
+
+class TestPool:
+    def test_one_failed_job_is_one_failed_cell(self, tmp_path):
+        train = {"hidden": [8], "embed_dim": 2, "pretrain_epochs": 3}
+        deep = {**train, "finetune_epochs": 2}
+        doc = minimal_doc(
+            methods=[
+                {"name": "kmeans_z", "kind": "kmeans_z", "params": train},
+                {"name": "boom", "kind": "deep_gaussian", "params": {**deep, "learning_rate": 1e200}},
+                {"name": "idec", "kind": "deep_student_t_recon", "params": deep},
+            ],
+            output_dir=str(tmp_path / "o"),
+        )
+        res = run_experiment(parse_config(doc))
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert manifest["workers"] == 2
+        assert multiprocessing.active_children() == []
+        assert [r.method for r in res.scores] == ["kmeans_z", "idec"]
+        (failure,) = res.failures
+        assert failure["method"] == "boom"
+        assert failure["type"] == "NonFiniteLoss"
+        assert re.fullmatch(r"loss or parameters became non-finite at epoch \d+", failure["error"])
+        # the worker's frames, down to the raise
+        assert "raise NonFiniteLoss(epoch)" in failure["traceback"]
+
+    def test_a_dead_worker_fails_only_its_job(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        outcomes = _fit_on_pool([(1, os._exit, (3,)), (1, pow, (2, 10)), (1, pow, (3, 3))], 2)
+        assert isinstance(outcomes[0], BrokenProcessPool)
+        assert [result for result, seconds in outcomes[1:]] == [1024, 27]
+        assert multiprocessing.active_children() == []
+
+    def test_workers_start_with_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        outcomes = _fit_on_pool([(1, os.getenv, (var,)) for var in BLAS_THREAD_VARS], 2)
+        assert [value for value, seconds in outcomes] == ["1"] * len(BLAS_THREAD_VARS)
+        # the parent's environment is as it was
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        assert "OMP_NUM_THREADS" not in os.environ
 
 
 def test_frozen_benchmark_config_parses():
