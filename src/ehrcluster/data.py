@@ -11,6 +11,7 @@ nothing else; ``Dataset.missing`` is derived from it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -169,22 +170,27 @@ def dataset_from_rows(path, header: list[str], data_rows: list[list[str]], specs
     n, f = len(data_rows), len(specs)
     X = np.empty((n, f))
     labels = np.empty(n, dtype=int) if label_column else None
+    columns = [(col_index[s.name], s.name) for s in specs]
     for i, row in enumerate(data_rows):
-        for j, spec in enumerate(specs):
-            cell = row[col_index[spec.name]].strip() if col_index[spec.name] < len(row) else ""
-            if cell in MISSING_TOKENS:
-                X[i, j] = np.nan
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonNumericCell(path, i, spec.name) from None
-            if not np.isfinite(value):
-                raise NonNumericCell(path, i, spec.name)
-            X[i, j] = value
+        # one row at a time, so the first bad cell in row-major order is the one reported
+        X[i] = [_feature_cell(path, row, i, j, col) for j, col in columns]
         if label_column:
             labels[i] = _count_cell(path, row, i, col_index[label_column], label_column)
     return Dataset(X, list(specs), labels=labels)
+
+
+def _feature_cell(path, row: list[str], i: int, j: int, col: str) -> float:
+    """The finite number in cell ``j`` of data row ``i``, NaN for a missing token; else a NonNumericCell."""
+    cell = row[j].strip() if j < len(row) else ""
+    if cell in MISSING_TOKENS:
+        return math.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        raise NonNumericCell(path, i, col) from None
+    if not math.isfinite(value):
+        raise NonNumericCell(path, i, col)
+    return value
 
 
 def _count_cell(path, row: list[str], i: int, j: int, col: str) -> int:

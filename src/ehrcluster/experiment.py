@@ -42,7 +42,7 @@ from .deepcluster import DeepClusterConfig, assign, finetune
 from .ensemble import (
     check_sweep_dims, dimension_ensemble, majority_vote, run_dimension_sweep, sweep_dims, sweep_run,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, WorkersCannotStart
 from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
 from .traditional import (
     REG_COVAR, check_gmm_params, check_kmeans_params, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict,
@@ -536,12 +536,10 @@ def _usable_cores() -> int:
 
 
 def _jobs(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) -> list[tuple]:
-    """A cell's training jobs, each (weight, fn, args): the cell itself if it trains a network,
-    one per dimension for the sweep, none for a raw or voting cell. The weight is its epochs."""
+    """A non-voting cell's jobs, each (weight, fn, args): one per dimension for the sweep, else
+    the cell itself. The weight is its epochs, 0 for a raw cell, so raw cells run last."""
     p = _with_defaults(spec.kind, profile, spec.params)
-    if "pretrain_epochs" not in p:
-        return []
-    weight = p["pretrain_epochs"] + p.get("finetune_epochs", 0)
+    weight = p.get("pretrain_epochs", 0) + p.get("finetune_epochs", 0)
     if spec.kind == "deep_gaussian_sweep":
         cfg = _finetune_config(p, "gaussian", seed)
         run = (ds, cfg, k, p["hidden"], p["activation"])
@@ -549,44 +547,53 @@ def _jobs(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) ->
     return [(weight, run_method, (spec, ds, k, seed, profile))]
 
 
-def _fit_on_pool(jobs: list[tuple], workers: int, meanwhile: Callable[[], None] = lambda: None) -> list:
-    """Each job's outcome, in job order: ``_timed``'s (result, seconds) or the exception raised.
-
-    The jobs go, heaviest first, to a spawn pool of ``workers`` processes, each started with
-    one BLAS thread; the parent's environment is restored once they are started.
-    ``meanwhile`` runs in this process while they fit, and every worker is joined before
-    this returns. A worker that dies breaks the pool for every job not yet done; each of
-    those reruns alone in a new pool, so only a job that kills its own worker fails, with
-    ``BrokenProcessPool``.
-    """
+def _run_pool(calls: list[tuple], workers: int) -> list:
+    """Each (fn, args) call's outcome, in order: ``_timed``'s (result, seconds) or the exception
+    raised. The calls are submitted in order to a spawn pool of ``workers`` processes, each
+    started with one BLAS thread; the parent's environment is restored once they are started,
+    and every worker is joined before this returns."""
     # imported here, not at module level, so that runs without a pool never pay for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
     saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
         try:
-            heaviest_first = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])
-            futures = {i: pool.submit(_timed, jobs[i][1], *jobs[i][2]) for i in heaviest_first}
+            futures = [pool.submit(_timed, fn, *args) for fn, args in calls]
         finally:
             for var, value in saved.items():
                 if value is None:
                     os.environ.pop(var, None)
                 else:
                     os.environ[var] = value
-        meanwhile()
-        outcomes = [_attempt(futures[i].result) for i in range(len(jobs))]
+        return [_attempt(future.result) for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
-    if len(jobs) == 1:
-        return outcomes
-    return [
-        _fit_on_pool([job], 1)[0] if isinstance(outcome, BrokenProcessPool) else outcome
-        for job, outcome in zip(jobs, outcomes)
-    ]
+
+
+def _fit_on_pool(jobs: list[tuple], workers: int) -> list:
+    """Each job's outcome, in job order: ``_timed``'s (result, seconds) or the exception raised.
+
+    The jobs run heaviest first on ``_run_pool``'s ``workers`` processes. A worker that dies
+    breaks the pool for every job not yet done. Each of those reruns alone in a new
+    one-worker pool, behind a no-op call that shows the worker could start, so only a job
+    that kills its own worker fails, with ``BrokenProcessPool``. If that no-op fails too, no
+    worker can start, and every broken job fails with ``WorkersCannotStart`` instead.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])
+    ran = dict(zip(order, _run_pool([jobs[i][1:] for i in order], workers)))
+    outcomes = [ran[i] for i in range(len(jobs))]
+    for i, job in enumerate(jobs):
+        if not isinstance(outcomes[i], BrokenProcessPool):
+            continue
+        started, outcomes[i] = _run_pool([(int, ()), job[1:]], 1)
+        if isinstance(started, BrokenProcessPool):
+            return [WorkersCannotStart() if isinstance(o, BrokenProcessPool) else o for o in outcomes]
+    return outcomes
 
 
 def _replay(outcomes: list, run, dims):
@@ -599,33 +606,25 @@ def _replay(outcomes: list, run, dims):
 
 
 def _fit_cohort(config: ExperimentConfig, ci: int, prep: Dataset, cores: int) -> tuple[dict[str, object], int]:
-    """Every cell's outcome by method name, and the number of processes its jobs ran on.
+    """Every cell's outcome by method name, and the number of processes that fitted its cells.
 
     An outcome is (MethodResult, seconds), the exception the cell raised, or None for a kgg
-    cell whose voters failed. With two or more ``cores`` and training jobs, the jobs run
-    on a pool while the raw cells run here; otherwise every cell runs here.
+    cell whose voters failed. With two or more ``cores`` and jobs, every non-voting cell
+    fits on a pool; otherwise here. A kgg cell votes here once its voters are back.
     """
     profile = PROFILES[config.profile]
     seeds = {m.name: derive_seed(config.seed, ci, j) for j, m in enumerate(config.methods)}
     fitted = [m for m in config.methods if m.kind != "kgg"]
-
-    def fit_here(specs):
-        return {m.name: _attempt(_timed, run_method, m, prep, config.k, seeds[m.name], profile) for m in specs}
-
     jobs = {m.name: _jobs(m, prep, config.k, seeds[m.name], profile) for m in fitted}
     flat = [job for cell in jobs.values() for job in cell]
     workers = min(cores, len(flat))
     if workers < 2:
         workers = 1
-        outcomes = fit_here(fitted)
+        outcomes = {m.name: _attempt(_timed, run_method, m, prep, config.k, seeds[m.name], profile) for m in fitted}
     else:
         outcomes = {}
-        done = iter(_fit_on_pool(
-            flat, workers, lambda: outcomes.update(fit_here([m for m in fitted if not jobs[m.name]])),
-        ))
+        done = iter(_fit_on_pool(flat, workers))
         for m in fitted:
-            if not jobs[m.name]:
-                continue
             runs = [next(done) for _ in jobs[m.name]]
             if m.kind != "deep_gaussian_sweep":
                 outcomes[m.name] = runs[0]
@@ -676,7 +675,7 @@ def _write_result(out: Path, stem: str, result: MethodResult) -> None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the cohort x method grid and write every report file.
 
-    A cohort's network trainings (each training cell, each sweep dimension) run on a spawn
+    A cohort's fitted cells (each non-voting cell, each sweep dimension apart) run on a spawn
     pool of one process per usable core, at most one per job, when there are at least two
     of them, at least two cores, and no module-level function of the package has been
     swapped since import; otherwise every cell runs in this process. Either way every file

@@ -69,10 +69,17 @@ class TestLoadCsv:
 
     def test_non_numeric_cell(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("a,b\n1,2\n3,abc\n")
-        with pytest.raises(NonNumericCell) as exc:
-            load_csv(p, two_specs())
-        assert exc.value.row == 1 and exc.value.col == "b"
+        # the first bad cell in row-major order, each row's features before its label
+        for body, row, col in [
+            ("1,2,0\n3,abc,0\n", 1, "b"),
+            ("1,2,0\n3,inf,x\nz,4,0\n", 1, "b"),
+            ("nan,abc,x\n", 0, "a"),
+            ("1,2,x\n3,abc,0\n", 0, "y"),
+        ]:
+            p.write_text("a,b,y\n" + body)
+            with pytest.raises(NonNumericCell) as exc:
+                load_csv(p, two_specs(), label_column="y")
+            assert (exc.value.row, exc.value.col) == (row, col), body
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.csv"

@@ -3,6 +3,8 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -419,26 +421,36 @@ class TestPool:
     def test_one_failed_job_is_one_failed_cell(self, tmp_path):
         train = {"hidden": [8], "embed_dim": 2, "pretrain_epochs": 3}
         deep = {**train, "finetune_epochs": 2}
-        doc = minimal_doc(
-            methods=[
-                {"name": "kmeans_z", "kind": "kmeans_z", "params": train},
-                {"name": "boom", "kind": "deep_gaussian", "params": {**deep, "learning_rate": 1e200}},
-                {"name": "idec", "kind": "deep_student_t_recon", "params": deep},
-            ],
-            output_dir=str(tmp_path / "o"),
-        )
-        res = run_experiment(parse_config(doc))
-        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        if len(os.sched_getaffinity(0)) >= 2:
-            assert manifest["workers"] == 2
-        assert multiprocessing.active_children() == []
-        assert [r.method for r in res.scores] == ["kmeans_z", "idec"]
-        (failure,) = res.failures
-        assert failure["method"] == "boom"
-        assert failure["type"] == "NonFiniteLoss"
-        assert re.fullmatch(r"loss or parameters became non-finite at epoch \d+", failure["error"])
-        # the worker's frames, down to the raise
-        assert "raise NonFiniteLoss(epoch)" in failure["traceback"]
+        trainings = minimal_doc(methods=[
+            {"name": "kmeans_z", "kind": "kmeans_z", "params": train},
+            {"name": "boom", "kind": "deep_gaussian", "params": {**deep, "learning_rate": 1e200}},
+            {"name": "idec", "kind": "deep_student_t_recon", "params": deep},
+        ])
+        # two rows: k-means takes them, a mixture needs more than k
+        two_rows = minimal_doc(methods=[
+            {"name": "kmeans_x", "kind": "kmeans_x"}, {"name": "boom", "kind": "gmm_x"},
+        ])
+        two_rows["data"]["synthetic"]["n_samples"] = 2
+        cases = [
+            # config, the cells that score, the failure's type, its message, the worker's raise
+            (trainings, ["kmeans_z", "idec"], "NonFiniteLoss",
+             r"loss or parameters became non-finite at epoch \d+", "raise NonFiniteLoss(epoch)"),
+            (two_rows, ["kmeans_x"], "DegenerateInput",
+             r"need more than k=2 samples, got 2", "raise DegenerateInput(f\"need more than k="),
+        ]
+        for i, (doc, scored, kind, error, raised) in enumerate(cases):
+            res = run_experiment(parse_config({**doc, "output_dir": str(tmp_path / str(i))}))
+            manifest = json.loads((tmp_path / str(i) / "manifest.json").read_text())
+            if len(os.sched_getaffinity(0)) >= 2:
+                assert manifest["workers"] == 2
+            assert multiprocessing.active_children() == []
+            assert [r.method for r in res.scores] == scored
+            (failure,) = res.failures
+            assert failure["method"] == "boom"
+            assert failure["type"] == kind
+            assert re.fullmatch(error, failure["error"])
+            # the worker's frames, down to the raise
+            assert raised in failure["traceback"]
 
     def test_a_dead_worker_fails_only_its_job(self):
         from concurrent.futures.process import BrokenProcessPool
@@ -447,6 +459,36 @@ class TestPool:
         assert isinstance(outcomes[0], BrokenProcessPool)
         assert [result for result, seconds in outcomes[1:]] == [1024, 27]
         assert multiprocessing.active_children() == []
+
+    def test_an_unguarded_script_names_the_guard(self, tmp_path):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("fits in process on one core")
+        doc = minimal_doc(methods=[
+            {"name": "kmeans_x", "kind": "kmeans_x"},
+            {"name": "kmeans_z", "kind": "kmeans_z", "params": {"hidden": [4], "pretrain_epochs": 1}},
+            {"name": "gmm_z", "kind": "gmm_z", "params": {"hidden": [4], "pretrain_epochs": 1}},
+        ], output_dir=str(tmp_path / "o"))
+        starts = tmp_path / "starts"
+        script = tmp_path / "unguarded.py"
+        # run_experiment at module level: every spawn worker runs it again on import, and dies
+        script.write_text(
+            "import json\n"
+            "from ehrcluster.experiment import parse_config, run_experiment\n"
+            f"open({str(starts)!r}, 'a').write('start\\n')\n"
+            f"run_experiment(parse_config(json.loads({json.dumps(doc)!r})))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, str(script)], env=env, check=True, timeout=120,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        failures = json.loads((tmp_path / "o" / "manifest.json").read_text())["failures"]
+        assert [f["method"] for f in failures] == ["kmeans_x", "kmeans_z", "gmm_z"]
+        for failure in failures:
+            assert failure["type"] == "WorkersCannotStart"
+            assert 'if __name__ == "__main__":' in failure["error"]
+        # the script's own run, then two pools: the first pool's workers and one more
+        workers = min(len(os.sched_getaffinity(0)), 3)
+        assert len(starts.read_text().splitlines()) <= 1 + workers + 1
 
     def test_workers_start_with_one_blas_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")

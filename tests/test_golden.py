@@ -40,12 +40,26 @@ def test_tiny_grid_reproduces_the_golden_outputs(tmp_path):
 
 
 def test_pool_and_in_process_runs_write_the_same_files(tmp_path, monkeypatch):
-    pooled, serial = tmp_path / "pool", tmp_path / "serial"
-    assert golden.run_grid(pooled).failures == []
+    golden_doc = json.loads((golden.GOLDEN / "config.json").read_text())
+    raw_doc = {**golden_doc, "methods": [
+        {"name": "kmeans_x", "kind": "kmeans_x"},
+        {"name": "gmm_x", "kind": "gmm_x"},
+        {"name": "gmm_x_diag", "kind": "gmm_x", "params": {"cov_type": "diagonal"}},
+    ]}
+    # each config and its jobs: one per non-voting cell, the sweep one per dimension
+    cases = {"golden": (golden_doc, 7 + len(sweep_dims(33))), "raw": (raw_doc, 3)}
+
+    def run(name, side):
+        out = tmp_path / name / side
+        result = experiment.run_experiment(experiment.parse_config({**cases[name][0], "output_dir": str(out)}))
+        assert result.failures == []
+        return out
+
+    pooled = {name: run(name, "pool") for name in cases}
     # a pass-through swap of any package function makes run_experiment fit in process
     real = experiment.score
     monkeypatch.setattr(experiment, "score", lambda *args, **kwargs: real(*args, **kwargs))
-    assert golden.run_grid(serial).failures == []
+    serial = {name: run(name, "serial") for name in cases}
 
     def files(root):
         return sorted(
@@ -53,17 +67,16 @@ def test_pool_and_in_process_runs_write_the_same_files(tmp_path, monkeypatch):
             if p.is_file() and p.name not in ("timings.csv", "manifest.json")
         )
 
-    assert files(pooled) == files(serial)
-    for name in files(pooled):
-        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
-    frozen = json.loads((golden.GOLDEN / "sha256.json").read_text())
-    assert golden.digests(pooled) == golden.digests(serial) == frozen
-
     def workers(root):
         return json.loads((root / "manifest.json").read_text())["workers"]
 
-    assert workers(serial) == 1
     cores = len(os.sched_getaffinity(0))
-    if cores >= 2:
-        # five training cells, and one job per sweep dimension
-        assert workers(pooled) == min(cores, 5 + len(sweep_dims(33)))
+    for name, (_, jobs) in cases.items():
+        assert files(pooled[name]) == files(serial[name])
+        for f in files(pooled[name]):
+            assert (pooled[name] / f).read_bytes() == (serial[name] / f).read_bytes(), f
+        assert workers(serial[name]) == 1
+        if cores >= 2:
+            assert workers(pooled[name]) == min(cores, jobs)
+    frozen = json.loads((golden.GOLDEN / "sha256.json").read_text())
+    assert golden.digests(pooled["golden"]) == golden.digests(serial["golden"]) == frozen
