@@ -73,7 +73,7 @@ class AdamState:
 class Gradients:
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
-    flat: np.ndarray | None = None  # the one vector both lists view, when made by for_model
+    flat: np.ndarray  # the one vector both lists view, in the model's flat parameter layout
 
     @classmethod
     def for_model(cls, model: "AutoencoderModel") -> "Gradients":
@@ -258,7 +258,7 @@ def backward(
         if dL_dZ.shape != activations[model.bottleneck + 1].shape:
             raise DimensionMismatch("dL_dZ shape does not match the embedding")
     grads = Gradients.for_model(model) if out is None else out
-    if grads.flat is None or grads.flat.shape != model.theta.shape:
+    if grads.flat.shape != model.theta.shape:
         raise DimensionMismatch("out must be Gradients.for_model(model)")
     cache.spent = True
     for l in range(model.n_layers - 1, -1, -1):
@@ -277,35 +277,22 @@ def backward(
     return grads
 
 
-def _flat_gradient(model: AutoencoderModel, grads: Gradients) -> np.ndarray:
-    """Gradients built from per-layer lists, copied into theta's layout."""
-    if len(grads.d_weights) != model.n_layers or len(grads.d_biases) != model.n_layers:
-        raise DimensionMismatch("gradient shape does not match parameter shape")
-    parts = []
-    for d_w, d_b, w, b in zip(grads.d_weights, grads.d_biases, model.weights, model.biases):
-        if d_w.shape != w.shape or d_b.shape != b.shape:
-            raise DimensionMismatch("gradient shape does not match parameter shape")
-        parts += [d_w.ravel(), d_b]
-    return np.concatenate(parts)
-
-
 def adam_step(model: AutoencoderModel, grads: Gradients, config: TrainConfig) -> AutoencoderModel:
     """Standard Adam with bias correction; updates the model in place.
 
     One pass over the flat parameter vector, ``ADAM_CHUNK`` entries at a
     time, with the per-tensor update's operations in the same order.
     """
-    g_all = _flat_gradient(model, grads) if grads.flat is None else grads.flat
-    if g_all.shape != model.theta.shape:
+    if grads.flat.shape != model.theta.shape:
         raise DimensionMismatch("gradient shape does not match parameter shape")
     s = model.adam
     s.step += 1
     b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, config.learning_rate
     c1 = 1.0 - b1**s.step
     c2 = 1.0 - b2**s.step
-    for start in range(0, g_all.size, ADAM_CHUNK):
+    for start in range(0, grads.flat.size, ADAM_CHUNK):
         chunk = slice(start, start + ADAM_CHUNK)
-        theta, g, m, v = model.theta[chunk], g_all[chunk], s.m[chunk], s.v[chunk]
+        theta, g, m, v = model.theta[chunk], grads.flat[chunk], s.m[chunk], s.v[chunk]
         t1, t2 = s.scratch[0, : g.size], s.scratch[1, : g.size]
         m *= b1
         m += np.multiply(1.0 - b1, g, out=t1)  # m = b1 m + (1 - b1) g

@@ -95,10 +95,14 @@ def sweep_dims(n_features: int) -> list[int]:
     return list(range(2, n_features + 1, 3))
 
 
-def check_sweep_dims(dims) -> None:
-    """EmptyRuns if ``run_dimension_sweep`` would have no embedding size to run."""
+def check_sweep_dims(dims, n_features: float) -> None:
+    """EmptyRuns if ``dims`` is empty, UnsupportedK if a size in it is outside [1, n_features]:
+    the embedding sizes ``run_dimension_sweep`` can run on a cohort of ``n_features`` features."""
     if not dims:
         raise EmptyRuns("dims must be non-empty")
+    for d in dims:
+        if d < 1 or d > n_features:
+            raise UnsupportedK(f"embed dim {d} outside [1, {n_features}]")
 
 
 def sweep_run(
@@ -140,13 +144,11 @@ def run_dimension_sweep(
     independent with a seed derived only from (base seed, dimension), so the
     sweep is reproducible and its result cannot depend on execution order.
     ``map(run, dims)`` yields ``run(d)`` for each size in order, where ``run``
-    is ``sweep_run`` with every argument but the size bound; a process pool's
-    map may stand in for the built-in one. The first failed size, in order,
-    is raised as ``SweepRunFailed``.
+    is ``sweep_run`` with every argument but the size bound. The built-in map
+    runs each size here, and the first failed size, in order, is raised as
+    ``SweepRunFailed``; a map that ignores ``run`` and returns the labels of
+    runs fitted elsewhere hands those in to be stacked.
     """
-    check_sweep_dims(dims)
-    for d in dims:
-        if d < 1 or d > ds.n_features:
-            raise UnsupportedK(f"embed dim {d} outside [1, {ds.n_features}]")
+    check_sweep_dims(dims, ds.n_features)
     runs = map(partial(sweep_run, ds, base_config, k, hidden, activation), dims)
     return np.asarray(list(runs), dtype=int)

@@ -27,6 +27,7 @@ import time
 import traceback
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -193,19 +194,19 @@ def _gmm(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
     return labels
 
 
-# Every fit takes (ds, k, seed, params with defaults filled, labels produced so
-# far in the cohort) and calls the fitters by module-global name, so a swap of
-# one of those names in this module reaches every method.
-def _fit_raw(cluster, ds, k, seed, p, produced) -> MethodResult:
+# Every fit takes (ds, k, seed, params with defaults filled) and calls the fitters
+# by module-global name, so a swap of one of those names in this module reaches
+# every method.
+def _fit_raw(cluster, ds, k, seed, p) -> MethodResult:
     return MethodResult(labels=cluster(ds.X, k, seed, p))
 
 
-def _fit_hybrid(cluster, ds, k, seed, p, produced) -> MethodResult:
+def _fit_hybrid(cluster, ds, k, seed, p) -> MethodResult:
     _, Z, history = _pretrained(ds, p, _train_config(p, seed))
     return MethodResult(labels=cluster(Z, k, seed, p), embedding=Z, pretrain_history=history)
 
 
-def _fit_deep(variant, ds, k, seed, p, produced) -> MethodResult:
+def _fit_deep(variant, ds, k, seed, p) -> MethodResult:
     cfg = _finetune_config(p, variant, seed)
     model, _, history = _pretrained(ds, p, cfg.train)
     dcm = finetune(model, ds, k, cfg)
@@ -217,22 +218,10 @@ def _fit_deep(variant, ds, k, seed, p, produced) -> MethodResult:
     )
 
 
-def _fit_sweep(ds, k, seed, p, produced, map=map) -> MethodResult:
-    dims = p.get("dims", sweep_dims(ds.n_features))
-    cfg = _finetune_config(p, "gaussian", seed)
-    runs = run_dimension_sweep(ds, dims, cfg, k=k, hidden=p["hidden"], activation=p["activation"], map=map)
-    return MethodResult(
-        labels=dimension_ensemble(runs), label_runs=runs, run_columns=[f"d{d}" for d in dims],
-    )
-
-
-def _fit_kgg(ds, k, seed, p, produced) -> MethodResult:
-    runs = [produced[name] for name in p["voters"]]
-    return MethodResult(
-        labels=majority_vote(runs),
-        label_runs=np.asarray(runs, dtype=int),
-        run_columns=list(p["voters"]),
-    )
+def _voted(vote: Callable, runs, columns) -> MethodResult:
+    """A voting cell's result: ``vote`` over its ``runs``, one per name in ``columns``."""
+    runs = np.asarray(runs, dtype=int)
+    return MethodResult(labels=vote(runs), label_runs=runs, run_columns=list(columns))
 
 
 @dataclass(frozen=True)
@@ -240,7 +229,7 @@ class Method:
     """One method kind: exactly the params its fit reads, each as (cast, default)."""
 
     params: dict[str, tuple[Callable, object]]
-    fit: Callable[..., MethodResult]
+    fit: Callable[..., MethodResult] | None  # the cell as one job; None for the sweep and kgg
     binary: bool = False  # votes binary labels, so runs only at k = 2
 
 
@@ -258,11 +247,11 @@ METHODS = {
     # the sweep sets each run's embed_dim from dims, which default to sweep_dims(n_features)
     "deep_gaussian_sweep": Method(
         {name: v for name, v in _DEEP.items() if name != "embed_dim"} | {"dims": (_list_of(_int), None)},
-        _fit_sweep,
+        None,
         binary=True,
     ),
     # voters default to the first method of each KGG_VOTER_KINDS kind; see _kgg_voters
-    "kgg": Method({"voters": (_list_of(_str), None)}, _fit_kgg, binary=True),
+    "kgg": Method({"voters": (_list_of(_str), None)}, None, binary=True),
 }
 
 
@@ -287,11 +276,11 @@ def _check_ranges(p: dict) -> None:
         check_kmeans_params(p["n_init"], p["max_iter"], p["tol"])
     if "cov_type" in p:
         check_gmm_params(p["cov_type"], p["reg_covar"], p["max_iter"], p["tol"])
-    if "dims" in p:
-        check_sweep_dims(p["dims"])
     if "hidden" in p:
         for embed_dim in p.get("dims", [p.get("embed_dim", 1)]):
             mirrored_dims(1, embed_dim, p["hidden"], p["activation"])
+    if "dims" in p:  # their upper bound, the cohort's feature count, is checked as its cells are made
+        check_sweep_dims(p["dims"], float("inf"))
 
 
 def check_params(kind: str, params: dict, where: str) -> dict:
@@ -324,16 +313,30 @@ def check_k(k, kinds, where: str) -> int:
     return k
 
 
-def run_method(
-    spec: MethodSpec,
-    ds: Dataset,
-    k: int,
-    seed: int,
-    profile: Profile,
-    produced: dict[str, np.ndarray] | None = None,
-) -> MethodResult:
-    """Fit one method on a preprocessed cohort; ``produced`` holds a kgg method's voter labels."""
-    return METHODS[spec.kind].fit(ds, k, seed, _with_defaults(spec.kind, profile, spec.params), produced)
+def _cell(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) -> tuple[list[tuple], Callable]:
+    """A non-voting cell's jobs, each (weight, fn, args), and the finish that turns their results
+    into its MethodResult: a ``sweep_run`` job per dimension and their vote for the sweep, else
+    one job whose result is the cell's. The weight, a job's epochs, runs raw cells last."""
+    p = _with_defaults(spec.kind, profile, spec.params)
+    weight = p.get("pretrain_epochs", 0) + p.get("finetune_epochs", 0)
+    if spec.kind != "deep_gaussian_sweep":
+        return [(weight, METHODS[spec.kind].fit, (ds, k, seed, p))], itemgetter(0)
+    dims = p.get("dims", sweep_dims(ds.n_features))
+    check_sweep_dims(dims, ds.n_features)
+    run = (ds, _finetune_config(p, "gaussian", seed), k, p["hidden"], p["activation"])
+
+    def vote(labels: list[np.ndarray]) -> MethodResult:
+        # run_dimension_sweep stacks the labels the jobs fitted, so a tracer counts the sweep's runs
+        runs = run_dimension_sweep(ds, dims, *run[1:], map=lambda _, dims: labels)
+        return _voted(dimension_ensemble, runs, [f"d{d}" for d in dims])
+
+    return [(weight, sweep_run, (*run, d)) for d in dims], vote
+
+
+def run_method(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) -> MethodResult:
+    """Fit one non-voting method on a preprocessed cohort: its jobs in turn, then its finish."""
+    jobs, finish = _cell(spec, ds, k, seed, profile)
+    return finish([fn(*args) for _, fn, args in jobs])
 
 
 def _kgg_voters(methods: list[MethodSpec], spec: MethodSpec, where: str) -> tuple[str, ...]:
@@ -507,10 +510,10 @@ def _timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
-def _attempt(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``'s outcome: its result, or the exception it raised."""
+def _attempt(fn, *args):
+    """``fn(*args)``'s outcome: its result, or the exception it raised."""
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except Exception as exc:  # noqa: BLE001 -- one failed cell must not stop the grid
         return exc
 
@@ -533,18 +536,6 @@ def _usable_cores() -> int:
     if any(now.get(key) is not value for key, value in _AT_IMPORT.items()):
         return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _jobs(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) -> list[tuple]:
-    """A non-voting cell's jobs, each (weight, fn, args): one per dimension for the sweep, else
-    the cell itself. The weight is its epochs, 0 for a raw cell, so raw cells run last."""
-    p = _with_defaults(spec.kind, profile, spec.params)
-    weight = p.get("pretrain_epochs", 0) + p.get("finetune_epochs", 0)
-    if spec.kind == "deep_gaussian_sweep":
-        cfg = _finetune_config(p, "gaussian", seed)
-        run = (ds, cfg, k, p["hidden"], p["activation"])
-        return [(weight, sweep_run, (*run, d)) for d in p.get("dims", sweep_dims(ds.n_features))]
-    return [(weight, run_method, (spec, ds, k, seed, profile))]
 
 
 def _run_pool(calls: list[tuple], workers: int) -> list:
@@ -596,51 +587,42 @@ def _fit_on_pool(jobs: list[tuple], workers: int) -> list:
     return outcomes
 
 
-def _replay(outcomes: list, run, dims):
-    """A map for ``run_dimension_sweep`` over runs the pool has already fitted: each run's
-    labels in order, raising the first failed run's ``SweepRunFailed``."""
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-        yield outcome[0]
-
-
 def _fit_cohort(config: ExperimentConfig, ci: int, prep: Dataset, cores: int) -> tuple[dict[str, object], int]:
     """Every cell's outcome by method name, and the number of processes that fitted its cells.
 
     An outcome is (MethodResult, seconds), the exception the cell raised, or None for a kgg
-    cell whose voters failed. With two or more ``cores`` and jobs, every non-voting cell
-    fits on a pool; otherwise here. A kgg cell votes here once its voters are back.
+    cell whose voters failed. The non-voting cells' jobs are one list, run on a pool if it
+    holds two or more jobs and there are two or more ``cores``, else here; kgg votes after.
     """
     profile = PROFILES[config.profile]
     seeds = {m.name: derive_seed(config.seed, ci, j) for j, m in enumerate(config.methods)}
-    fitted = [m for m in config.methods if m.kind != "kgg"]
-    jobs = {m.name: _jobs(m, prep, config.k, seeds[m.name], profile) for m in fitted}
-    flat = [job for cell in jobs.values() for job in cell]
+    cells = {
+        m.name: _attempt(_cell, m, prep, config.k, seeds[m.name], profile)
+        for m in config.methods if m.kind != "kgg"
+    }
+    flat = [job for cell in cells.values() if not isinstance(cell, Exception) for job in cell[0]]
     workers = min(cores, len(flat))
-    if workers < 2:
-        workers = 1
-        outcomes = {m.name: _attempt(_timed, run_method, m, prep, config.k, seeds[m.name], profile) for m in fitted}
-    else:
-        outcomes = {}
+    if workers >= 2:
         done = iter(_fit_on_pool(flat, workers))
-        for m in fitted:
-            runs = [next(done) for _ in jobs[m.name]]
-            if m.kind != "deep_gaussian_sweep":
-                outcomes[m.name] = runs[0]
-                continue
-            p = _with_defaults(m.kind, profile, m.params)
-            result = _attempt(_fit_sweep, prep, config.k, seeds[m.name], p, None, map=partial(_replay, runs))
-            seconds = sum(run[1] for run in runs if not isinstance(run, Exception))
-            outcomes[m.name] = result if isinstance(result, Exception) else (result, seconds)
+    else:
+        workers = 1
+        done = iter([_attempt(_timed, fn, *args) for _, fn, args in flat])
+    outcomes = {}
+    for name, cell in cells.items():
+        if isinstance(cell, Exception):
+            outcomes[name] = cell
+            continue
+        runs = [next(done) for _ in cell[0]]
+        failed = [run for run in runs if isinstance(run, Exception)]
+        result = failed[0] if failed else _attempt(cell[1], [out for out, _ in runs])
+        outcomes[name] = result if isinstance(result, Exception) else (result, sum(s for _, s in runs))
 
     produced = {name: out[0].labels for name, out in outcomes.items() if isinstance(out, tuple)}
     for m in config.methods:
-        if m.kind != "kgg":
-            continue
-        outcomes[m.name] = None
-        if all(v in produced for v in m.params["voters"]):
-            outcomes[m.name] = _attempt(_timed, run_method, m, prep, config.k, seeds[m.name], profile, produced)
+        if m.kind == "kgg":
+            runs = [produced[v] for v in m.params["voters"] if v in produced]
+            missing = len(runs) < len(m.params["voters"])
+            outcomes[m.name] = None if missing else _attempt(_timed, _voted, majority_vote, runs, m.params["voters"])
     return outcomes, workers
 
 
@@ -675,11 +657,10 @@ def _write_result(out: Path, stem: str, result: MethodResult) -> None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the cohort x method grid and write every report file.
 
-    A cohort's fitted cells (each non-voting cell, each sweep dimension apart) run on a spawn
-    pool of one process per usable core, at most one per job, when there are at least two
-    of them, at least two cores, and no module-level function of the package has been
-    swapped since import; otherwise every cell runs in this process. Either way every file
-    is written in config order once all of the cohort's cells are back.
+    A cohort's jobs (each non-voting cell, a sweep one per dimension) run on a spawn pool of
+    one process per usable core, at most one per job, when there are at least two jobs, at
+    least two cores, and no module-level function of the package has been swapped since
+    import; otherwise in this process. Either way every file is written in config order.
     """
     specs = _csv_schema(config)
     out = Path(config.output_dir)

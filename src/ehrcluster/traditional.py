@@ -238,8 +238,8 @@ def check_gmm_params(cov_type: str, reg_covar: float, max_iter: int, tol: float)
     """DegenerateInput if ``gmm_fit`` would refuse these settings."""
     if cov_type not in ("full", "diagonal"):
         raise DegenerateInput(f"unknown cov_type {cov_type!r}")
-    if not reg_covar > 0:  # NaN too
-        raise DegenerateInput("reg_covar must be > 0")
+    if not (np.isfinite(reg_covar) and reg_covar > 0):
+        raise DegenerateInput(f"reg_covar must be finite and > 0, got {reg_covar}")
     _check_iterations(max_iter, tol)
 
 

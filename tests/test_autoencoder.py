@@ -246,14 +246,14 @@ class TestAdamStep:
         # learning_rate * sign(g) per step
         m = build(2, 1, [], seed=0)
         cfg = TrainConfig(learning_rate=1e-3)
-        g = [np.full_like(w, 0.01) for w in m.weights]
-        gb = [np.zeros_like(b) for b in m.biases]
-        from ehrcluster.autoencoder import Gradients
+        grads = Gradients.for_model(m)
+        for d_w in grads.d_weights:
+            d_w[...] = 0.01
 
         prev = None
         for step in range(500):
             before = m.weights[0].copy()
-            adam_step(m, Gradients([x.copy() for x in g], gb), cfg)
+            adam_step(m, grads, cfg)
             prev = np.abs(m.weights[0] - before)
         assert np.allclose(prev, cfg.learning_rate, rtol=0.02)
 
@@ -325,16 +325,15 @@ class TestReusedBuffers:
         assert all(same_bits(a, b) for a, b in zip(m.weights, ref_w))
         assert all(same_bits(a, b) for a, b in zip(m.biases, ref_b))
 
-    def test_list_gradients_step_like_flat_ones(self):
-        a, b = build(4, 2, [3], seed=8), build(4, 2, [3], seed=8)
-        grads = Gradients.for_model(a)
-        grads.flat[:] = np.random.default_rng(8).normal(size=grads.flat.size)
-        adam_step(a, grads, TrainConfig())
-        adam_step(b, Gradients([w.copy() for w in grads.d_weights], [x.copy() for x in grads.d_biases]),
-                  TrainConfig())
-        assert same_bits(a.theta, b.theta)
+    def test_gradients_of_another_model_are_refused(self):
+        m, other = build(4, 2, [3], seed=8), build(4, 2, [5], seed=8)
+        theta = m.theta.copy()
+        _, xhat, cache = forward(m, np.random.default_rng(8).normal(size=(5, 4)))
         with pytest.raises(DimensionMismatch):
-            adam_step(b, Gradients([w.T for w in grads.d_weights], grads.d_biases), TrainConfig())
+            backward(m, cache, xhat, out=Gradients.for_model(other))
+        with pytest.raises(DimensionMismatch):
+            adam_step(m, Gradients.for_model(other), TrainConfig())
+        assert same_bits(m.theta, theta) and m.adam.step == 0
 
     def test_spent_cache_raises(self):
         m = build(4, 2, [3], seed=0)

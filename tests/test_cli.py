@@ -40,8 +40,8 @@ OUT_OF_RANGE = [
     ({"pretrain_epochs": -1}, "pretrain_epochs) must be >= 0", "deep_gaussian"),
     ({"activation": "sigmoid"}, "activation must be one of", "deep_gaussian"),
     ({"cov_type": "spherical"}, "unknown cov_type 'spherical'", "gmm_x"),
-    ({"reg_covar": 0}, "reg_covar must be > 0", "gmm_x"),
-    ({"reg_covar": float("nan")}, "reg_covar must be > 0", "gmm_x"),
+    ({"reg_covar": 0}, "reg_covar must be finite and > 0", "gmm_x"),
+    ({"reg_covar": float("nan")}, "reg_covar must be finite and > 0", "gmm_x"),
     ({"n_init": 0}, "n_init must be >= 1", "kmeans_x"),
     ({"dims": []}, "dims must be non-empty", "deep_gaussian_sweep"),
     ({"max_iter": 0}, "max_iter must be >= 1", "kmeans_x"),
@@ -52,6 +52,7 @@ OUT_OF_RANGE = [
     ({"tol": float("nan")}, "tol must be finite and >= 0", "gmm_x"),
     ({"tol": float("inf")}, "tol must be finite and >= 0", "kmeans_z"),
     ({"tol": -1}, "tol must be finite and >= 0", "gmm_z"),
+    ({"reg_covar": float("inf")}, "reg_covar must be finite and > 0", "gmm_x"),
 ]
 
 
@@ -436,6 +437,19 @@ class TestExitCodes:
         assert run_cli("cluster", "--csv", str(p), "--method", kind,
                        "--params", json.dumps(params), "--out", str(tmp_path / "o")) == 1
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_cluster_sweep_dim_above_the_feature_count_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        from ehrcluster import experiment
+
+        trained = []
+        monkeypatch.setattr(experiment, "sweep_run", lambda *args: trained.append(args[-1]))
+        p = tmp_path / "d.csv"
+        p.write_text("f00,f01\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        assert run_cli("cluster", "--csv", str(p), "--method", "deep_gaussian_sweep",
+                       "--params", '{"dims": [2, 99]}', "--out", str(tmp_path / "o")) == 1
+        assert "embed dim 99 outside [1, 2]" in capsys.readouterr().err
+        assert trained == []
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("params, named, kind", OUT_OF_RANGE)

@@ -400,6 +400,20 @@ class TestRunExperiment:
                 run_method(MethodSpec("m", "kmeans_z", params), ds, 2, 0, PROFILES[profile])
         assert seen == [(10, (64, 64), "relu"), (10, (500, 500, 2000), "relu"), (2, (8,), "relu")]
 
+    def test_run_method_sweep_is_the_vote_of_run_dimension_sweep(self):
+        from ehrcluster.autoencoder import TrainConfig
+        from ehrcluster.deepcluster import DeepClusterConfig
+        from ehrcluster.ensemble import dimension_ensemble, run_dimension_sweep
+
+        ds = generate_synthetic(SyntheticSpec(80, 5, 1.0, 4.0, "spherical", 0.0, seed=1))
+        params = {"dims": (2, 3), "hidden": (8,), "pretrain_epochs": 4, "finetune_epochs": 3}
+        got = run_method(MethodSpec("m", "deep_gaussian_sweep", params), ds, 2, 5, PROFILES["desk"])
+        cfg = DeepClusterConfig(finetune_epochs=3, train=TrainConfig(epochs=4, seed=5))
+        runs = run_dimension_sweep(ds, [2, 3], cfg, k=2, hidden=(8,))
+        assert np.array_equal(got.label_runs, runs)
+        assert np.array_equal(got.labels, dimension_ensemble(runs))
+        assert got.run_columns == ["d2", "d3"]
+
     def test_missing_labels_rejected(self, tmp_path):
         doc = minimal_doc(output_dir=str(tmp_path / "o"))
         cfg = parse_config(doc)
@@ -451,6 +465,29 @@ class TestPool:
             assert re.fullmatch(error, failure["error"])
             # the worker's frames, down to the raise
             assert raised in failure["traceback"]
+
+    @pytest.mark.parametrize("spy", [False, True])
+    def test_a_sweep_dim_above_the_feature_count_fails_before_training(self, tmp_path, monkeypatch, spy):
+        import ehrcluster.experiment as experiment
+
+        trained = []
+        if spy:  # a swapped package function: every job runs in this process
+            real = experiment.sweep_run
+            monkeypatch.setattr(experiment, "sweep_run", lambda *args: trained.append(args[-1]) or real(*args))
+        doc = minimal_doc(methods=[
+            {"name": "kmeans_x", "kind": "kmeans_x"},
+            {"name": "gmm_x", "kind": "gmm_x"},
+            {"name": "sweep", "kind": "deep_gaussian_sweep",
+             "params": {"dims": [2, 99], "hidden": [8], "pretrain_epochs": 2, "finetune_epochs": 2}},
+        ], output_dir=str(tmp_path / "o"))
+        res = run_experiment(parse_config(doc))
+        assert [r.method for r in res.scores] == ["kmeans_x", "gmm_x"]
+        (failure,) = res.failures
+        assert failure["method"] == "sweep" and failure["type"] == "UnsupportedK"
+        assert failure["error"] == "embed dim 99 outside [1, 5]"
+        workers = json.loads((tmp_path / "o" / "manifest.json").read_text())["workers"]
+        assert workers == (1 if spy else min(len(os.sched_getaffinity(0)), 2))
+        assert trained == []
 
     def test_a_dead_worker_fails_only_its_job(self):
         from concurrent.futures.process import BrokenProcessPool
