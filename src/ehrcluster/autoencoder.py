@@ -23,8 +23,14 @@ writes each hidden layer's delta over its activation once that is read for
 the last time, so the cache is then spent: a second ``backward`` on it
 raises ``StaleCache`` until a forward refills it. ``backward`` never writes
 over Z, Xhat or the input; with ``out=``, the next forward into the same
-cache does. Without ``out=`` both functions return fresh arrays; ``encode``
-always does.
+cache does. Without ``out=`` both functions return fresh arrays.
+
+A pass that no ``backward`` reads (the training loops' full-data history
+forward, every ``encode``) uses a ``ForwardCache.for_pass`` cache instead:
+Z and Xhat get their own arrays, and the hidden layers take turns in two
+arenas, so it holds about half of what ``for_model`` does. ``encode(model,
+X, out=)`` runs the encoder half into such a cache, or into a fresh one,
+and returns Z as a view of it; the next pass into the cache overwrites Z.
 """
 from __future__ import annotations
 
@@ -87,12 +93,33 @@ class ForwardCache:
     buffers: list[np.ndarray]      # storage for a_1 .. a_L, as many rows as the cache holds
     activations: list[np.ndarray] = field(default_factory=list)  # a_0 (input) .. a_L of the last forward
     version: int = -1
-    spent: bool = True             # set by backward, which writes deltas over the hidden activations
+    spent: bool = True             # no activations for backward: its deltas went over them, or none were kept
+    for_backward: bool = True      # False for a pass cache, whose hidden layers overwrite each other
 
     @classmethod
     def for_model(cls, model: "AutoencoderModel", rows: int) -> "ForwardCache":
         """Room for one forward pass of up to ``rows`` samples, for ``forward(out=)``."""
         return cls([np.empty((rows, width)) for width in model.layer_dims[1:]])
+
+    @classmethod
+    def for_pass(cls, model: "AutoencoderModel", rows: int) -> "ForwardCache":
+        """Room for a forward or ``encode`` of up to ``rows`` samples that no ``backward`` reads.
+
+        Z and Xhat get their own arrays. Encoder hidden layer i and its
+        mirror in the decoder are written into arena i % 2, which is as long
+        as the widest layer it holds, so a layer's input and output never
+        share memory.
+        """
+        hidden = model.layer_dims[1 : model.bottleneck + 1]
+        arenas = [np.empty(rows * max(hidden[i::2], default=0)) for i in (0, 1)]
+        buffers = []
+        for l, width in enumerate(model.layer_dims[1:]):
+            if _is_linear(model, l):
+                buffers.append(np.empty((rows, width)))
+            else:
+                arena = arenas[min(l, model.n_layers - 2 - l) % 2]
+                buffers.append(arena[: rows * width].reshape(rows, width))
+        return cls(buffers, for_backward=False)
 
 
 @dataclass
@@ -181,37 +208,45 @@ def _is_linear(model: AutoencoderModel, layer: int) -> bool:
     return layer == model.bottleneck or layer == model.n_layers - 1
 
 
-def forward(model: AutoencoderModel, batch: np.ndarray, *, out: ForwardCache | None = None):
-    """Full pass. Returns (Z, Xhat, cache); cache feeds ``backward``.
-
-    With ``out``, the activations are written into that cache, which must
-    hold at least the batch's rows, and Z and Xhat are views into it.
-    """
+def _run_layers(model: AutoencoderModel, batch, out: ForwardCache | None, new_cache, layers: int):
+    """a_0 = batch .. a_layers, each written into the leading rows of its buffer in ``out``
+    (by default ``new_cache(model, rows)``); returns the activations and the cache."""
     X = np.atleast_2d(np.asarray(batch, dtype=float))
     if X.shape[1] != model.input_dim:
         raise DimensionMismatch(f"batch width {X.shape[1]} != input dim {model.input_dim}")
     rows = X.shape[0]
-    cache = ForwardCache.for_model(model, rows) if out is None else out
+    cache = new_cache(model, rows) if out is None else out
     if rows > len(cache.buffers[0]) or [b.shape[1] for b in cache.buffers] != model.layer_dims[1:]:
         raise DimensionMismatch(f"a {rows}-row batch does not fit the cache")
     activations = [X]
-    for l, buffer in enumerate(cache.buffers):
+    for l, buffer in enumerate(cache.buffers[:layers]):
         u = np.matmul(activations[-1], model.weights[l], out=buffer[:rows])
         u += model.biases[l]
         activations.append(u if _is_linear(model, l) else _activate(u, model.activation))
-    cache.activations, cache.version, cache.spent = activations, model.version, False
+    # only a full pass through a for_model cache leaves what backward reads
+    cache.activations, cache.version = activations, model.version
+    cache.spent = layers < model.n_layers or not cache.for_backward
+    return activations, cache
+
+
+def forward(model: AutoencoderModel, batch: np.ndarray, *, out: ForwardCache | None = None):
+    """Full pass. Returns (Z, Xhat, cache); cache feeds ``backward``.
+
+    With ``out``, the activations are written into that cache, which must
+    hold at least the batch's rows, and Z and Xhat are views into it. A
+    ``ForwardCache.for_pass`` cache is spent after the pass.
+    """
+    activations, cache = _run_layers(model, batch, out, ForwardCache.for_model, model.n_layers)
     return activations[model.bottleneck + 1], activations[-1], cache
 
 
-def encode(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
-    """Encoder half only; cheaper than a full forward when Xhat is unused."""
-    a = np.atleast_2d(np.asarray(X, dtype=float))
-    if a.shape[1] != model.input_dim:
-        raise DimensionMismatch(f"batch width {a.shape[1]} != input dim {model.input_dim}")
-    for l in range(model.bottleneck + 1):
-        u = a @ model.weights[l] + model.biases[l]
-        a = u if _is_linear(model, l) else _activate(u, model.activation)
-    return a
+def encode(model: AutoencoderModel, X: np.ndarray, *, out: ForwardCache | None = None) -> np.ndarray:
+    """Encoder half only: Z, a view into ``out`` (by default a fresh ``ForwardCache.for_pass``).
+
+    The next pass into the same cache overwrites Z. ``out`` is spent afterwards.
+    """
+    activations, _ = _run_layers(model, X, out, ForwardCache.for_pass, model.bottleneck + 1)
+    return activations[-1]
 
 
 def reconstruction_loss(X: np.ndarray, Xhat: np.ndarray, *, out: np.ndarray | None = None) -> float:
@@ -246,7 +281,10 @@ def backward(
     be written over it.
     """
     if cache.spent:
-        raise StaleCache("cache is spent: backward already ran on it, or forward never did")
+        raise StaleCache(
+            "cache is spent: backward already ran on it, or forward never did" if cache.for_backward
+            else "a pass cache (ForwardCache.for_pass) holds no activations for backward"
+        )
     if cache.version != model.version:
         raise StaleCache("cache was produced by an older parameter version")
     g = np.atleast_2d(np.asarray(dL_dXhat, dtype=float))
@@ -329,8 +367,8 @@ def pretrain(
     The history holds the full-dataset reconstruction loss after each
     epoch. The last incomplete mini-batch is used, not dropped. Raises
     ``NonFiniteLoss`` (training aborted) if the loss or any parameter
-    stops being finite. One batch cache, one full-data cache and one set
-    of gradients serve every step.
+    stops being finite. One batch cache and one set of gradients serve
+    every step, and one pass cache every epoch's full-data forward.
     """
     if ds.missing.any():
         raise DimensionMismatch("pretrain requires a fully imputed dataset")
@@ -338,7 +376,7 @@ def pretrain(
     rng = np.random.default_rng(config.seed)
     n = X.shape[0]
     cache = ForwardCache.for_model(model, min(config.batch_size, n))
-    full = ForwardCache.for_model(model, n)
+    full = ForwardCache.for_pass(model, n)
     grads = Gradients.for_model(model)
     history: list[float] = []
     for epoch in range(config.epochs):

@@ -220,7 +220,7 @@ def finetune(
     Adam step on the joint objective, with the clustering gradient injected
     at the bottleneck (student-t centers get their own Adam update, in place).
     One batch cache and one set of gradients serve every step, and one
-    full-data cache every epoch between two refreshes.
+    pass cache every refresh encode and every epoch's full-data forward.
     """
     if ds.missing.any():
         raise DimensionMismatch("finetune requires a fully imputed dataset")
@@ -229,7 +229,8 @@ def finetune(
     X = ds.X
     n = X.shape[0]
     seed = config.train.seed
-    head = init_clusters(encode(model, X), k, config.variant, seed)
+    full = ForwardCache.for_pass(model, n)
+    head = init_clusters(encode(model, X, out=full), k, config.variant, seed)
     dcm = DeepClusterModel(model, head)
     if config.gamma == 0.0:
         # hybrid baseline: cluster the pretrained embedding, no fine-tuning
@@ -248,11 +249,8 @@ def finetune(
 
     for epoch in range(config.finetune_epochs):
         if epoch % config.target_update_interval == 0:
-            # the full-data cache is dropped while the refresh encodes and then taken
-            # anew, untouched, so the two never hold memory at the same time
-            full = None
-            Z_full = encode(model, X)
-            full = ForwardCache.for_model(model, n)
+            # a view into full, which this epoch's full-data forward overwrites
+            Z_full = encode(model, X, out=full)
             if gaussian:  # one EM step, into a new mixture, as in gmm_fit's loop
                 head = GmmModel(*_gmm_m_step(Z_full, soft_assign_gaussian(Z_full, head), "full", REG_COVAR))
             S_full = soft_assign(Z_full, head)
@@ -279,7 +277,7 @@ def finetune(
                 vhat = mu_v / (1 - ADAM_BETA2**mu_step)
                 head -= cfg_t.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
-        zf, xhatf, full = forward(model, X, out=full)  # no other name may keep the cache
+        zf, xhatf, _ = forward(model, X, out=full)
         if gaussian:
             log_sf, _ = gaussian_log_responsibilities(zf, head)
         else:

@@ -118,13 +118,21 @@ class TestForward:
         with pytest.raises(DimensionMismatch):
             forward(m, np.zeros((3, 5)))
 
-    def test_encode_matches_forward(self):
-        m = build(6, 3, [5], seed=3)
+    @pytest.mark.parametrize("hidden", [[], [5], [5, 7], [5, 9, 4]])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_encode_matches_forward(self, hidden, activation):
+        # fresh, into a pass cache, and into its leading rows; a pass cache's forward too
+        m = build(6, 3, hidden, activation, seed=3)
         X = np.random.default_rng(3).normal(size=(7, 6))
-        z, _, _ = forward(m, X)
-        assert np.array_equal(encode(m, X), z)
+        cache = ForwardCache.for_pass(m, 7)
+        for rows in (7, 4, 7):
+            z, xhat, _ = forward(m, X[:rows])
+            assert same_bits(encode(m, X[:rows]), z)
+            assert same_bits(encode(m, X[:rows], out=cache), z)
+            zp, xhatp, got = forward(m, X[:rows], out=cache)
+            assert got is cache and same_bits(zp, z) and same_bits(xhatp, xhat)
 
-    @pytest.mark.parametrize("hidden", [[], [5]])
+    @pytest.mark.parametrize("hidden", [[], [5], [5, 7]])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_input_is_left_unchanged(self, hidden, activation):
         # each activation is written over its pre-activation, never over the caller's array
@@ -133,6 +141,8 @@ class TestForward:
         before = X.copy()
         forward(m, X)
         encode(m, X)
+        forward(m, X, out=ForwardCache.for_pass(m, 7))
+        encode(m, X, out=ForwardCache.for_pass(m, 7))
         assert np.array_equal(X, before)
 
 
@@ -346,12 +356,42 @@ class TestReusedBuffers:
         _, xhat, _ = forward(m, X, out=cache)  # a forward refills it
         backward(m, cache, xhat - X)
 
+    def test_pass_cache_arenas_hold_the_widest_layer_of_each_parity(self):
+        # 33-200-200-800-10: arena 0 holds the 200- and 800-wide layers and their mirrors,
+        # arena 1 the other 200
+        m = build(33, 10, [200, 200, 800], seed=0)
+        cache = ForwardCache.for_pass(m, 4)
+        arenas = {id(b.base): b.base for b in cache.buffers if b.base is not None}
+        assert sorted(a.size for a in arenas.values()) == [4 * 200, 4 * 800]
+        assert [b.shape for b in cache.buffers if b.base is None] == [(4, 10), (4, 33)]
+        for a, b in zip(cache.buffers[:-1], cache.buffers[1:]):
+            assert not np.shares_memory(a, b)  # a layer's input and output
+
+    def test_backward_refuses_a_pass_cache(self):
+        m = build(4, 2, [3], seed=0)
+        X = np.random.default_rng(0).normal(size=(5, 4))
+        cache = ForwardCache.for_pass(m, 5)
+        _, xhat, _ = forward(m, X, out=cache)
+        assert cache.spent
+        with pytest.raises(StaleCache, match="holds no activations for backward"):
+            backward(m, cache, xhat - X)
+        # encode leaves a for_model cache spent too: its encoder layers were overwritten
+        cache = ForwardCache.for_model(m, 5)
+        forward(m, X, out=cache)
+        encode(m, X, out=cache)
+        with pytest.raises(StaleCache, match="spent"):
+            backward(m, cache, xhat - X)
+
     def test_batch_larger_than_the_cache_is_refused(self):
         m = build(4, 2, [3], seed=0)
         with pytest.raises(DimensionMismatch):
             forward(m, np.zeros((6, 4)), out=ForwardCache.for_model(m, 5))
         with pytest.raises(DimensionMismatch):
             forward(m, np.zeros((2, 4)), out=ForwardCache.for_model(build(4, 2, [5], seed=0), 5))
+        with pytest.raises(DimensionMismatch):
+            encode(m, np.zeros((6, 4)), out=ForwardCache.for_pass(m, 5))
+        with pytest.raises(DimensionMismatch):
+            encode(m, np.zeros((2, 4)), out=ForwardCache.for_pass(build(4, 2, [5], seed=0), 5))
 
     def test_reconstruction_loss_over_xhat_equals_the_fresh_loss(self):
         rng = np.random.default_rng(3)
@@ -395,6 +435,63 @@ class TestReusedBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 256 * 64 * 8
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFullDataPassMemory:
+    """Traced peaks of ``encode`` and a one-epoch ``pretrain`` against the arrays they need.
+
+    Network 33-200-200-800-10 on 1000 rows in 256-row batches. Each bound is
+    8 bytes per float times the sizes of the arrays the call must hold at
+    once, plus ``SCRATCH``: one numpy ufunc buffer (``np.getbufsize()``
+    floats) and 16 KiB for the interpreter's own small objects.
+    """
+
+    D, d, HIDDEN, N, BATCH = 33, 10, [200, 200, 800], 1000, 256
+    SCRATCH = 8 * np.getbufsize() + 16 * 1024
+
+    @pytest.fixture(autouse=True)
+    def numpy_is_traced(self):
+        if traced_peak(lambda: np.empty(1 << 20)) < 8 << 20:
+            pytest.skip("tracemalloc sees no numpy buffer allocation on this Python and numpy")
+
+    def pass_cache_bytes(self) -> int:
+        # Z, Xhat, and one arena per parity of hidden layer, as wide as its widest layer
+        h = self.HIDDEN
+        return 8 * self.N * (self.d + self.D + max(h[0::2]) + max(h[1::2]))
+
+    def test_encode_holds_only_its_pass_cache(self):
+        m = build(self.D, self.d, self.HIDDEN, seed=0)
+        X = np.random.default_rng(0).normal(size=(self.N, self.D))
+        assert traced_peak(lambda: encode(m, X)) <= self.pass_cache_bytes() + self.SCRATCH
+        cache = ForwardCache.for_pass(m, self.N)
+        assert traced_peak(lambda: encode(m, X, out=cache)) <= self.SCRATCH
+
+    def test_pretrain_epoch_holds_one_pass_cache_beside_its_step_buffers(self):
+        # theta and Adam's moments exist before the trace starts
+        m = build(self.D, self.d, self.HIDDEN, seed=0)
+        spec = SyntheticSpec(self.N, self.D, 0.5, 3.0, "correlated", 0.0, seed=0)
+        ds, _ = standardize(generate_synthetic(spec))
+        widths = m.layer_dims[1:]
+        bound = (
+            m.theta.nbytes                       # gradients
+            + 8 * self.BATCH * sum(widths)       # the batch cache
+            + 2 * 8 * self.BATCH * max(widths)   # backward's dL/da, at most two alive at once
+            + 8 * self.BATCH * self.D            # the batch's rows of X
+            + 8 * self.N                         # the epoch's permutation, then the per-row losses
+            + self.pass_cache_bytes()
+            + self.SCRATCH
+        )
+        cfg = TrainConfig(epochs=1, batch_size=self.BATCH, seed=0)
+        assert traced_peak(lambda: pretrain(m, ds, cfg)) <= bound
 
 
 def small_training_set(n=500, seed=0):
