@@ -31,6 +31,12 @@ Z and Xhat get their own arrays, and the hidden layers take turns in two
 arenas, so it holds about half of what ``for_model`` does. ``encode(model,
 X, out=)`` runs the encoder half into such a cache, or into a fresh one,
 and returns Z as a view of it; the next pass into the cache overwrites Z.
+Every pass into a caller's pass cache leaves (``model.version``, its input,
+Z) in ``model.last_pass``, and an ``encode`` of that same array object at
+that version reuses the Z without running a layer. So any write to theta but
+``adam_step``'s must bump ``model.version``, as ``backward``'s ``StaleCache``
+check already assumes; nor may the input be written in place, or a pass
+cache serve two models.
 """
 from __future__ import annotations
 
@@ -130,6 +136,8 @@ class AutoencoderModel:
     bottleneck: int                # index of the layer whose output is Z
     adam: AdamState
     version: int = 0
+    # (version, input, Z) of the last pass into a caller's pass cache, for encode to reuse
+    last_pass: tuple = field(default=(-1, None, None), init=False, repr=False, compare=False)
     weights: list[np.ndarray] = field(init=False, repr=False)  # (fan_in, fan_out) views of theta
     biases: list[np.ndarray] = field(init=False, repr=False)   # (fan_out,) views of theta
 
@@ -216,8 +224,7 @@ def _run_layers(model: AutoencoderModel, batch, out: ForwardCache | None, new_ca
         raise DimensionMismatch(f"batch width {X.shape[1]} != input dim {model.input_dim}")
     rows = X.shape[0]
     cache = new_cache(model, rows) if out is None else out
-    if rows > len(cache.buffers[0]) or [b.shape[1] for b in cache.buffers] != model.layer_dims[1:]:
-        raise DimensionMismatch(f"a {rows}-row batch does not fit the cache")
+    _check_fits(model, cache, rows)
     activations = [X]
     for l, buffer in enumerate(cache.buffers[:layers]):
         u = np.matmul(activations[-1], model.weights[l], out=buffer[:rows])
@@ -226,7 +233,14 @@ def _run_layers(model: AutoencoderModel, batch, out: ForwardCache | None, new_ca
     # only a full pass through a for_model cache leaves what backward reads
     cache.activations, cache.version = activations, model.version
     cache.spent = layers < model.n_layers or not cache.for_backward
+    if out is not None and not out.for_backward:
+        model.last_pass = (model.version, batch, activations[model.bottleneck + 1])
     return activations, cache
+
+
+def _check_fits(model: AutoencoderModel, cache: ForwardCache, rows: int) -> None:
+    if rows > len(cache.buffers[0]) or [b.shape[1] for b in cache.buffers] != model.layer_dims[1:]:
+        raise DimensionMismatch(f"a {rows}-row batch does not fit the cache")
 
 
 def forward(model: AutoencoderModel, batch: np.ndarray, *, out: ForwardCache | None = None):
@@ -244,9 +258,23 @@ def encode(model: AutoencoderModel, X: np.ndarray, *, out: ForwardCache | None =
     """Encoder half only: Z, a view into ``out`` (by default a fresh ``ForwardCache.for_pass``).
 
     The next pass into the same cache overwrites Z. ``out`` is spent afterwards.
+    A Z reused from ``model.last_pass`` is returned as is when it lives in
+    ``out``, else copied into ``out`` or, without one, into a fresh array.
     """
-    activations, _ = _run_layers(model, X, out, ForwardCache.for_pass, model.bottleneck + 1)
-    return activations[-1]
+    version, seen, Z = model.last_pass
+    if version != model.version or seen is not X:
+        return _run_layers(model, X, out, ForwardCache.for_pass, model.bottleneck + 1)[0][-1]
+    if out is None:
+        return Z.copy()
+    if Z.base is not out.buffers[model.bottleneck]:
+        _check_fits(model, out, len(Z))
+        into = out.buffers[model.bottleneck][: len(Z)]
+        into[...] = Z
+        Z = into
+    out.spent = True
+    if not out.for_backward:
+        model.last_pass = (version, X, Z)
+    return Z
 
 
 def reconstruction_loss(X: np.ndarray, Xhat: np.ndarray, *, out: np.ndarray | None = None) -> float:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ehrcluster import autoencoder as ae
 from ehrcluster.autoencoder import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -492,6 +493,95 @@ class TestFullDataPassMemory:
         )
         cfg = TrainConfig(epochs=1, batch_size=self.BATCH, seed=0)
         assert traced_peak(lambda: pretrain(m, ds, cfg)) <= bound
+
+
+class TestEncodeReuse:
+    """``encode`` of the array the model's last pass-cache pass read, at the same version,
+    reuses that pass's Z instead of running a layer."""
+
+    N = 40
+
+    @pytest.fixture
+    def layer_runs(self, monkeypatch):
+        # the number of layers of every pass through the layer loop, in call order
+        runs = []
+        run_layers = ae._run_layers
+
+        def spy(model, batch, out, new_cache, layers):
+            runs.append(layers)
+            return run_layers(model, batch, out, new_cache, layers)
+
+        monkeypatch.setattr(ae, "_run_layers", spy)
+        return runs
+
+    def model_and_pass(self, hidden=(5, 7), activation="relu"):
+        # a model, its input, and the pass cache its full-data forward just wrote
+        m = build(6, 3, list(hidden), activation, seed=3)
+        X = np.random.default_rng(3).normal(size=(self.N, 6))
+        full = ForwardCache.for_pass(m, self.N)
+        forward(m, X, out=full)
+        return m, X, full
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [(), (5, 7)])
+    def test_reused_z_equals_a_fresh_computation_bit_for_bit(self, layer_runs, activation, hidden):
+        m, X, full = self.model_and_pass(hidden, activation)
+        fresh = encode(m, X.copy())
+        del layer_runs[:]
+        other = ForwardCache.for_pass(m, self.N)
+        for z in (encode(m, X), encode(m, X, out=full), encode(m, X, out=other)):
+            assert same_bits(z, fresh)
+        assert layer_runs == []
+
+    def test_an_adam_step_between_makes_it_compute(self, layer_runs):
+        m, X, full = self.model_and_pass()
+        before = encode(m, X)
+        grads = Gradients.for_model(m)
+        grads.flat[:] = 1.0
+        adam_step(m, grads, TrainConfig())
+        del layer_runs[:]
+        z = encode(m, X, out=full)
+        assert layer_runs == [m.bottleneck + 1]
+        assert same_bits(z, encode(m, X.copy())) and not np.array_equal(z, before)
+
+    def test_an_equal_array_of_another_identity_computes(self, layer_runs):
+        m, X, _ = self.model_and_pass()
+        del layer_runs[:]
+        encode(m, X.copy())
+        assert layer_runs == [m.bottleneck + 1]
+
+    def test_a_hit_without_out_is_the_callers_to_write(self):
+        m, X, full = self.model_and_pass()
+        want = full.buffers[m.bottleneck].copy()
+        z = encode(m, X)
+        assert not np.shares_memory(z, full.buffers[m.bottleneck])
+        z[...] = 99.0
+        assert same_bits(encode(m, X), want)
+
+    def test_a_hit_with_out_is_a_view_into_out(self, layer_runs):
+        m, X, full = self.model_and_pass()
+        other, batch = ForwardCache.for_pass(m, self.N), ForwardCache.for_model(m, self.N)
+        forward(m, X, out=batch)  # leaves batch what backward reads, until the encode copies Z in
+        del layer_runs[:]
+        for cache in (full, other, batch):
+            z = encode(m, X, out=cache)
+            assert z.base is cache.buffers[m.bottleneck] and cache.spent
+        assert layer_runs == []
+        with pytest.raises(StaleCache):
+            backward(m, batch, np.zeros((self.N, 6)))
+        with pytest.raises(DimensionMismatch):
+            encode(m, X, out=ForwardCache.for_pass(m, self.N - 1))
+
+    def test_batch_forwards_and_fresh_encodes_record_nothing(self, layer_runs):
+        m = build(6, 3, [5, 7], seed=3)
+        X = np.random.default_rng(3).normal(size=(self.N, 6))
+        forward(m, X, out=ForwardCache.for_model(m, self.N))
+        forward(m, X)
+        encode(m, X)
+        assert m.last_pass[1] is None
+        del layer_runs[:]
+        encode(m, X)
+        assert layer_runs == [m.bottleneck + 1]
 
 
 def small_training_set(n=500, seed=0):

@@ -431,6 +431,66 @@ class TestRunExperiment:
             run_experiment(parse_config(doc))
 
 
+def _reuse_cases():
+    """(kind, params): each kind on pretrain {0, 2} x finetune {0, 2} epochs, then gamma 0."""
+    cases = []
+    for kind in ("deep_gaussian", "deep_student_t", "kmeans_z", "deep_gaussian_sweep"):
+        size = {"dims": (2,)} if kind == "deep_gaussian_sweep" else {"embed_dim": 2}
+        finetunes = [{}] if kind == "kmeans_z" else [{"finetune_epochs": f} for f in (0, 2)]
+        cases += [(kind, {"hidden": (8,), **size, "pretrain_epochs": p, **f}) for p in (0, 2) for f in finetunes]
+    for kind in ("deep_gaussian", "deep_student_t"):
+        params = {"hidden": (8,), "embed_dim": 2, "pretrain_epochs": 2, "finetune_epochs": 2, "gamma": 0.0}
+        cases.append((kind, params))
+    return cases
+
+
+class TestEncodeReuseInPipeline:
+    """A cell whose encodes reuse the model's last full-data pass writes what one that
+    recomputes every Z writes."""
+
+    DS = generate_synthetic(SyntheticSpec(60, 5, 1.0, 4.0, "spherical", 0.0, seed=1))
+
+    @staticmethod
+    def spy_layers(monkeypatch, reuse: bool) -> list[bool]:
+        # one entry per pass through the layer loop: whether it ran the encoder half only
+        from ehrcluster import autoencoder as ae
+
+        passes, run_layers = [], ae._run_layers
+
+        def spy(model, batch, out, new_cache, layers):
+            passes.append(layers == model.bottleneck + 1)
+            result = run_layers(model, batch, out, new_cache, layers)
+            if not reuse:
+                model.last_pass = (-1, None, None)
+            return result
+
+        monkeypatch.setattr(ae, "_run_layers", spy)
+        return passes
+
+    def fit(self, monkeypatch, kind, params, reuse):
+        with monkeypatch.context() as patch:
+            passes = self.spy_layers(patch, reuse)
+            result = run_method(MethodSpec("m", kind, params), self.DS, 2, 4, PROFILES["desk"])
+        return result, passes
+
+    @pytest.mark.parametrize("kind,params", _reuse_cases())
+    def test_outputs_equal_a_run_without_reuse_bit_for_bit(self, monkeypatch, kind, params):
+        got, _ = self.fit(monkeypatch, kind, params, reuse=True)
+        want, computed = self.fit(monkeypatch, kind, params, reuse=False)
+        assert any(computed)  # the run without reuse did run encoder passes
+        for name in ("labels", "embedding", "pretrain_history", "finetune_history", "label_runs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["deep_gaussian", "deep_student_t"])
+    def test_a_pretrained_deep_cell_runs_no_encoder_only_pass(self, monkeypatch, kind):
+        params = {"hidden": (8,), "embed_dim": 2, "pretrain_epochs": 2, "finetune_epochs": 12}
+        _, passes = self.fit(monkeypatch, kind, params, reuse=True)
+        assert passes and not any(passes)
+
+
 class TestPool:
     def test_one_failed_job_is_one_failed_cell(self, tmp_path):
         train = {"hidden": [8], "embed_dim": 2, "pretrain_epochs": 3}
