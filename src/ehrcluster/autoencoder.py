@@ -25,6 +25,13 @@ raises ``StaleCache`` until a forward refills it. ``backward`` never writes
 over Z, Xhat or the input; with ``out=``, the next forward into the same
 cache does. Without ``out=`` both functions return fresh arrays.
 
+A model computes in the dtype it was built with (``build(..., dtype=)``,
+float64 by default): theta, Adam's moments and scratch, every cache, the
+gradients, each batch once cast on entry, and the upstream gradients
+``backward`` receives. What is computed from its outputs stays float64:
+the callers' heads, k-means, EM and metrics take Z cast to float64, and
+``reconstruction_loss`` reduces in float64 whatever the dtype of Xhat.
+
 A pass that no ``backward`` reads (the training loops' full-data history
 forward, every ``encode``) uses a ``ForwardCache.for_pass`` cache instead:
 Z and Xhat get their own arrays, and the hidden layers take turns in two
@@ -105,7 +112,7 @@ class ForwardCache:
     @classmethod
     def for_model(cls, model: "AutoencoderModel", rows: int) -> "ForwardCache":
         """Room for one forward pass of up to ``rows`` samples, for ``forward(out=)``."""
-        return cls([np.empty((rows, width)) for width in model.layer_dims[1:]])
+        return cls([np.empty((rows, width), model.dtype) for width in model.layer_dims[1:]])
 
     @classmethod
     def for_pass(cls, model: "AutoencoderModel", rows: int) -> "ForwardCache":
@@ -117,11 +124,11 @@ class ForwardCache:
         share memory.
         """
         hidden = model.layer_dims[1 : model.bottleneck + 1]
-        arenas = [np.empty(rows * max(hidden[i::2], default=0)) for i in (0, 1)]
+        arenas = [np.empty(rows * max(hidden[i::2], default=0), model.dtype) for i in (0, 1)]
         buffers = []
         for l, width in enumerate(model.layer_dims[1:]):
             if _is_linear(model, l):
-                buffers.append(np.empty((rows, width)))
+                buffers.append(np.empty((rows, width), model.dtype))
             else:
                 arena = arenas[min(l, model.n_layers - 2 - l) % 2]
                 buffers.append(arena[: rows * width].reshape(rows, width))
@@ -156,6 +163,10 @@ class AutoencoderModel:
     def n_layers(self) -> int:
         return len(self.weights)
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.theta.dtype
+
 
 def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Each layer's weight and bias as views of one flat vector, in ``AutoencoderModel.theta``'s layout."""
@@ -185,13 +196,19 @@ def build(
     hidden: list[int] | tuple[int, ...] = (),
     activation: str = "relu",
     seed: int = 0,
+    dtype: str = "float64",
 ) -> AutoencoderModel:
-    """He-uniform initialized weights, zero biases, mirrored decoder."""
+    """He-uniform initialized weights, zero biases, mirrored decoder; the model computes in ``dtype``.
+
+    The weights are drawn in float64 and rounded to ``dtype``, so one seed
+    starts a float32 and a float64 model from the same point.
+    """
     dims = mirrored_dims(input_dim, embed_dim, hidden, activation)
     rng = np.random.default_rng(seed)
     size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
-    adam = AdamState(np.zeros(size), np.zeros(size), np.empty((2, min(size, ADAM_CHUNK))))
-    model = AutoencoderModel(dims, np.zeros(size), activation, bottleneck=len(hidden), adam=adam)
+    theta, scratch = np.zeros(size, dtype), np.empty((2, min(size, ADAM_CHUNK)), dtype)
+    adam = AdamState(np.zeros_like(theta), np.zeros_like(theta), scratch)
+    model = AutoencoderModel(dims, theta, activation, bottleneck=len(hidden), adam=adam)
     for w in model.weights:
         limit = np.sqrt(6.0 / w.shape[0])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
@@ -219,7 +236,7 @@ def _is_linear(model: AutoencoderModel, layer: int) -> bool:
 def _run_layers(model: AutoencoderModel, batch, out: ForwardCache | None, new_cache, layers: int):
     """a_0 = batch .. a_layers, each written into the leading rows of its buffer in ``out``
     (by default ``new_cache(model, rows)``); returns the activations and the cache."""
-    X = np.atleast_2d(np.asarray(batch, dtype=float))
+    X = np.atleast_2d(np.asarray(batch, dtype=model.dtype))
     if X.shape[1] != model.input_dim:
         raise DimensionMismatch(f"batch width {X.shape[1]} != input dim {model.input_dim}")
     rows = X.shape[0]
@@ -278,16 +295,17 @@ def encode(model: AutoencoderModel, X: np.ndarray, *, out: ForwardCache | None =
 
 
 def reconstruction_loss(X: np.ndarray, Xhat: np.ndarray, *, out: np.ndarray | None = None) -> float:
-    """Mean over samples of the squared Euclidean reconstruction error.
+    """Mean over samples of the squared Euclidean reconstruction error, reduced in float64.
 
     ``out``, an array of X's shape (Xhat itself is allowed), takes the
-    squared residuals in place of a temporary.
+    squared residuals in place of a temporary. Where Xhat is not float64,
+    the float64 copy made of it takes them instead and ``out`` is left alone.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    Xhat = np.atleast_2d(np.asarray(Xhat, dtype=float))
-    if X.shape != Xhat.shape:
-        raise DimensionMismatch(f"shape {X.shape} vs {Xhat.shape}")
-    r = np.subtract(X, Xhat, out=out)
+    cast = np.atleast_2d(np.asarray(Xhat, dtype=float))
+    if X.shape != cast.shape:
+        raise DimensionMismatch(f"shape {X.shape} vs {cast.shape}")
+    r = np.subtract(X, cast, out=out if np.may_share_memory(cast, Xhat) else cast)
     return float(np.square(r, out=r).sum(axis=1).mean())
 
 
@@ -315,16 +333,16 @@ def backward(
         )
     if cache.version != model.version:
         raise StaleCache("cache was produced by an older parameter version")
-    g = np.atleast_2d(np.asarray(dL_dXhat, dtype=float))
+    g = np.atleast_2d(np.asarray(dL_dXhat, dtype=model.dtype))
     activations = cache.activations
     if g.shape != activations[-1].shape:
         raise DimensionMismatch("dL_dXhat shape does not match the forward output")
     if dL_dZ is not None:
-        dL_dZ = np.atleast_2d(np.asarray(dL_dZ, dtype=float))
+        dL_dZ = np.atleast_2d(np.asarray(dL_dZ, dtype=model.dtype))
         if dL_dZ.shape != activations[model.bottleneck + 1].shape:
             raise DimensionMismatch("dL_dZ shape does not match the embedding")
     grads = Gradients.for_model(model) if out is None else out
-    if grads.flat.shape != model.theta.shape:
+    if grads.flat.shape != model.theta.shape or grads.flat.dtype != model.dtype:
         raise DimensionMismatch("out must be Gradients.for_model(model)")
     cache.spent = True
     for l in range(model.n_layers - 1, -1, -1):

@@ -249,8 +249,9 @@ def finetune(
 
     for epoch in range(config.finetune_epochs):
         if epoch % config.target_update_interval == 0:
-            # a view into full, which this epoch's full-data forward overwrites
-            Z_full = encode(model, X, out=full)
+            # a view into full, which this epoch's full-data forward overwrites, or for a
+            # network in another dtype a copy, since the head computes in float64
+            Z_full = np.asarray(encode(model, X, out=full), dtype=float)
             if gaussian:  # one EM step, into a new mixture, as in gmm_fit's loop
                 head = GmmModel(*_gmm_m_step(Z_full, soft_assign_gaussian(Z_full, head), "full", REG_COVAR))
             S_full = soft_assign(Z_full, head)

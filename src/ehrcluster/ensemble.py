@@ -111,6 +111,7 @@ def sweep_run(
     k: int,
     hidden: list[int] | tuple[int, ...],
     activation: str,
+    dtype: str,
     embed_dim: int,
 ) -> np.ndarray:
     """One run of ``run_dimension_sweep``: the labels of a gaussian-variant model at ``embed_dim``.
@@ -120,7 +121,7 @@ def sweep_run(
     seed_d = derive_seed(base_config.train.seed, embed_dim)
     cfg = replace(base_config, variant="gaussian", train=replace(base_config.train, seed=seed_d))
     try:
-        model = build(ds.n_features, embed_dim, hidden, activation, seed=seed_d)
+        model = build(ds.n_features, embed_dim, hidden, activation, seed=seed_d, dtype=dtype)
         pretrain(model, ds, cfg.train)
         dcm = finetune(model, ds, k, cfg)
         return assign(dcm, ds.X)
@@ -139,8 +140,8 @@ def run_dimension_sweep(
 ) -> np.ndarray:
     """Train one gaussian-variant model per embedding size; stack their labels.
 
-    Every run builds a network of ``hidden`` layers and ``activation`` (as
-    ``build`` takes them) around its own embedding size. Each run is fully
+    Every run builds a float64 network of ``hidden`` layers and ``activation``
+    (as ``build`` takes them) around its own embedding size. Each run is fully
     independent with a seed derived only from (base seed, dimension), so the
     sweep is reproducible and its result cannot depend on execution order.
     ``map(run, dims)`` yields ``run(d)`` for each size in order, where ``run``
@@ -150,5 +151,5 @@ def run_dimension_sweep(
     runs fitted elsewhere hands those in to be stacked.
     """
     check_sweep_dims(dims, ds.n_features)
-    runs = map(partial(sweep_run, ds, base_config, k, hidden, activation), dims)
+    runs = map(partial(sweep_run, ds, base_config, k, hidden, activation, "float64"), dims)
     return np.asarray(list(runs), dtype=int)

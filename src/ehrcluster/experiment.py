@@ -25,6 +25,7 @@ import os
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from operator import itemgetter
@@ -58,13 +59,14 @@ class Profile:
     pretrain_epochs: int
     finetune_epochs: int
     hidden: tuple[int, ...]
+    dtype: str  # the dtype every network of the profile computes in (autoencoder.build's dtype)
 
 
 PROFILES = {
     # desk: small hidden stack so the full grid fits a laptop-scale budget
-    "desk": Profile(200, 100, (64, 64)),
-    # paper: the h-500-500-2000-d stack and long schedules
-    "paper": Profile(1000, 1000, (500, 500, 2000)),
+    "desk": Profile(200, 100, (64, 64), "float64"),
+    # paper: the h-500-500-2000-d stack and long schedules, BLAS-bound, so in single precision
+    "paper": Profile(1000, 1000, (500, 500, 2000), "float32"),
 }
 
 
@@ -175,9 +177,11 @@ def _finetune_config(p: dict, variant: str, seed: int) -> DeepClusterConfig:
 
 
 def _pretrained(ds: Dataset, p: dict, train: TrainConfig):
-    model = build(ds.n_features, p["embed_dim"], p["hidden"], p["activation"], seed=train.seed)
+    model = build(
+        ds.n_features, p["embed_dim"], p["hidden"], p["activation"], seed=train.seed, dtype=p["dtype"],
+    )
     _, history = pretrain(model, ds, train)
-    return model, encode(model, ds.X), history
+    return model, np.asarray(encode(model, ds.X), dtype=float), history
 
 
 def _kmeans(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
@@ -194,9 +198,10 @@ def _gmm(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
     return labels
 
 
-# Every fit takes (ds, k, seed, params with defaults filled) and calls the fitters
-# by module-global name, so a swap of one of those names in this module reaches
-# every method.
+# Every fit takes (ds, k, seed, params with defaults filled, plus the profile's dtype)
+# and calls the fitters by module-global name, so a swap of one of those names in
+# this module reaches every method. Whatever dtype the network computes in, Z leaves
+# a fit in float64.
 def _fit_raw(cluster, ds, k, seed, p) -> MethodResult:
     return MethodResult(labels=cluster(ds.X, k, seed, p))
 
@@ -212,7 +217,7 @@ def _fit_deep(variant, ds, k, seed, p) -> MethodResult:
     dcm = finetune(model, ds, k, cfg)
     return MethodResult(
         labels=assign(dcm, ds.X),
-        embedding=encode(dcm.network, ds.X),
+        embedding=np.asarray(encode(dcm.network, ds.X), dtype=float),
         pretrain_history=history,
         finetune_history=list(zip(dcm.recon_history, dcm.kl_history, dcm.joint_history)),
     )
@@ -317,26 +322,29 @@ def _cell(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) ->
     """A non-voting cell's jobs, each (weight, fn, args), and the finish that turns their results
     into its MethodResult: a ``sweep_run`` job per dimension and their vote for the sweep, else
     one job whose result is the cell's. The weight, a job's epochs, runs raw cells last."""
-    p = _with_defaults(spec.kind, profile, spec.params)
+    p = {**_with_defaults(spec.kind, profile, spec.params), "dtype": profile.dtype}
     weight = p.get("pretrain_epochs", 0) + p.get("finetune_epochs", 0)
     if spec.kind != "deep_gaussian_sweep":
         return [(weight, METHODS[spec.kind].fit, (ds, k, seed, p))], itemgetter(0)
     dims = p.get("dims", sweep_dims(ds.n_features))
     check_sweep_dims(dims, ds.n_features)
-    run = (ds, _finetune_config(p, "gaussian", seed), k, p["hidden"], p["activation"])
+    run = (ds, _finetune_config(p, "gaussian", seed), k, p["hidden"], p["activation"], p["dtype"])
 
     def vote(labels: list[np.ndarray]) -> MethodResult:
         # run_dimension_sweep stacks the labels the jobs fitted, so a tracer counts the sweep's runs
-        runs = run_dimension_sweep(ds, dims, *run[1:], map=lambda _, dims: labels)
+        runs = run_dimension_sweep(ds, dims, *run[1:5], map=lambda _, dims: labels)
         return _voted(dimension_ensemble, runs, [f"d{d}" for d in dims])
 
     return [(weight, sweep_run, (*run, d)) for d in dims], vote
 
 
 def run_method(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) -> MethodResult:
-    """Fit one non-voting method on a preprocessed cohort: its jobs in turn, then its finish."""
+    """Fit one non-voting method on a preprocessed cohort: its jobs in turn at one BLAS thread,
+    as ``run_experiment`` fits them, then its finish."""
     jobs, finish = _cell(spec, ds, k, seed, profile)
-    return finish([fn(*args) for _, fn, args in jobs])
+    with _one_blas_thread():
+        results = [fn(*args) for _, fn, args in jobs]
+    return finish(results)
 
 
 def _kgg_voters(methods: list[MethodSpec], spec: MethodSpec, where: str) -> tuple[str, ...]:
@@ -503,6 +511,32 @@ class ExperimentResult:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS at one thread, as a pool worker runs, and
+    restore its thread count after. Where numpy's BLAS exports no
+    ``scipy_openblas_set_num_threads64_``, the block runs at the thread count it finds."""
+    # imported here, not at module level, so that runs on the pool never pay for it
+    import ctypes
+
+    # a lookup through numpy's extension module searches the BLAS it links as well
+    umath = sys.modules.get("numpy._core._multiarray_umath")  # numpy >= 2
+    blas = ctypes.CDLL(umath.__file__) if umath is not None else None
+    get = getattr(blas, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(blas, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
 def _timed(fn, *args):
     """``fn(*args)`` and the seconds it took, measured in the process that ran it."""
     t0 = time.perf_counter()
@@ -592,7 +626,8 @@ def _fit_cohort(config: ExperimentConfig, ci: int, prep: Dataset, cores: int) ->
 
     An outcome is (MethodResult, seconds), the exception the cell raised, or None for a kgg
     cell whose voters failed. The non-voting cells' jobs are one list, run on a pool if it
-    holds two or more jobs and there are two or more ``cores``, else here; kgg votes after.
+    holds two or more jobs and there are two or more ``cores``, else here at one BLAS thread,
+    so either way every job computes the same bytes; kgg votes after.
     """
     profile = PROFILES[config.profile]
     seeds = {m.name: derive_seed(config.seed, ci, j) for j, m in enumerate(config.methods)}
@@ -606,7 +641,8 @@ def _fit_cohort(config: ExperimentConfig, ci: int, prep: Dataset, cores: int) ->
         done = iter(_fit_on_pool(flat, workers))
     else:
         workers = 1
-        done = iter([_attempt(_timed, fn, *args) for _, fn, args in flat])
+        with _one_blas_thread():
+            done = iter([_attempt(_timed, fn, *args) for _, fn, args in flat])
     outcomes = {}
     for name, cell in cells.items():
         if isinstance(cell, Exception):

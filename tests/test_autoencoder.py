@@ -631,3 +631,49 @@ class TestPretrain:
         m = build(10, 3, [8], seed=1)
         with pytest.raises(NonFiniteLoss):
             pretrain(m, ds, TrainConfig(epochs=30, learning_rate=1e200))
+
+
+class TestDtype:
+    def test_a_float32_model_computes_in_float32_throughout(self):
+        model = build(6, 2, [8, 4], seed=0, dtype="float32")
+        X = np.random.default_rng(0).normal(size=(10, 6))  # float64, cast on entry
+        cache, grads = ForwardCache.for_model(model, 10), Gradients.for_model(model)
+        Z, Xhat, _ = forward(model, X, out=cache)
+        # before backward writes its deltas over the hidden activations
+        assert [a.dtype for a in cache.activations] == [np.float32] * (model.n_layers + 1)
+        backward(model, cache, Xhat - X, np.ones(Z.shape), out=grads)  # float64 upstream gradients
+        adam_step(model, grads, TrainConfig())
+        arrays = [model.theta, model.adam.m, model.adam.v, model.adam.scratch, grads.flat]
+        assert [a.dtype for a in arrays + cache.buffers] == [np.float32] * (len(arrays) + len(cache.buffers))
+        full = ForwardCache.for_pass(model, 10)
+        assert encode(model, X).dtype == encode(model, X, out=full).dtype == np.float32
+        assert {b.dtype for b in full.buffers} == {np.dtype(np.float32)}
+
+    def test_float32_gradients_match_float64_of_the_same_theta(self):
+        m32 = build(6, 3, [16, 8], "tanh", seed=1, dtype="float32")
+        m64 = build(6, 3, [16, 8], "tanh", seed=1)
+        m64.theta[...] = m32.theta
+        rng = np.random.default_rng(2)
+        X, dZ = rng.normal(size=(32, 6)), rng.normal(size=(32, 3))
+        flat = {}
+        for model in (m32, m64):
+            _, Xhat, cache = forward(model, X)
+            flat[model.dtype] = backward(model, cache, 2.0 * (Xhat - X) / 32, dZ).flat
+        g32, g64 = flat[np.dtype(np.float32)], flat[np.dtype(np.float64)]
+        assert np.linalg.norm(g32 - g64) <= 1e-4 * np.linalg.norm(g64)
+        np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-4 * np.abs(g64).max())
+
+    def test_each_profile_builds_its_dtype_and_the_embedding_is_float64(self, monkeypatch):
+        import ehrcluster.experiment as experiment
+        from ehrcluster.experiment import PROFILES, MethodSpec, run_method
+
+        built = []
+        monkeypatch.setattr(experiment, "build", lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
+        ds = small_training_set(40)
+        params = {"hidden": (8,), "embed_dim": 2, "pretrain_epochs": 2}
+        for profile in ("desk", "paper"):
+            result = run_method(MethodSpec("m", "kmeans_z", params), ds, 2, 0, PROFILES[profile])
+            assert result.embedding.dtype == np.float64
+            assert all(np.isfinite(result.pretrain_history))
+        assert [m.dtype for m in built] == [np.float64, np.float32]
+        assert [PROFILES[p].dtype for p in ("desk", "paper")] == ["float64", "float32"]

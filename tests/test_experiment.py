@@ -389,7 +389,7 @@ class TestRunExperiment:
 
         seen = []
 
-        def stop(input_dim, embed_dim, hidden, activation, seed):
+        def stop(input_dim, embed_dim, hidden, activation, seed, dtype):
             seen.append((embed_dim, tuple(hidden), activation))
             raise RuntimeError("stop before training")
 
@@ -586,6 +586,35 @@ class TestPool:
         # the script's own run, then two pools: the first pool's workers and one more
         workers = min(len(os.sched_getaffinity(0)), 3)
         assert len(starts.read_text().splitlines()) <= 1 + workers + 1
+
+    def test_paper_grid_writes_the_same_bytes_on_the_pool_and_in_process(self, tmp_path, monkeypatch):
+        import ehrcluster.experiment as experiment
+
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("fits in process on one core")
+        epochs = {"pretrain_epochs": 1, "finetune_epochs": 1}
+        doc = minimal_doc(profile="paper", methods=[
+            {"name": "kmeans_z", "kind": "kmeans_z", "params": {"pretrain_epochs": 1}},
+            {"name": "dec", "kind": "deep_student_t", "params": epochs},
+            {"name": "idec", "kind": "deep_student_t_recon", "params": epochs},
+        ])
+        doc["data"]["synthetic"].update(n_samples=400, n_features=33, separation=2.5)
+        run_experiment(parse_config({**doc, "output_dir": str(tmp_path / "pool")}))
+        monkeypatch.setattr(experiment, "_usable_cores", lambda: 1)
+        run_experiment(parse_config({**doc, "output_dir": str(tmp_path / "here")}))
+
+        def files(root):
+            return {
+                str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*"))
+                if path.is_file() and path.name not in ("manifest.json", "timings.csv")
+            }
+
+        pool, here = files(tmp_path / "pool"), files(tmp_path / "here")
+        assert "embeddings/all__dec.csv" in pool
+        assert pool.keys() == here.keys()
+        assert [name for name in pool if pool[name] != here[name]] == []
+        manifests = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("pool", "here")]
+        assert [m["workers"] for m in manifests] == [min(len(os.sched_getaffinity(0)), 3), 1]
 
     def test_workers_start_with_one_blas_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
