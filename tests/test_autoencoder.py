@@ -664,16 +664,30 @@ class TestDtype:
         np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-4 * np.abs(g64).max())
 
     def test_each_profile_builds_its_dtype_and_the_embedding_is_float64(self, monkeypatch):
+        import ehrcluster.ensemble as ensemble
         import ehrcluster.experiment as experiment
+        from ehrcluster.deepcluster import DeepClusterConfig
         from ehrcluster.experiment import PROFILES, MethodSpec, run_method
+        from test_acceptance import _kink_safe_instance
 
         built = []
-        monkeypatch.setattr(experiment, "build", lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
+        for module in (experiment, ensemble):
+            monkeypatch.setattr(module, "build", lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
         ds = small_training_set(40)
         params = {"hidden": (8,), "embed_dim": 2, "pretrain_epochs": 2}
         for profile in ("desk", "paper"):
             result = run_method(MethodSpec("m", "kmeans_z", params), ds, 2, 0, PROFILES[profile])
             assert result.embedding.dtype == np.float64
             assert all(np.isfinite(result.pretrain_history))
-        assert [m.dtype for m in built] == [np.float64, np.float32]
-        assert [PROFILES[p].dtype for p in ("desk", "paper")] == ["float64", "float32"]
+        assert [m.dtype for m in built] == [np.float32, np.float32]
+        assert [PROFILES[p].dtype for p in ("desk", "paper")] == ["float32", "float32"]
+        # the library's own networks stay float64: build's default and the sweep's
+        assert build(6, 2, [4]).dtype == np.float64
+        built.clear()
+        config = DeepClusterConfig(variant="gaussian", finetune_epochs=1, train=TrainConfig(epochs=1, seed=0))
+        ensemble.run_dimension_sweep(ds, [1, 2], config, hidden=(8,))
+        assert [m.dtype for m in built] == [np.float64, np.float64]
+        # so criterion 3's finite-difference checks keep full precision
+        for hidden, activation, variant in [([], "relu", "student_t"), ([4, 6], "tanh", "gaussian")]:
+            model, X, _ = _kink_safe_instance(hidden, activation, variant, 300)
+            assert model.dtype == X.dtype == np.float64

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
+import ehrcluster.ensemble as ensemble
 import ehrcluster.experiment as experiment
+from ehrcluster.autoencoder import build
 from ehrcluster.ensemble import sweep_dims
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,10 +58,16 @@ def test_pool_and_in_process_runs_write_the_same_files(tmp_path, monkeypatch):
         return out
 
     pooled = {name: run(name, "pool") for name in cases}
-    # a pass-through swap of any package function makes run_experiment fit in process
-    real = experiment.score
-    monkeypatch.setattr(experiment, "score", lambda *args, **kwargs: real(*args, **kwargs))
+    # a pass-through swap of any package function makes run_experiment fit in process;
+    # this one records every network the in-process runs build
+    built = []
+    for module in (experiment, ensemble):
+        monkeypatch.setattr(module, "build", lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
     serial = {name: run(name, "serial") for name in cases}
+    # the golden grid runs the desk profile: its five d = 10 networks and the sweep's
+    # compute in float32, so the bytes compared below are float32 networks' bytes
+    assert len(built) == 5 + len(sweep_dims(33))
+    assert {m.dtype for m in built} == {np.dtype(np.float32)}
 
     def files(root):
         return sorted(
