@@ -4,6 +4,13 @@ Both fitters are deterministic for a fixed (X, k, seed, config); k-means
 restarts draw each restart's generator only from (seed, restart_index).
 EM tracks the per-sample mean log-likelihood after every E-step, which is
 non-decreasing up to the tiny covariance regularization.
+
+The kernels work on whole columns, off numpy's per-row paths, and every
+reduction keeps numpy's own summation order, so a faster form must
+reproduce the one it replaces byte for byte: each distance is the per-row
+einsum of a (n, k, d) difference block, each centre sum adds its members in
+row order as their mean did, and each fold over k columns runs left to
+right as ``argmin`` and ``logaddexp.reduce`` do.
 """
 from __future__ import annotations
 
@@ -15,11 +22,17 @@ from .errors import DegenerateInput, DimensionMismatch, SingularCovariance
 from .util import rng_from
 
 
-def squared_distances(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+def squared_distances(X: np.ndarray, C: np.ndarray, *, out=None, work=None) -> np.ndarray:
     """Pairwise squared Euclidean distances (n x k), computed from direct
-    differences so exact ties stay exact."""
-    diff = X[:, None, :] - C[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    differences so exact ties stay exact. Column j squares and sums X - C[j],
+    held in ``work`` (n x d), along each row; ``out`` (n x k) takes the result.
+    """
+    d2 = np.empty((X.shape[0], C.shape[0]), np.result_type(X, C)) if out is None else out
+    diff = np.empty(X.shape, d2.dtype) if work is None else work
+    for j in range(C.shape[0]):
+        np.subtract(X, C[j], out=diff)
+        np.einsum("nd,nd->n", diff, diff, out=d2[:, j])
+    return d2
 
 
 # --------------------------------------------------------------------------
@@ -34,36 +47,49 @@ class KMeansModel:
     inertia_history: list[float]
 
 
-def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _nearest(d2: np.ndarray, labels: np.ndarray, dmin: np.ndarray) -> np.ndarray:
+    """Each row's nearest column into ``labels`` and its distance into ``dmin``: a left
+    fold with strict <, so ties go to the lowest index, as ``argmin`` (without NaN)."""
+    labels.fill(0)
+    np.copyto(dmin, d2[:, 0])
+    for j in range(1, d2.shape[1]):
+        np.copyto(labels, j, where=d2[:, j] < dmin)
+        np.minimum(dmin, d2[:, j], out=dmin)
+    return labels
+
+
+def _kmeans_pp_init(X, k, rng, closest, col, work) -> np.ndarray:
+    """k-means++ seeding; ``closest`` and ``col`` (n,) and ``work`` (n x d) are scratch."""
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = squared_distances(X, centers[:1]).ravel()
+    squared_distances(X, centers[:1], out=closest[:, None], work=work)
     for j in range(1, k):
-        total = d2.sum()
+        total = closest.sum()
         if total > 0:
-            probs = d2 / total
+            probs = closest / total
             idx = rng.choice(n, p=probs)
         else:  # all remaining points coincide with chosen centers
             idx = rng.integers(n)
         centers[j] = X[idx]
-        d2 = np.minimum(d2, squared_distances(X, centers[j : j + 1]).ravel())
+        squared_distances(X, centers[j : j + 1], out=col[:, None], work=work)
+        np.minimum(closest, col, out=closest)
     return centers
 
 
-def _fix_empty_clusters(X, centers, labels, d2):
-    """Re-seed each empty cluster at the point farthest from its own centroid."""
+def _fix_empty_clusters(X, centers, d2, labels, dmin, work) -> np.ndarray:
+    """Re-seed each empty cluster at the point farthest from its own centroid,
+    updating ``centers``, ``d2``, ``labels`` and ``dmin`` in place; returns the cluster sizes."""
     k = centers.shape[0]
+    counts = np.bincount(labels, minlength=k)
     for _ in range(k):
-        counts = np.bincount(labels, minlength=k)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size == 0:
+        if counts.all():
             break
-        own = d2[np.arange(X.shape[0]), labels]
-        centers[empty[0]] = X[own.argmax()]
-        d2 = squared_distances(X, centers)
-        labels = d2.argmin(axis=1)
-    return centers, labels, d2
+        centers[np.flatnonzero(counts == 0)[0]] = X[dmin.argmax()]
+        squared_distances(X, centers, out=d2, work=work)
+        _nearest(d2, labels, dmin)
+        counts = np.bincount(labels, minlength=k)
+    return counts
 
 
 def _check_iterations(max_iter: int, tol: float) -> None:
@@ -94,7 +120,7 @@ def kmeans_fit(
     inertia history (one entry per assignment step, plus the final
     assignment) is non-increasing within a run.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)  # the centre sums run along rows
     if X.ndim != 2:
         raise DimensionMismatch("X must be 2-dimensional")
     if k < 2:
@@ -108,30 +134,37 @@ def kmeans_fit(
     if not np.isfinite(bound):
         raise DegenerateInput("X must be finite, and its squared distances must not overflow")
 
+    # one fit's scratch: distances, differences, labels, each row's distance to its centre, weights
+    n, d = X.shape
+    d2, work = np.empty((n, k)), np.empty((n, d))
+    labels, dmin, w = np.empty(n, np.intp), np.empty(n), np.empty(n)
     best: KMeansModel | None = None
     for restart in range(n_init):
         rng = rng_from(seed, restart)
-        centers = _kmeans_pp_init(X, k, rng)
+        centers = _kmeans_pp_init(X, k, rng, dmin, w, work)
         history: list[float] = []
         n_iter = 0
         for _ in range(max_iter):
-            d2 = squared_distances(X, centers)
-            labels = d2.argmin(axis=1)
-            centers, labels, d2 = _fix_empty_clusters(X, centers, labels, d2)
-            history.append(float(d2[np.arange(X.shape[0]), labels].sum()))
+            squared_distances(X, centers, out=d2, work=work)
+            _nearest(d2, labels, dmin)
+            counts = _fix_empty_clusters(X, centers, d2, labels, dmin, work)
+            history.append(float(dmin.sum()))
             new_centers = centers.copy()
-            for j in range(k):
-                members = labels == j
-                if members.any():
-                    new_centers[j] = X[members].mean(axis=0)
+            for j in np.flatnonzero(counts):
+                if d == 1:  # one column's mean sums pairwise, not in row order
+                    new_centers[j] = X[labels == j].mean(axis=0)
+                else:  # the same sum as exact 0/1-weighted rows; only an all -0.0 sum's sign
+                    # could differ, on a numpy whose reduction starts from the first row, not +0.0
+                    np.equal(labels, j, out=w)
+                    new_centers[j] = np.einsum("i,ij->j", w, X) / counts[j]
             shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
             centers = new_centers
             n_iter += 1
             if shift < tol:
                 break
-        d2 = squared_distances(X, centers)
-        labels = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(X.shape[0]), labels].sum())
+        squared_distances(X, centers, out=d2, work=work)
+        _nearest(d2, labels, dmin)
+        inertia = float(dmin.sum())
         history.append(inertia)
         model = KMeansModel(centers, inertia, n_iter, history)
         if best is None or model.inertia < best.inertia:
@@ -146,7 +179,8 @@ def kmeans_predict(model: KMeansModel, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"X has {X.shape[-1] if X.ndim else 0} columns, centroids have {model.centroids.shape[1]}"
         )
-    return squared_distances(X, model.centroids).argmin(axis=1)
+    n = X.shape[0]
+    return _nearest(squared_distances(X, model.centroids), np.empty(n, np.intp), np.empty(n))
 
 
 # --------------------------------------------------------------------------
@@ -187,6 +221,14 @@ class GmmModel:
         self.half_logdet = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
 
 
+def _logaddexp_columns(a: np.ndarray) -> np.ndarray:
+    """``np.logaddexp.reduce(a, axis=1)``, as the same left fold over whole columns."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.logaddexp(out, a[:, j], out=out)
+    return out
+
+
 def gaussian_log_responsibilities(X: np.ndarray, model: GmmModel) -> tuple[np.ndarray, np.ndarray]:
     """Posterior log-responsibilities via log-sum-exp.
 
@@ -211,7 +253,7 @@ def gaussian_log_responsibilities(X: np.ndarray, model: GmmModel) -> tuple[np.nd
             maha = (y * y).sum(axis=1)
         log_gauss[:, j] = const - model.half_logdet[j] - 0.5 * maha
     weighted = log_gauss + np.log(model.weights)
-    log_prob = np.logaddexp.reduce(weighted, axis=1)
+    log_prob = _logaddexp_columns(weighted)
     return weighted - log_prob[:, None], log_prob
 
 

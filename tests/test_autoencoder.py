@@ -223,6 +223,37 @@ class TestBackward:
         assert all(np.array_equal(a, b) for a, b in zip(got.d_weights, want_w))
         assert all(np.array_equal(a, b) for a, b in zip(got.d_biases, want_b))
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_bias_sums_match_np_sum_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(21)
+        for rows in (1, 2, 7, 8, 9, 255, 256, 2000):
+            for width in (1, 2, 3, 10, 33, 500):
+                g = rng.normal(size=(rows, width)).astype(dtype)
+                for layout in (g, np.asfortranarray(g)):  # a Fortran-ordered g keeps np.sum
+                    got, want = np.empty(width, dtype), np.empty(width, dtype)
+                    assert ae._column_sums(layout, out=got) is got
+                    np.sum(layout, axis=0, out=want)
+                    assert got.tobytes() == want.tobytes(), (rows, width)
+
+    @pytest.mark.parametrize("dims", [(1, 1, [4]), (5, 1, [3]), (1, 2, [])])
+    def test_one_wide_layers_match_np_sum_bit_for_bit(self, dims):
+        # an embedding or input of one column: those layers' bias sums keep np.sum
+        m = build(*dims, seed=3)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(37, dims[0]))
+        _, xhat, cache = forward(m, X)
+        got = backward(m, cache, 2.0 * (xhat - X) / 37)
+        acts = [X]
+        for l in range(m.n_layers):
+            u = acts[-1] @ m.weights[l] + m.biases[l]
+            acts.append(u if l in (m.bottleneck, m.n_layers - 1) else np.maximum(u, 0.0))
+        g = 2.0 * (acts[-1] - X) / 37
+        for l in range(m.n_layers - 1, -1, -1):
+            if l not in (m.bottleneck, m.n_layers - 1):
+                g = g * (acts[l + 1] > 0)
+            assert got.d_biases[l].tobytes() == np.sum(g, axis=0).tobytes()
+            g = g @ m.weights[l].T
+
     def test_embedding_only_gradient_skips_decoder(self):
         m = build(5, 2, [4], seed=2)
         X = np.random.default_rng(1).normal(size=(6, 5))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehrcluster import traditional
 from ehrcluster.data import SyntheticSpec, generate_synthetic
 from ehrcluster.errors import DegenerateInput, DimensionMismatch
 from ehrcluster.metrics import acc, ari
@@ -14,6 +15,7 @@ from ehrcluster.traditional import (
     kmeans_fit,
     kmeans_predict,
 )
+from ehrcluster.util import rng_from
 
 
 def blob_pair(n=600, d=5, separation=8.0, seed=0, ratio=1.0):
@@ -101,6 +103,142 @@ class TestKMeansPredict:
         km = KMeansModel(np.zeros((2, 3)), 0.0, 1, [0.0])
         with pytest.raises(DimensionMismatch):
             kmeans_predict(km, np.zeros((4, 2)))
+
+
+# A reference copy of the Lloyd step the column kernels replaced: a (n, k, d) difference block,
+# argmin labels, fancy-indexed inertia and boolean-mask means. kmeans_fit must match it byte for
+# byte. The forms could differ only in the sign of a centre coordinate whose sum is exactly zero:
+# a numpy whose reduction starts from the first member rather than +0.0 keeps the -0.0 of a
+# coordinate where every member is -0.0. The data below hold no -0.0, so the bytes must agree.
+
+def ref_squared_distances(X, C):
+    diff = X[:, None, :] - C[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def ref_kmeans_pp_init(X, k, rng):
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = ref_squared_distances(X, centers[:1]).ravel()
+    for j in range(1, k):
+        total = d2.sum()
+        idx = rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)
+        centers[j] = X[idx]
+        d2 = np.minimum(d2, ref_squared_distances(X, centers[j : j + 1]).ravel())
+    return centers
+
+
+def ref_fix_empty_clusters(X, centers, labels, d2):
+    k = centers.shape[0]
+    for _ in range(k):
+        empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+        if empty.size == 0:
+            break
+        centers[empty[0]] = X[d2[np.arange(X.shape[0]), labels].argmax()]
+        d2 = ref_squared_distances(X, centers)
+        labels = d2.argmin(axis=1)
+    return centers, labels, d2
+
+
+def ref_kmeans_fit(X, k, seed, n_init, max_iter, tol):
+    best = None
+    for restart in range(n_init):
+        centers = ref_kmeans_pp_init(X, k, rng_from(seed, restart))
+        history, n_iter = [], 0
+        for _ in range(max_iter):
+            d2 = ref_squared_distances(X, centers)
+            centers, labels, d2 = ref_fix_empty_clusters(X, centers, d2.argmin(axis=1), d2)
+            history.append(float(d2[np.arange(X.shape[0]), labels].sum()))
+            new_centers = centers.copy()
+            for j in range(k):
+                members = labels == j
+                if members.any():
+                    new_centers[j] = X[members].mean(axis=0)
+            shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+            centers = new_centers
+            n_iter += 1
+            if shift < tol:
+                break
+        d2 = ref_squared_distances(X, centers)
+        inertia = float(d2[np.arange(X.shape[0]), d2.argmin(axis=1)].sum())
+        model = KMeansModel(centers, inertia, n_iter, history + [inertia])
+        if best is None or model.inertia < best.inertia:
+            best = model
+    return best
+
+
+@st.composite
+def lloyd_cases(draw):
+    """(X, k, seed, n_init, max_iter): continuous rows, or rows on a coarse grid with duplicates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d, k = draw(st.integers(5, 80)), draw(st.integers(1, 8)), draw(st.sampled_from([2, 3, 5]))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    X[: n // 3] += draw(st.floats(0.0, 6.0))
+    if draw(st.booleans()):
+        X = np.floor(2.0 * X) / 2.0  # exact ties between rows and between centres
+        X = X[rng.integers(0, n, size=n)]  # and duplicated rows
+    X += 0.0  # no -0.0 anywhere (see above)
+    n_init, max_iter = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 300]))
+    return X, min(k, n), draw(st.integers(0, 2**31 - 1)), n_init, max_iter
+
+
+class TestLloydMatchesReference:
+    @given(lloyd_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_fit_and_predict_bytes(self, case):
+        X, k, seed, n_init, max_iter = case
+        want = ref_kmeans_fit(X, k, seed, n_init, max_iter, 1e-4)
+        got = kmeans_fit(X, k, seed, n_init=n_init, max_iter=max_iter)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert (got.inertia, got.n_iter, got.inertia_history) == (
+            want.inertia, want.n_iter, want.inertia_history
+        )
+        grid = np.floor(2.0 * X) / 2.0 + 0.0  # other rows, with exact ties between centres
+        for Y in (X, grid):
+            want_labels = ref_squared_distances(Y, got.centroids).argmin(axis=1)
+            got_labels = kmeans_predict(got, Y)
+            assert got_labels.dtype == want_labels.dtype
+            assert np.array_equal(got_labels, want_labels)
+
+    def test_a_start_that_empties_a_cluster(self, monkeypatch):
+        # two distinct rows and k = 3: k-means++ must repeat a centre, whose cluster stays empty
+        X = np.array([[0.0, 1.0]] * 5 + [[4.0, -2.0]] * 3)
+        emptied = []
+        real = traditional._fix_empty_clusters
+
+        def spy(X, centers, d2, labels, dmin, work):
+            emptied.append(np.bincount(labels, minlength=len(centers)).min() == 0)
+            return real(X, centers, d2, labels, dmin, work)
+
+        monkeypatch.setattr(traditional, "_fix_empty_clusters", spy)
+        for seed in range(5):
+            got, want = kmeans_fit(X, 3, seed), ref_kmeans_fit(X, 3, seed, 10, 300, 1e-4)
+            assert got.centroids.tobytes() == want.centroids.tobytes()
+            assert (got.n_iter, got.inertia_history) == (want.n_iter, want.inertia_history)
+        assert any(emptied)
+
+    def test_distances_match_the_difference_block(self):
+        rng = np.random.default_rng(12)
+        for n, d, k in [(1, 1, 1), (7, 2, 2), (256, 10, 2), (300, 33, 5), (64, 17, 3)]:
+            X, C = rng.normal(size=(n, d)), rng.normal(size=(k, d))
+            want = ref_squared_distances(X, C)
+            assert traditional.squared_distances(X, C).tobytes() == want.tobytes()
+            out, work = np.empty((n, k)), np.empty((n, d))
+            assert traditional.squared_distances(X, C, out=out, work=work) is out
+            assert out.tobytes() == want.tobytes()
+
+
+class TestLogAddExpFold:
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_matches_the_reduction(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(500, k)) * np.array([1.0, 40.0, 800.0, 1e-3, 5.0])[:k]
+        a[::7, 0] = -np.inf  # a component of weight zero
+        a[::11] = -np.inf  # a row no component reaches
+        a[3, :] = a[3, 0]  # exact ties
+        want = np.logaddexp.reduce(a, axis=1)
+        assert traditional._logaddexp_columns(a).tobytes() == want.tobytes()
 
 
 class TestGmmFit:
