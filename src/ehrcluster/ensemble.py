@@ -26,7 +26,7 @@ import numpy as np
 from .autoencoder import build, pretrain
 from .data import Dataset
 from .deepcluster import DeepClusterConfig, assign, finetune
-from .errors import EmptyRuns, LengthMismatch, SweepRunFailed, UnsupportedK
+from .errors import EmptyRuns, InvalidDimension, LengthMismatch, SweepRunFailed, UnsupportedK
 from .metrics import contingency, hungarian_max
 from .util import derive_seed
 
@@ -96,13 +96,16 @@ def sweep_dims(n_features: int) -> list[int]:
 
 
 def check_sweep_dims(dims, n_features: float) -> None:
-    """EmptyRuns if ``dims`` is empty, UnsupportedK if a size in it is outside [1, n_features]:
-    the embedding sizes ``run_dimension_sweep`` can run on a cohort of ``n_features`` features."""
+    """EmptyRuns if ``dims`` is empty, UnsupportedK if a size in it is outside [1, n_features],
+    InvalidDimension if a size repeats: the embedding sizes ``run_dimension_sweep`` can run on
+    a cohort of ``n_features`` features, each once."""
     if not dims:
         raise EmptyRuns("dims must be non-empty")
-    for d in dims:
+    for i, d in enumerate(dims):
         if d < 1 or d > n_features:
             raise UnsupportedK(f"embed dim {d} outside [1, {n_features}]")
+        if d in dims[:i]:
+            raise InvalidDimension(f"embed dim {d} is repeated")
 
 
 def sweep_run(

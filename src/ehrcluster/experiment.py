@@ -1,7 +1,9 @@
 """End-to-end benchmark grid: cohorts x methods, scored, ranked, and dumped.
 
-A single JSON config drives everything. Per cohort the data is
-preprocessed once; each method then fits, predicts, and is timed on its
+A single JSON config drives everything. Every cohort is loaded from one
+read of the CSV (or generated), preprocessed once and checked before any
+cell fits. Every cohort's cells then form one job list, fitted on one
+pool for the whole run; each method fits, predicts, and is timed on its
 own (hybrid and deep methods include their own pretraining in the timed
 span). Ground-truth labels live outside the feature matrix and are used
 only for scoring.
@@ -37,7 +39,7 @@ import numpy as np
 from . import __version__
 from .autoencoder import TrainConfig, build, encode, mirrored_dims, pretrain
 from .data import (
-    Dataset, FeatureSpec, SyntheticSpec, check_missing_rate, generate_synthetic, load_csv,
+    Dataset, SyntheticSpec, check_missing_rate, generate_synthetic, load_csv,
     load_feature_schema, preprocess, stratified_subsample, subset_rows, write_labels,
 )
 from .deepcluster import DeepClusterConfig, assign, finetune
@@ -54,19 +56,22 @@ from .util import _build, _cast, _int, _str, derive_seed, read_json, write_csv
 KGG_VOTER_KINDS = ("kmeans_x", "gmm_x", "deep_gaussian_sweep")
 
 
+# the dtype every network a cell builds computes in (autoencoder.build's dtype), whatever its profile
+NETWORK_DTYPE = "float32"
+
+
 @dataclass(frozen=True)
 class Profile:
     pretrain_epochs: int
     finetune_epochs: int
     hidden: tuple[int, ...]
-    dtype: str  # the dtype every network of the profile computes in (autoencoder.build's dtype)
 
 
 PROFILES = {
     # desk: small hidden stack so the full grid fits a laptop-scale budget
-    "desk": Profile(200, 100, (64, 64), "float32"),
+    "desk": Profile(200, 100, (64, 64)),
     # paper: the h-500-500-2000-d stack and long schedules
-    "paper": Profile(1000, 1000, (500, 500, 2000), "float32"),
+    "paper": Profile(1000, 1000, (500, 500, 2000)),
 }
 
 
@@ -178,7 +183,7 @@ def _finetune_config(p: dict, variant: str, seed: int) -> DeepClusterConfig:
 
 def _pretrained(ds: Dataset, p: dict, train: TrainConfig):
     model = build(
-        ds.n_features, p["embed_dim"], p["hidden"], p["activation"], seed=train.seed, dtype=p["dtype"],
+        ds.n_features, p["embed_dim"], p["hidden"], p["activation"], seed=train.seed, dtype=NETWORK_DTYPE,
     )
     _, history = pretrain(model, ds, train)
     return model, np.asarray(encode(model, ds.X), dtype=float), history
@@ -198,10 +203,9 @@ def _gmm(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
     return labels
 
 
-# Every fit takes (ds, k, seed, params with defaults filled, plus the profile's dtype)
-# and calls the fitters by module-global name, so a swap of one of those names in
-# this module reaches every method. Whatever dtype the network computes in, Z leaves
-# a fit in float64.
+# Every fit takes (ds, k, seed, params with defaults filled) and calls the fitters by
+# module-global name, so a swap of one of those names in this module reaches every
+# method. Whatever dtype the network computes in, Z leaves a fit in float64.
 def _fit_raw(cluster, ds, k, seed, p) -> MethodResult:
     return MethodResult(labels=cluster(ds.X, k, seed, p))
 
@@ -322,13 +326,13 @@ def _cell(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) ->
     """A non-voting cell's jobs, each (weight, fn, args), and the finish that turns their results
     into its MethodResult: a ``sweep_run`` job per dimension and their vote for the sweep, else
     one job whose result is the cell's. The weight, a job's epochs, runs raw cells last."""
-    p = {**_with_defaults(spec.kind, profile, spec.params), "dtype": profile.dtype}
+    p = _with_defaults(spec.kind, profile, spec.params)
     weight = p.get("pretrain_epochs", 0) + p.get("finetune_epochs", 0)
     if spec.kind != "deep_gaussian_sweep":
         return [(weight, METHODS[spec.kind].fit, (ds, k, seed, p))], itemgetter(0)
     dims = p.get("dims", sweep_dims(ds.n_features))
     check_sweep_dims(dims, ds.n_features)
-    run = (ds, _finetune_config(p, "gaussian", seed), k, p["hidden"], p["activation"], p["dtype"])
+    run = (ds, _finetune_config(p, "gaussian", seed), k, p["hidden"], p["activation"], NETWORK_DTYPE)
 
     def vote(labels: list[np.ndarray]) -> MethodResult:
         # run_dimension_sweep stacks the labels the jobs fitted, so a tracer counts the sweep's runs
@@ -348,7 +352,7 @@ def run_method(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profil
 
 
 def _kgg_voters(methods: list[MethodSpec], spec: MethodSpec, where: str) -> tuple[str, ...]:
-    """A kgg method's three voters: its own, or the first method of each voter kind."""
+    """A kgg method's three distinct voters: its own, or the first method of each voter kind."""
     voters = spec.params.get("voters")
     if voters is None:
         first = {}
@@ -361,9 +365,11 @@ def _kgg_voters(methods: list[MethodSpec], spec: MethodSpec, where: str) -> tupl
     if len(voters) != 3:
         raise ConfigError(f"{where}: kgg needs exactly 3 voters, got {list(voters)}")
     known = {m.name for m in methods if m.kind != "kgg"}
-    for v in voters:
+    for i, v in enumerate(voters):
         if v not in known:
             raise ConfigError(f"{where}: {v!r} is not a configured non-kgg method")
+        if v in voters[:i]:
+            raise ConfigError(f"{where}: {v!r} is repeated")
     return voters
 
 
@@ -431,9 +437,9 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
         for i, m in enumerate(methods)
     ]
 
-    cohorts_raw = doc.get("cohorts") or [{"name": "all"}]
-    if not isinstance(cohorts_raw, list):
-        raise ConfigError("cohorts: expected a list")
+    cohorts_raw = doc.get("cohorts", [{"name": "all"}])
+    if not isinstance(cohorts_raw, list) or not cohorts_raw:
+        raise ConfigError("cohorts: expected a non-empty list")
     cohorts = []
     for i, c in enumerate(cohorts_raw):
         cohort = _build(CohortSpec, c, f"cohorts[{i}]", seed_offset=i)
@@ -463,40 +469,37 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(read_json(path), base_dir=path.parent)
 
 
-def _csv_schema(config: ExperimentConfig) -> list[FeatureSpec] | None:
-    """The CSV source's feature schema, every cohort's group_column checked against it."""
-    if config.csv is None:
-        return None
-    specs = load_feature_schema(config.csv.schema)
-    names = [s.name for s in specs]
-    for i, cohort in enumerate(config.cohorts):
-        if cohort.group_column is not None and cohort.group_column not in names:
-            raise ConfigError(f"cohorts[{i}].group_column: {cohort.group_column!r} not in schema")
-    return specs
-
-
-def _load_cohort(config: ExperimentConfig, cohort: CohortSpec, specs: list[FeatureSpec] | None) -> Dataset:
-    if config.synthetic is not None:
-        spec = replace(config.synthetic, seed=derive_seed(config.synthetic.seed, cohort.seed_offset))
-        ds = generate_synthetic(spec)
-    else:
-        ds = load_csv(config.csv.path, specs, label_column=config.csv.label_column)
-        if cohort.group_column is not None:
-            names = [s.name for s in specs]
+def _cohorts(config: ExperimentConfig) -> list[Dataset]:
+    """Every cohort preprocessed, in config order: every group_column checked against the schema,
+    the CSV read once, then each cohort subset, subsampled, preprocessed and checked for labels."""
+    if config.csv is not None:
+        specs = load_feature_schema(config.csv.schema)
+        names = [s.name for s in specs]
+        for i, cohort in enumerate(config.cohorts):
+            if cohort.group_column is not None and cohort.group_column not in names:
+                raise ConfigError(f"cohorts[{i}].group_column: {cohort.group_column!r} not in schema")
+        extract = load_csv(config.csv.path, specs, label_column=config.csv.label_column)
+    preps = []
+    for cohort in config.cohorts:
+        ds = extract if config.csv is not None else generate_synthetic(
+            replace(config.synthetic, seed=derive_seed(config.synthetic.seed, cohort.seed_offset))
+        )
+        if cohort.group_column is not None:  # parse_config allows a group on CSV data only
             in_group = ds.X[:, names.index(cohort.group_column)] == cohort.group_value
             if not in_group.any():
                 raise ConfigError(
                     f"cohort {cohort.name!r}: no row has {cohort.group_column} == {cohort.group_value}"
                 )
             ds = subset_rows(ds, in_group)
-    if cohort.subsample_n is not None:
-        ds = stratified_subsample(
-            ds,
-            cohort.subsample_n,
-            cohort.subsample_ratio if cohort.subsample_ratio is not None else 1.0,
-            seed=derive_seed(config.seed, cohort.seed_offset, 0x5AB),
-        )
-    return ds
+        if cohort.subsample_n is not None:
+            ratio = 1.0 if cohort.subsample_ratio is None else cohort.subsample_ratio
+            seed = derive_seed(config.seed, cohort.seed_offset, 0x5AB)
+            ds = stratified_subsample(ds, cohort.subsample_n, ratio, seed)
+        prep, _scaler = preprocess(ds, config.max_missing_rate)
+        if prep.labels is None:
+            raise ConfigError(f"cohort {cohort.name!r} has no ground-truth labels to score against")
+        preps.append(prep)
+    return preps
 
 
 @dataclass
@@ -621,19 +624,20 @@ def _fit_on_pool(jobs: list[tuple], workers: int) -> list:
     return outcomes
 
 
-def _fit_cohort(config: ExperimentConfig, ci: int, prep: Dataset, cores: int) -> tuple[dict[str, object], int]:
-    """Every cell's outcome by method name, and the number of processes that fitted its cells.
+def _fit_grid(config: ExperimentConfig, preps: list[Dataset], cores: int) -> tuple[dict[tuple, object], int]:
+    """Every cell's outcome by (cohort index, method name), and the number of processes that
+    fitted the cells.
 
     An outcome is (MethodResult, seconds), the exception the cell raised, or None for a kgg
-    cell whose voters failed. The non-voting cells' jobs are one list, run on a pool if it
-    holds two or more jobs and there are two or more ``cores``, else here at one BLAS thread,
-    so either way every job computes the same bytes; kgg votes after.
+    cell whose voters failed. Every cohort's non-voting cells' jobs are one list, cohort-major,
+    run on a pool if it holds two or more jobs and there are two or more ``cores``, else here
+    at one BLAS thread, so either way every job computes the same bytes; kgg votes after.
     """
     profile = PROFILES[config.profile]
-    seeds = {m.name: derive_seed(config.seed, ci, j) for j, m in enumerate(config.methods)}
     cells = {
-        m.name: _attempt(_cell, m, prep, config.k, seeds[m.name], profile)
-        for m in config.methods if m.kind != "kgg"
+        (ci, m.name): _attempt(_cell, m, prep, config.k, derive_seed(config.seed, ci, j), profile)
+        for ci, prep in enumerate(preps)
+        for j, m in enumerate(config.methods) if m.kind != "kgg"
     }
     flat = [job for cell in cells.values() if not isinstance(cell, Exception) for job in cell[0]]
     workers = min(cores, len(flat))
@@ -644,21 +648,21 @@ def _fit_cohort(config: ExperimentConfig, ci: int, prep: Dataset, cores: int) ->
         with _one_blas_thread():
             done = iter([_attempt(_timed, fn, *args) for _, fn, args in flat])
     outcomes = {}
-    for name, cell in cells.items():
+    for key, cell in cells.items():
         if isinstance(cell, Exception):
-            outcomes[name] = cell
+            outcomes[key] = cell
             continue
         runs = [next(done) for _ in cell[0]]
         failed = [run for run in runs if isinstance(run, Exception)]
         result = failed[0] if failed else _attempt(cell[1], [out for out, _ in runs])
-        outcomes[name] = result if isinstance(result, Exception) else (result, sum(s for _, s in runs))
+        outcomes[key] = result if isinstance(result, Exception) else (result, sum(s for _, s in runs))
 
-    produced = {name: out[0].labels for name, out in outcomes.items() if isinstance(out, tuple)}
-    for m in config.methods:
-        if m.kind == "kgg":
-            runs = [produced[v] for v in m.params["voters"] if v in produced]
-            missing = len(runs) < len(m.params["voters"])
-            outcomes[m.name] = None if missing else _attempt(_timed, _voted, majority_vote, runs, m.params["voters"])
+    produced = {key: out[0].labels for key, out in outcomes.items() if isinstance(out, tuple)}
+    for ci, m in [(ci, m) for ci in range(len(preps)) for m in config.methods if m.kind == "kgg"]:
+        voters = m.params["voters"]
+        runs = [produced[ci, v] for v in voters if (ci, v) in produced]
+        missing = len(runs) < len(voters)
+        outcomes[ci, m.name] = None if missing else _attempt(_timed, _voted, majority_vote, runs, voters)
     return outcomes, workers
 
 
@@ -693,33 +697,25 @@ def _write_result(out: Path, stem: str, result: MethodResult) -> None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the cohort x method grid and write every report file.
 
-    A cohort's jobs (each non-voting cell, a sweep one per dimension) run on a spawn pool of
-    one process per usable core, at most one per job, when there are at least two jobs, at
-    least two cores, and no module-level function of the package has been swapped since
-    import; otherwise in this process. Either way every file is written in config order.
+    Every cohort is loaded and checked before any cell fits, from one read of the CSV, so a
+    cohort that cannot load fails the run before any fit or file. Then every cohort's jobs
+    (each non-voting cell, a sweep one per dimension) form one list, which runs on one spawn
+    pool of one process per usable core, at most one per job, when there are at least two
+    jobs, at least two cores, and no module-level function of the package has been swapped
+    since import; otherwise in this process. Either way every file is written in config order.
     """
-    specs = _csv_schema(config)
+    preps = _cohorts(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    outcomes, workers = _fit_grid(config, preps, _usable_cores())
 
     scores: list[ScoreReport] = []
     failures: list[dict] = []
     cells: list[dict] = []
-    cores = _usable_cores()
-    used = 1
-
-    for ci, cohort in enumerate(config.cohorts):
-        raw = _load_cohort(config, cohort, specs)
-        prep, _scaler = preprocess(raw, config.max_missing_rate)
-        if prep.labels is None:
-            raise ConfigError(f"cohort {cohort.name!r} has no ground-truth labels to score against")
-        truth = prep.labels
-        outcomes, workers = _fit_cohort(config, ci, prep, cores)
-        used = max(used, workers)
-
+    for ci, (cohort, prep) in enumerate(zip(config.cohorts, preps)):
         for j, spec in enumerate(config.methods):
             failure = {"cohort": cohort.name, "method": spec.name}
-            outcome = outcomes[spec.name]
+            outcome = outcomes[ci, spec.name]
             if outcome is None:
                 failures.append({**failure, "error": "voter labels missing"})
                 continue
@@ -732,7 +728,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 })
                 continue
             result, elapsed = outcome
-            scores.append(score(truth, result.labels, spec.name, cohort.name, elapsed))
+            scores.append(score(prep.labels, result.labels, spec.name, cohort.name, elapsed))
             cells.append(
                 {
                     "cohort": cohort.name,
@@ -765,7 +761,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "config_hash": hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest(),
         "versions": _versions(),
         "profile": asdict(PROFILES[config.profile]),
-        "workers": used,
+        "workers": workers,
         "cells": cells,
         "failures": failures,
         "notes": (

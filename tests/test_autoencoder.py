@@ -711,7 +711,7 @@ class TestDtype:
             assert result.embedding.dtype == np.float64
             assert all(np.isfinite(result.pretrain_history))
         assert [m.dtype for m in built] == [np.float32, np.float32]
-        assert [PROFILES[p].dtype for p in ("desk", "paper")] == ["float32", "float32"]
+        assert experiment.NETWORK_DTYPE == "float32"
         # the library's own networks stay float64: build's default and the sweep's
         assert build(6, 2, [4]).dtype == np.float64
         built.clear()

@@ -15,7 +15,7 @@ from ehrcluster.ensemble import (
     run_dimension_sweep,
     sweep_dims,
 )
-from ehrcluster.errors import EmptyRuns, LengthMismatch, UnsupportedK
+from ehrcluster.errors import EmptyRuns, InvalidDimension, LengthMismatch, UnsupportedK
 
 binary_labels = arrays(int, st.integers(4, 20), elements=st.integers(0, 1))
 
@@ -201,6 +201,9 @@ class TestRunDimensionSweep:
             run_dimension_sweep(tiny_cohort, [], tiny_config(), hidden=(8,))
         with pytest.raises(UnsupportedK):
             run_dimension_sweep(tiny_cohort, [99], tiny_config(), hidden=(8,))
+        # a repeated size would train the same run twice and vote it twice
+        with pytest.raises(InvalidDimension, match="embed dim 2 is repeated"):
+            run_dimension_sweep(tiny_cohort, [2, 3, 2], tiny_config(), hidden=(8,))
 
     def test_failure_tagged_with_dim(self, tiny_cohort):
         cfg = replace(tiny_config(), train=TrainConfig(epochs=10, batch_size=64,

@@ -167,6 +167,7 @@ class TestParseConfig:
         (["km", "gm"], "exactly 3"),
         (["km", "gm", "nope"], "'nope'"),
         (["km", "gm", "vote"], "'vote'"),
+        (["km", "gm", "km"], "'km' is repeated"),
     ])
     def test_explicit_kgg_voters_validated(self, voters, message):
         doc = minimal_doc(methods=[
@@ -177,6 +178,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"methods\[2\].params.voters: .*{message}"):
             parse_config(doc)
 
+    def test_a_repeated_sweep_dim_is_rejected(self):
+        doc = minimal_doc(methods=[{"name": "m", "kind": "deep_gaussian_sweep",
+                                    "params": {"dims": [2, 2, 3]}}])
+        with pytest.raises(ConfigError, match=r"methods\[0\].params.dims: embed dim 2 is repeated"):
+            parse_config(doc)
+
     def test_unknown_profile(self):
         with pytest.raises(ConfigError, match="profile"):
             parse_config(minimal_doc(profile="laptop"))
@@ -185,6 +192,11 @@ class TestParseConfig:
         doc = minimal_doc(cohorts=[{"name": "c"}, {"name": "c"}])
         with pytest.raises(ConfigError, match=r"cohorts\[1\].name"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("cohorts", [[], {}, 0, "", False, None, "all"])
+    def test_cohorts_other_than_a_non_empty_list_are_rejected(self, cohorts):
+        with pytest.raises(ConfigError, match="cohorts: expected a non-empty list"):
+            parse_config(minimal_doc(cohorts=cohorts))
 
     def test_nullable_fields_take_null(self):
         doc = minimal_doc(cohorts=[{"name": "c", "group_column": None, "subsample_n": None}])
@@ -431,6 +443,72 @@ class TestRunExperiment:
             run_experiment(parse_config(doc))
 
 
+class TestCohorts:
+    """Every cohort loads before any cell fits, from one read of the CSV, and one pool fits them all."""
+
+    @staticmethod
+    def csv_doc(tmp_path, cohorts, rows=12):
+        (tmp_path / "d.csv").write_text(
+            "f00,f01,y\n" + "".join(f"{i % 2},{i % 7 + 3 * (i % 2)},{i % 2}\n" for i in range(rows))
+        )
+        (tmp_path / "s.json").write_text(json.dumps([
+            {"name": name, "unit": "", "bound_lo": -100, "bound_hi": 100} for name in ("f00", "f01")
+        ]))
+        doc = {
+            "seed": 1,
+            "data": {"csv": {"path": "d.csv", "schema": "s.json", "label_column": "y"}},
+            "cohorts": cohorts,
+            "methods": [{"name": "km", "kind": "kmeans_x"}, {"name": "gm", "kind": "gmm_x"}],
+            "output_dir": str(tmp_path / "o"),
+        }
+        return parse_config(doc, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("last, error", [
+        ({"name": "b", "group_column": "f00", "group_value": 7}, "cohort 'b': no row has f00 == 7.0"),
+        ({"name": "b", "subsample_n": 20}, "class 0: need 10 samples but only 6 available"),
+    ])
+    def test_a_last_cohort_that_cannot_load_fails_before_any_fit_or_file(
+        self, tmp_path, monkeypatch, last, error
+    ):
+        import ehrcluster.experiment as experiment
+        from ehrcluster.errors import InsufficientClassSamples
+
+        fits = []
+        monkeypatch.setattr(experiment, "kmeans_fit", lambda X, *a, **kw: fits.append(len(X)))
+        config = self.csv_doc(tmp_path, [{"name": "a"}, last])
+        with pytest.raises((ConfigError, InsufficientClassSamples), match=re.escape(error)):
+            run_experiment(config)
+        assert fits == []
+        assert not (tmp_path / "o").exists()
+
+    def test_a_two_cohort_grid_reads_its_csv_once_and_fits_on_one_pool(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        import ehrcluster.experiment as experiment
+
+        config = self.csv_doc(tmp_path, [{"name": "a"}, {"name": "b", "subsample_n": 20}], rows=60)
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        # the class itself: a spy on a package function would keep every job in this process
+        with monkeypatch.context() as patch:
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+            res = run_experiment(config)
+        assert [(r.cohort, r.method) for r in res.scores] == [(c, m) for c in "ab" for m in ("km", "gm")]
+        assert len(pools) == (1 if len(os.sched_getaffinity(0)) >= 2 else 0)
+        assert multiprocessing.active_children() == []
+
+        reads = []
+        real = experiment.load_csv
+        monkeypatch.setattr(experiment, "load_csv", lambda *a, **kw: reads.append(a) or real(*a, **kw))
+        run_experiment(config)
+        assert len(reads) == 1
+
+
 def _reuse_cases():
     """(kind, params): each kind on pretrain {0, 2} x finetune {0, 2} epochs, then gamma 0."""
     cases = []
@@ -597,7 +675,7 @@ class TestPool:
             {"name": "kmeans_z", "kind": "kmeans_z", "params": {"pretrain_epochs": 1}},
             {"name": "dec", "kind": "deep_student_t", "params": epochs},
             {"name": "idec", "kind": "deep_student_t_recon", "params": epochs},
-        ])
+        ], cohorts=[{"name": "all"}, {"name": "part", "seed_offset": 5, "subsample_n": 150}])
         doc["data"]["synthetic"].update(n_samples=400, n_features=33, separation=2.5)
         run_experiment(parse_config({**doc, "output_dir": str(tmp_path / "pool")}))
         monkeypatch.setattr(experiment, "_usable_cores", lambda: 1)
@@ -610,11 +688,12 @@ class TestPool:
             }
 
         pool, here = files(tmp_path / "pool"), files(tmp_path / "here")
-        assert "embeddings/all__dec.csv" in pool
+        assert {"embeddings/all__dec.csv", "embeddings/part__dec.csv"} <= pool.keys()
         assert pool.keys() == here.keys()
         assert [name for name in pool if pool[name] != here[name]] == []
         manifests = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("pool", "here")]
-        assert [m["workers"] for m in manifests] == [min(len(os.sched_getaffinity(0)), 3), 1]
+        # both cohorts' six jobs on one pool
+        assert [m["workers"] for m in manifests] == [min(len(os.sched_getaffinity(0)), 6), 1]
 
     def test_workers_start_with_one_blas_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
