@@ -50,7 +50,6 @@ from .deepcluster import (  # noqa: F401
 )
 from .ensemble import (  # noqa: F401
     align_labels,
-    dimension_ensemble,
     majority_vote,
     run_dimension_sweep,
     sweep_dims,

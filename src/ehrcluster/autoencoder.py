@@ -56,6 +56,9 @@ from .errors import DimensionMismatch, InvalidDimension, NonFiniteLoss, StaleCac
 
 ACTIVATIONS = ("relu", "tanh")
 
+# the dtype of every network a benchmark cell or run_dimension_sweep builds; build's default is float64
+NETWORK_DTYPE = "float32"
+
 # Adam's constants, for the network's step and for fine-tuning's student-t centres
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

@@ -5,7 +5,7 @@ Independently trained clusterers name their clusters arbitrarily, so raw
 relabeled against a common reference. ``align_labels`` does that with a
 Hungarian assignment on the run-vs-reference contingency table.
 
-Both ensembles align every run to the lexicographically smallest run
+``majority_vote`` aligns every run to the lexicographically smallest run
 before combining. Anchoring on a run chosen from the collection itself
 (rather than on whichever run happens to come first) makes the output a
 pure function of the run multiset, so reordering the runs cannot flip
@@ -13,21 +13,20 @@ the result's polarity; when runs agree beyond label switching the two
 anchors coincide anyway.
 
 For binary labels, thresholded averaging (>= 0.5 maps to 1) and majority
-voting with ties resolved to 1 are the same function; both are exposed
-under their own names.
+voting with ties resolved to 1 are the same function, so ``majority_vote``
+is the one vote of both ensembles: the dimension sweep and kgg.
 """
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
-from .autoencoder import build, pretrain
+from .autoencoder import NETWORK_DTYPE, build, pretrain
 from .data import Dataset
 from .deepcluster import DeepClusterConfig, assign, finetune
 from .errors import EmptyRuns, InvalidDimension, LengthMismatch, SweepRunFailed, UnsupportedK
-from .metrics import contingency, hungarian_max
+from .metrics import contingency, hungarian_max, whole_labels
 from .util import derive_seed
 
 
@@ -38,8 +37,8 @@ def align_labels(reference, candidate) -> np.ndarray:
     good permutations resolve to the lexicographically smallest one (so a
     perfectly ambiguous candidate is returned unchanged).
     """
-    reference = np.asarray(reference, dtype=int)
-    candidate = np.asarray(candidate, dtype=int)
+    reference = whole_labels(reference, UnsupportedK)
+    candidate = whole_labels(candidate, UnsupportedK)
     if reference.shape != candidate.shape or reference.ndim != 1:
         raise LengthMismatch(f"shape {reference.shape} vs {candidate.shape}")
     k = int(max(reference.max(), candidate.max())) + 1
@@ -53,7 +52,7 @@ def align_labels(reference, candidate) -> np.ndarray:
 
 def _as_label_matrix(runs) -> np.ndarray:
     if isinstance(runs, np.ndarray) and runs.ndim == 2:
-        mat = runs.astype(int)
+        mat = whole_labels(runs, UnsupportedK)
     else:
         runs = list(runs)
         if len(runs) == 0:
@@ -61,7 +60,7 @@ def _as_label_matrix(runs) -> np.ndarray:
         lengths = {len(np.asarray(r).ravel()) for r in runs}
         if len(lengths) > 1:
             raise LengthMismatch(f"runs have differing lengths {sorted(lengths)}")
-        mat = np.asarray([np.asarray(r, dtype=int).ravel() for r in runs])
+        mat = whole_labels([np.asarray(r).ravel() for r in runs], UnsupportedK)
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         raise EmptyRuns("no label runs given")
     if mat.min() < 0:
@@ -71,7 +70,8 @@ def _as_label_matrix(runs) -> np.ndarray:
     return mat
 
 
-def _binary_vote(runs) -> np.ndarray:
+def majority_vote(runs) -> np.ndarray:
+    """Strict-majority label per sample over the aligned binary runs; exact ties resolve to 1."""
     mat = _as_label_matrix(runs)
     ref = min(range(mat.shape[0]), key=lambda i: tuple(mat[i]))
     aligned = np.vstack([align_labels(mat[ref], row) for row in mat])
@@ -80,14 +80,8 @@ def _binary_vote(runs) -> np.ndarray:
     return (2 * ones >= aligned.shape[0]).astype(int)
 
 
-def dimension_ensemble(runs) -> np.ndarray:
-    """Per-sample average of aligned binary labels, thresholded at 0.5 (inclusive)."""
-    return _binary_vote(runs)
-
-
-def majority_vote(voters) -> np.ndarray:
-    """Strict-majority label per sample; exact ties resolve to 1."""
-    return _binary_vote(voters)
+# perfbench's tracer (perfbench/tracer.py, TRACED) looks the vote up under this name as well
+dimension_ensemble = majority_vote
 
 
 def sweep_dims(n_features: int) -> list[int]:
@@ -108,30 +102,6 @@ def check_sweep_dims(dims, n_features: float) -> None:
             raise InvalidDimension(f"embed dim {d} is repeated")
 
 
-def sweep_run(
-    ds: Dataset,
-    base_config: DeepClusterConfig,
-    k: int,
-    hidden: list[int] | tuple[int, ...],
-    activation: str,
-    dtype: str,
-    embed_dim: int,
-) -> np.ndarray:
-    """One run of ``run_dimension_sweep``: the labels of a gaussian-variant model at ``embed_dim``.
-
-    Raises ``SweepRunFailed`` naming ``embed_dim`` when the run fails.
-    """
-    seed_d = derive_seed(base_config.train.seed, embed_dim)
-    cfg = replace(base_config, variant="gaussian", train=replace(base_config.train, seed=seed_d))
-    try:
-        model = build(ds.n_features, embed_dim, hidden, activation, seed=seed_d, dtype=dtype)
-        pretrain(model, ds, cfg.train)
-        dcm = finetune(model, ds, k, cfg)
-        return assign(dcm, ds.X)
-    except Exception as exc:
-        raise SweepRunFailed(embed_dim, exc) from exc
-
-
 def run_dimension_sweep(
     ds: Dataset,
     dims: list[int],
@@ -139,20 +109,24 @@ def run_dimension_sweep(
     k: int = 2,
     hidden: list[int] | tuple[int, ...] = (),
     activation: str = "relu",
-    map=map,
 ) -> np.ndarray:
-    """Train one gaussian-variant model per embedding size; stack their labels.
+    """Train one gaussian-variant model per embedding size, in turn; stack their labels.
 
-    Every run builds a float64 network of ``hidden`` layers and ``activation``
-    (as ``build`` takes them) around its own embedding size. Each run is fully
-    independent with a seed derived only from (base seed, dimension), so the
-    sweep is reproducible and its result cannot depend on execution order.
-    ``map(run, dims)`` yields ``run(d)`` for each size in order, where ``run``
-    is ``sweep_run`` with every argument but the size bound. The built-in map
-    runs each size here, and the first failed size, in order, is raised as
-    ``SweepRunFailed``; a map that ignores ``run`` and returns the labels of
-    runs fitted elsewhere hands those in to be stacked.
+    Every run builds a ``NETWORK_DTYPE`` network of ``hidden`` layers and ``activation``
+    (as ``build`` takes them) around its own embedding size. Each run is fully independent,
+    with a seed derived only from (base seed, dimension), so the sweep over ``dims`` stacks
+    the same rows as one sweep per size; the benchmark grid runs it one size per job. The
+    first size that fails, in order, is raised as ``SweepRunFailed``.
     """
     check_sweep_dims(dims, ds.n_features)
-    runs = map(partial(sweep_run, ds, base_config, k, hidden, activation, "float64"), dims)
-    return np.asarray(list(runs), dtype=int)
+    runs = []
+    for d in dims:
+        seed_d = derive_seed(base_config.train.seed, d)
+        cfg = replace(base_config, variant="gaussian", train=replace(base_config.train, seed=seed_d))
+        try:
+            model = build(ds.n_features, d, hidden, activation, seed=seed_d, dtype=NETWORK_DTYPE)
+            pretrain(model, ds, cfg.train)
+            runs.append(assign(finetune(model, ds, k, cfg), ds.X))
+        except Exception as exc:
+            raise SweepRunFailed(d, exc) from exc
+    return np.asarray(runs, dtype=int)

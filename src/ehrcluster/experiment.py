@@ -37,16 +37,14 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .autoencoder import TrainConfig, build, encode, mirrored_dims, pretrain
+from .autoencoder import NETWORK_DTYPE, TrainConfig, build, encode, mirrored_dims, pretrain
 from .data import (
     Dataset, SyntheticSpec, check_missing_rate, generate_synthetic, load_csv,
     load_feature_schema, preprocess, stratified_subsample, subset_rows, write_labels,
 )
 from .deepcluster import DeepClusterConfig, assign, finetune
-from .ensemble import (
-    check_sweep_dims, dimension_ensemble, majority_vote, run_dimension_sweep, sweep_dims, sweep_run,
-)
-from .errors import ConfigError, ValidationError, WorkersCannotStart
+from .ensemble import check_sweep_dims, majority_vote, run_dimension_sweep, sweep_dims
+from .errors import ConfigError, InsufficientClassSamples, ValidationError, WorkersCannotStart
 from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
 from .traditional import (
     REG_COVAR, check_gmm_params, check_kmeans_params, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict,
@@ -54,10 +52,6 @@ from .traditional import (
 from .util import _build, _cast, _int, _str, derive_seed, read_json, write_csv
 
 KGG_VOTER_KINDS = ("kmeans_x", "gmm_x", "deep_gaussian_sweep")
-
-
-# the dtype every network a cell builds computes in (autoencoder.build's dtype), whatever its profile
-NETWORK_DTYPE = "float32"
 
 
 @dataclass(frozen=True)
@@ -227,10 +221,10 @@ def _fit_deep(variant, ds, k, seed, p) -> MethodResult:
     )
 
 
-def _voted(vote: Callable, runs, columns) -> MethodResult:
-    """A voting cell's result: ``vote`` over its ``runs``, one per name in ``columns``."""
+def _voted(runs, columns) -> MethodResult:
+    """A voting cell's result: the majority vote over its ``runs``, one per name in ``columns``."""
     runs = np.asarray(runs, dtype=int)
-    return MethodResult(labels=vote(runs), label_runs=runs, run_columns=list(columns))
+    return MethodResult(labels=majority_vote(runs), label_runs=runs, run_columns=list(columns))
 
 
 @dataclass(frozen=True)
@@ -324,22 +318,17 @@ def check_k(k, kinds, where: str) -> int:
 
 def _cell(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) -> tuple[list[tuple], Callable]:
     """A non-voting cell's jobs, each (weight, fn, args), and the finish that turns their results
-    into its MethodResult: a ``sweep_run`` job per dimension and their vote for the sweep, else
-    one job whose result is the cell's. The weight, a job's epochs, runs raw cells last."""
+    into its MethodResult: a one-size ``run_dimension_sweep`` job per dimension and the vote over
+    their rows for the sweep, else one job whose result is the cell's. Weight (epochs) runs raw last."""
     p = _with_defaults(spec.kind, profile, spec.params)
     weight = p.get("pretrain_epochs", 0) + p.get("finetune_epochs", 0)
     if spec.kind != "deep_gaussian_sweep":
         return [(weight, METHODS[spec.kind].fit, (ds, k, seed, p))], itemgetter(0)
     dims = p.get("dims", sweep_dims(ds.n_features))
     check_sweep_dims(dims, ds.n_features)
-    run = (ds, _finetune_config(p, "gaussian", seed), k, p["hidden"], p["activation"], NETWORK_DTYPE)
-
-    def vote(labels: list[np.ndarray]) -> MethodResult:
-        # run_dimension_sweep stacks the labels the jobs fitted, so a tracer counts the sweep's runs
-        runs = run_dimension_sweep(ds, dims, *run[1:5], map=lambda _, dims: labels)
-        return _voted(dimension_ensemble, runs, [f"d{d}" for d in dims])
-
-    return [(weight, sweep_run, (*run, d)) for d in dims], vote
+    cfg = _finetune_config(p, "gaussian", seed)
+    jobs = [(weight, run_dimension_sweep, (ds, (d,), cfg, k, p["hidden"], p["activation"])) for d in dims]
+    return jobs, lambda runs: _voted(np.vstack(runs), [f"d{d}" for d in dims])
 
 
 def run_method(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) -> MethodResult:
@@ -380,7 +369,7 @@ _COHORT_NEEDS = {
 
 
 def _check_cohort(cohort: CohortSpec, synthetic: bool, where: str) -> None:
-    """ConfigError naming ``where``.<field> for a field the cohort's load would ignore or misread."""
+    """ConfigError naming ``where``.<field> for a field the cohort's load would ignore, misread or refuse."""
     for name, needs in _COHORT_NEEDS.items():
         if getattr(cohort, name) is None:
             continue
@@ -388,6 +377,10 @@ def _check_cohort(cohort: CohortSpec, synthetic: bool, where: str) -> None:
             raise ConfigError(f"{where}.{name}: synthetic data has no column to group by")
         if getattr(cohort, needs) is None:
             raise ConfigError(f"{where}.{name}: requires {needs}")
+    for name, low in (("subsample_n", 1), ("subsample_ratio", 0)):
+        value = getattr(cohort, name)
+        if value is not None and not low <= value < float("inf"):
+            raise ConfigError(f"{where}.{name}: must be finite and >= {low}, got {value}")
 
 
 def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -480,7 +473,7 @@ def _cohorts(config: ExperimentConfig) -> list[Dataset]:
                 raise ConfigError(f"cohorts[{i}].group_column: {cohort.group_column!r} not in schema")
         extract = load_csv(config.csv.path, specs, label_column=config.csv.label_column)
     preps = []
-    for cohort in config.cohorts:
+    for i, cohort in enumerate(config.cohorts):
         ds = extract if config.csv is not None else generate_synthetic(
             replace(config.synthetic, seed=derive_seed(config.synthetic.seed, cohort.seed_offset))
         )
@@ -494,7 +487,10 @@ def _cohorts(config: ExperimentConfig) -> list[Dataset]:
         if cohort.subsample_n is not None:
             ratio = 1.0 if cohort.subsample_ratio is None else cohort.subsample_ratio
             seed = derive_seed(config.seed, cohort.seed_offset, 0x5AB)
-            ds = stratified_subsample(ds, cohort.subsample_n, ratio, seed)
+            try:
+                ds = stratified_subsample(ds, cohort.subsample_n, ratio, seed)
+            except InsufficientClassSamples as exc:
+                raise ConfigError(f"cohorts[{i}].subsample_n: cohort {cohort.name!r}: {exc}") from None
         prep, _scaler = preprocess(ds, config.max_missing_rate)
         if prep.labels is None:
             raise ConfigError(f"cohort {cohort.name!r} has no ground-truth labels to score against")
@@ -662,7 +658,7 @@ def _fit_grid(config: ExperimentConfig, preps: list[Dataset], cores: int) -> tup
         voters = m.params["voters"]
         runs = [produced[ci, v] for v in voters if (ci, v) in produced]
         missing = len(runs) < len(voters)
-        outcomes[ci, m.name] = None if missing else _attempt(_timed, _voted, majority_vote, runs, voters)
+        outcomes[ci, m.name] = None if missing else _attempt(_timed, _voted, runs, voters)
     return outcomes, workers
 
 

@@ -21,11 +21,19 @@ from .util import column_index, read_csv_rows, write_csv
 METRIC_NAMES = ("acc", "ari", "nmi")
 
 
+def whole_labels(v, error: type) -> np.ndarray:
+    """``v`` as an int array; ``error`` if a value in it is not a whole number (1.0 is, 0.9 is not)."""
+    a = np.asarray(v)
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a))):
+        raise error("labels must be integers")
+    return a.astype(int)
+
+
 def _as_labels(v) -> np.ndarray:
     a = np.asarray(v)
     if a.ndim != 1:
         raise LengthMismatch("label vectors must be 1-dimensional")
-    return a.astype(int)
+    return whole_labels(a, LengthMismatch)
 
 
 def contingency(g, p) -> np.ndarray:

@@ -30,7 +30,7 @@ from ehrcluster.deepcluster import (
     soft_assign,
     target_distribution,
 )
-from ehrcluster.ensemble import dimension_ensemble, majority_vote
+from ehrcluster.ensemble import majority_vote
 from ehrcluster.experiment import load_config, run_experiment
 from ehrcluster.metrics import acc, ari, hungarian_max, nmi
 from ehrcluster.traditional import GmmModel, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict
@@ -294,12 +294,11 @@ def test_criterion_6_ensemble_correctness():
             [0, 0, 0, 1, 1, 1],
             [0, 0, 0, 1, 1, 0],
         ])
-        assert np.array_equal(dimension_ensemble(runs), [0, 0, 0, 1, 1, 1])
         assert np.array_equal(majority_vote(runs), [0, 0, 0, 1, 1, 1])
 
         # the inclusive >= 0.5 threshold sends an exact (1,0) tie to 1
         tie_runs = np.array([[1, 0, 1, 0], [0, 0, 1, 1]])
-        assert np.array_equal(dimension_ensemble(tie_runs), [1, 0, 1, 1])
+        assert np.array_equal(majority_vote(tie_runs), [1, 0, 1, 1])
 
         # three voters with pairwise-disjoint error sets recover the truth
         rng = np.random.default_rng(606)
@@ -310,7 +309,6 @@ def test_criterion_6_ensemble_correctness():
             v[np.arange(10 * k, 10 * k + 3)] ^= 1
             voters.append(v)
         assert np.array_equal(majority_vote(voters), truth)
-        assert np.array_equal(dimension_ensemble(voters), truth)
 
         # outputs cannot depend on run order, even with a flipped-polarity run
         base = rng.integers(0, 2, size=40)
@@ -319,10 +317,9 @@ def test_criterion_6_ensemble_correctness():
             idx = rng.choice(40, size=5, replace=False)
             run[idx] ^= 1
         noisy[2] = 1 - noisy[2]
-        expected = dimension_ensemble(noisy)
+        expected = majority_vote(noisy)
         for seed in range(6):
             order = np.random.default_rng(seed).permutation(5)
-            assert np.array_equal(dimension_ensemble([noisy[i] for i in order]), expected)
             assert np.array_equal(majority_vote([noisy[i] for i in order]), expected)
 
 

@@ -711,13 +711,14 @@ class TestDtype:
             assert result.embedding.dtype == np.float64
             assert all(np.isfinite(result.pretrain_history))
         assert [m.dtype for m in built] == [np.float32, np.float32]
-        assert experiment.NETWORK_DTYPE == "float32"
-        # the library's own networks stay float64: build's default and the sweep's
+        assert experiment.NETWORK_DTYPE == ensemble.NETWORK_DTYPE == "float32"
+        # build's own default stays float64
         assert build(6, 2, [4]).dtype == np.float64
+        # the library sweep is the grid's sweep, so it builds what a cell builds
         built.clear()
         config = DeepClusterConfig(variant="gaussian", finetune_epochs=1, train=TrainConfig(epochs=1, seed=0))
         ensemble.run_dimension_sweep(ds, [1, 2], config, hidden=(8,))
-        assert [m.dtype for m in built] == [np.float64, np.float64]
+        assert [m.dtype for m in built] == [np.float32, np.float32]
         # so criterion 3's finite-difference checks keep full precision
         for hidden, activation, variant in [([], "relu", "student_t"), ([4, 6], "tanh", "gaussian")]:
             model, X, _ = _kink_safe_instance(hidden, activation, variant, 300)

@@ -443,7 +443,7 @@ class TestExitCodes:
         from ehrcluster import experiment
 
         trained = []
-        monkeypatch.setattr(experiment, "sweep_run", lambda *args: trained.append(args[-1]))
+        monkeypatch.setattr(experiment, "run_dimension_sweep", lambda *args: trained.append(args[1]))
         p = tmp_path / "d.csv"
         p.write_text("f00,f01\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
         assert run_cli("cluster", "--csv", str(p), "--method", "deep_gaussian_sweep",
@@ -497,6 +497,27 @@ class TestExitCodes:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         assert run_cli("benchmark", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")) == 1
         assert "cohorts[1].group_column: 'zz' not in schema" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subsample, named", [
+        ({"subsample_n": 20}, "cohorts[1].subsample_n: cohort 'c': class 0: need 10 samples but only 6 available"),
+        ({"subsample_n": 0}, "cohorts[1].subsample_n: must be finite and >= 1, got 0"),
+        ({"subsample_n": 4, "subsample_ratio": -1}, "cohorts[1].subsample_ratio: must be finite and >= 0, got -1.0"),
+    ])
+    def test_a_cohort_subsample_error_names_its_cohort_and_field(self, tmp_path, capsys, subsample, named):
+        (tmp_path / "d.csv").write_text("f00,f01,y\n" + "".join(f"{i % 2},{i},{i % 2}\n" for i in range(12)))
+        (tmp_path / "s.json").write_text(json.dumps([
+            {"name": name, "unit": "", "bound_lo": -100, "bound_hi": 100} for name in ("f00", "f01")
+        ]))
+        config = {
+            "seed": 1,
+            "data": {"csv": {"path": "d.csv", "schema": "s.json", "label_column": "y"}},
+            "cohorts": [{"name": "a"}, {"name": "c", **subsample}],
+            "methods": [{"name": "m", "kind": "kmeans_x"}],
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_cli("benchmark", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")) == 1
+        assert f"error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "ensemble"])

@@ -10,7 +10,6 @@ from ehrcluster.data import SyntheticSpec, generate_synthetic, standardize
 from ehrcluster.deepcluster import DeepClusterConfig
 from ehrcluster.ensemble import (
     align_labels,
-    dimension_ensemble,
     majority_vote,
     run_dimension_sweep,
     sweep_dims,
@@ -28,6 +27,11 @@ class TestAlignLabels:
     def test_flip(self):
         got = align_labels([0, 0, 1, 1], [1, 1, 0, 0])
         assert np.array_equal(got, [0, 0, 1, 1])
+
+    def test_a_fractional_label_is_refused_not_truncated(self):
+        with pytest.raises(UnsupportedK, match="labels must be integers"):
+            align_labels([0, 0, 1, 1], [1, 0.9, 0, 0])
+        assert np.array_equal(align_labels([0.0, 1.0], [1.0, 0.0]), [0, 1])
 
     def test_identity(self):
         got = align_labels([0, 0, 1, 1], [0, 0, 1, 1])
@@ -75,21 +79,21 @@ class TestDimensionEnsemble:
             [0, 1, 0, 1],
         ])
         # per-sample averages: 2/3, 2/3, 0, 2/3
-        assert np.array_equal(dimension_ensemble(runs), [1, 1, 0, 1])
+        assert np.array_equal(majority_vote(runs), [1, 1, 0, 1])
 
     def test_inclusive_threshold_tie_goes_to_one(self):
         runs = np.array([[1, 0, 1], [0, 0, 1]])
         # sample 0 averages exactly 0.5 -> 1
-        assert np.array_equal(dimension_ensemble(runs), [1, 0, 1])
+        assert np.array_equal(majority_vote(runs), [1, 0, 1])
 
     def test_identical_runs_identity(self):
         run = np.array([0, 1, 1, 0, 1])
-        assert np.array_equal(dimension_ensemble([run, run, run]), run)
+        assert np.array_equal(majority_vote([run, run, run]), run)
 
     def test_flipped_run_is_aligned_first(self):
         base = np.array([0, 0, 0, 1, 1, 1])
         flipped = 1 - base
-        assert np.array_equal(dimension_ensemble([base, flipped, base]), base)
+        assert np.array_equal(majority_vote([base, flipped, base]), base)
 
     def test_order_invariant_in_agreement_regime(self):
         rng = np.random.default_rng(0)
@@ -99,23 +103,32 @@ class TestDimensionEnsemble:
             idx = rng.choice(30, size=4, replace=False)
             run[idx] = 1 - run[idx]
         runs[2] = 1 - runs[2]  # plus a polarity flip alignment must undo
-        expected = dimension_ensemble(runs)
+        expected = majority_vote(runs)
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(len(runs))
-            got = dimension_ensemble([runs[i] for i in perm])
+            got = majority_vote([runs[i] for i in perm])
             assert np.array_equal(got, expected)
 
     def test_unsupported_k(self):
         with pytest.raises(UnsupportedK):
-            dimension_ensemble(np.array([[0, 1, 2]]))
+            majority_vote(np.array([[0, 1, 2]]))
 
     def test_empty_runs(self):
         with pytest.raises(EmptyRuns):
-            dimension_ensemble([])
+            majority_vote([])
 
     def test_ragged_runs(self):
         with pytest.raises(LengthMismatch):
-            dimension_ensemble([np.array([0, 1]), np.array([0, 1, 1])])
+            majority_vote([np.array([0, 1]), np.array([0, 1, 1])])
+
+    def test_a_fractional_label_is_refused_not_truncated(self):
+        for runs in (np.array([[0.9, 0.2, 1.0], [1.0, 0.0, 1.0]]), [[0.9, 0.2, 1.0], [1, 0, 1]]):
+            with pytest.raises(UnsupportedK, match="labels must be integers"):
+                majority_vote(runs)
+        with pytest.raises(UnsupportedK, match="labels must be integers"):
+            majority_vote(np.array([[np.nan, 0.0, 1.0], [1.0, 0.0, 1.0]]))
+        # whole numbers stored as floats are labels
+        assert np.array_equal(majority_vote(np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])), [1, 0, 1])
 
 
 class TestMajorityVote:
@@ -182,7 +195,7 @@ class TestRunDimensionSweep:
         assert np.array_equal(a, b)
 
     def test_single_dim_matches_direct_pipeline(self, tiny_cohort):
-        from ehrcluster.autoencoder import build, pretrain
+        from ehrcluster.autoencoder import NETWORK_DTYPE, build, pretrain
         from ehrcluster.deepcluster import assign, finetune
         from ehrcluster.util import derive_seed
 
@@ -191,10 +204,17 @@ class TestRunDimensionSweep:
 
         seed_d = derive_seed(cfg.train.seed, 3)
         direct_cfg = replace(cfg, train=replace(cfg.train, seed=seed_d))
-        model = build(tiny_cohort.n_features, 3, (8,), "relu", seed=seed_d)
+        model = build(tiny_cohort.n_features, 3, (8,), "relu", seed=seed_d, dtype=NETWORK_DTYPE)
         pretrain(model, tiny_cohort, replace(direct_cfg.train, epochs=cfg.train.epochs))
         dcm = finetune(model, tiny_cohort, 2, direct_cfg)
         assert np.array_equal(runs[0], assign(dcm, tiny_cohort.X))
+
+    def test_a_sweep_stacks_the_rows_of_one_sweep_per_size(self, tiny_cohort):
+        # the benchmark grid fits a sweep as one job per size, then stacks their rows
+        whole = run_dimension_sweep(tiny_cohort, [2, 3, 5], tiny_config(), hidden=(8,))
+        each = [run_dimension_sweep(tiny_cohort, [d], tiny_config(), hidden=(8,)) for d in (2, 3, 5)]
+        assert whole.dtype == np.vstack(each).dtype
+        assert whole.tobytes() == np.vstack(each).tobytes()
 
     def test_dims_validation(self, tiny_cohort):
         with pytest.raises(EmptyRuns):

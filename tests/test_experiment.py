@@ -415,7 +415,7 @@ class TestRunExperiment:
     def test_run_method_sweep_is_the_vote_of_run_dimension_sweep(self):
         from ehrcluster.autoencoder import TrainConfig
         from ehrcluster.deepcluster import DeepClusterConfig
-        from ehrcluster.ensemble import dimension_ensemble, run_dimension_sweep
+        from ehrcluster.ensemble import majority_vote, run_dimension_sweep
 
         ds = generate_synthetic(SyntheticSpec(80, 5, 1.0, 4.0, "spherical", 0.0, seed=1))
         params = {"dims": (2, 3), "hidden": (8,), "pretrain_epochs": 4, "finetune_epochs": 3}
@@ -423,7 +423,7 @@ class TestRunExperiment:
         cfg = DeepClusterConfig(finetune_epochs=3, train=TrainConfig(epochs=4, seed=5))
         runs = run_dimension_sweep(ds, [2, 3], cfg, k=2, hidden=(8,))
         assert np.array_equal(got.label_runs, runs)
-        assert np.array_equal(got.labels, dimension_ensemble(runs))
+        assert np.array_equal(got.labels, majority_vote(runs))
         assert got.run_columns == ["d2", "d3"]
 
     def test_missing_labels_rejected(self, tmp_path):
@@ -479,6 +479,24 @@ class TestCohorts:
         with pytest.raises((ConfigError, InsufficientClassSamples), match=re.escape(error)):
             run_experiment(config)
         assert fits == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("last, error", [
+        ({"name": "b", "subsample_n": 0}, "cohorts[1].subsample_n: must be finite and >= 1, got 0"),
+        ({"name": "b", "subsample_n": 4, "subsample_ratio": -1},
+         "cohorts[1].subsample_ratio: must be finite and >= 0, got -1.0"),
+        ({"name": "b", "subsample_n": 4, "subsample_ratio": float("inf")},
+         "cohorts[1].subsample_ratio: must be finite and >= 0, got inf"),
+    ])
+    def test_an_out_of_range_subsample_fails_the_config_load(self, tmp_path, last, error):
+        with pytest.raises(ConfigError, match=re.escape(error)):
+            self.csv_doc(tmp_path, [{"name": "a"}, last])
+
+    def test_an_over_large_subsample_names_its_cohort_and_field(self, tmp_path):
+        config = self.csv_doc(tmp_path, [{"name": "a"}, {"name": "b", "subsample_n": 20}])
+        error = "cohorts[1].subsample_n: cohort 'b': class 0: need 10 samples but only 6 available"
+        with pytest.raises(ConfigError, match=re.escape(error)):
+            run_experiment(config)
         assert not (tmp_path / "o").exists()
 
     def test_a_two_cohort_grid_reads_its_csv_once_and_fits_on_one_pool(self, tmp_path, monkeypatch):
@@ -610,8 +628,10 @@ class TestPool:
 
         trained = []
         if spy:  # a swapped package function: every job runs in this process
-            real = experiment.sweep_run
-            monkeypatch.setattr(experiment, "sweep_run", lambda *args: trained.append(args[-1]) or real(*args))
+            real = experiment.run_dimension_sweep
+            monkeypatch.setattr(
+                experiment, "run_dimension_sweep", lambda *args: trained.append(args[1]) or real(*args)
+            )
         doc = minimal_doc(methods=[
             {"name": "kmeans_x", "kind": "kmeans_x"},
             {"name": "gmm_x", "kind": "gmm_x"},

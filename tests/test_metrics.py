@@ -49,6 +49,14 @@ class TestContingency:
         with pytest.raises(LengthMismatch):
             contingency([0, 1], [0])
 
+    def test_a_fractional_label_is_refused_not_truncated(self):
+        with pytest.raises(LengthMismatch, match="labels must be integers"):
+            contingency([0, 1, 1], [0, 0.9, 1])
+        with pytest.raises(LengthMismatch, match="labels must be integers"):
+            ari([0, 1, 1], np.array([0.0, np.nan, 1.0]))
+        # whole numbers stored as floats are labels
+        assert np.array_equal(contingency([0.0, 1.0], [1, 0]), [[0, 1], [1, 0]])
+
 
 class TestHungarianMax:
     def test_two_by_two(self):
