@@ -63,8 +63,6 @@ def _as_label_matrix(runs) -> np.ndarray:
         mat = whole_labels([np.asarray(r).ravel() for r in runs], UnsupportedK)
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         raise EmptyRuns("no label runs given")
-    if mat.min() < 0:
-        raise UnsupportedK("labels must be non-negative")
     if mat.max() > 1:
         raise UnsupportedK("ensembles support binary labels only (k = 2)")
     return mat

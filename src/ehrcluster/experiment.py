@@ -93,19 +93,19 @@ class CohortSpec:
     subsample_ratio: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Built by ``parse_config``, which casts method params and resolves kgg voters."""
+    """A config document's shape: its ``data`` field holds the one source, synthetic or CSV.
+    Built by ``parse_config``, which casts method params and resolves kgg voters."""
 
     seed: int
-    methods: list[MethodSpec]
-    cohorts: list[CohortSpec]
-    synthetic: SyntheticSpec | None = None
-    csv: CsvSource | None = None
     profile: str = "desk"
     k: int = 2
     max_missing_rate: float = 0.05
     output_dir: str = "out"
+    methods: list[MethodSpec]
+    cohorts: list[CohortSpec]
+    data: SyntheticSpec | CsvSource
 
 
 @dataclass
@@ -368,12 +368,13 @@ _COHORT_NEEDS = {
 }
 
 
-def _check_cohort(cohort: CohortSpec, synthetic: bool, where: str) -> None:
-    """ConfigError naming ``where``.<field> for a field the cohort's load would ignore, misread or refuse."""
+def _check_cohort(cohort: CohortSpec, data: SyntheticSpec | CsvSource, where: str) -> None:
+    """ConfigError naming ``where``.<field> for a field the cohort's load from ``data`` would
+    ignore, misread or refuse."""
     for name, needs in _COHORT_NEEDS.items():
         if getattr(cohort, name) is None:
             continue
-        if synthetic and name.startswith("group_"):
+        if isinstance(data, SyntheticSpec) and name.startswith("group_"):
             raise ConfigError(f"{where}.{name}: synthetic data has no column to group by")
         if getattr(cohort, needs) is None:
             raise ConfigError(f"{where}.{name}: requires {needs}")
@@ -383,47 +384,40 @@ def _check_cohort(cohort: CohortSpec, synthetic: bool, where: str) -> None:
             raise ConfigError(f"{where}.{name}: must be finite and >= {low}, got {value}")
 
 
+# a data source's key in a config's ``data`` object -> its type
+_SOURCES = {"synthetic": SyntheticSpec, "csv": CsvSource}
+
+
 def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    """Validate a JSON config document; errors carry the offending field path."""
+    """Validate a JSON config document into an ``ExperimentConfig`` of its shape, ``data`` the one
+    source it names; any error, an unknown field at any level too, is a ConfigError naming its path."""
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
-    if "seed" not in doc:
-        raise ConfigError("seed: required")
-    data = doc.get("data")
-    if not isinstance(data, dict) or ("synthetic" not in data) == ("csv" not in data):
+    sources = doc.get("data")
+    if not isinstance(sources, dict) or len(sources.keys() & _SOURCES.keys()) != 1:
         raise ConfigError("data: exactly one of data.synthetic or data.csv is required")
-    synthetic = None
-    csv_source = None
-    if "synthetic" in data:
-        synthetic = _build(SyntheticSpec, data["synthetic"], "data.synthetic")
-    else:
-        csv_source = _build(CsvSource, data["csv"], "data.csv")
-        if base_dir is not None:
-            path, schema = csv_source.path, csv_source.schema
-            path = str((base_dir / path).resolve()) if not Path(path).is_absolute() else path
-            if schema is not None and not Path(schema).is_absolute():
-                schema = str((base_dir / schema).resolve())
-            csv_source = replace(csv_source, path=path, schema=schema)
+    for source, raw in sources.items():
+        if source not in _SOURCES:
+            raise ConfigError(f"data.{source}: unknown field")
+        data = _build(_SOURCES[source], raw, f"data.{source}")
+    if isinstance(data, CsvSource) and base_dir is not None:
+        def resolve(path):  # a relative path is read from ``base_dir``
+            return path if path is None or Path(path).is_absolute() else str((base_dir / path).resolve())
+        data = replace(data, path=resolve(data.path), schema=resolve(data.schema))
 
     methods_raw = doc.get("methods")
     if not methods_raw or not isinstance(methods_raw, list):
         raise ConfigError("methods: a list of at least one method is required")
     methods = []
-    seen = set()
-    for i, m in enumerate(methods_raw):
-        if not isinstance(m, dict):
-            raise ConfigError(f"methods[{i}]: expected a JSON object")
-        name = m.get("name")
-        kind = m.get("kind")
-        if not name or not isinstance(name, str):
-            raise ConfigError(f"methods[{i}].name: required, a non-empty string")
-        if name in seen:
-            raise ConfigError(f"methods[{i}].name: duplicate {name!r}")
-        seen.add(name)
-        if not isinstance(kind, str) or kind not in METHODS:
-            raise ConfigError(f"methods[{i}].kind: unknown kind {kind!r}")
-        params = check_params(kind, m.get("params", {}), f"methods[{i}].params")
-        methods.append(MethodSpec(name, kind, params))
+    for i, raw in enumerate(methods_raw):
+        m = _build(MethodSpec, raw, f"methods[{i}]")
+        if not m.name:
+            raise ConfigError(f"methods[{i}].name: must be non-empty")
+        if m.name in {earlier.name for earlier in methods}:
+            raise ConfigError(f"methods[{i}].name: duplicate {m.name!r}")
+        if m.kind not in METHODS:
+            raise ConfigError(f"methods[{i}].kind: unknown kind {m.kind!r}")
+        methods.append(replace(m, params=check_params(m.kind, m.params, f"methods[{i}].params")))
     methods = [
         replace(m, params={"voters": _kgg_voters(methods, m, f"methods[{i}].params.voters")})
         if m.kind == "kgg" else m
@@ -438,23 +432,16 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
         cohort = _build(CohortSpec, c, f"cohorts[{i}]", seed_offset=i)
         if cohort.name in {earlier.name for earlier in cohorts}:
             raise ConfigError(f"cohorts[{i}].name: duplicate {cohort.name!r}")
-        _check_cohort(cohort, synthetic is not None, f"cohorts[{i}]")
+        _check_cohort(cohort, data, f"cohorts[{i}]")
         cohorts.append(cohort)
 
-    profile = _cast(_str, doc.get("profile", "desk"), "profile")
-    if profile not in PROFILES:
-        raise ConfigError(f"profile: unknown profile {profile!r}")
-    return ExperimentConfig(
-        seed=_cast(_int, doc["seed"], "seed"),
-        methods=methods,
-        cohorts=cohorts,
-        synthetic=synthetic,
-        csv=csv_source,
-        profile=profile,
-        k=check_k(doc.get("k", 2), [m.kind for m in methods], "k"),
-        max_missing_rate=_cast(check_missing_rate, doc.get("max_missing_rate", 0.05), "max_missing_rate"),
-        output_dir=_cast(_str, doc.get("output_dir", "out"), "output_dir"),
-    )
+    top = {key: value for key, value in doc.items() if key not in ("data", "methods", "cohorts")}
+    config = _build(ExperimentConfig, top, "", data=data, methods=methods, cohorts=cohorts)
+    if config.profile not in PROFILES:
+        raise ConfigError(f"profile: unknown profile {config.profile!r}")
+    check_k(config.k, [m.kind for m in methods], "k")
+    _cast(check_missing_rate, config.max_missing_rate, "max_missing_rate")
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -465,17 +452,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def _cohorts(config: ExperimentConfig) -> list[Dataset]:
     """Every cohort preprocessed, in config order: every group_column checked against the schema,
     the CSV read once, then each cohort subset, subsampled, preprocessed and checked for labels."""
-    if config.csv is not None:
-        specs = load_feature_schema(config.csv.schema)
+    csv = isinstance(config.data, CsvSource)
+    if csv:
+        specs = load_feature_schema(config.data.schema)
         names = [s.name for s in specs]
         for i, cohort in enumerate(config.cohorts):
             if cohort.group_column is not None and cohort.group_column not in names:
                 raise ConfigError(f"cohorts[{i}].group_column: {cohort.group_column!r} not in schema")
-        extract = load_csv(config.csv.path, specs, label_column=config.csv.label_column)
+        extract = load_csv(config.data.path, specs, label_column=config.data.label_column)
     preps = []
     for i, cohort in enumerate(config.cohorts):
-        ds = extract if config.csv is not None else generate_synthetic(
-            replace(config.synthetic, seed=derive_seed(config.synthetic.seed, cohort.seed_offset))
+        ds = extract if csv else generate_synthetic(
+            replace(config.data, seed=derive_seed(config.data.seed, cohort.seed_offset))
         )
         if cohort.group_column is not None:  # parse_config allows a group on CSV data only
             in_group = ds.X[:, names.index(cohort.group_column)] == cohort.group_value
@@ -750,11 +738,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         write_ranks_csv(ranks, out / "ranks.csv")
 
     doc = _config_doc(config)
-    # the hash identifies the config, wherever its outputs were written
-    hashed = {key: value for key, value in doc.items() if key != "output_dir"}
     manifest = {
         "config": doc,
-        "config_hash": hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest(),
+        "config_hash": _config_hash(doc),
         "versions": _versions(),
         "profile": asdict(PROFILES[config.profile]),
         "workers": workers,
@@ -782,20 +768,15 @@ def _versions() -> dict:
 
 
 def _config_doc(config: ExperimentConfig) -> dict:
-    doc = {
-        "seed": config.seed,
-        "profile": config.profile,
-        "k": config.k,
-        "max_missing_rate": config.max_missing_rate,
-        "output_dir": config.output_dir,
-        "methods": [asdict(m) for m in config.methods],
-        "cohorts": [asdict(c) for c in config.cohorts],
-    }
-    if config.synthetic is not None:
-        doc["data"] = {"synthetic": asdict(config.synthetic)}
-    else:
-        doc["data"] = {"csv": asdict(config.csv)}
-    return doc
+    """The config as a document of the shape ``parse_config`` reads."""
+    source = "synthetic" if isinstance(config.data, SyntheticSpec) else "csv"
+    return {**asdict(config), "data": {source: asdict(config.data)}}
+
+
+def _config_hash(doc: dict) -> str:
+    """The sha256 that identifies a config document, wherever its outputs were written."""
+    hashed = {key: value for key, value in doc.items() if key != "output_dir"}
+    return hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()
 
 
 # identities of the package's functions once imported, for _usable_cores

@@ -22,11 +22,15 @@ METRIC_NAMES = ("acc", "ari", "nmi")
 
 
 def whole_labels(v, error: type) -> np.ndarray:
-    """``v`` as an int array; ``error`` if a value in it is not a whole number (1.0 is, 0.9 is not)."""
+    """``v`` as an int array; ``error`` if a value in it is negative or not a whole number
+    (1.0 is, 0.9 is not)."""
     a = np.asarray(v)
     if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a))):
         raise error("labels must be integers")
-    return a.astype(int)
+    a = a.astype(int)
+    if (a < 0).any():
+        raise error("labels must be non-negative")
+    return a
 
 
 def _as_labels(v) -> np.ndarray:

@@ -102,27 +102,34 @@ def _cast(cast: Callable, value, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _dict(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 # the cast of a config dataclass field, by its annotation; a "... | None" field also takes null
-_FIELD_CASTS = {"int": _int, "float": float, "str": _str}
+_FIELD_CASTS = {"int": _int, "float": float, "str": _str, "dict": _dict}
 
 
 def _build(cls, raw, where: str, **defaults):
     """``cls`` from a JSON object, every field cast by its annotation; a ConfigError names
-    ``where``.<field> if one is unknown, absent but required, or will not cast, and
-    ``where`` if ``cls`` refuses the values."""
+    ``where``.<field> (<field> alone if ``where`` is empty) if one is unknown, absent but
+    required, or will not cast, and ``where`` if ``cls`` refuses the values."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected a JSON object")
-    types = {f.name: f.type for f in fields(cls)}
+    prefix = f"{where}." if where else ""
+    by_name = {f.name: f for f in fields(cls)}
     kwargs = dict(defaults)
     for name, value in raw.items():
-        if name not in types:
-            raise ConfigError(f"{where}.{name}: unknown field")
-        optional = types[name].endswith(" | None")
-        cast = _FIELD_CASTS[types[name].removesuffix(" | None")]
-        kwargs[name] = None if optional and value is None else _cast(cast, value, f"{where}.{name}")
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in kwargs:
-            raise ConfigError(f"{where}.{f.name}: required")
+        if name not in by_name:
+            raise ConfigError(f"{prefix}{name}: unknown field")
+        optional = by_name[name].type.endswith(" | None")
+        cast = _FIELD_CASTS[by_name[name].type.removesuffix(" | None")]
+        kwargs[name] = None if optional and value is None else _cast(cast, value, prefix + name)
+    for f in by_name.values():
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in kwargs:
+            raise ConfigError(f"{prefix}{f.name}: required")
     try:
         return cls(**kwargs)
     except ConfigError as exc:

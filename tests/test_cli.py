@@ -329,6 +329,11 @@ class TestExitCodes:
         ({"cohorts": [{"name": "c", "subsample_n": "ten"}]}, "cohorts[0].subsample_n"),
         ({"cohorts": [{"name": "c", "group_column": 3}]}, "cohorts[0].group_column"),
         ({"cohorts": [{"name": "c", "subsample": 10}]}, "cohorts[0].subsample"),
+        ({"cohort": [{"name": "female"}, {"name": "male"}]}, "cohort"),
+        ({"max_missing_rte": 0.2}, "max_missing_rte"),
+        ({"data": {"synthetic": {"n_samples": 50, "n_features": 4, "class_ratio": 1.0, "separation": 2.0},
+                   "extra": 1}}, "data.extra"),
+        ({"methods": [{"name": "m", "kind": "kmeans_x", "param": {"n_init": 3}}]}, "methods[0].param"),
         ({"data": {"synthetic": {"n_samples": "many", "n_features": 4,
                                  "class_ratio": 1.0, "separation": 2.0}}}, "data.synthetic.n_samples"),
         ({"data": {"synthetic": "synth.json"}}, "data.synthetic"),

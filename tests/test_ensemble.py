@@ -33,6 +33,13 @@ class TestAlignLabels:
             align_labels([0, 0, 1, 1], [1, 0.9, 0, 0])
         assert np.array_equal(align_labels([0.0, 1.0], [1.0, 0.0]), [0, 1])
 
+    def test_a_negative_label_is_refused_not_wrapped(self):
+        # -1 would index the contingency table's last row and leave the candidate unmapped
+        with pytest.raises(UnsupportedK, match="labels must be non-negative"):
+            align_labels([-1, 0, 0, -1], [0, 1, 1, 0])
+        with pytest.raises(UnsupportedK, match="labels must be non-negative"):
+            align_labels([0, 1, 1, 0], [0, -1, -1, 0])
+
     def test_identity(self):
         got = align_labels([0, 0, 1, 1], [0, 0, 1, 1])
         assert np.array_equal(got, [0, 0, 1, 1])

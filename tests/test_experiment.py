@@ -18,6 +18,8 @@ from ehrcluster.experiment import (
     BLAS_THREAD_VARS,
     PROFILES,
     MethodSpec,
+    _config_doc,
+    _config_hash,
     _fit_on_pool,
     load_config,
     parse_config,
@@ -39,7 +41,8 @@ def minimal_doc(**overrides):
     return doc
 
 
-FROZEN_DOC = json.loads((Path(__file__).resolve().parents[1] / "configs" / "benchmark.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+FROZEN_DOC = json.loads((ROOT / "configs" / "benchmark.json").read_text())
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -463,6 +466,11 @@ class TestCohorts:
         }
         return parse_config(doc, base_dir=tmp_path)
 
+    def test_the_manifest_config_echo_loads_back_to_the_config_that_wrote_it(self, tmp_path):
+        config = self.csv_doc(tmp_path, [{"name": "a"}, {"name": "b", "subsample_n": 6}])
+        run_experiment(config)
+        assert parse_config(json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]) == config
+
     @pytest.mark.parametrize("last, error", [
         ({"name": "b", "group_column": "f00", "group_value": 7}, "cohort 'b': no row has f00 == 7.0"),
         ({"name": "b", "subsample_n": 20}, "class 0: need 10 samples but only 6 available"),
@@ -731,5 +739,16 @@ def test_frozen_benchmark_config_parses():
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "benchmark.json")
     assert cfg.k == 2
     assert len(cfg.methods) == 9
-    assert cfg.synthetic.n_samples == 2000
-    assert cfg.synthetic.n_features == 33
+    assert cfg.data.n_samples == 2000
+    assert cfg.data.n_features == 33
+
+
+@pytest.mark.parametrize("path, digest", [
+    ("configs/benchmark.json", "523b4de37c72cb5c855489ba1d2b2d85b77c91b3af1db9fa2f1fb6ff1fa6515a"),
+    ("tests/golden/config.json", "1e3142c58c169acfee138f5f967fc3ea68f0021a4136615857b364a325427158"),
+])
+def test_the_frozen_configs_keep_their_hash_and_load_back_from_their_echo(path, digest):
+    cfg = load_config(ROOT / path)
+    doc = json.loads(json.dumps(_config_doc(cfg)))
+    assert _config_hash(doc) == digest
+    assert parse_config(doc) == cfg

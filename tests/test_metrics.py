@@ -57,6 +57,13 @@ class TestContingency:
         # whole numbers stored as floats are labels
         assert np.array_equal(contingency([0.0, 1.0], [1, 0]), [[0, 1], [1, 0]])
 
+    def test_a_negative_label_is_refused_not_wrapped_into_the_last_row(self):
+        with pytest.raises(LengthMismatch, match="labels must be non-negative"):
+            contingency([-1, 0, 0], [0, 0, 1])
+        for metric in (acc, ari, nmi):
+            with pytest.raises(LengthMismatch, match="labels must be non-negative"):
+                metric([0, 1, 1], [0, -1, 1])
+
 
 class TestHungarianMax:
     def test_two_by_two(self):
