@@ -36,8 +36,8 @@ def main() -> int:
 
     print(f"\ncompleted in {elapsed:.1f}s -> {result.output_dir}")
     print(f"{'method':18} {'acc':>7} {'ari':>7} {'nmi':>7} {'seconds':>8}")
-    for r in result.scores:
-        print(f"{r.method:18} {r.acc:7.3f} {r.ari:7.3f} {r.nmi:7.3f} {r.wall_clock_seconds:8.1f}")
+    for r, cell in zip(result.scores, result.cells):
+        print(f"{r.method:18} {r.acc:7.3f} {r.ari:7.3f} {r.nmi:7.3f} {cell['wall_clock_seconds']:8.1f}")
     if result.ranks:
         print("\naverage rank (mean, std):")
         for m, (mean, std) in sorted(result.ranks.items(), key=lambda kv: kv[1][0]):

@@ -228,6 +228,11 @@ def write_labels(path: str | Path, labels: np.ndarray) -> None:
     write_csv(path, ["sample_index", "label"], enumerate(labels.tolist()))
 
 
+def write_embedding(path: str | Path, Z: np.ndarray) -> None:
+    """Write an embedding: one row per sample, one column ``z<i>`` per axis."""
+    write_csv(path, [f"z{i}" for i in range(Z.shape[1])], Z.tolist())
+
+
 def apply_bounds(ds: Dataset) -> Dataset:
     """Mask every value outside its feature's inclusive [lo, hi] bound as missing."""
     lo = np.array([s.bound_lo for s in ds.feature_specs])

@@ -12,8 +12,9 @@ Outputs under the configured directory:
 
     scores.csv    cohort,method,acc,ari,nmi          (byte-stable across reruns)
     ranks.csv     method,mean_rank,std_rank
-    timings.csv   cohort,method,wall_clock_seconds
-    manifest.json config echo, derived seeds, library versions, timings
+    timings.csv   cohort,method,wall_clock_seconds   (one row per scored cell)
+    manifest.json config echo, library versions, and each scored cell's record:
+                  cohort, method, kind, the seed it was fitted with, its seconds
     labels/       <cohort>__<method>.csv  (sample_index,label)
     labels_runs/  <cohort>__<method>.csv  (per-dimension sweep votes)
     embeddings/   <cohort>__<method>.csv  (final embedding, one column per axis)
@@ -40,11 +41,11 @@ from . import __version__
 from .autoencoder import NETWORK_DTYPE, TrainConfig, build, encode, mirrored_dims, pretrain
 from .data import (
     Dataset, SyntheticSpec, check_missing_rate, generate_synthetic, load_csv,
-    load_feature_schema, preprocess, stratified_subsample, subset_rows, write_labels,
+    load_feature_schema, preprocess, stratified_subsample, subset_rows, write_embedding, write_labels,
 )
 from .deepcluster import DeepClusterConfig, assign, finetune
 from .ensemble import check_sweep_dims, majority_vote, run_dimension_sweep, sweep_dims
-from .errors import ConfigError, InsufficientClassSamples, ValidationError, WorkersCannotStart
+from .errors import ConfigError, ValidationError, WorkersCannotStart
 from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
 from .traditional import (
     REG_COVAR, check_gmm_params, check_kmeans_params, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict,
@@ -384,6 +385,18 @@ def _check_cohort(cohort: CohortSpec, data: SyntheticSpec | CsvSource, where: st
             raise ConfigError(f"{where}.{name}: must be finite and >= {low}, got {value}")
 
 
+def _check_name(name: str, taken: list, where: str) -> None:
+    """ConfigError naming ``where`` unless ``name`` is new among the ``taken`` specs' names and fit
+    to name output files: a cell's are ``<cohort>__<method>``, its pretrain history adds
+    ``__pretrain``, so a name is non-empty, holds no path separator or ``__``, and neither starts
+    nor ends with ``_``."""
+    if not name or name.strip("_") != name or any(bad in name for bad in ("/", "\\", "__")):
+        raise ConfigError(f"{where}: must be non-empty, with no '/', '\\' or '__' and no '_' at either end, "
+                          f"got {name!r}")
+    if name in {spec.name for spec in taken}:
+        raise ConfigError(f"{where}: duplicate {name!r}")
+
+
 # a data source's key in a config's ``data`` object -> its type
 _SOURCES = {"synthetic": SyntheticSpec, "csv": CsvSource}
 
@@ -411,10 +424,7 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
     methods = []
     for i, raw in enumerate(methods_raw):
         m = _build(MethodSpec, raw, f"methods[{i}]")
-        if not m.name:
-            raise ConfigError(f"methods[{i}].name: must be non-empty")
-        if m.name in {earlier.name for earlier in methods}:
-            raise ConfigError(f"methods[{i}].name: duplicate {m.name!r}")
+        _check_name(m.name, methods, f"methods[{i}].name")
         if m.kind not in METHODS:
             raise ConfigError(f"methods[{i}].kind: unknown kind {m.kind!r}")
         methods.append(replace(m, params=check_params(m.kind, m.params, f"methods[{i}].params")))
@@ -430,8 +440,7 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
     cohorts = []
     for i, c in enumerate(cohorts_raw):
         cohort = _build(CohortSpec, c, f"cohorts[{i}]", seed_offset=i)
-        if cohort.name in {earlier.name for earlier in cohorts}:
-            raise ConfigError(f"cohorts[{i}].name: duplicate {cohort.name!r}")
+        _check_name(cohort.name, cohorts, f"cohorts[{i}].name")
         _check_cohort(cohort, data, f"cohorts[{i}]")
         cohorts.append(cohort)
 
@@ -477,7 +486,7 @@ def _cohorts(config: ExperimentConfig) -> list[Dataset]:
             seed = derive_seed(config.seed, cohort.seed_offset, 0x5AB)
             try:
                 ds = stratified_subsample(ds, cohort.subsample_n, ratio, seed)
-            except InsufficientClassSamples as exc:
+            except ValidationError as exc:
                 raise ConfigError(f"cohorts[{i}].subsample_n: cohort {cohort.name!r}: {exc}") from None
         prep, _scaler = preprocess(ds, config.max_missing_rate)
         if prep.labels is None:
@@ -488,8 +497,14 @@ def _cohorts(config: ExperimentConfig) -> list[Dataset]:
 
 @dataclass
 class ExperimentResult:
+    """What a run wrote. ``scores`` and ``cells`` hold one entry per scored cell, in the same
+    order: its ScoreReport, and its record (cohort, method, kind, seed, wall_clock_seconds) that
+    the manifest's ``cells`` and the ``timings.csv`` rows are written from. ``ranks`` is empty
+    if a cell failed; ``failures`` holds one entry per failed cell."""
+
     output_dir: Path
     scores: list[ScoreReport]
+    cells: list[dict]
     ranks: dict[str, tuple[float, float]]
     failures: list[dict]
 
@@ -608,20 +623,24 @@ def _fit_on_pool(jobs: list[tuple], workers: int) -> list:
     return outcomes
 
 
-def _fit_grid(config: ExperimentConfig, preps: list[Dataset], cores: int) -> tuple[dict[tuple, object], int]:
-    """Every cell's outcome by (cohort index, method name), and the number of processes that
-    fitted the cells.
+def _fit_grid(config: ExperimentConfig, preps: list[Dataset], cores: int) -> tuple[list[tuple], int]:
+    """Every cell as (cohort index, MethodSpec, seed, outcome) in config order, and the number of
+    processes that fitted the cells.
 
-    An outcome is (MethodResult, seconds), the exception the cell raised, or None for a kgg
-    cell whose voters failed. Every cohort's non-voting cells' jobs are one list, cohort-major,
-    run on a pool if it holds two or more jobs and there are two or more ``cores``, else here
-    at one BLAS thread, so either way every job computes the same bytes; kgg votes after.
+    Method j of cohort ci is fitted with the seed ``derive_seed`` mixes from the config's seed,
+    ci and j. An outcome is (MethodResult, seconds), the exception the cell raised, or None for a
+    kgg cell whose voters failed. Every cohort's non-voting cells' jobs are one list, cohort-major,
+    run on a pool if it holds two or more jobs and there are two or more ``cores``, else here at
+    one BLAS thread, so either way every job computes the same bytes; kgg votes after.
     """
     profile = PROFILES[config.profile]
+    grid = [
+        (ci, m, derive_seed(config.seed, ci, j))
+        for ci in range(len(preps)) for j, m in enumerate(config.methods)
+    ]
     cells = {
-        (ci, m.name): _attempt(_cell, m, prep, config.k, derive_seed(config.seed, ci, j), profile)
-        for ci, prep in enumerate(preps)
-        for j, m in enumerate(config.methods) if m.kind != "kgg"
+        (ci, m.name): _attempt(_cell, m, preps[ci], config.k, seed, profile)
+        for ci, m, seed in grid if m.kind != "kgg"
     }
     flat = [job for cell in cells.values() if not isinstance(cell, Exception) for job in cell[0]]
     workers = min(cores, len(flat))
@@ -642,22 +661,20 @@ def _fit_grid(config: ExperimentConfig, preps: list[Dataset], cores: int) -> tup
         outcomes[key] = result if isinstance(result, Exception) else (result, sum(s for _, s in runs))
 
     produced = {key: out[0].labels for key, out in outcomes.items() if isinstance(out, tuple)}
-    for ci, m in [(ci, m) for ci in range(len(preps)) for m in config.methods if m.kind == "kgg"]:
+    for ci, m, _ in grid:
+        if m.kind != "kgg":
+            continue
         voters = m.params["voters"]
         runs = [produced[ci, v] for v in voters if (ci, v) in produced]
         missing = len(runs) < len(voters)
         outcomes[ci, m.name] = None if missing else _attempt(_timed, _voted, runs, voters)
-    return outcomes, workers
+    return [(ci, m, seed, outcomes[ci, m.name]) for ci, m, seed in grid], workers
 
 
 def _write_result(out: Path, stem: str, result: MethodResult) -> None:
     write_labels(out / "labels" / f"{stem}.csv", result.labels)
     if result.embedding is not None:
-        write_csv(
-            out / "embeddings" / f"{stem}.csv",
-            [f"z{i}" for i in range(result.embedding.shape[1])],
-            result.embedding.tolist(),
-        )
+        write_embedding(out / "embeddings" / f"{stem}.csv", result.embedding)
     if result.pretrain_history is not None:
         write_csv(
             out / "history" / f"{stem}__pretrain.csv",
@@ -691,47 +708,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     preps = _cohorts(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outcomes, workers = _fit_grid(config, preps, _usable_cores())
+    fitted, workers = _fit_grid(config, preps, _usable_cores())
 
     scores: list[ScoreReport] = []
     failures: list[dict] = []
     cells: list[dict] = []
-    for ci, (cohort, prep) in enumerate(zip(config.cohorts, preps)):
-        for j, spec in enumerate(config.methods):
-            failure = {"cohort": cohort.name, "method": spec.name}
-            outcome = outcomes[ci, spec.name]
-            if outcome is None:
-                failures.append({**failure, "error": "voter labels missing"})
-                continue
-            if isinstance(outcome, Exception):
-                failures.append({
-                    **failure,
-                    "error": str(outcome),
-                    "type": type(outcome).__name__,
-                    "traceback": "".join(traceback.format_exception(outcome)),
-                })
-                continue
-            result, elapsed = outcome
-            scores.append(score(prep.labels, result.labels, spec.name, cohort.name, elapsed))
-            cells.append(
-                {
-                    "cohort": cohort.name,
-                    "method": spec.name,
-                    "kind": spec.kind,
-                    "seed": derive_seed(config.seed, ci, j),
-                    "wall_clock_seconds": elapsed,
-                }
-            )
-            _write_result(out, f"{cohort.name}__{spec.name}", result)
+    for ci, spec, seed, outcome in fitted:
+        cohort = config.cohorts[ci].name
+        cell = {"cohort": cohort, "method": spec.name}
+        if outcome is None:
+            failures.append({**cell, "error": "voter labels missing"})
+            continue
+        if isinstance(outcome, Exception):
+            failures.append({
+                **cell,
+                "error": str(outcome),
+                "type": type(outcome).__name__,
+                "traceback": "".join(traceback.format_exception(outcome)),
+            })
+            continue
+        result, elapsed = outcome
+        scores.append(score(preps[ci].labels, result.labels, spec.name, cohort))
+        cells.append({**cell, "kind": spec.kind, "seed": seed, "wall_clock_seconds": elapsed})
+        _write_result(out, f"{cohort}__{spec.name}", result)
 
-    # scores.csv stays free of wall-clock so reruns are byte-identical;
-    # timings carry the clock.
-    write_score_reports_csv(scores, out / "scores.csv", include_wall_clock=False)
-    write_csv(
-        out / "timings.csv",
-        ["cohort", "method", "wall_clock_seconds"],
-        [(r.cohort, r.method, r.wall_clock_seconds) for r in scores],
-    )
+    # scores.csv holds no clock, so reruns are byte-identical; the cell records carry it
+    write_score_reports_csv(scores, out / "scores.csv")
+    timing = ("cohort", "method", "wall_clock_seconds")
+    write_csv(out / "timings.csv", timing, map(itemgetter(*timing), cells))
     ranks = {}
     if not failures:
         ranks = average_rank(scores)
@@ -752,7 +756,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         ),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
-    return ExperimentResult(out, scores, ranks, failures)
+    return ExperimentResult(out, scores, cells, ranks, failures)
 
 
 def _versions() -> dict:

@@ -6,6 +6,10 @@ side. ACC maximizes agreement over label mappings with the Hungarian
 algorithm; NMI normalizes mutual information by the arithmetic mean of
 the two label entropies (natural logs); ARI is the pair-counting Rand
 index adjusted for chance under the permutation model.
+
+A ``ScoreReport`` holds one (cohort, method) pair's three scores and no
+clock, so a scores file reads back to the reports that wrote it; how long
+a cell took is the grid's record, not the score's.
 """
 from __future__ import annotations
 
@@ -231,18 +235,17 @@ def ari(g, p) -> float:
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """One method's evaluation on one cohort."""
+    """One method's scores on one cohort; a row of a scores file."""
 
     method: str
     cohort: str
     acc: float
     ari: float
     nmi: float
-    wall_clock_seconds: float = 0.0
 
 
-def score(g, p, method: str = "", cohort: str = "", wall_clock_seconds: float = 0.0) -> ScoreReport:
-    return ScoreReport(method, cohort, acc(g, p), ari(g, p), nmi(g, p), wall_clock_seconds)
+def score(g, p, method: str = "", cohort: str = "") -> ScoreReport:
+    return ScoreReport(method, cohort, acc(g, p), ari(g, p), nmi(g, p))
 
 
 def _average_ranks(values) -> np.ndarray:
@@ -303,19 +306,10 @@ def write_ranks_csv(ranks: dict[str, tuple[float, float]], path: str | Path) -> 
     return rows
 
 
-def write_score_reports_csv(
-    reports: list[ScoreReport], path: str | Path, include_wall_clock: bool = True
-) -> None:
-    header = ["cohort", "method", "acc", "ari", "nmi"]
-    if include_wall_clock:
-        header.append("wall_clock_seconds")
-    rows = []
-    for r in reports:
-        row = [r.cohort, r.method, r.acc, r.ari, r.nmi]
-        if include_wall_clock:
-            row.append(r.wall_clock_seconds)
-        rows.append(row)
-    write_csv(path, header, rows)
+def write_score_reports_csv(reports: list[ScoreReport], path: str | Path) -> None:
+    """Write the ``cohort,method,acc,ari,nmi`` file that ``read_score_reports`` reads back."""
+    rows = [(r.cohort, r.method, r.acc, r.ari, r.nmi) for r in reports]
+    write_csv(path, ["cohort", "method", *METRIC_NAMES], rows)
 
 
 def read_score_reports(path: str | Path) -> list[ScoreReport]:

@@ -26,6 +26,7 @@ from ehrcluster.errors import (
     SweepRunFailed,
     UnsupportedK,
 )
+from ehrcluster.metrics import ScoreReport, read_score_reports
 
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
@@ -176,6 +177,29 @@ class TestCluster:
         assert code == 0
         assert (tmp_path / "deep_gaussian_embedding.csv").exists()
 
+    def test_the_embedding_file_is_the_one_the_grid_writes_for_the_same_cell(self, generated, preprocessed,
+                                                                               tmp_path):
+        params = {"embed_dim": 2, "hidden": [8], "pretrain_epochs": 3}
+        config = {
+            "seed": 9,
+            "data": {"csv": {"path": str(generated / "synthetic.csv"), "schema": str(generated / "schema.json"),
+                             "label_column": "label"}},
+            "methods": [{"name": "kmeans_z", "kind": "kmeans_z", "params": params}],
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run_cli("benchmark", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "grid")) == 0
+        seed = json.loads((tmp_path / "grid" / "manifest.json").read_text())["cells"][0]["seed"]
+        assert run_cli(
+            "cluster", "--csv", str(preprocessed / "preprocessed.csv"), "--label-column", "label",
+            "--method", "kmeans_z", "--seed", str(seed), "--params", json.dumps(params),
+            "--out", str(tmp_path / "runs"),
+        ) == 0
+        written = (tmp_path / "runs" / "kmeans_z_embedding.csv").read_bytes()
+        assert written.startswith(b"z0,z1\n")
+        assert written == (tmp_path / "grid" / "embeddings" / "all__kmeans_z.csv").read_bytes()
+        assert (tmp_path / "runs" / "kmeans_z_labels.csv").read_bytes() == (
+            tmp_path / "grid" / "labels" / "all__kmeans_z.csv").read_bytes()
+
 
 class TestEvaluate:
     def test_identical_files_score_one(self, tmp_path):
@@ -191,6 +215,21 @@ class TestEvaluate:
         assert float(row["acc"]) == 1.0
         assert float(row["ari"]) == 1.0
         assert float(row["nmi"]) == 1.0
+
+    def test_out_writes_the_benchmark_scores_format_and_reads_back_to_the_printed_scores(self, tmp_path, capsys):
+        assert run_cli("benchmark", "--config", tiny_config(tmp_path), "--out", str(tmp_path / "grid")) == 0
+        pred = tmp_path / "grid" / "labels" / "all__m.csv"
+        truth = tmp_path / "truth.csv"
+        n = len(read_rows(pred))
+        truth.write_text("sample_index,label\n" + "".join(f"{i},{i % 3 == 0:d}\n" for i in range(n)))
+        capsys.readouterr()
+        argv = ["--truth", str(truth), "--pred", str(pred), "--method", "m", "--cohort", "c"]
+        assert run_cli("evaluate", *argv, "--out", str(tmp_path / "eval")) == 0
+        printed = json.loads(capsys.readouterr().out)
+        lines = (tmp_path / "eval" / "scores.csv").read_text().splitlines()
+        assert lines[0] == (tmp_path / "grid" / "scores.csv").read_text().splitlines()[0]
+        assert len(lines) == 2
+        assert read_score_reports(tmp_path / "eval" / "scores.csv") == [ScoreReport("m", "c", **printed)]
 
 
 class TestEnsembleCommand:
@@ -351,6 +390,17 @@ class TestExitCodes:
         ({"cohorts": [{"name": "c", "group_column": "f00", "group_value": 1}]}, "cohorts[0].group_column"),
         ({"cohorts": [{"name": "c", "group_value": 1}]}, "cohorts[0].group_value"),
         ({"cohorts": [{"name": "c", "subsample_ratio": 0.5}]}, "cohorts[0].subsample_ratio"),
+        # a name is part of output file names, <cohort>__<method> and <cohort>__<method>__pretrain
+        ({"cohorts": [{"name": ""}]}, "cohorts[0].name"),
+        ({"cohorts": [{"name": "a"}, {"name": "a__b"}]}, "cohorts[1].name"),
+        ({"cohorts": [{"name": "a/b"}]}, "cohorts[0].name"),
+        ({"cohorts": [{"name": "a\\b"}]}, "cohorts[0].name"),
+        ({"cohorts": [{"name": "a"}, {"name": "a_"}]}, "cohorts[1].name"),
+        ({"methods": [{"name": "/../../../escape", "kind": "kmeans_x"}]}, "methods[0].name"),
+        ({"methods": [{"name": "b__c", "kind": "kmeans_x"}, {"name": "c", "kind": "gmm_x"}]}, "methods[0].name"),
+        ({"methods": [{"name": "m", "kind": "kmeans_z"}, {"name": "m__pretrain", "kind": "kmeans_x"}]},
+         "methods[1].name"),
+        ({"methods": [{"name": "_b", "kind": "kmeans_x"}]}, "methods[0].name"),
     ])
     def test_malformed_config_field_is_validation_error(self, tmp_path, capsys, overrides, field):
         assert run_cli("benchmark", "--config", tiny_config(tmp_path, **overrides),
@@ -508,6 +558,8 @@ class TestExitCodes:
         ({"subsample_n": 20}, "cohorts[1].subsample_n: cohort 'c': class 0: need 10 samples but only 6 available"),
         ({"subsample_n": 0}, "cohorts[1].subsample_n: must be finite and >= 1, got 0"),
         ({"subsample_n": 4, "subsample_ratio": -1}, "cohorts[1].subsample_ratio: must be finite and >= 0, got -1.0"),
+        ({"group_column": "f00", "group_value": 1, "subsample_n": 4},
+         "cohorts[1].subsample_n: cohort 'c': stratified_subsample expects binary labels {0, 1}"),
     ])
     def test_a_cohort_subsample_error_names_its_cohort_and_field(self, tmp_path, capsys, subsample, named):
         (tmp_path / "d.csv").write_text("f00,f01,y\n" + "".join(f"{i % 2},{i},{i % 2}\n" for i in range(12)))

@@ -26,6 +26,7 @@ from ehrcluster.experiment import (
     run_experiment,
     run_method,
 )
+from ehrcluster.util import derive_seed
 
 
 def minimal_doc(**overrides):
@@ -254,6 +255,24 @@ class TestRunExperiment:
         assert manifest["config"]["seed"] == 3
         assert len(manifest["cells"]) == 2
         assert all(c["wall_clock_seconds"] > 0 for c in manifest["cells"])
+
+    def test_timings_rows_and_result_cells_are_the_manifest_cells(self, tmp_path):
+        cfg = parse_config(minimal_doc(
+            methods=[{"name": "kmeans_x", "kind": "kmeans_x"}, {"name": "gmm_x", "kind": "gmm_x"}],
+            output_dir=str(tmp_path / "o"),
+            cohorts=[{"name": "a"}, {"name": "b"}],
+        ))
+        res = run_experiment(cfg)
+        cells = json.loads((tmp_path / "o" / "manifest.json").read_text())["cells"]
+        assert res.cells == cells
+        assert [c["seed"] for c in cells] == [derive_seed(3, ci, j) for ci in range(2) for j in range(2)]
+        assert [(r.cohort, r.method) for r in res.scores] == [(c["cohort"], c["method"]) for c in cells]
+        lines = (tmp_path / "o" / "timings.csv").read_text().splitlines()
+        assert lines[0] == "cohort,method,wall_clock_seconds"
+        assert len(lines) == len(cells) + 1
+        for line, cell in zip(lines[1:], cells):
+            cohort, method, seconds = line.split(",")
+            assert (cohort, method, float(seconds)) == (cell["cohort"], cell["method"], cell["wall_clock_seconds"])
 
     def test_kgg_votes_from_diskworthy_labels(self, tmp_path):
         res = run_experiment(self.tiny_config(tmp_path / "o", with_deep=True))
