@@ -5,16 +5,16 @@ Independently trained clusterers name their clusters arbitrarily, so raw
 relabeled against a common reference. ``align_labels`` does that with a
 Hungarian assignment on the run-vs-reference contingency table.
 
-``majority_vote`` aligns every run to the lexicographically smallest run
-before combining. Anchoring on a run chosen from the collection itself
-(rather than on whichever run happens to come first) makes the output a
-pure function of the run multiset, so reordering the runs cannot flip
-the result's polarity; when runs agree beyond label switching the two
-anchors coincide anyway.
+``majority_vote`` anchors on the lexicographically smallest run and flips each
+run that agrees with it on fewer than half the samples; a tie keeps the run.
+With two labels that is ``align_labels`` against the anchor: the flip beats
+the identity only on strictly more agreement. It is the relabel-to-a-reference
+step of bagged clustering (Dudoit & Fridlyand, 2003) and cluster ensembles
+(Strehl & Ghosh, 2002). An anchor drawn from the runs makes the vote a pure
+function of the run multiset: reordering the runs cannot flip its polarity.
 
-For binary labels, thresholded averaging (>= 0.5 maps to 1) and majority
-voting with ties resolved to 1 are the same function, so ``majority_vote``
-is the one vote of both ensembles: the dimension sweep and kgg.
+It is the one vote of both ensembles, the dimension sweep and kgg: with ties
+to 1, voting equals averaging the aligned runs and thresholding at 0.5.
 """
 from __future__ import annotations
 
@@ -51,17 +51,15 @@ def align_labels(reference, candidate) -> np.ndarray:
 
 
 def _as_label_matrix(runs) -> np.ndarray:
-    if isinstance(runs, np.ndarray) and runs.ndim == 2:
-        mat = whole_labels(runs, UnsupportedK)
-    else:
-        runs = list(runs)
-        if len(runs) == 0:
-            raise EmptyRuns("no label runs given")
-        lengths = {len(np.asarray(r).ravel()) for r in runs}
-        if len(lengths) > 1:
-            raise LengthMismatch(f"runs have differing lengths {sorted(lengths)}")
-        mat = whole_labels([np.asarray(r).ravel() for r in runs], UnsupportedK)
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
+    """An (n_runs, n_samples) 0/1 matrix of ``runs``' items (a 2-D array's rows), each raveled."""
+    runs = [np.asarray(r) for r in runs]
+    if any(r.ndim == 0 for r in runs):
+        raise LengthMismatch("each run must be a vector of labels, not a single label")
+    lengths = {r.size for r in runs}
+    if len(lengths) > 1:
+        raise LengthMismatch(f"runs have differing lengths {sorted(lengths)}")
+    mat = whole_labels([r.ravel() for r in runs], UnsupportedK)
+    if mat.size == 0:
         raise EmptyRuns("no label runs given")
     if mat.max() > 1:
         raise UnsupportedK("ensembles support binary labels only (k = 2)")
@@ -71,11 +69,12 @@ def _as_label_matrix(runs) -> np.ndarray:
 def majority_vote(runs) -> np.ndarray:
     """Strict-majority label per sample over the aligned binary runs; exact ties resolve to 1."""
     mat = _as_label_matrix(runs)
-    ref = min(range(mat.shape[0]), key=lambda i: tuple(mat[i]))
-    aligned = np.vstack([align_labels(mat[ref], row) for row in mat])
+    anchor = min(mat.tolist())  # the lexicographically smallest run
+    # a run agreeing with the anchor on fewer than half the samples is flipped; half keeps it
+    flipped = 2 * (mat == anchor).sum(axis=1) < mat.shape[1]
+    aligned = np.where(flipped[:, None], 1 - mat, mat)
     # integer comparison: 1 wins iff its count is at least half the voters
-    ones = aligned.sum(axis=0)
-    return (2 * ones >= aligned.shape[0]).astype(int)
+    return (2 * aligned.sum(axis=0) >= len(aligned)).astype(int)
 
 
 # perfbench's tracer (perfbench/tracer.py, TRACED) looks the vote up under this name as well

@@ -388,11 +388,13 @@ def _check_cohort(cohort: CohortSpec, data: SyntheticSpec | CsvSource, where: st
 def _check_name(name: str, taken: list, where: str) -> None:
     """ConfigError naming ``where`` unless ``name`` is new among the ``taken`` specs' names and fit
     to name output files: a cell's are ``<cohort>__<method>``, its pretrain history adds
-    ``__pretrain``, so a name is non-empty, holds no path separator or ``__``, and neither starts
-    nor ends with ``_``."""
-    if not name or name.strip("_") != name or any(bad in name for bad in ("/", "\\", "__")):
-        raise ConfigError(f"{where}: must be non-empty, with no '/', '\\' or '__' and no '_' at either end, "
-                          f"got {name!r}")
+    ``__pretrain``, so a name is non-empty, holds no path separator, NUL or ``__``, neither starts
+    nor ends with ``_``, and is at most 119 UTF-8 bytes, which keeps the longest file name,
+    ``<cohort>__<method>__pretrain.csv``, within the usual 255-byte limit."""
+    if (not name or name.strip("_") != name or len(name.encode("utf-8", "surrogatepass")) > 119
+            or any(bad in name for bad in ("/", "\\", "\0", "__"))):
+        raise ConfigError(f"{where}: must be 1 to 119 UTF-8 bytes, with no '/', '\\', NUL or '__' and no "
+                          f"'_' at either end, got {name!r}")
     if name in {spec.name for spec in taken}:
         raise ConfigError(f"{where}: duplicate {name!r}")
 
@@ -671,28 +673,29 @@ def _fit_grid(config: ExperimentConfig, preps: list[Dataset], cores: int) -> tup
     return [(ci, m, seed, outcomes[ci, m.name]) for ci, m, seed in grid], workers
 
 
-def _write_result(out: Path, stem: str, result: MethodResult) -> None:
-    write_labels(out / "labels" / f"{stem}.csv", result.labels)
+def _write_result(out: Path, stem: str, result: MethodResult | None) -> None:
+    """Write a cell's files under ``stem``, none for a failed cell (None), after removing every
+    file of the cell that a previous run into ``out`` left, so each one present is this run's."""
+    names = ("labels/{}.csv", "labels_runs/{}.csv", "embeddings/{}.csv", "history/{}.csv",
+             "history/{}__pretrain.csv")
+    labels, runs, embedding, history, pretrain_history = paths = [out / name.format(stem) for name in names]
+    for path in paths:
+        path.unlink(missing_ok=True)
+    if result is None:
+        return
+    write_labels(labels, result.labels)
     if result.embedding is not None:
-        write_embedding(out / "embeddings" / f"{stem}.csv", result.embedding)
+        write_embedding(embedding, result.embedding)
     if result.pretrain_history is not None:
-        write_csv(
-            out / "history" / f"{stem}__pretrain.csv",
-            ["epoch", "loss"],
-            list(enumerate(result.pretrain_history)),
-        )
+        write_csv(pretrain_history, ["epoch", "loss"], list(enumerate(result.pretrain_history)))
     if result.finetune_history is not None:
         write_csv(
-            out / "history" / f"{stem}.csv",
+            history,
             ["epoch", "recon_loss", "kl_loss", "joint_loss"],
             [(i, *losses) for i, losses in enumerate(result.finetune_history)],
         )
     if result.label_runs is not None:
-        write_csv(
-            out / "labels_runs" / f"{stem}.csv",
-            result.run_columns,
-            result.label_runs.T.tolist(),
-        )
+        write_csv(runs, result.run_columns, result.label_runs.T.tolist())
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -716,20 +719,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for ci, spec, seed, outcome in fitted:
         cohort = config.cohorts[ci].name
         cell = {"cohort": cohort, "method": spec.name}
+        result = None
         if outcome is None:
             failures.append({**cell, "error": "voter labels missing"})
-            continue
-        if isinstance(outcome, Exception):
+        elif isinstance(outcome, Exception):
             failures.append({
                 **cell,
                 "error": str(outcome),
                 "type": type(outcome).__name__,
                 "traceback": "".join(traceback.format_exception(outcome)),
             })
-            continue
-        result, elapsed = outcome
-        scores.append(score(preps[ci].labels, result.labels, spec.name, cohort))
-        cells.append({**cell, "kind": spec.kind, "seed": seed, "wall_clock_seconds": elapsed})
+        else:
+            result, elapsed = outcome
+            scores.append(score(preps[ci].labels, result.labels, spec.name, cohort))
+            cells.append({**cell, "kind": spec.kind, "seed": seed, "wall_clock_seconds": elapsed})
         _write_result(out, f"{cohort}__{spec.name}", result)
 
     # scores.csv holds no clock, so reruns are byte-identical; the cell records carry it
@@ -740,6 +743,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if not failures:
         ranks = average_rank(scores)
         write_ranks_csv(ranks, out / "ranks.csv")
+    else:  # a run with a failed cell ranks nothing, so no earlier run's ranks may stand
+        (out / "ranks.csv").unlink(missing_ok=True)
 
     doc = _config_doc(config)
     manifest = {

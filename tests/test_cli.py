@@ -401,13 +401,28 @@ class TestExitCodes:
         ({"methods": [{"name": "m", "kind": "kmeans_z"}, {"name": "m__pretrain", "kind": "kmeans_x"}]},
          "methods[1].name"),
         ({"methods": [{"name": "_b", "kind": "kmeans_x"}]}, "methods[0].name"),
+        # a name the file system refuses: one holding a NUL, and one whose pretrain history file,
+        # <cohort>__<method>__pretrain.csv, would pass 255 bytes
+        ({"cohorts": [{"name": "a\u0000b"}]}, "cohorts[0].name"),
+        ({"cohorts": [{"name": "x" * 300}]}, "cohorts[0].name"),
+        ({"methods": [{"name": "x" * 120, "kind": "kmeans_x"}]}, "methods[0].name"),
+        ({"methods": [{"name": "\u00e9" * 60, "kind": "kmeans_x"}]}, "methods[0].name"),
     ])
     def test_malformed_config_field_is_validation_error(self, tmp_path, capsys, overrides, field):
         assert run_cli("benchmark", "--config", tiny_config(tmp_path, **overrides),
                        "--out", str(tmp_path / "o")) == 1
         assert f"error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
-        assert not (tmp_path / "o").exists()
+
+    def test_names_of_119_utf8_bytes_load_and_write_their_longest_file(self, tmp_path):
+        # the longest names the rule lets through: their cell's longest file name,
+        # <cohort>__<method>__pretrain.csv, is 254 bytes, and the file system takes it
+        cohort, method = "x" * 119, "\u00e9" * 59 + "y"
+        config = tiny_config(tmp_path, cohorts=[{"name": cohort}], methods=[
+            {"name": method, "kind": "kmeans_z", "params": {"pretrain_epochs": 1, "hidden": [4]}}])
+        assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 0
+        history = tmp_path / "o" / "history" / f"{cohort}__{method}__pretrain.csv"
+        assert len(history.name.encode()) == 254 and history.exists()
 
     @pytest.mark.parametrize("overrides", [
         {"data": {"synthetic": {"n_samples": -3, "n_features": 4,

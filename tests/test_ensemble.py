@@ -137,6 +137,55 @@ class TestDimensionEnsemble:
         # whole numbers stored as floats are labels
         assert np.array_equal(majority_vote(np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])), [1, 0, 1])
 
+    @staticmethod
+    def reference_vote(runs):
+        """The vote in plain Python: anchor on the smallest run, flip each run agreeing with it on
+        fewer than half the samples, then 1 wins each sample it holds at least half of."""
+        anchor = min(runs)
+        aligned = [
+            [1 - x for x in run] if 2 * sum(a == x for a, x in zip(anchor, run)) < len(run) else run
+            for run in runs
+        ]
+        return [int(2 * sum(column) >= len(aligned)) for column in zip(*aligned)]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_reference_vote(self, data):
+        n = data.draw(st.integers(1, 11))
+        run = st.one_of(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            st.sampled_from([[0] * n, [1] * n]),  # constant runs
+        )
+        runs = data.draw(st.lists(run, min_size=1, max_size=7))
+        assert majority_vote(runs).tolist() == self.reference_vote(runs)
+        assert majority_vote(np.array(runs)).tolist() == self.reference_vote(runs)
+
+    def test_equals_the_reference_vote_on_ties(self):
+        # run 1 agrees with the anchor on exactly half the samples, so it is kept; the vote on
+        # sample 1 is then one 1 against one 0, which goes to 1
+        runs = [[0, 0, 1, 1], [0, 1, 0, 1]]
+        assert majority_vote(runs).tolist() == self.reference_vote(runs) == [0, 1, 1, 1]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_permutation_of_the_runs_votes_the_same(self, data):
+        n = data.draw(st.integers(1, 11))
+        run = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        runs = data.draw(st.lists(run, min_size=1, max_size=7))
+        permuted = data.draw(st.permutations(runs))
+        assert np.array_equal(majority_vote(permuted), majority_vote(runs))
+
+    def test_a_flat_label_vector_is_refused_not_read_as_one_sample_runs(self):
+        for flat in ([0, 1, 1, 0, 1], np.array([0, 1, 1, 0, 1])):
+            with pytest.raises(LengthMismatch, match="not a single label"):
+                majority_vote(flat)
+
+    def test_column_runs_vote_as_flat_runs(self):
+        runs = [np.array([0, 1, 1, 0]), np.array([1, 0, 0, 1]), np.array([0, 1, 0, 0])]
+        columns = [run.reshape(-1, 1) for run in runs]
+        assert np.array_equal(majority_vote(columns), majority_vote(runs))
+        assert np.array_equal(majority_vote(columns), [0, 1, 1, 0])
+
 
 class TestMajorityVote:
     def test_two_to_one(self):

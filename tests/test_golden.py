@@ -88,3 +88,37 @@ def test_pool_and_in_process_runs_write_the_same_files(tmp_path, monkeypatch):
             assert workers(pooled[name]) == min(cores, jobs)
     frozen = json.loads((golden.GOLDEN / "sha256.json").read_text())
     assert golden.digests(pooled["golden"]) == golden.digests(serial["golden"]) == frozen
+
+
+def test_a_rerun_with_failed_cells_leaves_none_of_their_files_and_no_ranks(tmp_path):
+    golden_doc = json.loads((golden.GOLDEN / "config.json").read_text())
+    out = tmp_path / "o"
+
+    def run(methods):
+        return experiment.run_experiment(
+            experiment.parse_config({**golden_doc, "methods": methods, "output_dir": str(out)}))
+
+    assert run(golden_doc["methods"]).failures == []
+    failing = ("c__deep_gaussian_sweep", "c__kgg")
+
+    def cell_files(stems):
+        names = ("labels/{}.csv", "labels_runs/{}.csv", "embeddings/{}.csv", "history/{}.csv",
+                 "history/{}__pretrain.csv")
+        return sorted(p for stem in stems for name in names if (p := out / name.format(stem)).exists())
+
+    assert (out / "ranks.csv").exists() and cell_files(failing)
+    stray = out / "labels" / "other__m.csv"  # a file no cell of the config names
+    stray.write_text("sample_index,label\n")
+    # the sweep's one size is above the cohort's 33 features, so it fails, and the kgg vote over it
+    methods = [
+        {**m, "params": {**m["params"], "dims": [40]}} if m["kind"] == "deep_gaussian_sweep" else m
+        for m in golden_doc["methods"]
+    ]
+    result = run(methods)
+    assert sorted(f["method"] for f in result.failures) == ["deep_gaussian_sweep", "kgg"]
+    assert result.ranks == {} and len(result.scores) == 7
+    assert not (out / "ranks.csv").exists()
+    assert cell_files(failing) == []
+    scored = [f"c__{m['name']}.csv" for m in methods if f"c__{m['name']}" not in failing]
+    assert sorted(p.name for p in (out / "labels").iterdir()) == sorted([*scored, stray.name])
+    assert stray.read_text() == "sample_index,label\n"
