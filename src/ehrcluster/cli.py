@@ -34,13 +34,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_dataset_csv(ds: Dataset, path: Path) -> None:
-    """One row per sample, a blank cell where a value is missing, the label last."""
+    """One row per sample, a blank cell where a value is missing, the label last; each row is
+    made as it is written."""
     header = [s.name for s in ds.feature_specs]
-    rows = [["" if math.isnan(v) else v for v in row] for row in ds.X.tolist()]
+    rows = (["" if math.isnan(v) else v for v in x.tolist()] for x in ds.X)
     if ds.labels is not None:
         header.append("label")
-        for row, label in zip(rows, ds.labels.tolist()):
-            row.append(label)
+        rows = (row + [label] for row, label in zip(rows, ds.labels.tolist()))
     write_csv(path, header, rows)
 
 

@@ -389,12 +389,13 @@ def _check_name(name: str, taken: list, where: str) -> None:
     """ConfigError naming ``where`` unless ``name`` is new among the ``taken`` specs' names and fit
     to name output files: a cell's are ``<cohort>__<method>``, its pretrain history adds
     ``__pretrain``, so a name is non-empty, holds no path separator, NUL or ``__``, neither starts
-    nor ends with ``_``, and is at most 119 UTF-8 bytes, which keeps the longest file name,
-    ``<cohort>__<method>__pretrain.csv``, within the usual 255-byte limit."""
-    if (not name or name.strip("_") != name or len(name.encode("utf-8", "surrogatepass")) > 119
-            or any(bad in name for bad in ("/", "\\", "\0", "__"))):
-        raise ConfigError(f"{where}: must be 1 to 119 UTF-8 bytes, with no '/', '\\', NUL or '__' and no "
-                          f"'_' at either end, got {name!r}")
+    nor ends with ``_``, and is 1 to 119 bytes of valid UTF-8 (a lone surrogate, JSON ``"\\ud800"``,
+    has no UTF-8 form), which keeps the longest file name, ``<cohort>__<method>__pretrain.csv``,
+    within the usual 255-byte limit."""
+    if (not name or name.strip("_") != name or any("\ud800" <= c <= "\udfff" for c in name)
+            or len(name.encode("utf-8")) > 119 or any(bad in name for bad in ("/", "\\", "\0", "__"))):
+        raise ConfigError(f"{where}: must be 1 to 119 bytes of valid UTF-8, with no '/', '\\', NUL or '__' "
+                          f"and no '_' at either end, got {name!r}")
     if name in {spec.name for spec in taken}:
         raise ConfigError(f"{where}: duplicate {name!r}")
 

@@ -3,10 +3,11 @@ typed casts of JSON fields, and CSV writing."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,22 +40,25 @@ def rng_from(*parts: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
 
 
-def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """The header and the data rows of a UTF-8 CSV file.
+def read_csv_rows(path: str | Path) -> tuple[list[str], Iterator[list[str]]]:
+    """The header and the data rows of a UTF-8 CSV file, the rows read lazily, one at a time.
 
-    A file that cannot be opened, decoded or parsed is a ConfigError naming it;
-    one without a header or without a data row is an EmptyFile.
+    A file without a header or a data row is an EmptyFile. One that cannot be opened,
+    decoded or parsed is a ConfigError naming it, raised when the reading reaches the fault.
     """
+    rows = _csv_rows(path)
+    header, first = next(rows, None), next(rows, None)
+    if first is None:
+        raise EmptyFile(f"{path}: no header row" if header is None else f"{path}: no data rows")
+    return header, itertools.chain([first], rows)
+
+
+def _csv_rows(path: str | Path) -> Iterator[list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            yield from csv.reader(fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"{path}: not a readable CSV: {exc}") from None
-    if not rows:
-        raise EmptyFile(f"{path}: no header row")
-    if len(rows) < 2:
-        raise EmptyFile(f"{path}: no data rows")
-    return rows[0], rows[1:]
 
 
 def column_index(path: str | Path, header: list[str], names: Iterable[str]) -> dict[str, int]:

@@ -407,6 +407,9 @@ class TestExitCodes:
         ({"cohorts": [{"name": "x" * 300}]}, "cohorts[0].name"),
         ({"methods": [{"name": "x" * 120, "kind": "kmeans_x"}]}, "methods[0].name"),
         ({"methods": [{"name": "\u00e9" * 60, "kind": "kmeans_x"}]}, "methods[0].name"),
+        # a lone surrogate, which a JSON escape can hold, has no UTF-8 form to name a file with
+        ({"cohorts": [{"name": "a\ud800"}]}, "cohorts[0].name"),
+        ({"methods": [{"name": "m\udfff", "kind": "kmeans_x"}]}, "methods[0].name"),
     ])
     def test_malformed_config_field_is_validation_error(self, tmp_path, capsys, overrides, field):
         assert run_cli("benchmark", "--config", tiny_config(tmp_path, **overrides),

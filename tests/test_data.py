@@ -1,4 +1,6 @@
+import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +135,66 @@ class TestLoadCsv:
         p.write_text(f"a,b,y\n1,2,0\n3,4,{cell}\n")
         with pytest.raises(NonNumericCell, match=f"^{p}: data row 1: column 'y' is not a non-negative integer"):
             load_csv(p, two_specs(), label_column="y")
+
+    def test_load_holds_little_more_than_x(self, tmp_path):
+        # a row of text costs ~74 bytes a cell; the load keeps only the float buffer X is made from
+        specs = synthetic_feature_specs(33)
+        rows = np.random.default_rng(0).standard_normal((20_000, 33)).round(6)
+        p = tmp_path / "big.csv"
+        p.write_text(",".join(s.name for s in specs) + "\n" + "\n".join(",".join(map(repr, r)) for r in rows.tolist()))
+        tracemalloc.start()
+        try:
+            ds = load_csv(p, specs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.X, rows)
+        assert peak < 3 * ds.X.nbytes, f"peak {peak} bytes, {peak / ds.X.nbytes:.1f} x X's {ds.X.nbytes}"
+
+    @pytest.mark.parametrize("bad_line, error", [
+        (b"1,\xff\n", "not a readable CSV: 'utf-8' codec can't decode"),
+        (b"1," + b"2" * (csv.field_size_limit() + 1) + b"\n", "not a readable CSV: field larger than field limit"),
+    ], ids=["undecodable", "over_field_limit"])
+    def test_unreadable_line_after_many_rows_names_the_file(self, tmp_path, bad_line, error):
+        # past the first buffered read, so the error comes from inside the row loop
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,b\n" + b"1.5,2.5\n" * 10_000 + bad_line + b"3,4\n")
+        assert p.stat().st_size > 64 * 1024 + len(bad_line)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: {re.escape(error)}"):
+            load_csv(p, two_specs())
+
+    def test_first_problem_in_file_order_is_reported(self, tmp_path):
+        # a bad cell before an undecodable line is the error, and the reverse
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"a,b\n" + b"1.5,2.5\n" * 10_000 + b"1,x\n" + b"1.5,2.5\n" * 10_000 + b"1,\xff\n")
+        with pytest.raises(NonNumericCell, match=f"^{re.escape(str(p))}: data row 10000: column 'b'"):
+            load_csv(p, two_specs())
+        p.write_bytes(b"a,b\n" + b"1.5,2.5\n" * 10_000 + b"1,\xff\n" + b"1,x\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: not a readable CSV"):
+            load_csv(p, two_specs())
+
+    @given(st.lists(st.tuples(
+        st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                           st.sampled_from(["", "NA", " NA ", " 1.25 ", "-0.0", "1e-300"])),
+                 min_size=3, max_size=3),
+        st.integers(0, 2**53),
+    ), min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_values_equal_a_plain_csv_parse(self, tmp_path, rows):
+        specs = synthetic_feature_specs(3)
+        p = tmp_path / "t.csv"
+        with open(p, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["y"] + [s.name for s in reversed(specs)])
+            writer.writerows([label, *reversed(cells)] for cells, label in rows)
+        with open(p, newline="") as fh:
+            parsed = list(csv.reader(fh))[1:]
+        X = [[np.nan if c.strip() in ("", "NA") else float(c) for c in reversed(r[1:])] for r in parsed]
+        ds = load_csv(p, specs, label_column="y")
+        assert np.array_equal(ds.X, X, equal_nan=True)
+        assert np.array_equal(np.signbit(ds.X), np.signbit(X))
+        assert np.array_equal(ds.missing, np.isnan(X))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [int(r[0]) for r in parsed]
 
 
 # -------------------------------------------------------------- label files
