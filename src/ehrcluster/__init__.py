@@ -49,7 +49,6 @@ from .deepcluster import (  # noqa: F401
     target_distribution,
 )
 from .ensemble import (  # noqa: F401
-    align_labels,
     majority_vote,
     run_dimension_sweep,
     sweep_dims,

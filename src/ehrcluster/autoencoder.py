@@ -44,6 +44,14 @@ that version reuses the Z without running a layer. So any write to theta but
 ``adam_step``'s must bump ``model.version``, as ``backward``'s ``StaleCache``
 check already assumes; nor may the input be written in place, or a pass
 cache serve two models.
+
+``pretrain`` and ``finetune`` take their pass cache's hidden arenas, their
+batch cache and their gradients from one ``training_buffers`` buffer, as
+large as the larger of the arenas and the other two together. That is safe
+because a full-data pass never overlaps a step: the batch cache is spent once
+``backward`` has run, ``backward(out=)`` writes every gradient entry, and
+``adam_step`` has read them all before the next pass. Z and Xhat stay in
+arrays of their own, since Z outlives the steps in ``model.last_pass``.
 """
 from __future__ import annotations
 
@@ -98,9 +106,10 @@ class Gradients:
     flat: np.ndarray  # the one vector both lists view, in the model's flat parameter layout
 
     @classmethod
-    def for_model(cls, model: "AutoencoderModel") -> "Gradients":
-        """Zero gradients laid out like the model's flat parameter vector, for ``backward(out=)``."""
-        flat = np.zeros_like(model.theta)
+    def for_model(cls, model: AutoencoderModel, into: np.ndarray | None = None) -> Gradients:
+        """Zero gradients laid out like the model's flat parameter vector, for ``backward(out=)``;
+        with ``into``, views of its leading entries, whose values ``backward`` overwrites whole."""
+        flat = np.zeros_like(model.theta) if into is None else into[: model.theta.size]
         return cls(*_layer_views(flat, model.layer_dims), flat)
 
 
@@ -113,21 +122,26 @@ class ForwardCache:
     for_backward: bool = True      # False for a pass cache, whose hidden layers overwrite each other
 
     @classmethod
-    def for_model(cls, model: "AutoencoderModel", rows: int) -> "ForwardCache":
-        """Room for one forward pass of up to ``rows`` samples, for ``forward(out=)``."""
-        return cls([np.empty((rows, width), model.dtype) for width in model.layer_dims[1:]])
+    def for_model(cls, model: AutoencoderModel, rows: int, into: np.ndarray | None = None) -> ForwardCache:
+        """Room for one forward pass of up to ``rows`` samples, for ``forward(out=)``; with
+        ``into``, the layers are laid end to end in its leading entries."""
+        widths = model.layer_dims[1:]
+        if into is None:
+            return cls([np.empty((rows, width), model.dtype) for width in widths])
+        ends = (rows * np.cumsum([0, *widths])).tolist()
+        return cls([into[a:b].reshape(rows, w) for a, b, w in zip(ends, ends[1:], widths)])
 
     @classmethod
-    def for_pass(cls, model: "AutoencoderModel", rows: int) -> "ForwardCache":
+    def for_pass(cls, model: AutoencoderModel, rows: int, into: np.ndarray | None = None) -> ForwardCache:
         """Room for a forward or ``encode`` of up to ``rows`` samples that no ``backward`` reads.
 
         Z and Xhat get their own arrays. Encoder hidden layer i and its
         mirror in the decoder are written into arena i % 2, which is as long
         as the widest layer it holds, so a layer's input and output never
-        share memory.
+        share memory. With ``into``, the two arenas are its leading entries.
         """
-        hidden = model.layer_dims[1 : model.bottleneck + 1]
-        arenas = [np.empty(rows * max(hidden[i::2], default=0), model.dtype) for i in (0, 1)]
+        a, b = (rows * width for width in _arena_widths(model))
+        arenas = [np.empty(n, model.dtype) for n in (a, b)] if into is None else [into[:a], into[a : a + b]]
         buffers = []
         for l, width in enumerate(model.layer_dims[1:]):
             if _is_linear(model, l):
@@ -180,6 +194,12 @@ def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list[np.ndarray], l
         biases.append(flat[at : at + fan_out])
         at += fan_out
     return weights, biases
+
+
+def _arena_widths(model: AutoencoderModel) -> list[int]:
+    """A pass cache's two arenas' widths: the widest encoder hidden layer of each parity, or 0."""
+    hidden = model.layer_dims[1 : model.bottleneck + 1]
+    return [max(hidden[i::2], default=0) for i in (0, 1)]
 
 
 def mirrored_dims(input_dim: int, embed_dim: int, hidden, activation: str) -> list[int]:
@@ -416,6 +436,23 @@ def params_finite(model: AutoencoderModel) -> bool:
     return bool(np.isfinite(model.theta).all())
 
 
+def training_buffers(
+    model: AutoencoderModel, rows: int, batch_rows: int
+) -> tuple[ForwardCache, ForwardCache, Gradients]:
+    """A training loop's pass cache for ``rows`` samples, batch cache for ``batch_rows`` and
+    gradients, in one buffer of the model's dtype: the pass cache's arenas over its leading
+    entries, the batch cache and then the gradients laid end to end over them. Z and Xhat of
+    the pass cache keep their own arrays."""
+    batch = batch_rows * sum(model.layer_dims[1:])
+    arenas = rows * sum(_arena_widths(model))
+    buffer = np.empty(max(arenas, batch + model.theta.size), model.dtype)
+    return (
+        ForwardCache.for_pass(model, rows, into=buffer),
+        ForwardCache.for_model(model, batch_rows, into=buffer),
+        Gradients.for_model(model, into=buffer[batch:]),
+    )
+
+
 def pretrain(
     model: AutoencoderModel, ds: Dataset, config: TrainConfig
 ) -> tuple[AutoencoderModel, list[float]]:
@@ -425,16 +462,15 @@ def pretrain(
     epoch. The last incomplete mini-batch is used, not dropped. Raises
     ``NonFiniteLoss`` (training aborted) if the loss or any parameter
     stops being finite. One batch cache and one set of gradients serve
-    every step, and one pass cache every epoch's full-data forward.
+    every step, and one pass cache every epoch's full-data forward, all in
+    one ``training_buffers`` buffer.
     """
     if ds.missing.any():
         raise DimensionMismatch("pretrain requires a fully imputed dataset")
     X = ds.X
     rng = np.random.default_rng(config.seed)
     n = X.shape[0]
-    cache = ForwardCache.for_model(model, min(config.batch_size, n))
-    full = ForwardCache.for_pass(model, n)
-    grads = Gradients.for_model(model)
+    full, cache, grads = training_buffers(model, n, min(config.batch_size, n))
     history: list[float] = []
     for epoch in range(config.epochs):
         perm = rng.permutation(n)

@@ -35,8 +35,6 @@ from .autoencoder import (
     ADAM_BETA2,
     ADAM_EPS,
     AutoencoderModel,
-    ForwardCache,
-    Gradients,
     TrainConfig,
     adam_step,
     backward,
@@ -45,6 +43,7 @@ from .autoencoder import (
     params_finite,
     reconstruction_loss,
     reset_adam,
+    training_buffers,
 )
 from .data import Dataset
 from .errors import DegenerateInput, DimensionMismatch, InvalidDimension, NonFiniteLoss
@@ -220,7 +219,8 @@ def finetune(
     Adam step on the joint objective, with the clustering gradient injected
     at the bottleneck (student-t centers get their own Adam update, in place).
     One batch cache and one set of gradients serve every step, and one
-    pass cache every refresh encode and every epoch's full-data forward.
+    pass cache every refresh encode and every epoch's full-data forward,
+    all in one ``training_buffers`` buffer.
     """
     if ds.missing.any():
         raise DimensionMismatch("finetune requires a fully imputed dataset")
@@ -228,8 +228,9 @@ def finetune(
         raise DegenerateInput("k must be >= 2")
     X = ds.X
     n = X.shape[0]
-    seed = config.train.seed
-    full = ForwardCache.for_pass(model, n)
+    cfg_t = config.train
+    seed = cfg_t.seed
+    full, cache, grads = training_buffers(model, n, min(cfg_t.batch_size, n))
     head = init_clusters(encode(model, X, out=full), k, config.variant, seed)
     dcm = DeepClusterModel(model, head)
     if config.gamma == 0.0:
@@ -243,9 +244,6 @@ def finetune(
     mu_m = np.zeros_like(_centers(head))
     mu_v = np.zeros_like(_centers(head))
     mu_step = 0
-    cfg_t = config.train
-    cache = ForwardCache.for_model(model, min(cfg_t.batch_size, n))
-    grads = Gradients.for_model(model)
 
     for epoch in range(config.finetune_epochs):
         if epoch % config.target_update_interval == 0:

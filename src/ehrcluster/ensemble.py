@@ -2,16 +2,15 @@
 
 Independently trained clusterers name their clusters arbitrarily, so raw
 0/1 labels from different runs cannot be averaged until each run is
-relabeled against a common reference. ``align_labels`` does that with a
-Hungarian assignment on the run-vs-reference contingency table.
+relabeled against a common reference.
 
 ``majority_vote`` anchors on the lexicographically smallest run and flips each
 run that agrees with it on fewer than half the samples; a tie keeps the run.
-With two labels that is ``align_labels`` against the anchor: the flip beats
-the identity only on strictly more agreement. It is the relabel-to-a-reference
-step of bagged clustering (Dudoit & Fridlyand, 2003) and cluster ensembles
-(Strehl & Ghosh, 2002). An anchor drawn from the runs makes the vote a pure
-function of the run multiset: reordering the runs cannot flip its polarity.
+With two labels that flip is the relabeling that agrees most with the anchor.
+It is the relabel-to-a-reference step of bagged clustering (Dudoit &
+Fridlyand, 2003) and cluster ensembles (Strehl & Ghosh, 2002). An anchor
+drawn from the runs makes the vote a pure function of the run multiset:
+reordering the runs cannot flip its polarity.
 
 It is the one vote of both ensembles, the dimension sweep and kgg: with ties
 to 1, voting equals averaging the aligned runs and thresholding at 0.5.
@@ -26,28 +25,8 @@ from .autoencoder import NETWORK_DTYPE, build, pretrain
 from .data import Dataset
 from .deepcluster import DeepClusterConfig, assign, finetune
 from .errors import EmptyRuns, InvalidDimension, LengthMismatch, SweepRunFailed, UnsupportedK
-from .metrics import contingency, hungarian_max, whole_labels
+from .metrics import whole_labels
 from .util import derive_seed
-
-
-def align_labels(reference, candidate) -> np.ndarray:
-    """Relabel ``candidate`` by the agreement-maximizing permutation.
-
-    Agreement with the reference never decreases; ties between equally
-    good permutations resolve to the lexicographically smallest one (so a
-    perfectly ambiguous candidate is returned unchanged).
-    """
-    reference = whole_labels(reference, UnsupportedK)
-    candidate = whole_labels(candidate, UnsupportedK)
-    if reference.shape != candidate.shape or reference.ndim != 1:
-        raise LengthMismatch(f"shape {reference.shape} vs {candidate.shape}")
-    k = int(max(reference.max(), candidate.max())) + 1
-    table = contingency(reference, candidate)
-    padded = np.zeros((k, k), dtype=float)
-    padded[: table.shape[0], : table.shape[1]] = table
-    # rows = candidate label, cols = the reference label it maps to
-    perm = hungarian_max(padded.T)
-    return perm[candidate]
 
 
 def _as_label_matrix(runs) -> np.ndarray:

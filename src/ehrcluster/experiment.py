@@ -416,10 +416,15 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ExperimentConfig:
         if source not in _SOURCES:
             raise ConfigError(f"data.{source}: unknown field")
         data = _build(_SOURCES[source], raw, f"data.{source}")
-    if isinstance(data, CsvSource) and base_dir is not None:
-        def resolve(path):  # a relative path is read from ``base_dir``
-            return path if path is None or Path(path).is_absolute() else str((base_dir / path).resolve())
-        data = replace(data, path=resolve(data.path), schema=resolve(data.schema))
+    if isinstance(data, CsvSource):
+        def resolve(path, where):  # a relative path is read from ``base_dir``
+            if path is not None:
+                _cast(os.fsencode, path, where)  # a lone surrogate, JSON "\ud800", has no file-system form
+            if path is None or base_dir is None or Path(path).is_absolute():
+                return path
+            return str((base_dir / path).resolve())
+        data = replace(data, path=resolve(data.path, "data.csv.path"),
+                       schema=resolve(data.schema, "data.csv.schema"))
 
     methods_raw = doc.get("methods")
     if not methods_raw or not isinstance(methods_raw, list):

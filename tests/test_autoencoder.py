@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ehrcluster import autoencoder as ae
+from ehrcluster import deepcluster as dc
 from ehrcluster.autoencoder import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -20,6 +21,7 @@ from ehrcluster.autoencoder import (
     pretrain,
     reconstruction_loss,
     reset_adam,
+    training_buffers,
 )
 from ehrcluster.data import SyntheticSpec, generate_synthetic, standardize
 from ehrcluster.errors import (
@@ -524,6 +526,124 @@ class TestFullDataPassMemory:
         )
         cfg = TrainConfig(epochs=1, batch_size=self.BATCH, seed=0)
         assert traced_peak(lambda: pretrain(m, ds, cfg)) <= bound
+
+    def training_loop_bound(self, m) -> int:
+        # one training_buffers buffer: the pass cache's arenas, or the batch cache and the
+        # gradients, whichever is larger; Z and Xhat of the pass cache beside it
+        h, widths = self.HIDDEN, m.layer_dims[1:]
+        arenas = 8 * self.N * (max(h[0::2]) + max(h[1::2]))
+        return (
+            max(arenas, 8 * self.BATCH * sum(widths) + m.theta.nbytes)
+            + 8 * self.N * (self.d + self.D)     # Z and Xhat
+            + 2 * 8 * self.BATCH * max(widths)   # backward's dL/da, at most two alive at once
+            + 8 * self.BATCH * self.D            # the batch's rows of X
+            + 8 * self.N                         # the epoch's permutation, then the per-row losses
+            + self.SCRATCH
+        )
+
+    def test_pretrain_epoch_holds_one_training_buffer(self):
+        m = build(self.D, self.d, self.HIDDEN, seed=0)
+        spec = SyntheticSpec(self.N, self.D, 0.5, 3.0, "correlated", 0.0, seed=0)
+        ds, _ = standardize(generate_synthetic(spec))
+        cfg = TrainConfig(epochs=1, batch_size=self.BATCH, seed=0)
+        assert traced_peak(lambda: pretrain(m, ds, cfg)) <= self.training_loop_bound(m)
+
+    @pytest.mark.parametrize("variant", ["student_t", "gaussian"])
+    def test_finetune_epoch_holds_one_training_buffer(self, variant):
+        k = 2
+        m = build(self.D, self.d, self.HIDDEN, seed=0)
+        spec = SyntheticSpec(self.N, self.D, 0.5, 3.0, "correlated", 0.0, seed=0)
+        ds, _ = standardize(generate_synthetic(spec))
+        train = TrainConfig(epochs=1, batch_size=self.BATCH, seed=0)
+        pretrain(m, ds, train)
+        cfg = dc.DeepClusterConfig(variant=variant, finetune_epochs=1, train=train)
+        bound = (
+            self.training_loop_bound(m)
+            + 8 * self.N * 2 * self.d            # the head's Z, and one temporary as wide
+            + 8 * self.N * 4 * k                 # S, T, log S, and one temporary as wide
+        )
+        assert traced_peak(lambda: dc.finetune(m, ds, k, cfg)) <= bound
+
+
+class TestTrainingBuffers:
+    """``pretrain`` and ``finetune`` take their pass cache's arenas, their batch cache and their
+    gradients from one ``training_buffers`` buffer; 5 inputs, d = 2, 300 rows."""
+
+    N = 300
+    # (hidden, batch_size, whether the batch cache and the gradients set the buffer's size)
+    SHAPES = [
+        ([8, 6], 16, False),   # the arenas, 300 x (8 + 6), outgrow 16 x 35 + 235
+        ([], 16, True),        # no hidden layer, so no arenas
+        ([8, 6], 1000, True),  # a batch larger than the cohort takes all 300 rows
+    ]
+
+    @pytest.mark.parametrize("hidden, batch_size, step_sets_size", SHAPES)
+    def test_buffer_is_the_larger_of_the_pass_and_the_step(self, hidden, batch_size, step_sets_size):
+        m = build(5, 2, hidden, seed=0, dtype="float32")
+        batch_rows = min(batch_size, self.N)
+        full, cache, grads = training_buffers(m, self.N, batch_rows)
+        buffer = grads.flat.base
+        step = batch_rows * sum(m.layer_dims[1:]) + m.theta.size
+        arenas = self.N * sum(hidden[:2])
+        assert buffer.dtype == m.dtype and buffer.size == max(step, arenas)
+        assert (buffer.size == step) == step_sets_size
+        # the batch cache's layers and the gradients lie end to end; Z and Xhat of the pass own theirs
+        step_arrays = cache.buffers + [grads.flat]
+        assert all(b.base is buffer for b in step_arrays)
+        for i, a in enumerate(step_arrays):
+            assert not any(np.shares_memory(a, b) for b in step_arrays[i + 1 :])
+        z, xhat = full.buffers[m.bottleneck], full.buffers[-1]
+        assert not np.shares_memory(z, buffer) and not np.shares_memory(xhat, buffer)
+        assert all(b.base is buffer for b in full.buffers if b is not z and b is not xhat)
+
+    @staticmethod
+    def train(hidden, batch_size, variant):
+        spec = SyntheticSpec(300, 5, 0.5, 3.0, "correlated", 0.0, seed=4)
+        ds, _ = standardize(generate_synthetic(spec))
+        m = build(5, 2, hidden, "tanh", seed=4, dtype="float32")
+        train = TrainConfig(epochs=2, batch_size=batch_size, seed=4)
+        _, history = pretrain(m, ds, train)
+        cfg = dc.DeepClusterConfig(variant, finetune_epochs=3, target_update_interval=2, train=train)
+        dcm = dc.finetune(m, ds, 2, cfg)
+        return m.theta.tobytes(), history, dcm.recon_history, dcm.kl_history, dcm.joint_history
+
+    @pytest.mark.parametrize("variant", ["student_t", "gaussian"])
+    @pytest.mark.parametrize("hidden, batch_size, step_sets_size", SHAPES)
+    def test_a_nan_filled_buffer_trains_as_separate_buffers_do(
+        self, monkeypatch, variant, hidden, batch_size, step_sets_size
+    ):
+        def separate(model, rows, batch_rows):
+            full = ForwardCache.for_pass(model, rows)
+            return full, ForwardCache.for_model(model, batch_rows), Gradients.for_model(model)
+
+        with monkeypatch.context() as patch:
+            for module in (ae, dc):
+                patch.setattr(module, "training_buffers", separate)
+            want = self.train(hidden, batch_size, variant)
+
+        # every forward and encode, the start of each step and of each full-data pass,
+        # finds the loop's buffer filled with NaN
+        buffers = []
+
+        def shared(model, rows, batch_rows):
+            full, cache, grads = training_buffers(model, rows, batch_rows)
+            buffers.append(grads.flat.base)
+            return full, cache, grads
+
+        def nan_first(fn):
+            def call(*args, **kwargs):
+                buffers[-1].fill(np.nan)
+                return fn(*args, **kwargs)
+            return call
+
+        for module in (ae, dc):
+            monkeypatch.setattr(module, "training_buffers", shared)
+            monkeypatch.setattr(module, "forward", nan_first(module.forward))
+            monkeypatch.setattr(module, "encode", nan_first(module.encode))
+        got = self.train(hidden, batch_size, variant)
+        assert len(buffers) == 2
+        assert got[0] == want[0]
+        assert all(same_bits(np.asarray(a), np.asarray(b)) for a, b in zip(got[1:], want[1:]))
 
 
 class TestEncodeReuse:

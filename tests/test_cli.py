@@ -410,6 +410,9 @@ class TestExitCodes:
         # a lone surrogate, which a JSON escape can hold, has no UTF-8 form to name a file with
         ({"cohorts": [{"name": "a\ud800"}]}, "cohorts[0].name"),
         ({"methods": [{"name": "m\udfff", "kind": "kmeans_x"}]}, "methods[0].name"),
+        # in a CSV path, a lone surrogate outside surrogateescape's range has no file-system form to open
+        ({"data": {"csv": {"path": "a\ud800.csv"}}}, "data.csv.path"),
+        ({"data": {"csv": {"path": "d.csv", "schema": "a\ud800.json"}}}, "data.csv.schema"),
     ])
     def test_malformed_config_field_is_validation_error(self, tmp_path, capsys, overrides, field):
         assert run_cli("benchmark", "--config", tiny_config(tmp_path, **overrides),

@@ -9,7 +9,6 @@ from ehrcluster.autoencoder import TrainConfig
 from ehrcluster.data import SyntheticSpec, generate_synthetic, standardize
 from ehrcluster.deepcluster import DeepClusterConfig
 from ehrcluster.ensemble import (
-    align_labels,
     majority_vote,
     run_dimension_sweep,
     sweep_dims,
@@ -17,65 +16,6 @@ from ehrcluster.ensemble import (
 from ehrcluster.errors import EmptyRuns, InvalidDimension, LengthMismatch, UnsupportedK
 
 binary_labels = arrays(int, st.integers(4, 20), elements=st.integers(0, 1))
-
-
-def agreement(a, b):
-    return int((np.asarray(a) == np.asarray(b)).sum())
-
-
-class TestAlignLabels:
-    def test_flip(self):
-        got = align_labels([0, 0, 1, 1], [1, 1, 0, 0])
-        assert np.array_equal(got, [0, 0, 1, 1])
-
-    def test_a_fractional_label_is_refused_not_truncated(self):
-        with pytest.raises(UnsupportedK, match="labels must be integers"):
-            align_labels([0, 0, 1, 1], [1, 0.9, 0, 0])
-        assert np.array_equal(align_labels([0.0, 1.0], [1.0, 0.0]), [0, 1])
-
-    def test_a_negative_label_is_refused_not_wrapped(self):
-        # -1 would index the contingency table's last row and leave the candidate unmapped
-        with pytest.raises(UnsupportedK, match="labels must be non-negative"):
-            align_labels([-1, 0, 0, -1], [0, 1, 1, 0])
-        with pytest.raises(UnsupportedK, match="labels must be non-negative"):
-            align_labels([0, 1, 1, 0], [0, -1, -1, 0])
-
-    def test_identity(self):
-        got = align_labels([0, 0, 1, 1], [0, 0, 1, 1])
-        assert np.array_equal(got, [0, 0, 1, 1])
-
-    def test_full_tie_keeps_candidate(self):
-        # both 2-permutations agree on exactly 2 samples; the lexicographic
-        # tie-break keeps the identity mapping
-        got = align_labels([0, 0, 1, 1], [0, 1, 0, 1])
-        assert np.array_equal(got, [0, 1, 0, 1])
-
-    def test_three_cluster_rotation(self):
-        ref = np.array([0, 0, 1, 1, 2, 2])
-        cand = np.array([1, 1, 2, 2, 0, 0])
-        assert np.array_equal(align_labels(ref, cand), ref)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            align_labels([0, 1], [0, 1, 1])
-
-    @given(binary_labels, st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_agreement_never_decreases(self, ref, data):
-        cand = data.draw(arrays(int, len(ref), elements=st.integers(0, 1)))
-        aligned = align_labels(ref, cand)
-        assert agreement(ref, aligned) >= agreement(ref, cand)
-
-    @given(binary_labels, st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_binary_alignment_is_pure_relabeling(self, ref, data):
-        cand = data.draw(arrays(int, len(ref), elements=st.integers(0, 1)))
-        aligned = align_labels(ref, cand)
-        # only a permutation was applied: identity or the full flip, whose
-        # second application restores the original labels (involution)
-        assert np.array_equal(aligned, cand) or np.array_equal(aligned, 1 - cand)
-        # an aligned candidate is already optimal, so re-aligning is a no-op
-        assert np.array_equal(align_labels(ref, aligned), aligned)
 
 
 class TestDimensionEnsemble:
@@ -136,6 +76,12 @@ class TestDimensionEnsemble:
             majority_vote(np.array([[np.nan, 0.0, 1.0], [1.0, 0.0, 1.0]]))
         # whole numbers stored as floats are labels
         assert np.array_equal(majority_vote(np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])), [1, 0, 1])
+
+    def test_a_negative_label_is_refused_not_wrapped(self):
+        # -1 would disagree with 0 and 1 alike, and a flip would make it 2
+        for runs in (np.array([[-1, 0, 1], [0, 0, 1]]), [[0, 0, 1], [1, -1, 0]]):
+            with pytest.raises(UnsupportedK, match="labels must be non-negative"):
+                majority_vote(runs)
 
     @staticmethod
     def reference_vote(runs):
