@@ -140,14 +140,3 @@ class IncompleteGrid(ValidationError):
 class ConfigError(ValidationError):
     pass
 
-
-# --- process pool -------------------------------------------------------------
-
-class WorkersCannotStart(ToolkitError, RuntimeError):
-    """No process-pool worker could start, so a job never ran."""
-
-    def __init__(self):
-        super().__init__(
-            "no pool worker could start; each spawn worker imports the script that called "
-            "run_experiment, so call it under `if __name__ == \"__main__\":`"
-        )

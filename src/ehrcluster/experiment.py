@@ -45,7 +45,7 @@ from .data import (
 )
 from .deepcluster import DeepClusterConfig, assign, finetune
 from .ensemble import check_sweep_dims, majority_vote, run_dimension_sweep, sweep_dims
-from .errors import ConfigError, ValidationError, WorkersCannotStart
+from .errors import ConfigError, ValidationError
 from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
 from .traditional import (
     REG_COVAR, check_gmm_params, check_kmeans_params, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict,
@@ -517,28 +517,34 @@ class ExperimentResult:
     failures: list[dict]
 
 
-# the thread-count variables of the BLAS builds numpy may use, set to 1 in each pool worker
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+def _blas_threads():
+    """numpy's OpenBLAS thread-count (getter, setter), under the first of its three export names
+    that numpy's BLAS has, or None where it has none of them."""
+    # imported here, not at module level, so that importing the package never pays for it
+    import ctypes
+
+    # a lookup through numpy's extension module (numpy.core before numpy 2) searches its BLAS as well
+    umath = sys.modules.get("numpy._core._multiarray_umath", sys.modules.get("numpy.core._multiarray_umath"))
+    blas = ctypes.CDLL(umath.__file__) if umath is not None else None
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, set_ = (getattr(blas, name.format(op), None) for op in ("get", "set"))
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 @contextmanager
 def _one_blas_thread():
     """Run the block with numpy's bundled OpenBLAS at one thread, as a pool worker runs, and
-    restore its thread count after. Where numpy's BLAS exports no
-    ``scipy_openblas_set_num_threads64_``, the block runs at the thread count it finds."""
-    # imported here, not at module level, so that runs on the pool never pay for it
-    import ctypes
-
-    # a lookup through numpy's extension module searches the BLAS it links as well
-    umath = sys.modules.get("numpy._core._multiarray_umath")  # numpy >= 2
-    blas = ctypes.CDLL(umath.__file__) if umath is not None else None
-    get = getattr(blas, "scipy_openblas_get_num_threads64_", None)
-    set_ = getattr(blas, "scipy_openblas_set_num_threads64_", None)
-    if get is None or set_ is None:
+    restore its thread count after. Where ``_blas_threads`` finds no setter, the block runs at
+    the thread count it finds."""
+    found = _blas_threads()
+    if found is None:
         yield
         return
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
+    get, set_ = found
     saved = get()
     set_(1)
     try:
@@ -574,35 +580,39 @@ def _module_functions() -> dict[tuple[str, str], object]:
 
 
 def _usable_cores() -> int:
-    """Usable cores, or 1 if a module-level function has been swapped (a spy, a tracer)
-    since import: a pool worker imports the package afresh and would not see the swap."""
+    """Usable cores, or 1 where the pool cannot run the jobs as this process would: a module-level
+    function has been swapped since import (a spy, a tracer: a forked worker's calls to it are
+    recorded in the worker and lost), the platform has no ``fork`` start method, another Python
+    thread runs (a forked worker copies only the calling thread, so a lock another one holds would
+    never be released in it), or numpy's BLAS exports no thread setter to hold each worker at one
+    thread."""
+    import multiprocessing
+    import threading
+
     now = _module_functions()
-    if any(now.get(key) is not value for key, value in _AT_IMPORT.items()):
+    if (
+        any(now.get(key) is not value for key, value in _AT_IMPORT.items())
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+        or _blas_threads() is None
+    ):
         return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _run_pool(calls: list[tuple], workers: int) -> list:
     """Each (fn, args) call's outcome, in order: ``_timed``'s (result, seconds) or the exception
-    raised. The calls are submitted in order to a spawn pool of ``workers`` processes, each
-    started with one BLAS thread; the parent's environment is restored once they are started,
-    and every worker is joined before this returns."""
-    # imported here, not at module level, so that runs without a pool never pay for them
+    raised. The calls are submitted in order to a pool of ``workers`` processes forked from this
+    one, each set to one BLAS thread by its initializer (this process's count is left alone), and
+    every worker is joined before this returns."""
+    # imported here, not at module level, so that importing the package never pays for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    _, set_threads = _blas_threads()  # a forked worker calls it as is, with no pickling
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), set_threads, (1,))
     try:
-        try:
-            futures = [pool.submit(_timed, fn, *args) for fn, args in calls]
-        finally:
-            for var, value in saved.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value
+        futures = [pool.submit(_timed, fn, *args) for fn, args in calls]
         return [_attempt(future.result) for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
@@ -612,10 +622,8 @@ def _fit_on_pool(jobs: list[tuple], workers: int) -> list:
     """Each job's outcome, in job order: ``_timed``'s (result, seconds) or the exception raised.
 
     The jobs run heaviest first on ``_run_pool``'s ``workers`` processes. A worker that dies
-    breaks the pool for every job not yet done. Each of those reruns alone in a new
-    one-worker pool, behind a no-op call that shows the worker could start, so only a job
-    that kills its own worker fails, with ``BrokenProcessPool``. If that no-op fails too, no
-    worker can start, and every broken job fails with ``WorkersCannotStart`` instead.
+    breaks the pool for every job not yet done. Each of those reruns alone in a new one-worker
+    pool, so only a job that kills its own worker fails, with ``BrokenProcessPool``.
     """
     from concurrent.futures.process import BrokenProcessPool
 
@@ -623,11 +631,8 @@ def _fit_on_pool(jobs: list[tuple], workers: int) -> list:
     ran = dict(zip(order, _run_pool([jobs[i][1:] for i in order], workers)))
     outcomes = [ran[i] for i in range(len(jobs))]
     for i, job in enumerate(jobs):
-        if not isinstance(outcomes[i], BrokenProcessPool):
-            continue
-        started, outcomes[i] = _run_pool([(int, ()), job[1:]], 1)
-        if isinstance(started, BrokenProcessPool):
-            return [WorkersCannotStart() if isinstance(o, BrokenProcessPool) else o for o in outcomes]
+        if isinstance(outcomes[i], BrokenProcessPool):
+            (outcomes[i],) = _run_pool([job[1:]], 1)
     return outcomes
 
 
@@ -709,10 +714,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Every cohort is loaded and checked before any cell fits, from one read of the CSV, so a
     cohort that cannot load fails the run before any fit or file. Then every cohort's jobs
-    (each non-voting cell, a sweep one per dimension) form one list, which runs on one spawn
-    pool of one process per usable core, at most one per job, when there are at least two
-    jobs, at least two cores, and no module-level function of the package has been swapped
-    since import; otherwise in this process. Either way every file is written in config order.
+    (each non-voting cell, a sweep one per dimension) form one list, which runs on one pool
+    of processes forked from this one, one per usable core and at most one per job, when there
+    are at least two jobs and ``_usable_cores`` finds at least two (no module-level function of
+    the package swapped since import, a ``fork`` start method, no other Python thread, a BLAS
+    thread setter); otherwise in this process. Either way every file is written in config order, and the caller needs no
+    ``if __name__ == "__main__":`` guard.
     """
     preps = _cohorts(config)
     out = Path(config.output_dir)

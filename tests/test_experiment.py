@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,13 @@ from hypothesis import strategies as st
 from ehrcluster.data import SyntheticSpec, generate_synthetic
 from ehrcluster.errors import ConfigError
 from ehrcluster.experiment import (
-    BLAS_THREAD_VARS,
     PROFILES,
     MethodSpec,
+    _blas_threads,
     _config_doc,
     _config_hash,
     _fit_on_pool,
+    _usable_cores,
     load_config,
     parse_config,
     run_experiment,
@@ -682,17 +684,19 @@ class TestPool:
         assert [result for result, seconds in outcomes[1:]] == [1024, 27]
         assert multiprocessing.active_children() == []
 
-    def test_an_unguarded_script_names_the_guard(self, tmp_path):
-        if len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("fits in process on one core")
+    def test_an_unguarded_script_fits_every_cell_on_the_pool(self, tmp_path, monkeypatch):
+        import ehrcluster.experiment as experiment
+
+        if _usable_cores() < 2:
+            pytest.skip("fits in process")
         doc = minimal_doc(methods=[
             {"name": "kmeans_x", "kind": "kmeans_x"},
             {"name": "kmeans_z", "kind": "kmeans_z", "params": {"hidden": [4], "pretrain_epochs": 1}},
             {"name": "gmm_z", "kind": "gmm_z", "params": {"hidden": [4], "pretrain_epochs": 1}},
-        ], output_dir=str(tmp_path / "o"))
+        ], output_dir=str(tmp_path / "pool"))
         starts = tmp_path / "starts"
         script = tmp_path / "unguarded.py"
-        # run_experiment at module level: every spawn worker runs it again on import, and dies
+        # run_experiment at module level: a forked worker does not run the script again
         script.write_text(
             "import json\n"
             "from ehrcluster.experiment import parse_config, run_experiment\n"
@@ -703,14 +707,22 @@ class TestPool:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, str(script)], env=env, check=True, timeout=120,
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        failures = json.loads((tmp_path / "o" / "manifest.json").read_text())["failures"]
-        assert [f["method"] for f in failures] == ["kmeans_x", "kmeans_z", "gmm_z"]
-        for failure in failures:
-            assert failure["type"] == "WorkersCannotStart"
-            assert 'if __name__ == "__main__":' in failure["error"]
-        # the script's own run, then two pools: the first pool's workers and one more
-        workers = min(len(os.sched_getaffinity(0)), 3)
-        assert len(starts.read_text().splitlines()) <= 1 + workers + 1
+        manifest = json.loads((tmp_path / "pool" / "manifest.json").read_text())
+        assert manifest["failures"] == []
+        assert manifest["workers"] == min(len(os.sched_getaffinity(0)), 3)
+        assert starts.read_text() == "start\n"
+        monkeypatch.setattr(experiment, "_usable_cores", lambda: 1)
+        run_experiment(parse_config({**doc, "output_dir": str(tmp_path / "here")}))
+
+        def files(root):
+            return {
+                str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*"))
+                if path.is_file() and path.name not in ("manifest.json", "timings.csv")
+            }
+
+        pool, here = files(tmp_path / "pool"), files(tmp_path / "here")
+        assert "embeddings/all__gmm_z.csv" in pool
+        assert pool == here
 
     def test_paper_grid_writes_the_same_bytes_on_the_pool_and_in_process(self, tmp_path, monkeypatch):
         import ehrcluster.experiment as experiment
@@ -742,14 +754,47 @@ class TestPool:
         # both cohorts' six jobs on one pool
         assert [m["workers"] for m in manifests] == [min(len(os.sched_getaffinity(0)), 6), 1]
 
-    def test_workers_start_with_one_blas_thread(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        outcomes = _fit_on_pool([(1, os.getenv, (var,)) for var in BLAS_THREAD_VARS], 2)
-        assert [value for value, seconds in outcomes] == ["1"] * len(BLAS_THREAD_VARS)
-        # the parent's environment is as it was
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-        assert "OMP_NUM_THREADS" not in os.environ
+    def test_workers_run_at_one_blas_thread_and_leave_the_callers_count(self):
+        if _blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread-count getter")
+        get, set_ = _blas_threads()
+        saved = get()
+        set_(2)
+        try:
+            outcomes = _fit_on_pool([(1, _blas_thread_count, ())] * 4, 2)
+            assert [count for count, seconds in outcomes] == [1] * 4
+            assert get() == 2
+        finally:
+            set_(saved)
+
+    def test_the_pool_needs_fork_one_thread_and_a_blas_thread_setter(self, monkeypatch):
+        cores = len(os.sched_getaffinity(0))
+        if _blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread-count setter")
+        assert _usable_cores() == cores
+        with monkeypatch.context() as patch:
+            patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            assert _usable_cores() == 1
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert _usable_cores() == 1
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert _usable_cores() == cores
+        # numpy's extension module, through which the setter is looked up, out of sight
+        for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        assert _blas_threads() is None
+        assert _usable_cores() == 1
+
+
+def _blas_thread_count() -> int:
+    """numpy's OpenBLAS thread count in the process that calls this."""
+    return _blas_threads()[0]()
 
 
 def test_frozen_benchmark_config_parses():
