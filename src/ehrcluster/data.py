@@ -6,7 +6,8 @@ The preprocessing pipeline used throughout the toolkit is:
     -> per-feature median imputation -> z-score standardization
 
 Every operation is pure: it returns a new :class:`Dataset` and never
-mutates its input. A missing cell is ``NaN`` in the value matrix and
+mutates its input (``preprocess`` runs every step in place on its own copy
+of the rows it keeps). A missing cell is ``NaN`` in the value matrix and
 nothing else; ``Dataset.missing`` is derived from it.
 """
 from __future__ import annotations
@@ -240,13 +241,17 @@ def write_embedding(path: str | Path, Z: np.ndarray) -> None:
     write_csv(path, [f"z{i}" for i in range(Z.shape[1])], Z.tolist())
 
 
+def _out_of_bounds(X: np.ndarray, specs: list[FeatureSpec]) -> np.ndarray:
+    """Where ``X`` is outside its feature's inclusive bounds; never at a NaN, which compares false."""
+    out = X < np.array([s.bound_lo for s in specs])
+    out |= X > np.array([s.bound_hi for s in specs])
+    return out
+
+
 def apply_bounds(ds: Dataset) -> Dataset:
     """Mask every value outside its feature's inclusive [lo, hi] bound as missing."""
-    lo = np.array([s.bound_lo for s in ds.feature_specs])
-    hi = np.array([s.bound_hi for s in ds.feature_specs])
     X = ds.X.copy()
-    # NaN compares false on both sides, so already-missing cells are untouched.
-    X[(X < lo) | (X > hi)] = np.nan
+    X[_out_of_bounds(X, ds.feature_specs)] = np.nan
     return replace(ds, X=X)
 
 
@@ -263,15 +268,30 @@ def check_missing_rate(value) -> float:
     return rate
 
 
+def _kept_rows(missing: np.ndarray, max_rate: float) -> np.ndarray:
+    """The rows of the ``missing`` mask whose missing fraction is at most ``max_rate``; none is
+    AllSamplesRemoved."""
+    max_rate = _cast(check_missing_rate, max_rate, "max_rate")
+    keep = missing.sum(axis=1) / missing.shape[1] <= max_rate
+    if not keep.any():
+        raise AllSamplesRemoved(f"no sample has missing rate <= {max_rate}; all {missing.shape[0]} removed")
+    return keep
+
+
 def filter_missing_rate(ds: Dataset, max_rate: float) -> Dataset:
     """Drop samples whose missing fraction strictly exceeds ``max_rate``."""
-    max_rate = _cast(check_missing_rate, max_rate, "max_rate")
-    keep = ds.missing.sum(axis=1) / ds.n_features <= max_rate
-    if not keep.any():
-        raise AllSamplesRemoved(
-            f"no sample has missing rate <= {max_rate}; all {ds.n_samples} removed"
-        )
-    return subset_rows(ds, keep)
+    return subset_rows(ds, _kept_rows(ds.missing, max_rate))
+
+
+def _impute_median(X: np.ndarray, specs: list[FeatureSpec]) -> None:
+    """``impute_median`` in place on ``X``."""
+    for j, spec in enumerate(specs):
+        missing = np.isnan(X[:, j])
+        observed = X[~missing, j]
+        if observed.size == 0:
+            raise AllMissingFeature(spec.name)
+        if missing.any():
+            X[missing, j] = np.median(observed)
 
 
 def impute_median(ds: Dataset) -> Dataset:
@@ -281,29 +301,43 @@ def impute_median(ds: Dataset) -> Dataset:
     statistics. Observed cells are returned unchanged.
     """
     X = ds.X.copy()
-    missing = ds.missing
-    for j, spec in enumerate(ds.feature_specs):
-        observed = X[~missing[:, j], j]
-        if observed.size == 0:
-            raise AllMissingFeature(spec.name)
-        if missing[:, j].any():
-            X[missing[:, j], j] = np.median(observed)
+    _impute_median(X, ds.feature_specs)
     return replace(ds, X=X)
+
+
+def _standardize(X: np.ndarray) -> ScalerParams:
+    """``standardize`` in place on ``X``. Its squares are summed a block of rows at a time, each
+    block's first row carrying the sum so far: the row-by-row order numpy sums the columns of a
+    C-ordered X in, so ``X.std(axis=0)``'s bytes with no temporary the size of X (a column it
+    reads contiguously, in an F-ordered X, numpy sums pairwise, so that X is one block)."""
+    n, d = X.shape
+    hi = X.max(axis=0, initial=-np.inf)
+    constant = hi == X.min(axis=0, initial=np.inf)  # exactly: a mean need not round to the value
+    mean = np.where(constant, hi, X.mean(axis=0))
+    X -= mean
+    squares = np.zeros(d)
+    rows = max(1, n if X.flags.f_contiguous else (1 << 16) // max(d, 1))
+    for start in range(0, n, rows):
+        block = np.square(X[start:start + rows])
+        block[0] += squares
+        squares = block.sum(axis=0)
+    std = np.sqrt(squares / n)
+    std[constant | (std == 0.0)] = 1.0
+    X /= std
+    return ScalerParams(mean=mean, std=std)
 
 
 def standardize(ds: Dataset) -> tuple[Dataset, ScalerParams]:
     """Z-score each feature (population std, denominator n); constants map to 0.
 
-    Constant features get std 1 in the stored params so reusing them never
-    divides by zero.
+    A constant feature (every value equal) gets its value as the mean and std 1
+    in the stored params, so reusing them maps it to 0 and never divides by zero.
     """
     if ds.missing.any():
         raise ConfigError("standardize requires a fully imputed dataset")
-    mean = ds.X.mean(axis=0)
-    std = ds.X.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    params = ScalerParams(mean=mean, std=std)
-    return replace(ds, X=params.apply(ds.X)), params
+    X = ds.X.copy(order="K")  # an F-ordered X stays so, and its std is summed as numpy sums it
+    params = _standardize(X)
+    return replace(ds, X=X), params
 
 
 def minority_count(n: int, class_ratio: float) -> int:
@@ -393,8 +427,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 
 def preprocess(ds: Dataset, max_missing_rate: float = 0.05) -> tuple[Dataset, ScalerParams]:
-    """Full pipeline: bounds -> missing-rate filter -> median impute -> z-score."""
-    ds = apply_bounds(ds)
-    ds = filter_missing_rate(ds, max_missing_rate)
-    ds = impute_median(ds)
-    return standardize(ds)
+    """Full pipeline: bounds -> missing-rate filter -> median impute -> z-score. The same bytes as
+    those steps in turn, but only the rows kept are copied, once, and every step runs in place."""
+    keep = _kept_rows(_out_of_bounds(ds.X, ds.feature_specs) | np.isnan(ds.X), max_missing_rate)
+    X = ds.X[keep]
+    X[_out_of_bounds(X, ds.feature_specs)] = np.nan
+    _impute_median(X, ds.feature_specs)
+    params = _standardize(X)
+    return replace(ds, X=X, labels=None if ds.labels is None else ds.labels[keep]), params

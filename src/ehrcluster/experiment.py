@@ -600,22 +600,38 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+# the (fn, args) calls of the pool running, which each of its workers inherits as it forks; one
+# pool at a time, as ``_usable_cores`` allows none beside another thread
+_POOL_CALLS: list[tuple] = []
+
+
+def _run_inherited(i: int):
+    """``_timed`` on call ``i`` of the ``_POOL_CALLS`` this forked worker inherited."""
+    fn, args = _POOL_CALLS[i]
+    return _timed(fn, *args)
+
+
 def _run_pool(calls: list[tuple], workers: int) -> list:
     """Each (fn, args) call's outcome, in order: ``_timed``'s (result, seconds) or the exception
     raised. The calls are submitted in order to a pool of ``workers`` processes forked from this
     one, each set to one BLAS thread by its initializer (this process's count is left alone), and
-    every worker is joined before this returns."""
+    every worker is joined before this returns. A worker inherits the calls when it forks and is
+    sent only a call's index; the call's outcome comes back pickled."""
     # imported here, not at module level, so that importing the package never pays for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     _, set_threads = _blas_threads()  # a forked worker calls it as is, with no pickling
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), set_threads, (1,))
+    _POOL_CALLS[:] = calls  # before the pool exists, so every worker it forks holds them
     try:
-        futures = [pool.submit(_timed, fn, *args) for fn, args in calls]
-        return [_attempt(future.result) for future in futures]
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), set_threads, (1,))
+        try:
+            futures = [pool.submit(_run_inherited, i) for i in range(len(calls))]
+            return [_attempt(future.result) for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
     finally:
-        pool.shutdown(cancel_futures=True)
+        _POOL_CALLS.clear()
 
 
 def _fit_on_pool(jobs: list[tuple], workers: int) -> list:

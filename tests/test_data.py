@@ -18,6 +18,7 @@ from ehrcluster.data import (
     load_csv,
     load_feature_schema,
     minority_count,
+    preprocess,
     read_labels,
     standardize,
     stratified_subsample,
@@ -150,6 +151,23 @@ class TestLoadCsv:
             tracemalloc.stop()
         assert np.array_equal(ds.X, rows)
         assert peak < 3 * ds.X.nbytes, f"peak {peak} bytes, {peak / ds.X.nbytes:.1f} x X's {ds.X.nbytes}"
+
+    def test_preprocess_holds_little_more_than_x(self):
+        # the kept rows are copied once and every step runs in that copy; a step that copied them
+        # again, or a z-score with a temporary the size of X, would take the peak past 1.5 x X
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((20_000, 33))
+        X[rng.random(X.shape) < 0.01] = np.nan
+        X[rng.random(X.shape) < 0.005] = 1e7  # outside synthetic_feature_specs' bounds
+        ds = Dataset(X, synthetic_feature_specs(33), labels=rng.integers(0, 2, 20_000))
+        tracemalloc.start()
+        try:
+            out, _ = preprocess(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.n_samples > 0.9 * ds.n_samples
+        assert peak < 1.5 * X.nbytes, f"peak {peak} bytes, {peak / X.nbytes:.2f} x X's {X.nbytes}"
 
     @pytest.mark.parametrize("bad_line, error", [
         (b"1,\xff\n", "not a readable CSV: 'utf-8' codec can't decode"),
@@ -377,10 +395,30 @@ class TestStandardize:
         assert np.array_equal(out.X, np.zeros((3, 1)))
         assert params.std[0] == 1.0
 
+    @pytest.mark.parametrize("value, n", [(0.1, 3), (0.7, 1896), (123.456, 1000)])
+    def test_constant_column_whose_mean_does_not_round_to_its_value(self, value, n):
+        # the mean of n copies of these values is off by an ulp, so their std is ~1e-14, not 0
+        X = np.column_stack([np.full(n, value), np.arange(n, dtype=float)])
+        out, params = standardize(make_dataset(X))
+        assert np.array_equal(out.X[:, 0], np.zeros(n))
+        assert params.mean[0] == value and params.std[0] == 1.0
+        assert np.array_equal(params.apply(np.full((2, 2), value))[:, 0], [0.0, 0.0])
+
     def test_requires_imputed(self):
         ds = make_dataset(np.array([[np.nan], [1.0]]))
         with pytest.raises(ConfigError):
             standardize(ds)
+
+    @pytest.mark.parametrize("shape, order", [((5000, 33), "C"), ((5000, 33), "F"), ((70_001, 1), "C"),
+                                              ((3, 40_000), "C")], ids=["blocks", "fortran", "column", "wide"])
+    def test_bytes_of_numpy_mean_and_std(self, shape, order):
+        # the squares are summed in blocks of rows, which must add up in numpy's own order
+        rng = np.random.default_rng(1)
+        X = np.asarray(rng.standard_normal(shape) * rng.uniform(0.1, 1e4, shape[1]) + 1e3, order=order)
+        out, params = standardize(make_dataset(X))
+        mean, std = X.mean(axis=0), X.std(axis=0)
+        assert params.mean.tobytes() == mean.tobytes() and params.std.tobytes() == std.tobytes()
+        assert np.array_equal(out.X, (X - mean) / std)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -390,6 +428,33 @@ class TestStandardize:
         out, _ = standardize(make_dataset(X))
         assert np.abs(out.X.mean(axis=0)).max() < 1e-10
         assert np.abs(out.X.std(axis=0) - 1).max() < 1e-10
+
+
+# ------------------------------------------------------------- preprocess
+
+CELLS = st.one_of(st.floats(-12.0, 12.0), st.sampled_from([np.nan, -10.0, 10.0, 0.1, 0.7, 123.456]))
+
+
+class TestPreprocess:
+    @given(st.data(), st.integers(1, 12), st.integers(1, 5), st.booleans(),
+           st.one_of(st.sampled_from([0.0, 0.05, 0.25, 1.0]), st.floats(0.0, 1.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_four_steps_in_turn(self, data, n, d, with_labels, rate):
+        X = np.array(data.draw(st.lists(st.lists(CELLS, min_size=d, max_size=d), min_size=n, max_size=n)))
+        labels = np.arange(n) % 3 if with_labels else None
+        ds = Dataset(X.copy(), [FeatureSpec(f"f{j}", "", -10.0, 10.0) for j in range(d)], labels=labels)
+
+        def outcome(run):
+            try:
+                out, params = run()
+            except (AllSamplesRemoved, AllMissingFeature) as exc:
+                return type(exc), str(exc)
+            return (out.X.tobytes(), None if out.labels is None else out.labels.tobytes(),
+                    params.mean.tobytes(), params.std.tobytes())
+
+        assert outcome(lambda: preprocess(ds, rate)) == outcome(
+            lambda: standardize(impute_median(filter_missing_rate(apply_bounds(ds), rate))))
+        assert np.array_equal(ds.X, X, equal_nan=True)
 
 
 # -------------------------------------------------- stratified_subsample

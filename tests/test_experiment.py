@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -683,6 +684,36 @@ class TestPool:
         assert isinstance(outcomes[0], BrokenProcessPool)
         assert [result for result, seconds in outcomes[1:]] == [1024, 27]
         assert multiprocessing.active_children() == []
+
+    def test_a_job_that_cannot_be_pickled_runs_on_the_pool(self):
+        import ehrcluster.experiment as experiment
+
+        # a worker inherits the jobs when it forks and is sent only an index
+        if _usable_cores() < 2:
+            pytest.skip("fits in process")
+        offset = 5
+
+        def closure(x):
+            return x + offset
+
+        outcomes = _fit_on_pool([(1, lambda x: x * 2, (21,)), (2, closure, (1,))], 2)
+        assert [result for result, seconds in outcomes] == [42, 6]
+        assert multiprocessing.active_children() == []
+        assert experiment._POOL_CALLS == []  # nothing of the jobs is held once the pool is gone
+
+    def test_the_caller_pickles_no_job(self):
+        if _usable_cores() < 2:
+            pytest.skip("fits in process")
+        arrays = [np.full(1 << 20, float(i)) for i in range(3)]  # 8 MB each
+        _fit_on_pool([(1, pow, (2, 3))] * 2, 2)  # the pool's modules are imported before the trace
+        tracemalloc.start()
+        try:
+            outcomes = _fit_on_pool([(1, np.sum, (a,)) for a in arrays], 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [result for result, seconds in outcomes] == [0.0, 2.0**20, 2.0**21]
+        assert peak < 1 << 20, f"peak {peak} bytes"
 
     def test_an_unguarded_script_fits_every_cell_on_the_pool(self, tmp_path, monkeypatch):
         import ehrcluster.experiment as experiment
