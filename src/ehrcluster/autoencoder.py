@@ -89,6 +89,8 @@ class TrainConfig:
             raise InvalidDimension("batch_size must be >= 1")
         if self.epochs < 0:
             raise InvalidDimension("epochs (pretrain_epochs) must be >= 0")
+        if self.seed < 0:
+            raise InvalidDimension("seed must be >= 0")
 
 
 @dataclass
@@ -325,18 +327,14 @@ def encode(model: AutoencoderModel, X: np.ndarray, *, out: ForwardCache | None =
     return Z
 
 
-def reconstruction_loss(X: np.ndarray, Xhat: np.ndarray, *, out: np.ndarray | None = None) -> float:
-    """Mean over samples of the squared Euclidean reconstruction error, reduced in float64.
-
-    ``out``, an array of X's shape (Xhat itself is allowed), takes the
-    squared residuals in place of a temporary. Where Xhat is not float64,
-    the float64 copy made of it takes them instead and ``out`` is left alone.
-    """
+def reconstruction_loss(X: np.ndarray, Xhat: np.ndarray) -> float:
+    """Mean over samples of the squared Euclidean reconstruction error, reduced in float64: the
+    squared residuals go into a float64 copy of Xhat, whatever its dtype, so no input is written."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    cast = np.atleast_2d(np.asarray(Xhat, dtype=float))
-    if X.shape != cast.shape:
-        raise DimensionMismatch(f"shape {X.shape} vs {cast.shape}")
-    r = np.subtract(X, cast, out=out if np.may_share_memory(cast, Xhat) else cast)
+    r = np.atleast_2d(np.array(Xhat, dtype=float))
+    if X.shape != r.shape:
+        raise DimensionMismatch(f"shape {X.shape} vs {r.shape}")
+    np.subtract(X, r, out=r)
     return float(np.square(r, out=r).sum(axis=1).mean())
 
 
@@ -484,7 +482,7 @@ def pretrain(
             backward(model, cache, d_xhat, out=grads)
             adam_step(model, grads, config)
         _, xhat, _ = forward(model, X, out=full)
-        loss = reconstruction_loss(X, xhat, out=xhat)
+        loss = reconstruction_loss(X, xhat)
         if not np.isfinite(loss) or not params_finite(model):
             raise NonFiniteLoss(epoch)
         history.append(loss)

@@ -57,6 +57,9 @@ def _cmd_generate(args) -> int:
     spec = _build(SyntheticSpec, read_json(args.config), "synthetic")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
+    if spec.seed < 0:  # it seeds numpy's generator as it is
+        where = "synthetic.seed" if args.seed is None else "--seed"
+        raise ConfigError(f"{where}: must be >= 0, got {spec.seed}")
     ds = generate_synthetic(spec)
     out = Path(args.out)
     _write_dataset_csv(ds, out / "synthetic.csv")
@@ -91,6 +94,8 @@ def _cmd_cluster(args) -> int:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--params: invalid JSON: {exc}") from None
+    if args.seed < 0:  # a network seeds numpy's generator with it as it is
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     spec = MethodSpec(args.method, args.method, check_params(args.method, params, "--params"))
     k = check_k(args.k, [args.method], "--k")
     result = run_method(spec, ds, k, args.seed, PROFILES[args.profile])

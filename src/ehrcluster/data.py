@@ -62,8 +62,8 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        if self.X.ndim != 2:
-            raise ConfigError("X must be 2-dimensional")
+        if self.X.ndim != 2 or self.X.shape[1] == 0:
+            raise ConfigError("X must be 2-dimensional, with at least one feature column")
         if self.X.shape[1] != len(self.feature_specs):
             raise ConfigError("n_features does not match len(feature_specs)")
         names = [s.name for s in self.feature_specs]

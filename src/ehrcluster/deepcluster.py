@@ -90,9 +90,7 @@ class DeepClusterConfig:
 class DeepClusterModel:
     network: AutoencoderModel
     params: Head
-    recon_history: list[float] = field(default_factory=list)
-    kl_history: list[float] = field(default_factory=list)
-    joint_history: list[float] = field(default_factory=list)
+    history: list[tuple[float, float, float]] = field(default_factory=list)  # (recon, kl, joint) per epoch
     collapse_events: list[tuple[int, int]] = field(default_factory=list)  # (epoch, cluster)
 
 
@@ -281,14 +279,12 @@ def finetune(
             log_sf, _ = gaussian_log_responsibilities(zf, head)
         else:
             log_sf = np.log(soft_assign_student_t(zf, head))
-        recon = reconstruction_loss(X, xhatf, out=xhatf)
+        recon = reconstruction_loss(X, xhatf)
         kl = kl_loss(T_full, log_sf) / n
         joint = config.recon_weight * recon + config.gamma * kl
         if not np.isfinite(joint) or not params_finite(model) or not np.all(np.isfinite(_centers(head))):
             raise NonFiniteLoss(epoch)
-        dcm.recon_history.append(recon)
-        dcm.kl_history.append(kl)
-        dcm.joint_history.append(joint)
+        dcm.history.append((recon, kl, joint))
 
     dcm.params = head
     return dcm

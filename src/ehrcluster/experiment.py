@@ -29,7 +29,7 @@ import sys
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
@@ -158,8 +158,6 @@ _DEEP = _PRETRAIN | {
     "target_update_interval": (_int, 10),
     "recon_weight": (float, 1.0),
 }
-# the DeepClusterConfig fields that share their name with a param
-_FINETUNE_FIELDS = ("finetune_epochs", "gamma", "target_update_interval", "recon_weight")
 
 
 def _train_config(p: dict, seed: int) -> TrainConfig:
@@ -172,8 +170,9 @@ def _train_config(p: dict, seed: int) -> TrainConfig:
 
 
 def _finetune_config(p: dict, variant: str, seed: int) -> DeepClusterConfig:
-    fields = {name: p[name] for name in _FINETUNE_FIELDS}
-    return DeepClusterConfig(variant=variant, train=_train_config(p, seed), **fields)
+    """``p``'s DeepClusterConfig: every field a param names; no param is named ``variant`` or ``train``."""
+    named = {f.name: p[f.name] for f in fields(DeepClusterConfig) if f.name in p}
+    return DeepClusterConfig(variant=variant, train=_train_config(p, seed), **named)
 
 
 def _pretrained(ds: Dataset, p: dict, train: TrainConfig):
@@ -218,7 +217,7 @@ def _fit_deep(variant, ds, k, seed, p) -> MethodResult:
         labels=assign(dcm, ds.X),
         embedding=np.asarray(encode(dcm.network, ds.X), dtype=float),
         pretrain_history=history,
-        finetune_history=list(zip(dcm.recon_history, dcm.kl_history, dcm.joint_history)),
+        finetune_history=dcm.history,
     )
 
 

@@ -57,10 +57,18 @@ def contingency(g, p) -> np.ndarray:
     return table
 
 
-def _occurring_contingency(g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``contingency`` over the labels that occur, so no label's value sizes the table;
-    the dropped all-zero rows and columns change no score."""
-    return contingency(np.unique(g, return_inverse=True)[1], np.unique(p, return_inverse=True)[1])
+def _table(g, p, least: int, name: str) -> tuple[np.ndarray, int]:
+    """The contingency table of the labels that occur, and n; score ``name`` needs ``least`` (1 or 2)
+    samples. The table is K x K, K the larger number of distinct labels, so no label's value sizes it
+    and acc gets the square it assigns over; the all-zero rows or columns that pad it change no score."""
+    g, p = _as_labels(g), _as_labels(p)
+    if g.shape != p.shape:
+        raise LengthMismatch(f"length {g.size} vs {p.size}")
+    if g.size < least:
+        raise TooFewSamples(f"{name} requires at least {('one sample', 'two samples')[least - 1]}")
+    (gu, gi), (pu, pi) = (np.unique(v, return_inverse=True) for v in (g, p))
+    k = max(gu.size, pu.size)
+    return np.bincount(gi * k + pi, minlength=k * k).reshape(k, k), g.size
 
 
 def _assignment_value(weight: np.ndarray) -> float:
@@ -148,18 +156,10 @@ def hungarian_max(weight) -> np.ndarray:
 
 def acc(g, p) -> float:
     """Best-mapping clustering accuracy: max over label mappings of agreement / n."""
-    g, p = _as_labels(g), _as_labels(p)
-    if g.shape != p.shape:
-        raise LengthMismatch(f"length {g.size} vs {p.size}")
-    if g.size == 0:
-        raise TooFewSamples("acc requires at least one sample")
-    table = _occurring_contingency(g, p)
-    k = max(table.shape)
-    padded = np.zeros((k, k), dtype=float)
-    padded[: table.shape[0], : table.shape[1]] = table
+    table, n = _table(g, p, 1, "acc")
     # every optimal label mapping matches the same count, and the counts are
     # integers, so the optimum's value is exact whichever mapping attains it
-    return _assignment_value(padded) / g.size
+    return _assignment_value(table.astype(float)) / n
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -174,13 +174,8 @@ def nmi(g, p) -> float:
     Degenerate conventions: both partitions single-cluster -> 1.0 (perfect
     agreement); exactly one single-cluster -> 0.0.
     """
-    g, p = _as_labels(g), _as_labels(p)
-    if g.shape != p.shape:
-        raise LengthMismatch(f"length {g.size} vs {p.size}")
-    if g.size == 0:
-        raise TooFewSamples("nmi requires at least one sample")
-    table = _occurring_contingency(g, p).astype(float)
-    n = g.size
+    table, n = _table(g, p, 1, "nmi")
+    table = table.astype(float)
     a = table.sum(axis=1)
     b = table.sum(axis=0)
     hg, hp = _entropy(a), _entropy(b)
@@ -209,13 +204,7 @@ def ari(g, p) -> float:
     Identical partitions score 1.0, including when both are a single
     cluster (the chance-adjustment denominator vanishes only then).
     """
-    g, p = _as_labels(g), _as_labels(p)
-    if g.shape != p.shape:
-        raise LengthMismatch(f"length {g.size} vs {p.size}")
-    n = g.size
-    if n < 2:
-        raise TooFewSamples("ari requires at least two samples")
-    table = _occurring_contingency(g, p)
+    table, n = _table(g, p, 2, "ari")
 
     def pairs(x: np.ndarray) -> float:
         x = x.astype(np.int64)

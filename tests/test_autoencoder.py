@@ -88,6 +88,10 @@ class TestBuild:
         with pytest.raises(InvalidDimension):
             build(5, 3, [4], activation="sigmoid")
 
+    def test_negative_train_seed_rejected(self):
+        with pytest.raises(InvalidDimension, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+
     def test_biases_zero(self):
         m = build(6, 2, [4], seed=1)
         assert all(not b.any() for b in m.biases)
@@ -427,12 +431,16 @@ class TestReusedBuffers:
         with pytest.raises(DimensionMismatch):
             encode(m, np.zeros((2, 4)), out=ForwardCache.for_pass(build(4, 2, [5], seed=0), 5))
 
-    def test_reconstruction_loss_over_xhat_equals_the_fresh_loss(self):
+    def test_reconstruction_loss_of_float32_is_that_of_its_float64_cast_and_writes_no_input(self):
         rng = np.random.default_rng(3)
-        X, Xhat = rng.normal(size=(40, 7)), rng.normal(size=(40, 7))
-        want = reconstruction_loss(X, Xhat)
-        assert want == float(((X - Xhat) ** 2).sum(axis=1).mean())
-        assert reconstruction_loss(X, Xhat, out=Xhat) == want
+        X, Xhat = rng.normal(size=(40, 7)), rng.normal(size=(40, 7)).astype(np.float32)
+        X_before, Xhat_before = X.copy(), Xhat.copy()
+        cast = Xhat.astype(float)
+        want = float(((X - cast) ** 2).sum(axis=1).mean())
+        assert reconstruction_loss(X, Xhat) == want
+        assert reconstruction_loss(X, cast) == want
+        assert np.array_equal(X, X_before) and np.array_equal(Xhat, Xhat_before)
+        assert np.array_equal(cast, Xhat_before)
 
     def test_reset_adam_and_params_finite_act_on_the_flat_vectors(self):
         m = build(4, 2, [3], seed=0)
@@ -605,7 +613,7 @@ class TestTrainingBuffers:
         _, history = pretrain(m, ds, train)
         cfg = dc.DeepClusterConfig(variant, finetune_epochs=3, target_update_interval=2, train=train)
         dcm = dc.finetune(m, ds, 2, cfg)
-        return m.theta.tobytes(), history, dcm.recon_history, dcm.kl_history, dcm.joint_history
+        return m.theta.tobytes(), history, dcm.history
 
     @pytest.mark.parametrize("variant", ["student_t", "gaussian"])
     @pytest.mark.parametrize("hidden, batch_size, step_sets_size", SHAPES)

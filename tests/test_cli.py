@@ -454,6 +454,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("extra, field", [
         ({"n_features": 3.5}, "synthetic.n_features"),
         ({"shape": "spherical"}, "synthetic.shape"),
+        ({"seed": -3}, "synthetic.seed"),
     ])
     def test_malformed_generate_spec_is_validation_error(self, tmp_path, capsys, extra, field):
         p = tmp_path / "spec.json"
@@ -462,6 +463,25 @@ class TestExitCodes:
         assert run_cli("generate", "--config", str(p), "--out", str(tmp_path / "o")) == 1
         assert f"error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--config", "{spec}"],
+        ["cluster", "--csv", "{csv}", "--method", "kmeans_x"],
+        ["cluster", "--csv", "{csv}", "--method", "kmeans_z"],
+    ])
+    def test_negative_seed_flag_is_validation_error(self, tmp_path, capsys, synth_spec, argv):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("f00,f01\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        argv = [a.format(spec=synth_spec, csv=csv_path) for a in argv]
+        assert run_cli(*argv, "--seed", "-1", "--out", str(tmp_path / "o")) == 1
+        assert "error: --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_benchmark_takes_any_integer_seed(self, tmp_path):
+        # a grid seed only ever reaches numpy through derive_seed, which takes any integer
+        config = tiny_config(tmp_path, seed=-5)
+        assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "a")) == 0
+        assert run_cli("benchmark", "--config", config, "--seed", "-7", "--out", str(tmp_path / "b")) == 0
 
     @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
     @pytest.mark.parametrize("cell", ["1.9", "-1"])

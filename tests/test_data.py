@@ -252,6 +252,10 @@ class TestDataset:
         with pytest.raises(ConfigError):
             Dataset(np.array([[1.0, value]]), two_specs())
 
+    def test_no_feature_column_rejected(self):
+        with pytest.raises(ConfigError, match="at least one feature column"):
+            Dataset(np.zeros((3, 0)), [])
+
 
 # ------------------------------------------------------------ apply_bounds
 

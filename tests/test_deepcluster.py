@@ -286,7 +286,7 @@ class TestFinetune:
         km = kmeans_fit(Z, 2, seed=77)
         dcm = finetune(model, blobs, 2, self.base_config(gamma=0.0, train=TrainConfig(seed=77)))
         assert np.array_equal(assign(dcm, blobs.X), kmeans_predict(km, Z))
-        assert dcm.joint_history == []
+        assert dcm.history == []
 
     def test_gamma_zero_is_hybrid_gmm(self, blobs):
         model, _ = pretrained_on_blobs(blobs)
@@ -315,8 +315,8 @@ class TestFinetune:
     def test_histories_recorded(self, blobs):
         model, _ = pretrained_on_blobs(blobs)
         dcm = finetune(model, blobs, 2, self.base_config(finetune_epochs=8, variant="gaussian"))
-        assert len(dcm.recon_history) == len(dcm.kl_history) == len(dcm.joint_history) == 8
-        assert all(np.isfinite(v) for v in dcm.joint_history)
+        assert len(dcm.history) == 8 and all(len(losses) == 3 for losses in dcm.history)
+        assert all(np.isfinite(joint) for _, _, joint in dcm.history)
 
     def test_gaussian_factors_no_covariance_per_batch(self, blobs, monkeypatch):
         # the mixture is factored at its fit, at each refresh and at each reseed,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrcluster.data import SyntheticSpec, generate_synthetic
+from ehrcluster.deepcluster import DeepClusterConfig
 from ehrcluster.errors import ConfigError
 from ehrcluster.experiment import (
     PROFILES,
@@ -22,8 +24,11 @@ from ehrcluster.experiment import (
     _blas_threads,
     _config_doc,
     _config_hash,
+    _finetune_config,
     _fit_on_pool,
+    _train_config,
     _usable_cores,
+    _with_defaults,
     load_config,
     parse_config,
     run_experiment,
@@ -229,6 +234,17 @@ class TestParseConfig:
         assert PROFILES["desk"].finetune_epochs == 100
         assert PROFILES["paper"].pretrain_epochs == 1000
         assert PROFILES["paper"].hidden == (500, 500, 2000)
+
+    @pytest.mark.parametrize("kind", ["deep_student_t", "deep_gaussian", "deep_gaussian_sweep"])
+    def test_every_deep_cluster_config_field_a_param_names_reaches_the_config(self, kind):
+        p = _with_defaults(kind, PROFILES["desk"], {})
+        defaults = {f.name: f.default for f in fields(DeepClusterConfig)}
+        assert defaults.keys() - p.keys() == {"variant", "train"}
+        changed = {name: p[name] * 2 + 3 for name in defaults.keys() & p.keys()}
+        assert all(changed[name] != defaults[name] for name in changed)
+        cfg = _finetune_config({**p, **changed}, "student_t", 5)
+        assert {name: getattr(cfg, name) for name in changed} == changed
+        assert cfg.variant == "student_t" and cfg.train == _train_config(p, 5)
 
 
 class TestRunExperiment:

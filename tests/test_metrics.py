@@ -177,6 +177,18 @@ class TestAri:
             ari([0], [0])
 
 
+@pytest.mark.parametrize(
+    "score, too_few, least", [(acc, [], "one sample"), (nmi, [], "one sample"), (ari, [0], "two samples")]
+)
+def test_each_score_refuses_mismatched_or_too_few_labels_with_its_message(score, too_few, least):
+    with pytest.raises(LengthMismatch) as exc:
+        score([0, 1, 1], [0, 1])
+    assert str(exc.value) == "length 3 vs 2"
+    with pytest.raises(TooFewSamples) as exc:
+        score(too_few, too_few)
+    assert str(exc.value) == f"{score.__name__} requires at least {least}"
+
+
 @given(labels_strategy, labels_strategy, st.permutations([0, 1, 2]), st.permutations([0, 1, 2]))
 @settings(max_examples=60, deadline=None)
 def test_scores_invariant_to_label_renaming(a, b, perm_a, perm_b):
