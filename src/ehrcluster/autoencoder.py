@@ -229,6 +229,8 @@ def build(
     starts a float32 and a float64 model from the same point.
     """
     dims = mirrored_dims(input_dim, embed_dim, hidden, activation)
+    if seed < 0:
+        raise InvalidDimension(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
     theta, scratch = np.zeros(size, dtype), np.empty((2, min(size, ADAM_CHUNK)), dtype)

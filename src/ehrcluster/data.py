@@ -16,7 +16,6 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -165,12 +164,6 @@ def load_csv(path: str | Path, specs: list[FeatureSpec], label_column: str | Non
     about 8 bytes held per cell; the first problem in file order is the one reported.
     """
     header, data_rows = read_csv_rows(path)
-    return dataset_from_rows(path, header, data_rows, specs, label_column)
-
-
-def dataset_from_rows(path, header: list[str], data_rows: Iterable[list[str]], specs: list[FeatureSpec],
-                      label_column: str | None) -> Dataset:
-    """``load_csv`` on the header and rows ``read_csv_rows`` reads from ``path``."""
     col_index = column_index(path, header, [s.name for s in specs] + ([label_column] if label_column else []))
     values, labels = array("d"), array("q")
     columns = [(col_index[s.name], s.name) for s in specs]
@@ -179,7 +172,7 @@ def dataset_from_rows(path, header: list[str], data_rows: Iterable[list[str]], s
         # one row at a time, so the first bad cell in row-major order is the one reported
         values.extend([_feature_cell(path, row, i, j, col) for j, col in columns])
         if label_column:
-            labels.append(_count_cell(path, row, i, col_index[label_column], label_column))
+            labels.append(_label_cell(path, row, i, col_index[label_column], label_column))
         n = i + 1
     X = np.frombuffer(values, dtype=float).reshape(n, len(specs))
     return Dataset(X, list(specs), labels=np.frombuffer(labels, dtype=np.int64) if label_column else None)
@@ -199,7 +192,7 @@ def _feature_cell(path, row: list[str], i: int, j: int, col: str) -> float:
     return value
 
 
-def _count_cell(path, row: list[str], i: int, j: int, col: str) -> int:
+def _label_cell(path, row: list[str], i: int, j: int, col: str) -> int:
     """The non-negative integer in cell ``j`` of data row ``i``; anything else is a NonNumericCell."""
     try:
         value = float(row[j].strip() if j < len(row) else "")
@@ -211,28 +204,8 @@ def _count_cell(path, row: list[str], i: int, j: int, col: str) -> int:
     return int(value)
 
 
-def read_labels(path: str | Path) -> np.ndarray:
-    """The labels of a ``sample_index,label`` file, in index order.
-
-    Every ``sample_index`` must be one of ``0..n-1`` exactly once, in any row
-    order, and every label a non-negative integer; other columns are ignored.
-    The indices are checked once every cell has parsed and ``n`` is known.
-    """
-    header, rows = read_csv_rows(path)
-    col = column_index(path, header, ["sample_index", "label"])
-    pairs = [(_count_cell(path, row, i, col["sample_index"], "sample_index"),
-              _count_cell(path, row, i, col["label"], "label")) for i, row in enumerate(rows)]
-    n = len(pairs)
-    labels = np.full(n, -1)
-    for i, (index, label) in enumerate(pairs):
-        if index >= n or labels[index] >= 0:
-            raise ConfigError(f"{path}: data row {i}: sample_index {index} is outside 0..{n - 1} or repeated")
-        labels[index] = label
-    return labels
-
-
 def write_labels(path: str | Path, labels: np.ndarray) -> None:
-    """Write the ``sample_index,label`` file that ``read_labels`` reads."""
+    """Write a ``sample_index,label`` file, one row per sample in order."""
     write_csv(path, ["sample_index", "label"], enumerate(labels.tolist()))
 
 
@@ -400,6 +373,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     injected uniformly at ``missing_rate``. Output is bitwise reproducible
     for a fixed seed.
     """
+    if spec.seed < 0:  # a spec may hold one: a benchmark config only derives seeds from it
+        raise ConfigError(f"seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     n, d = spec.n_samples, spec.n_features
     n_min = minority_count(n, spec.class_ratio)

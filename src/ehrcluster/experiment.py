@@ -22,6 +22,7 @@ Outputs under the configured directory:
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -331,15 +332,6 @@ def _cell(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) ->
     return jobs, lambda runs: _voted(np.vstack(runs), [f"d{d}" for d in dims])
 
 
-def run_method(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) -> MethodResult:
-    """Fit one non-voting method on a preprocessed cohort: its jobs in turn at one BLAS thread,
-    as ``run_experiment`` fits them, then its finish."""
-    jobs, finish = _cell(spec, ds, k, seed, profile)
-    with _one_blas_thread():
-        results = [fn(*args) for _, fn, args in jobs]
-    return finish(results)
-
-
 def _kgg_voters(methods: list[MethodSpec], spec: MethodSpec, where: str) -> tuple[str, ...]:
     """A kgg method's three distinct voters: its own, or the first method of each voter kind."""
     voters = spec.params.get("voters")
@@ -467,7 +459,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def _cohorts(config: ExperimentConfig) -> list[Dataset]:
     """Every cohort preprocessed, in config order: every group_column checked against the schema,
-    the CSV read once, then each cohort subset, subsampled, preprocessed and checked for labels."""
+    the CSV read once, then each cohort subset, subsampled, preprocessed and checked for labels and
+    for at least k samples."""
     csv = isinstance(config.data, CsvSource)
     if csv:
         specs = load_feature_schema(config.data.schema)
@@ -498,6 +491,8 @@ def _cohorts(config: ExperimentConfig) -> list[Dataset]:
         prep, _scaler = preprocess(ds, config.max_missing_rate)
         if prep.labels is None:
             raise ConfigError(f"cohort {cohort.name!r} has no ground-truth labels to score against")
+        if prep.n_samples < config.k:  # every method splits the cohort into k clusters
+            raise ConfigError(f"cohort {cohort.name!r}: {prep.n_samples} sample(s) kept, fewer than k={config.k}")
         preps.append(prep)
     return preps
 
@@ -516,22 +511,30 @@ class ExperimentResult:
     failures: list[dict]
 
 
-def _blas_threads():
-    """numpy's OpenBLAS thread-count (getter, setter), under the first of its three export names
-    that numpy's BLAS has, or None where it has none of them."""
-    # imported here, not at module level, so that importing the package never pays for it
-    import ctypes
-
+def _blas_functions(**signatures):
+    """numpy's OpenBLAS functions, each ``op=(argtypes, restype)``, under the first of its three
+    export prefixes that has them all, or None where numpy's BLAS has none of them."""
     # a lookup through numpy's extension module (numpy.core before numpy 2) searches its BLAS as well
     umath = sys.modules.get("numpy._core._multiarray_umath", sys.modules.get("numpy.core._multiarray_umath"))
     blas = ctypes.CDLL(umath.__file__) if umath is not None else None
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-        get, set_ = (getattr(blas, name.format(op), None) for op in ("get", "set"))
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+    for prefix in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+        found = tuple(getattr(blas, prefix.format(op), None) for op in signatures)
+        if None not in found:
+            for fn, (argtypes, restype) in zip(found, signatures.values()):
+                fn.argtypes, fn.restype = argtypes, restype
+            return found
     return None
+
+
+def _blas_threads():
+    """numpy's OpenBLAS thread-count (getter, setter), or None where its BLAS has none."""
+    return _blas_functions(get_num_threads=([], ctypes.c_int), set_num_threads=([ctypes.c_int], None))
+
+
+def _blas_core() -> str | None:
+    """The kernel numpy's OpenBLAS picked for this CPU (``SkylakeX``, ...), or None if it names none."""
+    found = _blas_functions(get_corename=([], ctypes.c_char_p))
+    return None if found is None else found[0]().decode()
 
 
 @contextmanager
@@ -625,8 +628,9 @@ def _run_pool(calls: list[tuple], workers: int) -> list:
     try:
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), set_threads, (1,))
         try:
-            futures = [pool.submit(_run_inherited, i) for i in range(len(calls))]
-            return [_attempt(future.result) for future in futures]
+            # a worker that dies breaks the pool, so a later submit may raise BrokenProcessPool itself
+            futures = [_attempt(pool.submit, _run_inherited, i) for i in range(len(calls))]
+            return [f if isinstance(f, Exception) else _attempt(f.result) for f in futures]
         finally:
             pool.shutdown(cancel_futures=True)
     finally:
@@ -797,10 +801,13 @@ def _versions() -> dict:
 
     import numpy
 
+    threads = _blas_threads()  # the calling process's count; each pool worker runs at one
     return {
         "ehrcluster": __version__,
         "numpy": numpy.__version__,
         "python": platform.python_version(),
+        "blas_core": _blas_core(),
+        "blas_threads": None if threads is None else threads[0](),
     }
 
 

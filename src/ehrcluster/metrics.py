@@ -8,19 +8,18 @@ the two label entropies (natural logs); ARI is the pair-counting Rand
 index adjusted for chance under the permutation model.
 
 A ``ScoreReport`` holds one (cohort, method) pair's three scores and no
-clock, so a scores file reads back to the reports that wrote it; how long
-a cell took is the grid's record, not the score's.
+clock, so a scores file is byte-stable across reruns; how long a cell took
+is the grid's record, not the score's.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IncompleteGrid, LengthMismatch, NonNumericCell, NonSquare, TooFewSamples
-from .util import column_index, read_csv_rows, write_csv
+from .errors import IncompleteGrid, LengthMismatch, NonSquare, TooFewSamples
+from .util import write_csv
 
 METRIC_NAMES = ("acc", "ari", "nmi")
 
@@ -287,39 +286,13 @@ def average_rank(reports: list[ScoreReport]) -> dict[str, tuple[float, float]]:
     }
 
 
-def write_ranks_csv(ranks: dict[str, tuple[float, float]], path: str | Path) -> list[tuple]:
-    """Write ``method,mean_rank,std_rank``, best mean rank first, ties by name; return the rows."""
+def write_ranks_csv(ranks: dict[str, tuple[float, float]], path: str | Path) -> None:
+    """Write ``method,mean_rank,std_rank``, best mean rank first, ties by name."""
     ordered = sorted(ranks.items(), key=lambda kv: (kv[1][0], kv[0]))
-    rows = [(m, mean, std) for m, (mean, std) in ordered]
-    write_csv(path, ["method", "mean_rank", "std_rank"], rows)
-    return rows
+    write_csv(path, ["method", "mean_rank", "std_rank"], [(m, mean, std) for m, (mean, std) in ordered])
 
 
 def write_score_reports_csv(reports: list[ScoreReport], path: str | Path) -> None:
-    """Write the ``cohort,method,acc,ari,nmi`` file that ``read_score_reports`` reads back."""
+    """Write the ``cohort,method,acc,ari,nmi`` scores file, one row per report in order."""
     rows = [(r.cohort, r.method, r.acc, r.ari, r.nmi) for r in reports]
     write_csv(path, ["cohort", "method", *METRIC_NAMES], rows)
-
-
-def read_score_reports(path: str | Path) -> list[ScoreReport]:
-    """The ``cohort,method,acc,ari,nmi`` rows of a scores file, such as
-    ``write_score_reports_csv`` writes; other columns are ignored.
-
-    Every score must be a finite number; an error names the file, row and column.
-    """
-    header, rows = read_csv_rows(path)
-    col = column_index(path, header, ["cohort", "method", *METRIC_NAMES])
-    reports = []
-    for i, row in enumerate(rows):
-        cells = {name: row[j] if j < len(row) else "" for name, j in col.items()}
-        values = []
-        for name in METRIC_NAMES:
-            try:
-                value = float(cells[name])
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise NonNumericCell(path, i, name)
-            values.append(value)
-        reports.append(ScoreReport(cells["method"], cells["cohort"], *values))
-    return reports

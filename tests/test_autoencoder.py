@@ -88,6 +88,10 @@ class TestBuild:
         with pytest.raises(InvalidDimension):
             build(5, 3, [4], activation="sigmoid")
 
+    def test_negative_build_seed_rejected_naming_the_seed(self):
+        with pytest.raises(InvalidDimension, match=r"^seed must be >= 0, got -1$"):
+            build(4, 2, [3], seed=-1)
+
     def test_negative_train_seed_rejected(self):
         with pytest.raises(InvalidDimension, match="seed must be >= 0"):
             TrainConfig(seed=-1)
@@ -826,8 +830,9 @@ class TestDtype:
         import ehrcluster.ensemble as ensemble
         import ehrcluster.experiment as experiment
         from ehrcluster.deepcluster import DeepClusterConfig
-        from ehrcluster.experiment import PROFILES, MethodSpec, run_method
+        from ehrcluster.experiment import PROFILES, MethodSpec
         from test_acceptance import _kink_safe_instance
+        from test_experiment import fit_cell
 
         built = []
         for module in (experiment, ensemble):
@@ -835,7 +840,7 @@ class TestDtype:
         ds = small_training_set(40)
         params = {"hidden": (8,), "embed_dim": 2, "pretrain_epochs": 2}
         for profile in ("desk", "paper"):
-            result = run_method(MethodSpec("m", "kmeans_z", params), ds, 2, 0, PROFILES[profile])
+            result = fit_cell(MethodSpec("m", "kmeans_z", params), ds, 2, 0, PROFILES[profile])
             assert result.embedding.dtype == np.float64
             assert all(np.isfinite(result.pretrain_history))
         assert [m.dtype for m in built] == [np.float32, np.float32]

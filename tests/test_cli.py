@@ -1,10 +1,10 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,7 +26,6 @@ from ehrcluster.errors import (
     SweepRunFailed,
     UnsupportedK,
 )
-from ehrcluster.metrics import ScoreReport, read_score_reports
 
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
@@ -104,20 +103,6 @@ def generated(synth_spec, tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def preprocessed(generated, tmp_path_factory):
-    out = tmp_path_factory.mktemp("prep")
-    code = run_cli(
-        "preprocess",
-        "--csv", str(generated / "synthetic.csv"),
-        "--schema", str(generated / "schema.json"),
-        "--label-column", "label",
-        "--out", str(out),
-    )
-    assert code == 0
-    return out
-
-
 class TestGenerate:
     def test_outputs_exist(self, generated):
         assert (generated / "synthetic.csv").exists()
@@ -129,150 +114,38 @@ class TestGenerate:
         assert ",," in text or text.rstrip().endswith(",")
 
 
-class TestPreprocess:
-    def test_no_missing_left(self, preprocessed):
-        rows = read_rows(preprocessed / "preprocessed.csv")
-        assert all(all(v != "" for v in r.values()) for r in rows)
-        scaler = json.loads((preprocessed / "scaler.json").read_text())
-        assert len(scaler["mean"]) == 6
+def csv_config(tmp_path, generated, methods) -> str:
+    """Write a benchmark config over ``generate``'s CSV and schema with ``methods``; return its path."""
+    config = {
+        "seed": 4,
+        "data": {"csv": {"path": str(generated / "synthetic.csv"), "schema": str(generated / "schema.json"),
+                         "label_column": "label"}},
+        "methods": methods,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    return str(p)
 
 
-class TestCluster:
-    def test_kmeans_then_evaluate_high_accuracy(self, preprocessed, tmp_path):
-        code = run_cli(
-            "cluster", "--csv", str(preprocessed / "preprocessed.csv"),
-            "--label-column", "label", "--method", "kmeans_x",
-            "--seed", "4", "--out", str(tmp_path),
-        )
-        assert code == 0
-        labels = read_rows(tmp_path / "kmeans_x_labels.csv")
-        prep = read_rows(preprocessed / "preprocessed.csv")
-        assert len(labels) == len(prep)
+class TestCsvBenchmark:
+    """What ``cluster``, ``evaluate`` and ``rank`` did, by a benchmark over a CSV."""
 
-        truth_path = tmp_path / "truth.csv"
-        with open(truth_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sample_index", "label"])
-            for i, r in enumerate(prep):
-                w.writerow([i, r["label"]])
-        code = run_cli(
-            "evaluate", "--truth", str(truth_path),
-            "--pred", str(tmp_path / "kmeans_x_labels.csv"),
-            "--out", str(tmp_path),
-        )
-        assert code == 0
-        score = read_rows(tmp_path / "scores.csv")[0]
+    def test_kmeans_on_the_generated_csv_scores_high_accuracy(self, generated, tmp_path):
+        config = csv_config(tmp_path, generated, [{"name": "kmeans_x", "kind": "kmeans_x"}])
+        assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 0
+        (score,) = read_rows(tmp_path / "o" / "scores.csv")
         assert float(score["acc"]) >= 0.97
+        # one label per row preprocessing kept: a row missing one of its 6 cells is over the 5% rate
+        complete = [r for r in read_rows(generated / "synthetic.csv") if "" not in r.values()]
+        assert len(read_rows(tmp_path / "o" / "labels" / "all__kmeans_x.csv")) == len(complete) < 160
+        assert read_rows(tmp_path / "o" / "ranks.csv")[0]["method"] == "kmeans_x"
 
-    def test_deep_method_with_tiny_params(self, preprocessed, tmp_path):
-        params = json.dumps({
-            "embed_dim": 2, "hidden": [8], "pretrain_epochs": 5,
-            "finetune_epochs": 4, "target_update_interval": 2,
-        })
-        code = run_cli(
-            "cluster", "--csv", str(preprocessed / "preprocessed.csv"),
-            "--label-column", "label", "--method", "deep_gaussian",
-            "--seed", "4", "--params", params, "--out", str(tmp_path),
-        )
-        assert code == 0
-        assert (tmp_path / "deep_gaussian_embedding.csv").exists()
-
-    def test_the_embedding_file_is_the_one_the_grid_writes_for_the_same_cell(self, generated, preprocessed,
-                                                                               tmp_path):
-        params = {"embed_dim": 2, "hidden": [8], "pretrain_epochs": 3}
-        config = {
-            "seed": 9,
-            "data": {"csv": {"path": str(generated / "synthetic.csv"), "schema": str(generated / "schema.json"),
-                             "label_column": "label"}},
-            "methods": [{"name": "kmeans_z", "kind": "kmeans_z", "params": params}],
-        }
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        assert run_cli("benchmark", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "grid")) == 0
-        seed = json.loads((tmp_path / "grid" / "manifest.json").read_text())["cells"][0]["seed"]
-        assert run_cli(
-            "cluster", "--csv", str(preprocessed / "preprocessed.csv"), "--label-column", "label",
-            "--method", "kmeans_z", "--seed", str(seed), "--params", json.dumps(params),
-            "--out", str(tmp_path / "runs"),
-        ) == 0
-        written = (tmp_path / "runs" / "kmeans_z_embedding.csv").read_bytes()
-        assert written.startswith(b"z0,z1\n")
-        assert written == (tmp_path / "grid" / "embeddings" / "all__kmeans_z.csv").read_bytes()
-        assert (tmp_path / "runs" / "kmeans_z_labels.csv").read_bytes() == (
-            tmp_path / "grid" / "labels" / "all__kmeans_z.csv").read_bytes()
-
-
-class TestEvaluate:
-    def test_identical_files_score_one(self, tmp_path):
-        p = tmp_path / "labels.csv"
-        with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sample_index", "label"])
-            for i, v in enumerate([0, 0, 1, 1, 0, 1]):
-                w.writerow([i, v])
-        code = run_cli("evaluate", "--truth", str(p), "--pred", str(p), "--out", str(tmp_path))
-        assert code == 0
-        row = read_rows(tmp_path / "scores.csv")[0]
-        assert float(row["acc"]) == 1.0
-        assert float(row["ari"]) == 1.0
-        assert float(row["nmi"]) == 1.0
-
-    def test_out_writes_the_benchmark_scores_format_and_reads_back_to_the_printed_scores(self, tmp_path, capsys):
-        assert run_cli("benchmark", "--config", tiny_config(tmp_path), "--out", str(tmp_path / "grid")) == 0
-        pred = tmp_path / "grid" / "labels" / "all__m.csv"
-        truth = tmp_path / "truth.csv"
-        n = len(read_rows(pred))
-        truth.write_text("sample_index,label\n" + "".join(f"{i},{i % 3 == 0:d}\n" for i in range(n)))
-        capsys.readouterr()
-        argv = ["--truth", str(truth), "--pred", str(pred), "--method", "m", "--cohort", "c"]
-        assert run_cli("evaluate", *argv, "--out", str(tmp_path / "eval")) == 0
-        printed = json.loads(capsys.readouterr().out)
-        lines = (tmp_path / "eval" / "scores.csv").read_text().splitlines()
-        assert lines[0] == (tmp_path / "grid" / "scores.csv").read_text().splitlines()[0]
-        assert len(lines) == 2
-        assert read_score_reports(tmp_path / "eval" / "scores.csv") == [ScoreReport("m", "c", **printed)]
-
-
-class TestEnsembleCommand:
-    def test_disjoint_errors_recover_truth(self, tmp_path):
-        rng = np.random.default_rng(5)
-        truth = rng.integers(0, 2, size=30)
-        paths = []
-        for k in range(3):
-            v = truth.copy()
-            v[np.arange(10 * k, 10 * k + 3)] ^= 1
-            p = tmp_path / f"v{k}.csv"
-            with open(p, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["sample_index", "label"])
-                w.writerows(enumerate(v.tolist()))
-            paths.append(str(p))
-        code = run_cli("ensemble", *paths, "--out", str(tmp_path))
-        assert code == 0
-        got = np.array([int(r["label"]) for r in read_rows(tmp_path / "ensemble_labels.csv")])
-        assert np.array_equal(got, truth)
-
-
-class TestRank:
-    def test_hand_ranked(self, tmp_path):
-        p = tmp_path / "scores.csv"
-        with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cohort", "method", "acc", "ari", "nmi"])
-            w.writerow(["c", "good", 0.9, 0.9, 0.9])
-            w.writerow(["c", "bad", 0.1, 0.1, 0.1])
-        assert run_cli("rank", "--scores", str(p), "--out", str(tmp_path)) == 0
-        rows = read_rows(tmp_path / "ranks.csv")
-        assert rows[0]["method"] == "good" and float(rows[0]["mean_rank"]) == 1.0
-        assert rows[1]["method"] == "bad" and float(rows[1]["mean_rank"]) == 2.0
-
-
-def test_method_choices_are_the_table_kinds_but_kgg():
-    from ehrcluster.experiment import METHODS
-
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if a.dest == "command")
-    method = next(a for a in sub.choices["cluster"]._actions if a.dest == "method")
-    assert list(method.choices) == [kind for kind in METHODS if kind != "kgg"]
+    def test_deep_method_with_tiny_params(self, generated, tmp_path):
+        params = {"embed_dim": 2, "hidden": [8], "pretrain_epochs": 5, "finetune_epochs": 4,
+                  "target_update_interval": 2}
+        config = csv_config(tmp_path, generated, [{"name": "dg", "kind": "deep_gaussian", "params": params}])
+        assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 0
+        assert (tmp_path / "o" / "embeddings" / "all__dg.csv").read_text().startswith("z0,z1\n")
 
 
 class TestBenchmarkCommand:
@@ -300,14 +173,19 @@ class TestBenchmarkCommand:
         assert (tmp_path / "o" / "manifest.json").exists()
         timings = read_rows(tmp_path / "o" / "timings.csv")
         assert all(float(r["wall_clock_seconds"]) > 0 for r in timings)
-        # rank rewrites the grid's ranks.csv byte for byte
-        assert run_cli("rank", "--scores", str(tmp_path / "o" / "scores.csv"), "--out", str(tmp_path)) == 0
-        assert (tmp_path / "ranks.csv").read_bytes() == (tmp_path / "o" / "ranks.csv").read_bytes()
+
+    def test_help_lists_generate_and_benchmark(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("--help")
+        assert exit_.value.code == 0
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        assert list(sub.choices) == ["generate", "benchmark"]
+        assert "{generate,benchmark}" in capsys.readouterr().out
 
 
 class TestExitCodes:
     def test_bad_flag_is_validation_error(self, capsys):
-        assert run_cli("evaluate", "--nope") == 1
+        assert run_cli("benchmark", "--nope") == 1
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("benchmark", "--config", str(tmp_path / "nope.json")) == 1
@@ -440,17 +318,6 @@ class TestExitCodes:
         assert run_cli("benchmark", "--config", tiny_config(tmp_path, **overrides),
                        "--out", str(tmp_path / "o")) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["--method", "kmeans_x", "--k", "1"],
-        ["--method", "deep_gaussian_sweep", "--k", "3"],
-    ])
-    def test_cluster_k_is_checked(self, tmp_path, capsys, argv):
-        p = tmp_path / "d.csv"
-        p.write_text("f00,f01\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        assert run_cli("cluster", "--csv", str(p), *argv, "--out", str(tmp_path / "o")) == 1
-        assert "error: --k:" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize("extra, field", [
         ({"n_features": 3.5}, "synthetic.n_features"),
         ({"shape": "spherical"}, "synthetic.shape"),
@@ -464,16 +331,8 @@ class TestExitCodes:
         assert f"error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["generate", "--config", "{spec}"],
-        ["cluster", "--csv", "{csv}", "--method", "kmeans_x"],
-        ["cluster", "--csv", "{csv}", "--method", "kmeans_z"],
-    ])
-    def test_negative_seed_flag_is_validation_error(self, tmp_path, capsys, synth_spec, argv):
-        csv_path = tmp_path / "d.csv"
-        csv_path.write_text("f00,f01\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        argv = [a.format(spec=synth_spec, csv=csv_path) for a in argv]
-        assert run_cli(*argv, "--seed", "-1", "--out", str(tmp_path / "o")) == 1
+    def test_negative_seed_flag_is_validation_error(self, tmp_path, capsys, synth_spec):
+        assert run_cli("generate", "--config", str(synth_spec), "--seed", "-1", "--out", str(tmp_path / "o")) == 1
         assert "error: --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -483,70 +342,30 @@ class TestExitCodes:
         assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "a")) == 0
         assert run_cli("benchmark", "--config", config, "--seed", "-7", "--out", str(tmp_path / "b")) == 0
 
-    @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
-    @pytest.mark.parametrize("cell", ["1.9", "-1"])
-    def test_label_that_is_not_a_class_is_validation_error(self, tmp_path, capsys, command, cell):
-        good = tmp_path / "good.csv"
-        good.write_text("sample_index,label\n0,0\n1,1\n2,1\n")
-        bad = tmp_path / "bad.csv"
-        bad.write_text(f"sample_index,label\n0,0\n1,{cell}\n2,1\n")
-        if command == "evaluate":
-            argv = ["evaluate", "--truth", str(bad), "--pred", str(good)]
-        else:
-            argv = ["ensemble", str(good), str(bad), str(good), "--out", str(tmp_path / "o")]
-        assert run_cli(*argv) == 1
-        assert f"{bad}: data row 1:" in capsys.readouterr().err
+    @pytest.mark.parametrize("cell", ["nan", "oops"])
+    def test_a_csv_cell_that_is_not_a_finite_number_is_validation_error(self, tmp_path, capsys, cell):
+        (tmp_path / "d.csv").write_text(f"f00,f01,y\n1.0,2.0,0\n{cell},3.0,1\n4.0,5.0,1\n")
+        (tmp_path / "s.json").write_text(json.dumps([
+            {"name": name, "bound_lo": -100, "bound_hi": 100} for name in ("f00", "f01")
+        ]))
+        config = tiny_config(tmp_path, data={"csv": {"path": "d.csv", "schema": "s.json", "label_column": "y"}})
+        assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 1
+        assert f"{tmp_path / 'd.csv'}: data row 1: column 'f00'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
-    def test_nan_cluster_input_is_validation_error(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("f00,f01\n1.0,2.0\nnan,3.0\n4.0,5.0\n")
-        assert run_cli("cluster", "--csv", str(p), "--method", "kmeans_x",
-                       "--out", str(tmp_path)) == 1
-
-    def test_unreadable_labels_is_validation_error(self, tmp_path):
-        p = tmp_path / "x.csv"
-        p.write_text("label\n")
-        assert run_cli("evaluate", "--truth", str(p), "--pred", str(p)) == 1
-
-    def test_non_numeric_cluster_input_is_validation_error(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("f00,f01\n1.0,oops\n")
-        assert run_cli("cluster", "--csv", str(p), "--method", "kmeans_x",
-                       "--out", str(tmp_path)) == 1
+    def test_a_cohort_of_fewer_than_k_samples_fails_before_the_output_dir(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("f00,y\n1.0,0\n")
+        (tmp_path / "s.json").write_text(json.dumps([{"name": "f00", "bound_lo": -100, "bound_hi": 100}]))
+        config = tiny_config(tmp_path, data={"csv": {"path": "d.csv", "schema": "s.json", "label_column": "y"}})
+        assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 1
+        assert "error: cohort 'all': 1 sample(s) kept, fewer than k=2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_json_configs_are_validation_errors(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
         assert run_cli("generate", "--config", str(p), "--out", str(tmp_path)) == 1
-        data = tmp_path / "d.csv"
-        data.write_text("f00\n1.0\n2.0\n")
-        code = run_cli(
-            "cluster", "--csv", str(data), "--method", "kmeans_x",
-            "--params", "{oops", "--out", str(tmp_path),
-        )
-        assert code == 1
-
-    @pytest.mark.parametrize("params, named, kind", OUT_OF_RANGE)
-    def test_out_of_range_param_is_validation_error(self, tmp_path, capsys, params, named, kind):
-        p = tmp_path / "d.csv"
-        p.write_text("f00,f01\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        assert run_cli("cluster", "--csv", str(p), "--method", kind,
-                       "--params", json.dumps(params), "--out", str(tmp_path / "o")) == 1
-        assert named in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_cluster_sweep_dim_above_the_feature_count_fails_before_training(self, tmp_path, capsys, monkeypatch):
-        from ehrcluster import experiment
-
-        trained = []
-        monkeypatch.setattr(experiment, "run_dimension_sweep", lambda *args: trained.append(args[1]))
-        p = tmp_path / "d.csv"
-        p.write_text("f00,f01\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        assert run_cli("cluster", "--csv", str(p), "--method", "deep_gaussian_sweep",
-                       "--params", '{"dims": [2, 99]}', "--out", str(tmp_path / "o")) == 1
-        assert "embed dim 99 outside [1, 2]" in capsys.readouterr().err
-        assert trained == []
-        assert not (tmp_path / "o").exists()
+        assert run_cli("benchmark", "--config", str(p), "--out", str(tmp_path / "o")) == 1
 
     @pytest.mark.parametrize("params, named, kind", OUT_OF_RANGE)
     def test_out_of_range_param_fails_the_benchmark_config_load(self, tmp_path, capsys, params, named, kind):
@@ -618,25 +437,10 @@ class TestExitCodes:
         assert f"error: {named}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["evaluate", "ensemble"])
-    def test_label_files_of_differing_length_are_named(self, tmp_path, capsys, command):
-        short, long = tmp_path / "short.csv", tmp_path / "long.csv"
-        short.write_text("sample_index,label\n0,0\n1,1\n2,1\n")
-        long.write_text("sample_index,label\n0,0\n1,1\n2,1\n3,0\n")
-        if command == "evaluate":
-            argv = ["evaluate", "--truth", str(short), "--pred", str(long)]
-        else:
-            argv = ["ensemble", str(short), str(long), "--out", str(tmp_path / "o")]
-        assert run_cli(*argv) == 1
-        assert f"{short} has 3 rows, {long} has 4 rows" in capsys.readouterr().err
-
-    def test_param_the_method_does_not_use_is_validation_error(self, preprocessed, tmp_path):
-        code = run_cli(
-            "cluster", "--csv", str(preprocessed / "preprocessed.csv"),
-            "--label-column", "label", "--method", "kmeans_z",
-            "--params", json.dumps({"cov_type": "diagonal"}), "--out", str(tmp_path),
-        )
-        assert code == 1
+    def test_param_the_method_does_not_use_is_validation_error(self, tmp_path, capsys):
+        config = tiny_config(tmp_path, methods=[{"name": "m", "kind": "kmeans_z", "params": {"cov_type": "diagonal"}}])
+        assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 1
+        assert "methods[0].params.cov_type" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -679,70 +483,53 @@ def test_import_leaves_scipy_unloaded():
 
 # Each input below is one bad file; every command must exit 1 with an error that starts
 # with that file's path or, where ``named`` is given, with what is wrong with the input.
+# ``{csv_config}`` reads the bad file as its CSV, ``{schema_config}`` as its schema.
 LABELS = "sample_index,label\n0,0\n1,1\n2,1\n"
-NOT_UTF8 = b"sample_index,label\n0,\xff\xfe\n"
+SCHEMA = [{"name": name, "bound_lo": 0, "bound_hi": 10} for name in ("f00", "f01")]
+CSV_CONFIG = {"seed": 1, "data": {"csv": {"path": "bad", "schema": "schema.json", "label_column": "y"}},
+              "methods": [{"name": "m", "kind": "kmeans_x"}]}
 SCHEMA_CONFIG = {"seed": 1, "data": {"csv": {"path": "labels.csv", "schema": "bad"}},
                  "methods": [{"name": "m", "kind": "kmeans_x"}]}
+BENCHMARK_CSV = ["benchmark", "--config", "{csv_config}", "--out", "{out}"]
+BENCHMARK_SCHEMA = ["benchmark", "--config", "{schema_config}", "--out", "{out}"]
 
 
 @pytest.mark.parametrize("argv, content, named", [
-    (["evaluate", "--truth", "{labels}", "--pred", "{bad}"], "sample_index,label\n0,0\n0,1\n2,1\n", None),
-    (["evaluate", "--truth", "{labels}", "--pred", "{bad}"], "sample_index,label\n0,0\n1,1\n5,1\n", None),
-    (["evaluate", "--truth", "{labels}", "--pred", "{bad}"], "sample_index,cls\n0,0\n1,1\n2,1\n", None),
-    (["rank", "--scores", "{bad}", "--out", "{out}"], "cohort,method,acc,ari,nmi\nc,m,x,0.5,0.5\n", None),
-    (["rank", "--scores", "{bad}", "--out", "{out}"], "cohort,method,acc,nmi\nc,m,0.5,0.5\n", None),
-    (["rank", "--scores", "{bad}", "--out", "{out}"], "cohort,method,acc,ari,nmi\nc,m,nan,0.5,0.5\n", None),
-    (["rank", "--scores", "{bad}", "--out", "{out}"],
-     "cohort,method,acc,ari,nmi\nc,m,0.5,0.5,0.5\nc,n,0.4,0.4,0.4\nc,m,0.3,0.3,0.3\n",
-     "method 'm' has more than one score for cohort 'c'"),
-    (["rank", "--scores", "{bad}", "--out", "{out}"],
-     "cohort,method,acc,ari,nmi\nc1,a,0.9,0.9,0.9\nc1,b,0.5,0.5,0.5\nc2,a,0.9,0.9,0.9\n",
-     "method 'b' has no score for cell (c2, acc)"),
-    (["ensemble", "{bad}", "--out", "{out}"], LABELS, "ensemble: needs two or more label files, got 1"),
-    (["cluster", "--csv", "{bad}", "--method", "kmeans_x", "--out", "{out}"], b"f00,f01\n1.0,\xff\n", None),
-    (["evaluate", "--truth", "{bad}", "--pred", "{labels}"], NOT_UTF8, None),
-    (["rank", "--scores", "{bad}", "--out", "{out}"], b"cohort,method,acc,ari,nmi\nc,\xe9,1,1,1\n", None),
+    (BENCHMARK_CSV, b"f00,f01,y\n1.0,2.0,0\n1.0,\xff,1\n", None),
     (["benchmark", "--config", "{bad}", "--out", "{out}"], b'{"seed": "\xff"}', None),
     (["generate", "--config", "{bad}", "--out", "{out}"], b'{"n_samples": "\xff"}', None),
-    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"], b'[{"name": "\xff"}]', None),
-    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"], "[{oops", None),
-    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"],
-     '{"name": "label", "bound_lo": 0, "bound_hi": 1}', None),
-    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"],
-     '[{"unit": "u", "bound_lo": 0, "bound_hi": 1}]', None),
-    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"],
-     '[{"name": "label", "bound_lo": "x", "bound_hi": 1}]', None),
-    (["benchmark", "--config", "{config}", "--out", "{out}"],
-     '[{"unit": "u", "bound_lo": 0, "bound_hi": 1}]', None),
-    (["evaluate", "--truth", "{bad}", "--pred", "{labels}"], None, None),  # a directory
-    (["cluster", "--csv", "{bad}", "--label-column", "y", "--method", "kmeans_x", "--out", "{out}"],
-     "f00,y\n1.0,0\n2.0,1.9\n3.0,1\n", None),
-    (["cluster", "--csv", "{bad}", "--method", "kmeans_x", "--out", "{out}"], "f00,f00\n1,2\n3,4\n5,6\n", None),
-    (["cluster", "--csv", "{bad}", "--label-column", "y", "--method", "kmeans_x", "--out", "{out}"],
-     "y\n1\n2\n", None),
-    (["preprocess", "--csv", "{labels}", "--schema", "{bad}", "--out", "{out}"],
-     '[{"name": "label", "bound_lo": 5, "bound_hi": 9}]', "no sample has missing rate <= 0.05; all 3 removed"),
+    (BENCHMARK_SCHEMA, b'[{"name": "\xff"}]', None),
+    (BENCHMARK_SCHEMA, "[{oops", None),
+    (BENCHMARK_SCHEMA, '{"name": "label", "bound_lo": 0, "bound_hi": 1}', None),
+    (BENCHMARK_SCHEMA, '[{"unit": "u", "bound_lo": 0, "bound_hi": 1}]', None),
+    (BENCHMARK_SCHEMA, '[{"name": "label", "bound_lo": "x", "bound_hi": 1}]', None),
+    (BENCHMARK_CSV, None, None),  # a directory
+    (BENCHMARK_CSV, "f00,f01,y\n1.0,2,0\n2.0,3,1.9\n3.0,4,1\n", None),
+    (BENCHMARK_CSV, "f00,f00,f01,y\n1,2,3,0\n3,4,5,1\n5,6,7,1\n", None),
+    (BENCHMARK_CSV, "y\n1\n0\n", None),
+    (BENCHMARK_SCHEMA, '[{"name": "label", "bound_lo": 5, "bound_hi": 9}]',
+     "no sample has missing rate <= 0.05; all 3 removed"),
 ], ids=[
-    "pred-index-repeated", "pred-index-out-of-range", "pred-without-label-column", "score-x",
-    "scores-without-ari", "score-nan", "scores-pair-repeated", "scores-cell-missing", "ensemble-one-file",
-    "cluster-not-utf8", "truth-not-utf8", "scores-not-utf8", "config-not-utf8", "spec-not-utf8",
-    "schema-not-utf8", "schema-not-json", "schema-an-object", "schema-entry-without-name",
-    "schema-bound-not-a-number", "config-schema-entry-without-name", "truth-a-directory",
-    "cluster-label-a-fraction", "cluster-column-named-twice", "cluster-only-the-label-column",
-    "schema-leaves-no-sample",
+    "csv-not-utf8", "config-not-utf8", "spec-not-utf8", "schema-not-utf8", "schema-not-json",
+    "schema-an-object", "schema-entry-without-name", "schema-bound-not-a-number", "csv-a-directory",
+    "csv-label-a-fraction", "csv-column-named-twice", "csv-only-the-label-column", "schema-leaves-no-sample",
 ])
 def test_bad_input_file_exits_1_and_names_itself(tmp_path, capsys, argv, content, named):
     tmp_path = tmp_path.resolve()
-    labels, bad, config = tmp_path / "labels.csv", tmp_path / "bad", tmp_path / "cfg.json"
-    labels.write_text(LABELS)
-    config.write_text(json.dumps(SCHEMA_CONFIG))
+    bad, configs = tmp_path / "bad", {"csv_config": CSV_CONFIG, "schema_config": SCHEMA_CONFIG}
+    (tmp_path / "labels.csv").write_text(LABELS)
+    (tmp_path / "schema.json").write_text(json.dumps(SCHEMA))
+    for key, config in configs.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(config))
     if content is None:
         bad.mkdir()
     else:
         bad.write_bytes(content if isinstance(content, bytes) else content.encode())
-    argv = [a.format(labels=labels, bad=bad, config=config, out=tmp_path / "o") for a in argv]
+    paths = {key: tmp_path / f"{key}.json" for key in configs}
+    argv = [a.format(bad=bad, out=tmp_path / "o", **paths) for a in argv]
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {named or bad}")
+    assert not (tmp_path / "o").exists()
 
 
 def fuzzed_csv(header: bytes, alphabet: str):
@@ -766,45 +553,83 @@ def fuzzed_json(keys):
 
 
 NUMBERS = ",\n\r\" NA0123456789.-e"
+def fuzzed_table(header: bytes, width: int):
+    """Header-led rows of ``width`` cells in bounds, one cell of them perhaps swapped for one that
+    is missing, out of bounds or not a number, so that most of the files load and reach a fit."""
+    rows = st.lists(st.lists(st.sampled_from(["0", "1", "2", "7", " 3 "]), min_size=width, max_size=width),
+                    max_size=8)
+    swap = st.none() | st.tuples(st.integers(0, 7), st.integers(0, width - 1),
+                                 st.sampled_from(["", "NA", "-1", "1.5", "11", "x", "nan", "1e3"]))
+
+    def table(rows, swap):
+        if swap is not None and swap[0] < len(rows):
+            rows[swap[0]][swap[1]] = swap[2]
+        return header + "".join(",".join(row) + "\n" for row in rows).encode()
+
+    return st.builds(table, rows, swap)
+
+
+# schema documents, half of them lists of whole entries with distinct names, most of them the data's columns
+SCHEMA_ENTRY = st.fixed_dictionaries(
+    {"name": st.sampled_from(["a", "b", "y", "z"]), "bound_lo": st.integers(-2, 3), "bound_hi": st.integers(0, 12)},
+    optional={"unit": st.sampled_from(["", "u", 1])},
+)
+FUZZED_SCHEMAS = st.one_of(
+    fuzzed_json(st.sampled_from(["name", "unit", "bound_lo", "bound_hi"])),
+    st.lists(SCHEMA_ENTRY, max_size=3, unique_by=lambda entry: entry["name"]).map(
+        lambda entries: json.dumps(entries).encode()),
+)
+# keys too short to spell a spec's or config's required fields, so no document starts a run
 FUZZED_INPUTS = {
-    "cluster --csv": (["cluster", "--csv", "{f}", "--method", "kmeans_x", "--out", "{out}"],
-                      fuzzed_csv(b"a,b\n", NUMBERS)),
-    "evaluate --truth": (["evaluate", "--truth", "{f}", "--pred", "{labels}"],
-                         fuzzed_csv(b"sample_index,label\n", NUMBERS)),
-    "evaluate --pred": (["evaluate", "--truth", "{labels}", "--pred", "{f}"],
-                        fuzzed_csv(b"sample_index,label\n", NUMBERS)),
-    **{
-        f"ensemble file {i}": (["ensemble", *["{labels}"] * i, "{f}", *["{labels}"] * (2 - i), "--out", "{out}"],
-                               fuzzed_csv(b"sample_index,label\n", NUMBERS))
-        for i in range(3)
-    },
-    "rank --scores": (["rank", "--scores", "{f}", "--out", "{out}"],
-                      fuzzed_csv(b"cohort,method,acc,ari,nmi\n", NUMBERS + "cm")),
-    "preprocess --csv": (["preprocess", "--csv", "{f}", "--schema", "{schema}", "--label-column", "y",
-                          "--out", "{out}"], fuzzed_csv(b"a,b,y\n", NUMBERS)),
-    "preprocess --schema": (["preprocess", "--csv", "{data}", "--schema", "{f}", "--label-column", "y",
-                             "--out", "{out}"],
-                            fuzzed_json(st.sampled_from(["name", "unit", "bound_lo", "bound_hi"]))),
-    # keys too short to spell a spec's or config's required fields, so no document starts a run
     "generate --config": (["generate", "--config", "{f}", "--out", "{out}"], fuzzed_json(st.text(max_size=3))),
     "benchmark --config": (["benchmark", "--config", "{f}", "--out", "{out}"], fuzzed_json(st.text(max_size=3))),
+    # behind a valid one-method config, so a file that loads is fitted, scored and ranked
+    "benchmark data.csv.path": (["benchmark", "--config", "{csv_config}", "--out", "{out}"],
+                                st.one_of(fuzzed_csv(b"a,b,y\n", NUMBERS), fuzzed_table(b"a,b,y\n", 3))),
+    "benchmark data.csv.schema": (["benchmark", "--config", "{schema_config}", "--out", "{out}"],
+                                  FUZZED_SCHEMAS),
 }
 
 
 @pytest.mark.parametrize("name", FUZZED_INPUTS)
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_bytes_in_any_input_file_exit_0_or_1(tmp_path, name, data):
     argv, contents = FUZZED_INPUTS[name]
+    source = {"path": "fuzzed.in", "schema": "schema.in", "label_column": "y"}
     files = {
-        "labels": LABELS,
         "schema": json.dumps([{"name": n, "bound_lo": 0, "bound_hi": 10} for n in "ab"]),
-        "data": "a,b,y\n1,2,0\n3,,1\n5,6,1\n",
+        "data": "a,b,y\n1,2,0\n3,,1\n5,6,1\n1,1,0\n",
+        "csv_config": json.dumps({"seed": 1, "data": {"csv": source},
+                                  "methods": [{"name": "m", "kind": "kmeans_x"}]}),
+        "schema_config": json.dumps({"seed": 1, "data": {"csv": {**source, "path": "data.in", "schema": "fuzzed.in"}},
+                                     "methods": [{"name": "m", "kind": "kmeans_x"}]}),
     }
     paths = {key: tmp_path / f"{key}.in" for key in files}
     for key, text in files.items():
         paths[key].write_text(text)
     fuzzed = tmp_path / "fuzzed.in"
     fuzzed.write_bytes(data.draw(contents))
-    argv = [a.format(f=fuzzed, out=tmp_path / "o", **paths) for a in argv]
-    assert run_cli(*argv) in (0, 1)
+    out = tmp_path / "o"
+    shutil.rmtree(out, ignore_errors=True)  # hypothesis runs every example in the one tmp_path
+    code = run_cli(*[a.format(f=fuzzed, out=out, **paths) for a in argv])
+    assert code in (0, 1)
+    assert code == 0 or not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "benchmark"])
+@settings(max_examples=40, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers() | st.sampled_from([-1, 2**63, 2**64, -2**63, 10**40, -10**40]),
+       profile=st.none() | st.text(max_size=6) | st.sampled_from(["desk", "paper", "Desk"]))
+def test_any_seed_and_profile_flag_exit_0_or_1(tmp_path, synth_spec, command, seed, profile):
+    out = tmp_path / "o"
+    shutil.rmtree(out, ignore_errors=True)  # hypothesis runs every example in the one tmp_path
+    config = str(synth_spec) if command == "generate" else tiny_config(tmp_path)
+    argv = [command, "--config", config, "--seed", str(seed), "--out", str(out)]
+    code = run_cli(*argv, *([] if profile is None else ["--profile", profile]))
+    # generate has no --profile and seeds numpy with its seed as it is; a grid derives its seeds from any integer
+    if command == "generate":
+        assert code == (0 if profile is None and seed >= 0 else 1)
+    else:
+        assert code == (0 if profile in (None, "desk", "paper") else 1)
+    assert code == 0 or not out.exists()

@@ -21,18 +21,21 @@ from ehrcluster.errors import ConfigError
 from ehrcluster.experiment import (
     PROFILES,
     MethodSpec,
+    _blas_core,
     _blas_threads,
+    _cell,
     _config_doc,
     _config_hash,
     _finetune_config,
     _fit_on_pool,
+    _one_blas_thread,
     _train_config,
     _usable_cores,
+    _versions,
     _with_defaults,
     load_config,
     parse_config,
     run_experiment,
-    run_method,
 )
 from ehrcluster.util import derive_seed
 
@@ -48,6 +51,14 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def fit_cell(spec: MethodSpec, ds, k: int, seed: int, profile):
+    """One non-voting cell fitted as a run fits it in process: ``_cell``'s jobs in turn at one BLAS
+    thread, then its finish over their results."""
+    jobs, finish = _cell(spec, ds, k, seed, profile)
+    with _one_blas_thread():
+        return finish([fn(*args) for _, fn, args in jobs])
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -450,17 +461,17 @@ class TestRunExperiment:
         ds = generate_synthetic(SyntheticSpec(40, 5, 1.0, 4.0, "spherical", 0.0, seed=1))
         for profile, params in (("desk", {}), ("paper", {}), ("paper", {"hidden": (8,), "embed_dim": 2})):
             with pytest.raises(RuntimeError, match="stop"):
-                run_method(MethodSpec("m", "kmeans_z", params), ds, 2, 0, PROFILES[profile])
+                fit_cell(MethodSpec("m", "kmeans_z", params), ds, 2, 0, PROFILES[profile])
         assert seen == [(10, (64, 64), "relu"), (10, (500, 500, 2000), "relu"), (2, (8,), "relu")]
 
-    def test_run_method_sweep_is_the_vote_of_run_dimension_sweep(self):
+    def test_a_sweep_cell_is_the_vote_of_run_dimension_sweep(self):
         from ehrcluster.autoencoder import TrainConfig
         from ehrcluster.deepcluster import DeepClusterConfig
         from ehrcluster.ensemble import majority_vote, run_dimension_sweep
 
         ds = generate_synthetic(SyntheticSpec(80, 5, 1.0, 4.0, "spherical", 0.0, seed=1))
         params = {"dims": (2, 3), "hidden": (8,), "pretrain_epochs": 4, "finetune_epochs": 3}
-        got = run_method(MethodSpec("m", "deep_gaussian_sweep", params), ds, 2, 5, PROFILES["desk"])
+        got = fit_cell(MethodSpec("m", "deep_gaussian_sweep", params), ds, 2, 5, PROFILES["desk"])
         cfg = DeepClusterConfig(finetune_epochs=3, train=TrainConfig(epochs=4, seed=5))
         runs = run_dimension_sweep(ds, [2, 3], cfg, k=2, hidden=(8,))
         assert np.array_equal(got.label_runs, runs)
@@ -612,7 +623,7 @@ class TestEncodeReuseInPipeline:
     def fit(self, monkeypatch, kind, params, reuse):
         with monkeypatch.context() as patch:
             passes = self.spy_layers(patch, reuse)
-            result = run_method(MethodSpec("m", kind, params), self.DS, 2, 4, PROFILES["desk"])
+            result = fit_cell(MethodSpec("m", kind, params), self.DS, 2, 4, PROFILES["desk"])
         return result, passes
 
     @pytest.mark.parametrize("kind,params", _reuse_cases())
@@ -699,6 +710,23 @@ class TestPool:
         outcomes = _fit_on_pool([(1, os._exit, (3,)), (1, pow, (2, 10)), (1, pow, (3, 3))], 2)
         assert isinstance(outcomes[0], BrokenProcessPool)
         assert [result for result, seconds in outcomes[1:]] == [1024, 27]
+        assert multiprocessing.active_children() == []
+
+    def test_a_pool_that_breaks_between_two_submits_reruns_the_rest(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        submit, broken = ProcessPoolExecutor.submit, []
+
+        def breaks_once(pool, fn, *args):
+            # as when the worker running job 0 dies before job 1 is submitted
+            if args == (1,) and not broken:
+                broken.append(True)
+                raise BrokenProcessPool("A child process terminated abruptly")
+            return submit(pool, fn, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaks_once)
+        outcomes = _fit_on_pool([(1, pow, (2, 10)), (1, pow, (3, 3))], 2)
+        assert broken and [result for result, seconds in outcomes] == [1024, 27]
         assert multiprocessing.active_children() == []
 
     def test_a_job_that_cannot_be_pickled_runs_on_the_pool(self):
@@ -837,6 +865,15 @@ class TestPool:
             monkeypatch.delitem(sys.modules, name, raising=False)
         assert _blas_threads() is None
         assert _usable_cores() == 1
+        assert _versions()["blas_core"] is None and _versions()["blas_threads"] is None
+
+    def test_the_manifest_names_the_blas_kernel_and_thread_count(self, tmp_path):
+        if _blas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread-count getter")
+        run_experiment(parse_config(minimal_doc(output_dir=str(tmp_path / "o"))))
+        versions = json.loads((tmp_path / "o" / "manifest.json").read_text())["versions"]
+        assert versions["blas_core"] == _blas_core() and versions["blas_core"]
+        assert versions["blas_threads"] == _blas_thread_count() >= 1
 
 
 def _blas_thread_count() -> int:

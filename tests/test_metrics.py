@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrcluster.errors import IncompleteGrid, LengthMismatch, NonNumericCell, NonSquare, TooFewSamples
+from ehrcluster.errors import IncompleteGrid, LengthMismatch, NonSquare, TooFewSamples
 from ehrcluster.metrics import (
     ScoreReport,
     _assignment_value,
@@ -16,7 +16,6 @@ from ehrcluster.metrics import (
     contingency,
     hungarian_max,
     nmi,
-    read_score_reports,
     write_score_reports_csv,
 )
 
@@ -282,17 +281,3 @@ def test_score_report_csv_roundtrip(tmp_path):
     text = (tmp_path / "s.csv").read_text()
     assert text.splitlines()[0] == "cohort,method,acc,ari,nmi"
     assert "c,m,0.5,0.25,0.125" in text
-
-
-def test_score_reports_read_back(tmp_path):
-    reports = [ScoreReport("m", "c", 0.5, 0.25, 0.125), ScoreReport("n", "c", 1.0, 1.0, 1.0)]
-    write_score_reports_csv(reports, tmp_path / "s.csv")
-    assert read_score_reports(tmp_path / "s.csv") == reports
-
-
-@pytest.mark.parametrize("cell", ["x", "", "nan", "inf"])
-def test_score_that_is_not_a_finite_number_names_file_row_and_column(tmp_path, cell):
-    p = tmp_path / "s.csv"
-    p.write_text(f"cohort,method,acc,ari,nmi\nc,m,1,1,1\nc,n,1,{cell},1\n")
-    with pytest.raises(NonNumericCell, match=f"^{p}: data row 1: column 'ari' is not a finite number$"):
-        read_score_reports(p)
