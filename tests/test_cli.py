@@ -1,16 +1,19 @@
 import csv
 import json
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ehrcluster import cli
 from ehrcluster.cli import main
+from ehrcluster.data import SyntheticSpec, generate_synthetic, load_csv, load_feature_schema, preprocess
 from ehrcluster.errors import (
     ConfigError,
     EmptyFile,
@@ -25,7 +28,10 @@ from ehrcluster.errors import (
     SingularCovariance,
     SweepRunFailed,
     UnsupportedK,
+    ValidationError,
 )
+from ehrcluster.experiment import METHODS, PROFILES, MethodSpec, _cell, _check_ranges, _with_defaults
+from ehrcluster.traditional import kmeans_fit, kmeans_predict
 
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
@@ -113,6 +119,23 @@ class TestGenerate:
         text = (generated / "synthetic.csv").read_text()
         assert ",," in text or text.rstrip().endswith(",")
 
+    def test_the_csv_loads_back_to_the_generated_dataset(self, synth_spec, generated):
+        ds = generate_synthetic(SyntheticSpec(**json.loads(synth_spec.read_text())))
+        specs = load_feature_schema(generated / "schema.json")
+        back = load_csv(generated / "synthetic.csv", specs, label_column="label")
+        assert specs == ds.feature_specs
+        assert np.array_equal(back.X, ds.X, equal_nan=True) and np.isnan(ds.X).any()
+        assert np.array_equal(back.labels, ds.labels)
+
+    def test_seed_flag_writes_what_the_spec_seed_writes(self, tmp_path, synth_spec, generated):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**json.loads(synth_spec.read_text()), "seed": 5}))
+        assert run_cli("generate", "--config", str(synth_spec), "--seed", "5", "--out", str(tmp_path / "a")) == 0
+        assert run_cli("generate", "--config", str(spec), "--out", str(tmp_path / "b")) == 0
+        for name in ("synthetic.csv", "schema.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert (tmp_path / "a" / "synthetic.csv").read_bytes() != (generated / "synthetic.csv").read_bytes()
+
 
 def csv_config(tmp_path, generated, methods) -> str:
     """Write a benchmark config over ``generate``'s CSV and schema with ``methods``; return its path."""
@@ -125,6 +148,26 @@ def csv_config(tmp_path, generated, methods) -> str:
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(config))
     return str(p)
+
+
+PRETRAIN = {"embed_dim": 2, "hidden": [8], "pretrain_epochs": 3}
+DEEP = {**PRETRAIN, "finetune_epochs": 2, "target_update_interval": 1}
+SWEEP = {"dims": [2, 3], "hidden": [8], "pretrain_epochs": 3, "finetune_epochs": 2, "target_update_interval": 1}
+# each kind's tiny params and the files its cell writes, by the names of CELL_FILES
+KIND_FILES = {
+    "kmeans_x": ({}, {"labels"}),
+    "gmm_x": ({}, {"labels"}),
+    "kmeans_z": (PRETRAIN, {"labels", "embeddings", "pretrain_history"}),
+    "gmm_z": (PRETRAIN, {"labels", "embeddings", "pretrain_history"}),
+    "deep_student_t": (DEEP, {"labels", "embeddings", "pretrain_history", "history"}),
+    "deep_student_t_recon": (DEEP, {"labels", "embeddings", "pretrain_history", "history"}),
+    "deep_gaussian": (DEEP, {"labels", "embeddings", "pretrain_history", "history"}),
+    "deep_gaussian_sweep": (SWEEP, {"labels", "labels_runs"}),
+    "kgg": ({}, {"labels", "labels_runs"}),
+}
+KGG_VOTERS = ("kmeans_x", "gmm_x", "deep_gaussian_sweep")
+CELL_FILES = {"labels": "labels/{}.csv", "labels_runs": "labels_runs/{}.csv", "embeddings": "embeddings/{}.csv",
+              "history": "history/{}.csv", "pretrain_history": "history/{}__pretrain.csv"}
 
 
 class TestCsvBenchmark:
@@ -146,6 +189,34 @@ class TestCsvBenchmark:
         config = csv_config(tmp_path, generated, [{"name": "dg", "kind": "deep_gaussian", "params": params}])
         assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 0
         assert (tmp_path / "o" / "embeddings" / "all__dg.csv").read_text().startswith("z0,z1\n")
+
+    @pytest.mark.parametrize("kind", list(METHODS))
+    def test_every_kind_alone_writes_its_cells_files(self, generated, tmp_path, kind):
+        params, files = KIND_FILES[kind]
+        # kgg votes over its voter kinds, so it runs beside one of each
+        voters = [{"name": k, "kind": k, "params": KIND_FILES[k][0]} for k in KGG_VOTERS] if kind == "kgg" else []
+        config = csv_config(tmp_path, generated, [*voters, {"name": kind, "kind": kind, "params": params}])
+        assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 0
+        assert [r["method"] for r in read_rows(tmp_path / "o" / "scores.csv")][-1] == kind
+        written = {
+            name for name, path in CELL_FILES.items() if (tmp_path / "o" / path.format(f"all__{kind}")).exists()
+        }
+        assert written == files
+        # one row per sample preprocessing kept, and one column per axis or per run
+        kept = len([r for r in read_rows(generated / "synthetic.csv") if "" not in r.values()])
+        columns = {"labels": ["sample_index", "label"], "embeddings": ["z0", "z1"],
+                   "labels_runs": ["d2", "d3"] if kind == "deep_gaussian_sweep" else list(KGG_VOTERS)}
+        for name in files & set(columns):
+            rows = read_rows(tmp_path / "o" / CELL_FILES[name].format(f"all__{kind}"))
+            assert len(rows) == kept and list(rows[0]) == columns[name]
+
+    def test_a_csv_without_labels_clusters_through_the_library(self, generated):
+        # the README's recipe for what benchmark refuses: a cohort with no label column
+        ds = load_csv(generated / "synthetic.csv", load_feature_schema(generated / "schema.json"))
+        prep, _ = preprocess(ds)
+        labels = kmeans_predict(kmeans_fit(prep.X, 2, seed=3), prep.X)
+        assert ds.labels is None and prep.n_samples < ds.n_samples == 160
+        assert labels.shape == (prep.n_samples,) and set(labels.tolist()) == {0, 1}
 
 
 class TestBenchmarkCommand:
@@ -173,6 +244,35 @@ class TestBenchmarkCommand:
         assert (tmp_path / "o" / "manifest.json").exists()
         timings = read_rows(tmp_path / "o" / "timings.csv")
         assert all(float(r["wall_clock_seconds"]) > 0 for r in timings)
+
+    @pytest.mark.parametrize("flag, value, field", [("--seed", "9", 9), ("--profile", "paper", "paper")])
+    def test_a_flag_runs_what_its_config_field_runs(self, tmp_path, flag, value, field):
+        key = flag.removeprefix("--")
+        methods = [{"name": "kmeans_x", "kind": "kmeans_x"},
+                   {"name": "kmeans_z", "kind": "kmeans_z", "params": {"hidden": [4], "embed_dim": 2}}]
+        (tmp_path / "a").mkdir()
+        by_flag = tiny_config(tmp_path / "a", methods=methods)
+        assert run_cli("benchmark", "--config", by_flag, flag, value, "--out", str(tmp_path / "a" / "o")) == 0
+        by_field = tiny_config(tmp_path, methods=methods, **{key: field})
+        assert run_cli("benchmark", "--config", by_field, "--out", str(tmp_path / "o")) == 0
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in (tmp_path / "a" / "o", tmp_path / "o")]
+        assert manifests[0]["config_hash"] == manifests[1]["config_hash"] and manifests[0]["config"][key] == field
+        assert manifests[0]["profile"] == manifests[1]["profile"]
+        for name in ("scores.csv", "ranks.csv", "labels/all__kmeans_x.csv", "history/all__kmeans_z__pretrain.csv"):
+            assert (tmp_path / "a" / "o" / name).read_bytes() == (tmp_path / "o" / name).read_bytes()
+
+    def test_a_failed_cell_exits_2_and_points_at_the_manifest(self, tmp_path, capsys):
+        config = tiny_config(tmp_path, methods=[
+            {"name": "kmeans_x", "kind": "kmeans_x"},
+            {"name": "boom", "kind": "deep_gaussian", "params": {
+                "hidden": [8], "pretrain_epochs": 5, "finetune_epochs": 3, "embed_dim": 2, "learning_rate": 1e200}},
+        ])
+        with np.errstate(all="ignore"):
+            assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 2
+        out, err = capsys.readouterr()
+        assert out == f"wrote {tmp_path / 'o' / 'scores.csv'} (1 rows)\n"
+        assert err == "1 method run(s) failed; see manifest.json\n"
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["failures"][0]["method"] == "boom"
 
     def test_help_lists_generate_and_benchmark(self, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -379,6 +479,16 @@ class TestExitCodes:
         assert f"methods[{i}].params.{next(iter(params))}: " in err and named in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("params, named, kind", OUT_OF_RANGE)
+    def test_out_of_range_param_fails_the_fit_as_it_fails_the_config_load(self, params, named, kind):
+        # the load refuses a param with the error its fit would raise; in the library the fit raises it itself
+        ds = generate_synthetic(SyntheticSpec(30, 4, 1.0, 4.0, missing_rate=0.0, seed=3))
+        with pytest.raises(ValidationError, match=re.escape(named)) as at_load:
+            _check_ranges(_with_defaults(kind, PROFILES["desk"], params))
+        with pytest.raises(type(at_load.value), match=re.escape(named)):
+            jobs, finish = _cell(MethodSpec("m", kind, params), ds, 2, 1, PROFILES["desk"])
+            finish([fn(*args) for _, fn, args in jobs])
+
     @pytest.mark.parametrize("cohort, named", [
         ({"name": "c", "group_column": "f00"}, "cohorts[0].group_column: requires group_value"),
         ({"name": "c", "group_column": "f00", "group_value": 7}, "cohort 'c': no row has f00 == 7.0"),
@@ -459,6 +569,8 @@ class TestExitCodes:
         (NonFiniteLoss(4), 2),
         (SingularCovariance("singular"), 2),
         (SweepRunFailed(2, NonFiniteLoss(1)), 2),
+        (RuntimeError("boom"), 2),
+        (OSError(28, "No space left on device"), 2),
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
 )
@@ -481,8 +593,9 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-# Each input below is one bad file; every command must exit 1 with an error that starts
-# with that file's path or, where ``named`` is given, with what is wrong with the input.
+# Each input below is one bad file (None: a directory, False: no file); every command must
+# exit 1 with an error that starts with that file's path or, where ``named`` is given, with
+# what is wrong with the input, where ``{bad}`` is that file's path.
 # ``{csv_config}`` reads the bad file as its CSV, ``{schema_config}`` as its schema.
 LABELS = "sample_index,label\n0,0\n1,1\n2,1\n"
 SCHEMA = [{"name": name, "bound_lo": 0, "bound_hi": 10} for name in ("f00", "f01")]
@@ -509,26 +622,56 @@ BENCHMARK_SCHEMA = ["benchmark", "--config", "{schema_config}", "--out", "{out}"
     (BENCHMARK_CSV, "y\n1\n0\n", None),
     (BENCHMARK_SCHEMA, '[{"name": "label", "bound_lo": 5, "bound_hi": 9}]',
      "no sample has missing rate <= 0.05; all 3 removed"),
+    # one case for each way the README's input-file table says a dataset CSV or schema can be wrong
+    (BENCHMARK_CSV, "", None),
+    (BENCHMARK_CSV, "f00,f01,y\n", None),
+    (BENCHMARK_CSV, "f00,f01\n1,2\n3,4\n5,6\n", None),
+    (BENCHMARK_CSV, "f00,y\n1,0\n3,1\n5,1\n", None),
+    (BENCHMARK_CSV, "f00,f01,y\n1,2,0\n2,3,-1\n3,4,1\n", None),
+    (BENCHMARK_CSV, "f00,f01,y\n1,2,0\n2,3,x\n3,4,1\n", None),
+    (BENCHMARK_CSV, "f00,f01,y\n1,2,0\n2,3,\n3,4,1\n", None),
+    (BENCHMARK_CSV, "f00,f01,y\n1,2,0\n2,3,1e30\n3,4,1\n", None),
+    (BENCHMARK_CSV, "f00,f01,y\n1,2,0\n2,inf,1\n3,4,1\n", None),
+    (BENCHMARK_CSV, 'f00,f01,y\n1,2,0\n"2,3,1\n3,4,1\n', None),
+    (BENCHMARK_CSV, "f00,f01,y\n1,2,0\n2\n3,4,1\n", None),
+    (BENCHMARK_CSV, "f00,f01,y\n1,2,0\n2,\x003,1\n3,4,1\n", None),
+    (BENCHMARK_CSV, False, None),  # no such file
+    (BENCHMARK_SCHEMA, "", None),
+    (BENCHMARK_SCHEMA, "[]", None),
+    (BENCHMARK_SCHEMA, json.dumps([{"name": "label", "bound_lo": 0, "bound_hi": 1}] * 2), None),
+    (BENCHMARK_SCHEMA, '[{"name": "label", "bound_lo": 5, "bound_hi": 1}]', "{bad}[0]: feature 'label': bound_lo"),
+    (BENCHMARK_SCHEMA, '[{"name": "label", "bound_lo": NaN, "bound_hi": 1}]', "{bad}[0]: feature 'label': bound_lo"),
+    (BENCHMARK_SCHEMA, '[{"name": "label", "unit": 1, "bound_lo": 0, "bound_hi": 1}]', "{bad}[0].unit: "),
+    (BENCHMARK_SCHEMA, '[{"name": "label", "lo": 0, "bound_lo": 0, "bound_hi": 1}]', "{bad}[0].lo: unknown field"),
+    (BENCHMARK_SCHEMA, None, None),  # a directory
+    (BENCHMARK_SCHEMA, '[{"name": "zz", "bound_lo": 0, "bound_hi": 1}]', "{labels}: required column 'zz'"),
 ], ids=[
     "csv-not-utf8", "config-not-utf8", "spec-not-utf8", "schema-not-utf8", "schema-not-json",
     "schema-an-object", "schema-entry-without-name", "schema-bound-not-a-number", "csv-a-directory",
     "csv-label-a-fraction", "csv-column-named-twice", "csv-only-the-label-column", "schema-leaves-no-sample",
+    "csv-empty", "csv-without-a-data-row", "csv-without-the-label-column", "csv-without-a-feature-column",
+    "csv-label-negative", "csv-label-not-a-number", "csv-label-missing", "csv-label-past-int64",
+    "csv-cell-infinite", "csv-quote-never-closed", "csv-row-short-of-the-label", "csv-cell-holding-a-nul",
+    "csv-missing", "schema-empty", "schema-an-empty-list", "schema-name-repeated", "schema-bounds-reversed",
+    "schema-bound-nan", "schema-unit-not-a-string", "schema-entry-with-an-unknown-field", "schema-a-directory",
+    "schema-names-a-column-the-csv-lacks",
 ])
 def test_bad_input_file_exits_1_and_names_itself(tmp_path, capsys, argv, content, named):
     tmp_path = tmp_path.resolve()
     bad, configs = tmp_path / "bad", {"csv_config": CSV_CONFIG, "schema_config": SCHEMA_CONFIG}
-    (tmp_path / "labels.csv").write_text(LABELS)
+    labels = tmp_path / "labels.csv"
+    labels.write_text(LABELS)
     (tmp_path / "schema.json").write_text(json.dumps(SCHEMA))
     for key, config in configs.items():
         (tmp_path / f"{key}.json").write_text(json.dumps(config))
     if content is None:
         bad.mkdir()
-    else:
+    elif content is not False:
         bad.write_bytes(content if isinstance(content, bytes) else content.encode())
     paths = {key: tmp_path / f"{key}.json" for key in configs}
     argv = [a.format(bad=bad, out=tmp_path / "o", **paths) for a in argv]
     assert run_cli(*argv) == 1
-    assert capsys.readouterr().err.startswith(f"error: {named or bad}")
+    assert capsys.readouterr().err.startswith(f"error: {(named or '{bad}').format(bad=bad, labels=labels)}")
     assert not (tmp_path / "o").exists()
 
 
@@ -579,6 +722,57 @@ FUZZED_SCHEMAS = st.one_of(
     st.lists(SCHEMA_ENTRY, max_size=3, unique_by=lambda entry: entry["name"]).map(
         lambda entries: json.dumps(entries).encode()),
 )
+
+
+def some(valid):
+    """Mostly ``valid``'s values, one in eight times a JSON leaf in their place. The leaves stay
+    small, since an integral float or a numeric string is read as an integer: a drawn n_samples
+    of 3e7 would generate a cohort of that size."""
+    leaves = (st.none() | st.booleans() | st.integers(-3, 50) | st.floats(-3, 50)
+              | st.sampled_from([float("nan"), float("inf")]) | st.text(alphabet="ax.-", max_size=3))
+    return st.integers(0, 7).flatmap(lambda draw: valid if draw else leaves)
+
+
+# a spec's fields over small cohorts, most of them in range
+SPEC = st.fixed_dictionaries(
+    {"n_samples": some(st.integers(0, 40)), "n_features": some(st.integers(1, 5)),
+     "class_ratio": some(st.floats(0, 1.1)), "separation": some(st.floats(-1, 9))},
+    optional={"cluster_shape": some(st.sampled_from(["spherical", "diagonal", "correlated"])),
+              "missing_rate": some(st.floats(0, 0.3)), "seed": some(st.integers(-1, 9))},
+)
+# the cohorts of a CSV of 12 rows (two with b missing), whose column a takes 0 and 1, grouped,
+# subsampled and named
+COHORTS = st.lists(st.builds(
+    lambda name, *fields: {"name": name, **fields[0], **fields[1], **fields[2]},
+    st.sampled_from(["a", "b", "c"]),
+    st.just({}) | st.fixed_dictionaries({"group_column": some(st.sampled_from(["a", "b", "y"])),
+                                         "group_value": some(st.integers(-1, 2))}),
+    st.just({}) | st.fixed_dictionaries({"subsample_n": some(st.integers(0, 8))},
+                                        optional={"subsample_ratio": some(st.floats(0, 3))}),
+    st.just({}) | st.fixed_dictionaries({"seed_offset": some(st.integers(-3, 3))}),
+), max_size=3, unique_by=lambda cohort: cohort["name"])
+# methods of the traditional kinds and kgg, their params drawn from the names those kinds read
+METHOD_LIST = st.lists(st.fixed_dictionaries(
+    {"name": st.sampled_from(["m", "n", "v"]), "kind": some(st.sampled_from(["kmeans_x", "gmm_x", "kgg"]))},
+    optional={"params": st.dictionaries(
+        st.sampled_from(["n_init", "max_iter", "tol", "cov_type", "reg_covar", "voters", "embed_dim"]),
+        some(st.integers(-1, 4) | st.floats(0, 1) | st.sampled_from(["full", "diagonal"])
+             | st.lists(st.sampled_from(["m", "n", "x"]), max_size=3)),
+        max_size=3)},
+), max_size=3, unique_by=lambda method: method["name"])
+FIELDS = st.fixed_dictionaries({}, optional={
+    "k": some(st.integers(0, 4)), "max_missing_rate": some(st.floats(0, 1)),
+    "profile": some(st.sampled_from(["desk", "paper", "x"])), "seed": some(st.integers()),
+})
+
+
+def config_doc(**fields):
+    """A config over the CSV cohort.in, one ``kmeans_x`` method and one cohort, with ``fields`` in their place."""
+    source = {"csv": {"path": "cohort.in", "schema": "schema.in", "label_column": "y"}}
+    doc = {"seed": 1, "data": source, "methods": [{"name": "m", "kind": "kmeans_x"}], **fields}
+    return json.dumps(doc).encode()
+
+
 # keys too short to spell a spec's or config's required fields, so no document starts a run
 FUZZED_INPUTS = {
     "generate --config": (["generate", "--config", "{f}", "--out", "{out}"], fuzzed_json(st.text(max_size=3))),
@@ -589,17 +783,24 @@ FUZZED_INPUTS = {
     "benchmark data.csv.schema": (["benchmark", "--config", "{schema_config}", "--out", "{out}"],
                                   FUZZED_SCHEMAS),
 }
+# a spec's or config's fields, each drawn from the values its reader takes and some it does not
+FUZZED_FIELDS = {
+    "generate spec": ("generate", SPEC.map(lambda spec: json.dumps(spec).encode())),
+    "benchmark data.synthetic": ("benchmark", SPEC.map(lambda spec: config_doc(data={"synthetic": spec}))),
+    "benchmark cohorts": ("benchmark", COHORTS.map(lambda cohorts: config_doc(cohorts=cohorts))),
+    "benchmark methods": ("benchmark", METHOD_LIST.map(lambda methods: config_doc(methods=methods))),
+    "benchmark top-level fields": ("benchmark", FIELDS.map(lambda fields: config_doc(**fields))),
+}
 
 
-@pytest.mark.parametrize("name", FUZZED_INPUTS)
-@settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_any_bytes_in_any_input_file_exit_0_or_1(tmp_path, name, data):
-    argv, contents = FUZZED_INPUTS[name]
+def check_fuzzed(tmp_path, argv, content: bytes) -> None:
+    """Run ``argv`` with ``content`` as the file fuzzed.in beside the files it refers to: it must
+    exit 0 or 1, and an exit 1 must leave no output directory."""
     source = {"path": "fuzzed.in", "schema": "schema.in", "label_column": "y"}
     files = {
         "schema": json.dumps([{"name": n, "bound_lo": 0, "bound_hi": 10} for n in "ab"]),
         "data": "a,b,y\n1,2,0\n3,,1\n5,6,1\n1,1,0\n",
+        "cohort": "a,b,y\n" + "".join(f"{i % 2},{i % 7 or ''},{i // 2 % 2}\n" for i in range(12)),
         "csv_config": json.dumps({"seed": 1, "data": {"csv": source},
                                   "methods": [{"name": "m", "kind": "kmeans_x"}]}),
         "schema_config": json.dumps({"seed": 1, "data": {"csv": {**source, "path": "data.in", "schema": "fuzzed.in"}},
@@ -609,12 +810,29 @@ def test_any_bytes_in_any_input_file_exit_0_or_1(tmp_path, name, data):
     for key, text in files.items():
         paths[key].write_text(text)
     fuzzed = tmp_path / "fuzzed.in"
-    fuzzed.write_bytes(data.draw(contents))
+    fuzzed.write_bytes(content)
     out = tmp_path / "o"
     shutil.rmtree(out, ignore_errors=True)  # hypothesis runs every example in the one tmp_path
     code = run_cli(*[a.format(f=fuzzed, out=out, **paths) for a in argv])
     assert code in (0, 1)
     assert code == 0 or not out.exists()
+
+
+@pytest.mark.parametrize("name", FUZZED_INPUTS)
+@settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_bytes_in_any_input_file_exit_0_or_1(tmp_path, name, data):
+    argv, contents = FUZZED_INPUTS[name]
+    check_fuzzed(tmp_path, argv, data.draw(contents))
+
+
+# fewer examples than the byte fuzz: about a third of these documents load, and each of those runs
+@pytest.mark.parametrize("name", FUZZED_FIELDS)
+@settings(max_examples=60, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_value_in_any_config_field_exit_0_or_1(tmp_path, name, data):
+    command, docs = FUZZED_FIELDS[name]
+    check_fuzzed(tmp_path, [command, "--config", "{f}", "--out", "{out}"], data.draw(docs))
 
 
 @pytest.mark.parametrize("command", ["generate", "benchmark"])
