@@ -83,8 +83,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidDimension("learning_rate must be > 0")
+        if not 0 < self.learning_rate < float("inf"):
+            raise InvalidDimension("learning_rate must be > 0 and finite")
         if self.batch_size < 1:
             raise InvalidDimension("batch_size must be >= 1")
         if self.epochs < 0:

@@ -52,14 +52,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.profile is not None:
-        config = replace(config, profile=args.profile)
-    if args.out is not None:
-        config = replace(config, output_dir=str(args.out))
-    result = run_experiment(config)
+    flags = {"seed": args.seed, "profile": args.profile, "output_dir": args.out}
+    result = run_experiment(replace(load_config(args.config), **{f: v for f, v in flags.items() if v is not None}))
     print(f"wrote {result.output_dir / 'scores.csv'} ({len(result.scores)} rows)")
     if result.failures:
         print(f"{len(result.failures)} method run(s) failed; see manifest.json", file=sys.stderr)

@@ -26,7 +26,7 @@ from .errors import (
     InsufficientClassSamples,
     NonNumericCell,
 )
-from .util import _build, _cast, column_index, read_csv_rows, read_json, write_csv
+from .util import _build, _cast, _float, column_index, read_csv_rows, read_json, write_csv
 
 MISSING_TOKENS = ("", "NA")
 
@@ -117,8 +117,8 @@ class SyntheticSpec:
             raise ConfigError("n_features must be >= 2")
         if not 0 < self.class_ratio <= 1:
             raise ConfigError("class_ratio must be in (0, 1]")
-        if self.separation < 0:
-            raise ConfigError("separation must be >= 0")
+        if not 0 <= self.separation < float("inf"):
+            raise ConfigError("separation must be >= 0 and finite")
         if not 0 <= self.missing_rate < 1:
             raise ConfigError("missing_rate must be in [0, 1)")
         if self.cluster_shape not in CLUSTER_SHAPES:
@@ -235,7 +235,7 @@ def subset_rows(ds: Dataset, rows: np.ndarray) -> Dataset:
 
 def check_missing_rate(value) -> float:
     """``value`` as a missing-rate bound, a float in [0, 1]; a ValueError if it is not one."""
-    rate = float(value)
+    rate = _float(value)
     if not 0 <= rate <= 1:
         raise ValueError(f"must be in [0, 1], got {rate}")
     return rate

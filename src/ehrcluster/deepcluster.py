@@ -78,10 +78,12 @@ class DeepClusterConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidDimension(f"variant must be one of {VARIANTS}")
-        if self.gamma < 0:
-            raise InvalidDimension("gamma must be >= 0")
-        if self.recon_weight < 0:
-            raise InvalidDimension("recon_weight must be >= 0")
+        if not 0 <= self.gamma < float("inf"):
+            raise InvalidDimension("gamma must be >= 0 and finite")
+        if not 0 <= self.recon_weight < float("inf"):
+            raise InvalidDimension("recon_weight must be >= 0 and finite")
+        if self.finetune_epochs < 0:
+            raise InvalidDimension("finetune_epochs must be >= 0")
         if self.target_update_interval < 1:
             raise InvalidDimension("target_update_interval must be >= 1")
 

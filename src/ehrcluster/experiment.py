@@ -46,12 +46,12 @@ from .data import (
 )
 from .deepcluster import DeepClusterConfig, assign, finetune
 from .ensemble import check_sweep_dims, majority_vote, run_dimension_sweep, sweep_dims
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ToolkitError, ValidationError
 from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
 from .traditional import (
     REG_COVAR, check_gmm_params, check_kmeans_params, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict,
 )
-from .util import _build, _cast, _int, _str, derive_seed, read_json, write_csv
+from .util import _build, _cast, _float, _int, _str, derive_seed, read_json, write_csv
 
 KGG_VOTER_KINDS = ("kmeans_x", "gmm_x", "deep_gaussian_sweep")
 
@@ -138,26 +138,26 @@ def _list_of(cast: Callable) -> Callable:
 FROM_PROFILE = "profile"
 
 # param name -> (cast, default); a None default leaves the param unset
-_KMEANS = {"n_init": (_int, 10), "max_iter": (_int, 300), "tol": (float, 1e-4)}
+_KMEANS = {"n_init": (_int, 10), "max_iter": (_int, 300), "tol": (_float, 1e-4)}
 _GMM = {
     "cov_type": (_str, "full"),
     "max_iter": (_int, 300),
-    "tol": (float, 1e-3),
-    "reg_covar": (float, REG_COVAR),
+    "tol": (_float, 1e-3),
+    "reg_covar": (_float, REG_COVAR),
 }
 _PRETRAIN = {
     "embed_dim": (_int, 10),
     "hidden": (_list_of(_int), FROM_PROFILE),
     "activation": (_str, "relu"),
     "pretrain_epochs": (_int, FROM_PROFILE),
-    "learning_rate": (float, 1e-3),
+    "learning_rate": (_float, 1e-3),
     "batch_size": (_int, 256),
 }
 _DEEP = _PRETRAIN | {
     "finetune_epochs": (_int, FROM_PROFILE),
-    "gamma": (float, 0.1),
+    "gamma": (_float, 0.1),
     "target_update_interval": (_int, 10),
-    "recon_weight": (float, 1.0),
+    "recon_weight": (_float, 1.0),
 }
 
 
@@ -198,8 +198,8 @@ def _gmm(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
     return labels
 
 
-# Every fit takes (ds, k, seed, params with defaults filled) and calls the fitters by
-# module-global name, so a swap of one of those names in this module reaches every
+# Every fit takes how it clusters, then (ds, k, seed, params with defaults filled), and calls the
+# fitters by module-global name, so a swap of one of those names in this module reaches every
 # method. Whatever dtype the network computes in, Z leaves a fit in float64.
 def _fit_raw(cluster, ds, k, seed, p) -> MethodResult:
     return MethodResult(labels=cluster(ds.X, k, seed, p))
@@ -228,34 +228,55 @@ def _voted(runs, columns) -> MethodResult:
     return MethodResult(labels=majority_vote(runs), label_runs=runs, run_columns=list(columns))
 
 
+def _one_job(fit, how, ds, k, seed, p):
+    """One job, ``fit(how, ...)``, whose result is the cell's."""
+    return [(fit, (how, ds, k, seed, p))], itemgetter(0)
+
+
+def _sweep(ds, k, seed, p):
+    """A one-size ``run_dimension_sweep`` job per dimension, and the vote over their rows."""
+    dims = p.get("dims", sweep_dims(ds.n_features))
+    check_sweep_dims(dims, ds.n_features)
+    cfg = _finetune_config(p, "gaussian", seed)
+    jobs = [(run_dimension_sweep, (ds, (d,), cfg, k, p["hidden"], p["activation"])) for d in dims]
+    return jobs, lambda runs: _voted(np.vstack(runs), [f"d{d}" for d in dims])
+
+
+def _kgg(ds, k, seed, p):
+    return [], partial(_voted, columns=p["voters"])  # no job: the vote over its voters' labels
+
+
 @dataclass(frozen=True)
 class Method:
-    """One method kind: exactly the params its fit reads, each as (cast, default)."""
+    """One method kind: exactly the params its fit reads, each as (cast, default), and its cell,
+    which takes (ds, k, seed, params with defaults filled) and returns its jobs, each (fn, args),
+    and the finish that turns their results, followed by the labels of the cells its ``voters``
+    param names, into its MethodResult."""
 
     params: dict[str, tuple[Callable, object]]
-    fit: Callable[..., MethodResult] | None  # the cell as one job; None for the sweep and kgg
+    cell: Callable[..., tuple[list[tuple], Callable]]
     binary: bool = False  # votes binary labels, so runs only at k = 2
 
 
 METHODS = {
-    "kmeans_x": Method(_KMEANS, partial(_fit_raw, _kmeans)),
-    "gmm_x": Method(_GMM, partial(_fit_raw, _gmm)),
-    "kmeans_z": Method(_PRETRAIN | _KMEANS, partial(_fit_hybrid, _kmeans)),
-    "gmm_z": Method(_PRETRAIN | _GMM, partial(_fit_hybrid, _gmm)),
+    "kmeans_x": Method(_KMEANS, partial(_one_job, _fit_raw, _kmeans)),
+    "gmm_x": Method(_GMM, partial(_one_job, _fit_raw, _gmm)),
+    "kmeans_z": Method(_PRETRAIN | _KMEANS, partial(_one_job, _fit_hybrid, _kmeans)),
+    "gmm_z": Method(_PRETRAIN | _GMM, partial(_one_job, _fit_hybrid, _gmm)),
     "deep_student_t": Method(
-        _DEEP | {"gamma": (float, 1.0), "recon_weight": (float, 0.0)},
-        partial(_fit_deep, "student_t"),
+        _DEEP | {"gamma": (_float, 1.0), "recon_weight": (_float, 0.0)},
+        partial(_one_job, _fit_deep, "student_t"),
     ),
-    "deep_student_t_recon": Method(_DEEP, partial(_fit_deep, "student_t")),
-    "deep_gaussian": Method(_DEEP, partial(_fit_deep, "gaussian")),
+    "deep_student_t_recon": Method(_DEEP, partial(_one_job, _fit_deep, "student_t")),
+    "deep_gaussian": Method(_DEEP, partial(_one_job, _fit_deep, "gaussian")),
     # the sweep sets each run's embed_dim from dims, which default to sweep_dims(n_features)
     "deep_gaussian_sweep": Method(
         {name: v for name, v in _DEEP.items() if name != "embed_dim"} | {"dims": (_list_of(_int), None)},
-        None,
+        _sweep,
         binary=True,
     ),
     # voters default to the first method of each KGG_VOTER_KINDS kind; see _kgg_voters
-    "kgg": Method({"voters": (_list_of(_str), None)}, None, binary=True),
+    "kgg": Method({"voters": (_list_of(_str), None)}, _kgg, binary=True),
 }
 
 
@@ -318,18 +339,11 @@ def check_k(k, kinds, where: str) -> int:
 
 
 def _cell(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) -> tuple[list[tuple], Callable]:
-    """A non-voting cell's jobs, each (weight, fn, args), and the finish that turns their results
-    into its MethodResult: a one-size ``run_dimension_sweep`` job per dimension and the vote over
-    their rows for the sweep, else one job whose result is the cell's. Weight (epochs) runs raw last."""
+    """The cell's jobs, each (weight, fn, args), and its finish (see Method); raw kinds weigh 0 epochs."""
     p = _with_defaults(spec.kind, profile, spec.params)
     weight = p.get("pretrain_epochs", 0) + p.get("finetune_epochs", 0)
-    if spec.kind != "deep_gaussian_sweep":
-        return [(weight, METHODS[spec.kind].fit, (ds, k, seed, p))], itemgetter(0)
-    dims = p.get("dims", sweep_dims(ds.n_features))
-    check_sweep_dims(dims, ds.n_features)
-    cfg = _finetune_config(p, "gaussian", seed)
-    jobs = [(weight, run_dimension_sweep, (ds, (d,), cfg, k, p["hidden"], p["activation"])) for d in dims]
-    return jobs, lambda runs: _voted(np.vstack(runs), [f"d{d}" for d in dims])
+    jobs, finish = METHODS[spec.kind].cell(ds, k, seed, p)
+    return [(weight, fn, args) for fn, args in jobs], finish
 
 
 def _kgg_voters(methods: list[MethodSpec], spec: MethodSpec, where: str) -> tuple[str, ...]:
@@ -539,14 +553,10 @@ def _blas_core() -> str | None:
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with numpy's bundled OpenBLAS at one thread, as a pool worker runs, and
-    restore its thread count after. Where ``_blas_threads`` finds no setter, the block runs at
-    the thread count it finds."""
-    found = _blas_threads()
-    if found is None:
-        yield
-        return
-    get, set_ = found
+    """Run the block with numpy's bundled OpenBLAS at one thread, which a process forked in it
+    inherits, and restore its thread count after. Where ``_blas_threads`` finds no setter, the
+    block runs at the thread count it finds."""
+    get, set_ = _blas_threads() or (lambda: None, lambda threads: None)
     saved = get()
     set_(1)
     try:
@@ -586,7 +596,7 @@ def _usable_cores() -> int:
     function has been swapped since import (a spy, a tracer: a forked worker's calls to it are
     recorded in the worker and lost), the platform has no ``fork`` start method, another Python
     thread runs (a forked worker copies only the calling thread, so a lock another one holds would
-    never be released in it), or numpy's BLAS exports no thread setter to hold each worker at one
+    never be released in it), or numpy's BLAS exports no thread setter to hold the workers at one
     thread."""
     import multiprocessing
     import threading
@@ -616,17 +626,16 @@ def _run_inherited(i: int):
 def _run_pool(calls: list[tuple], workers: int) -> list:
     """Each (fn, args) call's outcome, in order: ``_timed``'s (result, seconds) or the exception
     raised. The calls are submitted in order to a pool of ``workers`` processes forked from this
-    one, each set to one BLAS thread by its initializer (this process's count is left alone), and
-    every worker is joined before this returns. A worker inherits the calls when it forks and is
-    sent only a call's index; the call's outcome comes back pickled."""
+    one, and every worker is joined before this returns. A worker inherits the calls, and this
+    process's BLAS thread count, when it forks and is sent only a call's index; the call's outcome
+    comes back pickled."""
     # imported here, not at module level, so that importing the package never pays for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    _, set_threads = _blas_threads()  # a forked worker calls it as is, with no pickling
     _POOL_CALLS[:] = calls  # before the pool exists, so every worker it forks holds them
     try:
-        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), set_threads, (1,))
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
         try:
             # a worker that dies breaks the pool, so a later submit may raise BrokenProcessPool itself
             futures = [_attempt(pool.submit, _run_inherited, i) for i in range(len(calls))]
@@ -655,52 +664,45 @@ def _fit_on_pool(jobs: list[tuple], workers: int) -> list:
     return outcomes
 
 
+def _finished(finish, runs: list[tuple], voted: list[tuple]) -> tuple[MethodResult, float]:
+    """A cell's (MethodResult, seconds), the seconds its jobs' (``runs``) and its finish's; a voter
+    that failed, in ``voted``'s (name, outcome) pairs, fails it with a ToolkitError naming it."""
+    for name, outcome in voted:
+        if isinstance(outcome, Exception):
+            raise ToolkitError(f"voter {name!r} failed: {outcome}") from outcome
+    result, seconds = _timed(finish, [out for out, _ in runs] + [out.labels for _, (out, _) in voted])
+    return result, seconds + sum(s for _, s in runs)
+
+
 def _fit_grid(config: ExperimentConfig, preps: list[Dataset], cores: int) -> tuple[list[tuple], int]:
     """Every cell as (cohort index, MethodSpec, seed, outcome) in config order, and the number of
     processes that fitted the cells.
 
     Method j of cohort ci is fitted with the seed ``derive_seed`` mixes from the config's seed,
-    ci and j. An outcome is (MethodResult, seconds), the exception the cell raised, or None for a
-    kgg cell whose voters failed. Every cohort's non-voting cells' jobs are one list, cohort-major,
-    run on a pool if it holds two or more jobs and there are two or more ``cores``, else here at
-    one BLAS thread, so either way every job computes the same bytes; kgg votes after.
+    ci and j. An outcome is (MethodResult, seconds) or the exception the cell raised. Every cell's
+    jobs are one list, cohort-major, run on a pool if it holds two or more jobs and there are two
+    or more ``cores``, else here; either way this process holds one BLAS thread while they run,
+    which the pool's forked workers inherit, so every job computes the same bytes.
     """
     profile = PROFILES[config.profile]
-    grid = [
-        (ci, m, derive_seed(config.seed, ci, j))
-        for ci in range(len(preps)) for j, m in enumerate(config.methods)
-    ]
-    cells = {
-        (ci, m.name): _attempt(_cell, m, preps[ci], config.k, seed, profile)
-        for ci, m, seed in grid if m.kind != "kgg"
-    }
+    grid = [(ci, m, derive_seed(config.seed, ci, j))
+            for ci in range(len(preps)) for j, m in enumerate(config.methods)]
+    # a cell that names voters comes after them; parse_config lets no voter vote
+    order = sorted(grid, key=lambda cell: "voters" in cell[1].params)
+    cells = {(ci, m.name): _attempt(_cell, m, preps[ci], config.k, seed, profile) for ci, m, seed in order}
     flat = [job for cell in cells.values() if not isinstance(cell, Exception) for job in cell[0]]
     workers = min(cores, len(flat))
-    if workers >= 2:
-        done = iter(_fit_on_pool(flat, workers))
-    else:
-        workers = 1
-        with _one_blas_thread():
-            done = iter([_attempt(_timed, fn, *args) for _, fn, args in flat])
+    with _one_blas_thread():
+        done = iter(_fit_on_pool(flat, workers) if workers >= 2
+                    else [_attempt(_timed, fn, *args) for _, fn, args in flat])
     outcomes = {}
-    for key, cell in cells.items():
-        if isinstance(cell, Exception):
-            outcomes[key] = cell
-            continue
-        runs = [next(done) for _ in cell[0]]
+    for ci, m, _ in order:
+        cell = cells[ci, m.name]
+        runs = [cell] if isinstance(cell, Exception) else [next(done) for _ in cell[0]]
         failed = [run for run in runs if isinstance(run, Exception)]
-        result = failed[0] if failed else _attempt(cell[1], [out for out, _ in runs])
-        outcomes[key] = result if isinstance(result, Exception) else (result, sum(s for _, s in runs))
-
-    produced = {key: out[0].labels for key, out in outcomes.items() if isinstance(out, tuple)}
-    for ci, m, _ in grid:
-        if m.kind != "kgg":
-            continue
-        voters = m.params["voters"]
-        runs = [produced[ci, v] for v in voters if (ci, v) in produced]
-        missing = len(runs) < len(voters)
-        outcomes[ci, m.name] = None if missing else _attempt(_timed, _voted, runs, voters)
-    return [(ci, m, seed, outcomes[ci, m.name]) for ci, m, seed in grid], workers
+        voted = [(v, outcomes[ci, v]) for v in m.params.get("voters", ())]
+        outcomes[ci, m.name] = failed[0] if failed else _attempt(_finished, cell[1], runs, voted)
+    return [(ci, m, seed, outcomes[ci, m.name]) for ci, m, seed in grid], max(workers, 1)
 
 
 def _write_result(out: Path, stem: str, result: MethodResult | None) -> None:
@@ -733,13 +735,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Every cohort is loaded and checked before any cell fits, from one read of the CSV, so a
     cohort that cannot load fails the run before any fit or file. Then every cohort's jobs
-    (each non-voting cell, a sweep one per dimension) form one list, which runs on one pool
+    (one a cell, a sweep's one per dimension, kgg's none) form one list, which runs on one pool
     of processes forked from this one, one per usable core and at most one per job, when there
-    are at least two jobs and ``_usable_cores`` finds at least two (no module-level function of
-    the package swapped since import, a ``fork`` start method, no other Python thread, a BLAS
-    thread setter); otherwise in this process. Either way every file is written in config order, and the caller needs no
-    ``if __name__ == "__main__":`` guard.
+    are at least two jobs and ``_usable_cores`` finds at least two; otherwise in this process.
+    Either way every file is written in config order, and the caller needs no ``if __name__ ==
+    "__main__":`` guard. The config gets every check ``parse_config`` makes, so one built in
+    Python is refused as its document would be.
     """
+    config = parse_config(_config_doc(config))
     preps = _cohorts(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -752,15 +755,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         cohort = config.cohorts[ci].name
         cell = {"cohort": cohort, "method": spec.name}
         result = None
-        if outcome is None:
-            failures.append({**cell, "error": "voter labels missing"})
-        elif isinstance(outcome, Exception):
-            failures.append({
-                **cell,
-                "error": str(outcome),
-                "type": type(outcome).__name__,
-                "traceback": "".join(traceback.format_exception(outcome)),
-            })
+        if isinstance(outcome, Exception):
+            failures.append({**cell, "error": str(outcome), "type": type(outcome).__name__,
+                             "traceback": "".join(traceback.format_exception(outcome))})
         else:
             result, elapsed = outcome
             scores.append(score(preps[ci].labels, result.labels, spec.name, cohort))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import numbers
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -91,9 +92,17 @@ def _str(value) -> str:
     return value
 
 
+def _float(value) -> float:
+    """``float(value)`` of a number or a numeric string, refusing a bool, a null, a list or an object."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _int(value) -> int:
-    """``int(value)``, refusing a bool or a fraction rather than truncating it."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``int(value)``, refusing what ``_float`` refuses, and a fraction rather than truncating it."""
+    if (isinstance(value, bool) or not isinstance(value, (numbers.Real, str))
+            or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -113,7 +122,7 @@ def _dict(value) -> dict:
 
 
 # the cast of a config dataclass field, by its annotation; a "... | None" field also takes null
-_FIELD_CASTS = {"int": _int, "float": float, "str": _str, "dict": _dict}
+_FIELD_CASTS = {"int": _int, "float": _float, "str": _str, "dict": _dict}
 
 
 def _build(cls, raw, where: str, **defaults):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -30,8 +31,9 @@ from ehrcluster.errors import (
     UnsupportedK,
     ValidationError,
 )
-from ehrcluster.experiment import METHODS, PROFILES, MethodSpec, _cell, _check_ranges, _with_defaults
+from ehrcluster.experiment import METHODS, PROFILES, MethodSpec, _cell, _check_ranges, _with_defaults, parse_config
 from ehrcluster.traditional import kmeans_fit, kmeans_predict
+from ehrcluster.util import _build
 
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
@@ -42,6 +44,15 @@ OUT_OF_RANGE = [
     ({"embed_dim": 0}, "embed_dim included, must be >= 1", "deep_gaussian"),
     ({"learning_rate": -1}, "learning_rate must be > 0", "deep_gaussian"),
     ({"gamma": -1}, "gamma must be >= 0", "deep_gaussian"),
+    # non-finite settings, and a negative fine-tuning schedule, which a fit would take and then fail
+    # on mid-run or ignore
+    ({"learning_rate": float("nan")}, "learning_rate must be > 0 and finite", "deep_gaussian"),
+    ({"learning_rate": float("inf")}, "learning_rate must be > 0 and finite", "kmeans_z"),
+    ({"gamma": float("nan")}, "gamma must be >= 0 and finite", "deep_gaussian"),
+    ({"gamma": float("inf")}, "gamma must be >= 0 and finite", "deep_student_t"),
+    ({"recon_weight": float("nan")}, "recon_weight must be >= 0 and finite", "deep_student_t_recon"),
+    ({"recon_weight": float("inf")}, "recon_weight must be >= 0 and finite", "deep_gaussian"),
+    ({"finetune_epochs": -3}, "finetune_epochs must be >= 0", "deep_gaussian"),
     ({"target_update_interval": 0}, "target_update_interval must be >= 1", "deep_gaussian"),
     ({"pretrain_epochs": -1}, "pretrain_epochs) must be >= 0", "deep_gaussian"),
     ({"activation": "sigmoid"}, "activation must be one of", "deep_gaussian"),
@@ -431,6 +442,44 @@ class TestExitCodes:
         assert f"error: {field}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("extra, named", [
+        ({"separation": float("nan")}, "synthetic: separation must be >= 0 and finite"),
+        ({"separation": float("inf")}, "synthetic: separation must be >= 0 and finite"),
+        ({"separation": True}, "synthetic.separation: expected a number, got True"),
+        ({"class_ratio": {"a": 1}}, "synthetic.class_ratio: expected a number, got {'a': 1}"),
+        ({"n_samples": None}, "synthetic.n_samples: expected an integer, got None"),
+        ({"n_features": [4]}, "synthetic.n_features: expected an integer, got [4]"),
+    ])
+    def test_a_generate_spec_value_out_of_range_or_not_a_number_is_named(self, tmp_path, capsys, extra, named):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"n_samples": 50, "n_features": 4, "class_ratio": 1.0, "separation": 2.0, **extra}))
+        assert run_cli("generate", "--config", str(p), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"methods": [{"name": "m", "kind": "deep_gaussian", "params": {"learning_rate": True}}]},
+         "methods[0].params.learning_rate: expected a number, got True"),
+        ({"methods": [{"name": "m", "kind": "gmm_x", "params": {"tol": [0.1]}}]},
+         "methods[0].params.tol: expected a number, got [0.1]"),
+        ({"methods": [{"name": "m", "kind": "kmeans_x", "params": {"n_init": None}}]},
+         "methods[0].params.n_init: expected an integer, got None"),
+        ({"max_missing_rate": True}, "max_missing_rate: expected a number, got True"),
+        ({"cohorts": [{"name": "c", "subsample_n": {"n": 3}}]},
+         "cohorts[0].subsample_n: expected an integer, got {'n': 3}"),
+    ])
+    def test_a_config_value_that_is_not_a_number_is_named(self, tmp_path, capsys, overrides, named):
+        assert run_cli("benchmark", "--config", tiny_config(tmp_path, **overrides),
+                       "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_numeric_strings_are_read_as_numbers(self, tmp_path):
+        params = {"learning_rate": "0.01", "pretrain_epochs": "1", "hidden": ["4"], "n_init": "2"}
+        config = tiny_config(tmp_path, max_missing_rate="0.1",
+                             methods=[{"name": "m", "kind": "kmeans_z", "params": params}])
+        assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 0
+
     def test_negative_seed_flag_is_validation_error(self, tmp_path, capsys, synth_spec):
         assert run_cli("generate", "--config", str(synth_spec), "--seed", "-1", "--out", str(tmp_path / "o")) == 1
         assert "error: --seed: must be >= 0, got -1" in capsys.readouterr().err
@@ -725,12 +774,31 @@ FUZZED_SCHEMAS = st.one_of(
 
 
 def some(valid):
-    """Mostly ``valid``'s values, one in eight times a JSON leaf in their place. The leaves stay
-    small, since an integral float or a numeric string is read as an integer: a drawn n_samples
-    of 3e7 would generate a cohort of that size."""
+    """Mostly ``valid``'s values, one in eight times a JSON leaf in their place: null, a boolean, a
+    number small or huge (integers past int64, 1e300, NaN and both infinities) or a string (one of
+    them a lone surrogate). A document that holds a huge size, schedule, step or loss weight is only
+    loaded, see ``too_big``."""
     leaves = (st.none() | st.booleans() | st.integers(-3, 50) | st.floats(-3, 50)
-              | st.sampled_from([float("nan"), float("inf")]) | st.text(alphabet="ax.-", max_size=3))
+              | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+              | st.sampled_from([1e300, 2**63, -2**64, 10**40]) | st.text(alphabet="ax.-\ud800", max_size=3))
     return st.integers(0, 7).flatmap(lambda draw: valid if draw else leaves)
+
+
+# fields whose size a run pays for, in rows, columns, layer widths, epochs or iterations, and the
+# step size and loss weights, which past a point make a network's loss non-finite, failing its cell
+SIZED = {"n_samples", "n_features", "embed_dim", "hidden", "dims", "pretrain_epochs", "finetune_epochs",
+         "n_init", "max_iter", "learning_rate", "gamma", "recon_weight"}
+
+
+def too_big(node, key=None) -> bool:
+    """Whether a SIZED field of the JSON ``node`` holds a finite number above 50 (a CSV cohort here
+    has 12 rows; a synthetic one is made with as many as n_samples says)."""
+    if isinstance(node, dict):
+        return any(too_big(value, name) for name, value in node.items())
+    if isinstance(node, list):
+        return any(too_big(value, key) for value in node)
+    number = isinstance(node, (int, float)) and not isinstance(node, bool)
+    return key in SIZED and number and math.isfinite(node) and abs(node) > 50
 
 
 # a spec's fields over small cohorts, most of them in range
@@ -760,6 +828,33 @@ METHOD_LIST = st.lists(st.fixed_dictionaries(
              | st.lists(st.sampled_from(["m", "n", "x"]), max_size=3)),
         max_size=3)},
 ), max_size=3, unique_by=lambda method: method["name"])
+# methods of the kinds that train a network, at one-epoch schedules, with params drawn from the
+# names their kind reads, each mostly in range
+TRAINED = {
+    "embed_dim": st.integers(1, 3), "hidden": st.lists(st.integers(1, 4), max_size=2),
+    "activation": st.sampled_from(["relu", "tanh", "x"]), "learning_rate": st.floats(1e-4, 1),
+    "batch_size": st.integers(1, 16),
+    "gamma": st.floats(0, 2), "target_update_interval": st.integers(1, 3), "recon_weight": st.floats(0, 2),
+    "dims": st.lists(st.integers(1, 2), min_size=1, max_size=2), "n_init": st.integers(1, 3),
+    "max_iter": st.integers(1, 20), "tol": st.floats(0, 1), "cov_type": st.sampled_from(["full", "diagonal"]),
+    "reg_covar": st.floats(1e-9, 1),
+}
+# one epoch of each schedule, so that a step or weight a fit cannot use is always used
+SCHEDULE = {"pretrain_epochs": st.just(1), "finetune_epochs": st.just(1), "hidden": some(TRAINED["hidden"])}
+
+
+def trained_method(kind):
+    names = METHODS[kind].params
+    return st.fixed_dictionaries({"kind": st.just(kind), "params": st.fixed_dictionaries(
+        {name: value for name, value in SCHEDULE.items() if name in names},
+        optional={name: some(TRAINED[name]) for name in names if name not in SCHEDULE},
+    )})
+
+
+TRAINED_METHODS = st.lists(st.sampled_from(
+    ["kmeans_z", "gmm_z", "deep_student_t", "deep_student_t_recon", "deep_gaussian", "deep_gaussian_sweep"],
+).flatmap(trained_method), min_size=1, max_size=2).map(
+    lambda methods: [{"name": f"m{i}", **m} for i, m in enumerate(methods)])
 FIELDS = st.fixed_dictionaries({}, optional={
     "k": some(st.integers(0, 4)), "max_missing_rate": some(st.floats(0, 1)),
     "profile": some(st.sampled_from(["desk", "paper", "x"])), "seed": some(st.integers()),
@@ -789,6 +884,7 @@ FUZZED_FIELDS = {
     "benchmark data.synthetic": ("benchmark", SPEC.map(lambda spec: config_doc(data={"synthetic": spec}))),
     "benchmark cohorts": ("benchmark", COHORTS.map(lambda cohorts: config_doc(cohorts=cohorts))),
     "benchmark methods": ("benchmark", METHOD_LIST.map(lambda methods: config_doc(methods=methods))),
+    "benchmark trained methods": ("benchmark", TRAINED_METHODS.map(lambda methods: config_doc(methods=methods))),
     "benchmark top-level fields": ("benchmark", FIELDS.map(lambda fields: config_doc(**fields))),
 }
 
@@ -832,7 +928,15 @@ def test_any_bytes_in_any_input_file_exit_0_or_1(tmp_path, name, data):
 @given(data=st.data())
 def test_any_value_in_any_config_field_exit_0_or_1(tmp_path, name, data):
     command, docs = FUZZED_FIELDS[name]
-    check_fuzzed(tmp_path, [command, "--config", "{f}", "--out", "{out}"], data.draw(docs))
+    content = data.draw(docs)
+    if not too_big(json.loads(content)):
+        check_fuzzed(tmp_path, [command, "--config", "{f}", "--out", "{out}"], content)
+        return
+    doc = json.loads(content)
+    try:  # too big to run: it loads, or fails to with a validation error (exit 1)
+        _build(SyntheticSpec, doc, "synthetic") if command == "generate" else parse_config(doc, base_dir=tmp_path)
+    except ValidationError:
+        pass
 
 
 @pytest.mark.parametrize("command", ["generate", "benchmark"])

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import multiprocessing
 import os
@@ -20,13 +21,19 @@ from ehrcluster.deepcluster import DeepClusterConfig
 from ehrcluster.errors import ConfigError
 from ehrcluster.experiment import (
     PROFILES,
+    CohortSpec,
+    ExperimentConfig,
+    Method,
+    MethodResult,
     MethodSpec,
     _blas_core,
     _blas_threads,
     _cell,
     _config_doc,
     _config_hash,
+    _cohorts,
     _finetune_config,
+    _fit_grid,
     _fit_on_pool,
     _one_blas_thread,
     _train_config,
@@ -64,8 +71,12 @@ def fit_cell(spec: MethodSpec, ds, k: int, seed: int, profile):
 ROOT = Path(__file__).resolve().parents[1]
 FROZEN_DOC = json.loads((ROOT / "configs" / "benchmark.json").read_text())
 
+# JSON leaves, the edge cases among them drawn on purpose: non-finite floats (JSON NaN, Infinity,
+# and 1e400, which reads as inf), integers past int64 and strings holding a lone surrogate
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), 2**63, -2**64, 10**40, 10**400])
+    | st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), min_size=1, max_size=2),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=5,
 )
@@ -317,6 +328,35 @@ class TestRunExperiment:
         assert np.array_equal(majority_vote(voters), labels_of("kgg"))
         assert (tmp_path / "o" / "labels_runs" / "main__sweep.csv").exists()
 
+    def test_a_kgg_cell_whose_voter_failed_fails_with_a_record_naming_it(self, tmp_path):
+        doc = minimal_doc(methods=[
+            {"name": "km", "kind": "kmeans_x"}, {"name": "boom", "kind": "gmm_x"},
+            {"name": "km2", "kind": "kmeans_x", "params": {"n_init": 2}},
+            {"name": "vote", "kind": "kgg", "params": {"voters": ["km", "boom", "km2"]}},
+        ], output_dir=str(tmp_path / "o"))
+        doc["data"]["synthetic"]["n_samples"] = 2  # k-means takes two rows, a mixture needs more than k
+        res = run_experiment(parse_config(doc))
+        assert [r.method for r in res.scores] == ["km", "km2"]
+        boom, vote = res.failures
+        assert boom["method"] == "boom" and vote["method"] == "vote"
+        assert vote["type"] == "ToolkitError"
+        assert vote["error"] == "voter 'boom' failed: need more than k=2 samples, got 2"
+        # the voter's own exception, chained
+        assert "DegenerateInput: need more than k=2" in vote["traceback"]
+        assert "The above exception was the direct cause" in vote["traceback"]
+        assert not (tmp_path / "o" / "labels" / "all__vote.csv").exists()
+
+    def test_a_sweep_cell_times_its_jobs_and_its_vote(self, tmp_path, monkeypatch):
+        import ehrcluster.experiment as experiment
+
+        clock = itertools.count(0, 10)  # every reading 10 s after the last, so each timed span is 10 s
+        monkeypatch.setattr(experiment.time, "perf_counter", lambda: next(clock))
+        doc = minimal_doc(methods=[{"name": "sweep", "kind": "deep_gaussian_sweep", "params": {
+            "dims": [2, 3], "hidden": [4], "pretrain_epochs": 1, "finetune_epochs": 1}}],
+            output_dir=str(tmp_path / "o"))
+        (cell,) = run_experiment(parse_config(doc)).cells
+        assert cell["wall_clock_seconds"] == 30  # two jobs and the vote
+
     def test_single_method_high_separation(self, tmp_path):
         doc = minimal_doc(output_dir=str(tmp_path / "o"))
         doc["data"]["synthetic"]["separation"] = 10.0
@@ -493,6 +533,41 @@ class TestRunExperiment:
         doc["data"] = {"csv": {"path": str(csv_path), "schema": str(schema)}}
         with pytest.raises(ConfigError, match="labels"):
             run_experiment(parse_config(doc))
+
+
+class TestConfigBuiltInPython:
+    """``run_experiment`` checks a config built in Python as ``parse_config`` checks a document."""
+
+    @staticmethod
+    def run(out, methods):
+        return run_experiment(ExperimentConfig(
+            seed=1, methods=methods, cohorts=[CohortSpec("all")], output_dir=str(out),
+            data=SyntheticSpec(60, 4, 1.0, 4.0, missing_rate=0.0, seed=2),
+        ))
+
+    def test_kgg_without_voters_votes_the_first_method_of_each_voter_kind(self, tmp_path):
+        sweep = {"dims": (2,), "hidden": (4,), "pretrain_epochs": 1, "finetune_epochs": 1}
+        res = self.run(tmp_path, [MethodSpec("km", "kmeans_x"), MethodSpec("gm", "gmm_x"),
+                                  MethodSpec("sw", "deep_gaussian_sweep", sweep), MethodSpec("vote", "kgg")])
+        assert res.failures == [] and [r.method for r in res.scores] == ["km", "gm", "sw", "vote"]
+        assert (tmp_path / "labels_runs" / "all__vote.csv").read_text().startswith("km,gm,sw\n")
+
+    def test_a_numeric_string_param_is_cast_as_a_document_casts_it(self, tmp_path):
+        cast = self.run(tmp_path / "a", [MethodSpec("km", "kmeans_x", {"n_init": "3"})])
+        number = self.run(tmp_path / "b", [MethodSpec("km", "kmeans_x", {"n_init": 3})])
+        assert cast.failures == [] and cast.scores == number.scores
+        labels = [tmp_path / d / "labels" / "all__km.csv" for d in "ab"]
+        assert labels[0].read_bytes() == labels[1].read_bytes()
+
+    @pytest.mark.parametrize("methods, named", [
+        ([MethodSpec("m", "kmeans_x"), MethodSpec("m", "gmm_x")], "methods[1].name: duplicate 'm'"),
+        ([MethodSpec("../x", "kmeans_x")], "methods[0].name: must be 1 to 119 bytes"),
+        ([MethodSpec("m", "kmeans_x", {"n_init": 0})], "methods[0].params.n_init: n_init must be >= 1"),
+    ])
+    def test_a_config_its_document_would_refuse_fails_before_any_file(self, tmp_path, methods, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            self.run(tmp_path / "o", methods)
+        assert not (tmp_path / "o").exists()
 
 
 class TestCohorts:
@@ -829,16 +904,23 @@ class TestPool:
         # both cohorts' six jobs on one pool
         assert [m["workers"] for m in manifests] == [min(len(os.sched_getaffinity(0)), 6), 1]
 
-    def test_workers_run_at_one_blas_thread_and_leave_the_callers_count(self):
+    def test_workers_run_at_one_blas_thread_and_leave_the_callers_count(self, monkeypatch):
+        import ehrcluster.experiment as experiment
+
         if _blas_threads() is None:
             pytest.skip("numpy's BLAS exports no thread-count getter")
+        # a kind of four jobs, each reading the thread count of the process it runs in
+        counts = Method({}, lambda ds, k, seed, p: ([(_blas_thread_count, ())] * 4, lambda runs: MethodResult(runs)))
+        monkeypatch.setitem(experiment.METHODS, "kmeans_x", counts)
+        config = parse_config(minimal_doc())
         get, set_ = _blas_threads()
         saved = get()
         set_(2)
         try:
-            outcomes = _fit_on_pool([(1, _blas_thread_count, ())] * 4, 2)
-            assert [count for count, seconds in outcomes] == [1] * 4
-            assert get() == 2
+            for cores in (2, 1):  # on the pool, then in process
+                ((_, _, _, (result, _)),), workers = _fit_grid(config, _cohorts(config), cores)
+                assert workers == cores and result.labels == [1] * 4
+                assert get() == 2
         finally:
             set_(saved)
 
