@@ -472,20 +472,22 @@ def pretrain(
     n = X.shape[0]
     full, cache, grads = training_buffers(model, n, min(config.batch_size, n))
     history: list[float] = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            xb = X[idx]
-            _, xhat, _ = forward(model, xb, out=cache)
-            d_xhat = np.subtract(xhat, xb, out=xhat)  # 2 (xhat - xb) / rows, over xhat
-            d_xhat *= 2.0
-            d_xhat /= xb.shape[0]
-            backward(model, cache, d_xhat, out=grads)
-            adam_step(model, grads, config)
-        _, xhat, _ = forward(model, X, out=full)
-        loss = reconstruction_loss(X, xhat)
-        if not np.isfinite(loss) or not params_finite(model):
-            raise NonFiniteLoss(epoch)
-        history.append(loss)
+    # a diverging network overflows; NonFiniteLoss, raised at the end of its epoch, is the one signal
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            perm = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                xb = X[idx]
+                _, xhat, _ = forward(model, xb, out=cache)
+                d_xhat = np.subtract(xhat, xb, out=xhat)  # 2 (xhat - xb) / rows, over xhat
+                d_xhat *= 2.0
+                d_xhat /= xb.shape[0]
+                backward(model, cache, d_xhat, out=grads)
+                adam_step(model, grads, config)
+            _, xhat, _ = forward(model, X, out=full)
+            loss = reconstruction_loss(X, xhat)
+            if not np.isfinite(loss) or not params_finite(model):
+                raise NonFiniteLoss(epoch)
+            history.append(loss)
     return model, history

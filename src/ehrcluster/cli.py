@@ -16,7 +16,7 @@ from . import __version__
 from .data import Dataset, SyntheticSpec, generate_synthetic
 from .errors import ConfigError, ToolkitError, ValidationError
 from .experiment import PROFILES, load_config, run_experiment
-from .util import _build, read_json, write_csv
+from .util import _build, check_output_dir, read_json, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,6 +37,7 @@ def _write_dataset_csv(ds: Dataset, path: Path) -> None:
 
 
 def _cmd_generate(args) -> int:
+    check_output_dir(args.out, "--out")
     spec = _build(SyntheticSpec, read_json(args.config), "synthetic")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
@@ -52,6 +53,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    if args.out is not None:
+        check_output_dir(args.out, "--out")
     flags = {"seed": args.seed, "profile": args.profile, "output_dir": args.out}
     result = run_experiment(replace(load_config(args.config), **{f: v for f, v in flags.items() if v is not None}))
     print(f"wrote {result.output_dir / 'scores.csv'} ({len(result.scores)} rows)")

@@ -149,11 +149,12 @@ def kl_loss(T: np.ndarray, log_S: np.ndarray) -> float:
     return float((T[mask] * (np.log(T[mask]) - log_S[mask])).sum())
 
 
-def joint_loss(X, Xhat, T, log_S, gamma: float) -> float:
-    """Reconstruction loss plus gamma times the per-sample mean KL term."""
+def joint_loss(X, Xhat, T, log_S, gamma: float, recon_weight: float = 1.0) -> float:
+    """The loss ``finetune`` trains on and records: recon_weight times the reconstruction loss,
+    plus gamma times the per-sample mean KL term."""
     recon = reconstruction_loss(X, Xhat)
-    m = np.atleast_2d(np.asarray(T)).shape[0]
-    return recon + gamma * kl_loss(T, log_S) / m
+    kl = kl_loss(T, log_S) / np.atleast_2d(np.asarray(T)).shape[0]
+    return recon_weight * recon + gamma * kl  # finetune's own expression, term for term
 
 
 def clustering_gradients(Z: np.ndarray, head: Head, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,48 +246,50 @@ def finetune(
     mu_v = np.zeros_like(_centers(head))
     mu_step = 0
 
-    for epoch in range(config.finetune_epochs):
-        if epoch % config.target_update_interval == 0:
-            # a view into full, which this epoch's full-data forward overwrites, or for a
-            # network in another dtype a copy, since the head computes in float64
-            Z_full = np.asarray(encode(model, X, out=full), dtype=float)
-            if gaussian:  # one EM step, into a new mixture, as in gmm_fit's loop
-                head = GmmModel(*_gmm_m_step(Z_full, soft_assign_gaussian(Z_full, head), "full", REG_COVAR))
-            S_full = soft_assign(Z_full, head)
-            head, S_full = _reseed_collapsed(Z_full, head, S_full, epoch, dcm.collapse_events)
-            T_full = target_distribution(S_full)
+    # a diverging network overflows; NonFiniteLoss, raised at the end of its epoch, is the one signal
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.finetune_epochs):
+            if epoch % config.target_update_interval == 0:
+                # a view into full, which this epoch's full-data forward overwrites, or for a
+                # network in another dtype a copy, since the head computes in float64
+                Z_full = np.asarray(encode(model, X, out=full), dtype=float)
+                if gaussian:  # one EM step, into a new mixture, as in gmm_fit's loop
+                    head = GmmModel(*_gmm_m_step(Z_full, soft_assign_gaussian(Z_full, head), "full", REG_COVAR))
+                S_full = soft_assign(Z_full, head)
+                head, S_full = _reseed_collapsed(Z_full, head, S_full, epoch, dcm.collapse_events)
+                T_full = target_distribution(S_full)
 
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg_t.batch_size):
-            idx = perm[start : start + cfg_t.batch_size]
-            xb = X[idx]
-            zb, xhat, _ = forward(model, xb, out=cache)
-            d_xhat = np.subtract(xhat, xb, out=xhat)  # recon_weight 2 (xhat - xb) / rows, over xhat
-            d_xhat *= config.recon_weight * 2.0
-            d_xhat /= xb.shape[0]
-            dZ, dMu = clustering_gradients(zb, head, T_full[idx])
-            backward(model, cache, d_xhat, config.gamma * dZ, out=grads)
-            adam_step(model, grads, cfg_t)
-            if not gaussian:  # the centers' own Adam step, in place
-                g = config.gamma * dMu
-                mu_step += 1
-                mu_m = ADAM_BETA1 * mu_m + (1 - ADAM_BETA1) * g
-                mu_v = ADAM_BETA2 * mu_v + (1 - ADAM_BETA2) * g * g
-                mhat = mu_m / (1 - ADAM_BETA1**mu_step)
-                vhat = mu_v / (1 - ADAM_BETA2**mu_step)
-                head -= cfg_t.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            perm = rng.permutation(n)
+            for start in range(0, n, cfg_t.batch_size):
+                idx = perm[start : start + cfg_t.batch_size]
+                xb = X[idx]
+                zb, xhat, _ = forward(model, xb, out=cache)
+                d_xhat = np.subtract(xhat, xb, out=xhat)  # recon_weight 2 (xhat - xb) / rows, over xhat
+                d_xhat *= config.recon_weight * 2.0
+                d_xhat /= xb.shape[0]
+                dZ, dMu = clustering_gradients(zb, head, T_full[idx])
+                backward(model, cache, d_xhat, config.gamma * dZ, out=grads)
+                adam_step(model, grads, cfg_t)
+                if not gaussian:  # the centers' own Adam step, in place
+                    g = config.gamma * dMu
+                    mu_step += 1
+                    mu_m = ADAM_BETA1 * mu_m + (1 - ADAM_BETA1) * g
+                    mu_v = ADAM_BETA2 * mu_v + (1 - ADAM_BETA2) * g * g
+                    mhat = mu_m / (1 - ADAM_BETA1**mu_step)
+                    vhat = mu_v / (1 - ADAM_BETA2**mu_step)
+                    head -= cfg_t.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
-        zf, xhatf, _ = forward(model, X, out=full)
-        if gaussian:
-            log_sf, _ = gaussian_log_responsibilities(zf, head)
-        else:
-            log_sf = np.log(soft_assign_student_t(zf, head))
-        recon = reconstruction_loss(X, xhatf)
-        kl = kl_loss(T_full, log_sf) / n
-        joint = config.recon_weight * recon + config.gamma * kl
-        if not np.isfinite(joint) or not params_finite(model) or not np.all(np.isfinite(_centers(head))):
-            raise NonFiniteLoss(epoch)
-        dcm.history.append((recon, kl, joint))
+            zf, xhatf, _ = forward(model, X, out=full)
+            if gaussian:
+                log_sf, _ = gaussian_log_responsibilities(zf, head)
+            else:
+                log_sf = np.log(soft_assign_student_t(zf, head))
+            recon = reconstruction_loss(X, xhatf)
+            kl = kl_loss(T_full, log_sf) / n
+            joint = config.recon_weight * recon + config.gamma * kl
+            if not np.isfinite(joint) or not params_finite(model) or not np.all(np.isfinite(_centers(head))):
+                raise NonFiniteLoss(epoch)
+            dcm.history.append((recon, kl, joint))
 
     dcm.params = head
     return dcm

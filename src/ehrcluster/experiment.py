@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -49,25 +50,19 @@ from .ensemble import check_sweep_dims, majority_vote, run_dimension_sweep, swee
 from .errors import ConfigError, ToolkitError, ValidationError
 from .metrics import ScoreReport, average_rank, score, write_ranks_csv, write_score_reports_csv
 from .traditional import (
-    REG_COVAR, check_gmm_params, check_kmeans_params, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict,
+    check_gmm_params, check_kmeans_params, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict,
 )
-from .util import _build, _cast, _float, _int, _str, derive_seed, read_json, write_csv
+from .util import _build, _cast, _float, _int, _str, check_output_dir, derive_seed, read_json, write_csv
 
 KGG_VOTER_KINDS = ("kmeans_x", "gmm_x", "deep_gaussian_sweep")
 
 
-@dataclass(frozen=True)
-class Profile:
-    pretrain_epochs: int
-    finetune_epochs: int
-    hidden: tuple[int, ...]
-
-
+# a profile is the params it sets for every kind that takes them, unless a method sets its own
 PROFILES = {
     # desk: small hidden stack so the full grid fits a laptop-scale budget
-    "desk": Profile(200, 100, (64, 64)),
+    "desk": {"pretrain_epochs": 200, "finetune_epochs": 100, "hidden": (64, 64)},
     # paper: the h-500-500-2000-d stack and long schedules
-    "paper": Profile(1000, 1000, (500, 500, 2000)),
+    "paper": {"pretrain_epochs": 1000, "finetune_epochs": 1000, "hidden": (500, 500, 2000)},
 }
 
 
@@ -133,32 +128,25 @@ def _list_of(cast: Callable) -> Callable:
     return parse
 
 
-# a default that reads the profile's field of the same name at run time, since
-# ``benchmark --profile`` may swap the profile after the config is parsed
-FROM_PROFILE = "profile"
+def _defaults_of(fn: Callable, **casts: Callable) -> dict:
+    """Each named param of ``fn`` as (cast, the default ``fn``'s signature declares)."""
+    declared = inspect.signature(fn).parameters
+    return {name: (cast, declared[name].default) for name, cast in casts.items()}
 
-# param name -> (cast, default); a None default leaves the param unset
-_KMEANS = {"n_init": (_int, 10), "max_iter": (_int, 300), "tol": (_float, 1e-4)}
-_GMM = {
-    "cov_type": (_str, "full"),
-    "max_iter": (_int, 300),
-    "tol": (_float, 1e-3),
-    "reg_covar": (_float, REG_COVAR),
-}
+
+# param name -> (cast, default); a None default leaves the param unset, or set by the profile
+_KMEANS = _defaults_of(kmeans_fit, n_init=_int, max_iter=_int, tol=_float)
+_GMM = _defaults_of(gmm_fit, cov_type=_str, max_iter=_int, tol=_float, reg_covar=_float)
 _PRETRAIN = {
     "embed_dim": (_int, 10),
-    "hidden": (_list_of(_int), FROM_PROFILE),
-    "activation": (_str, "relu"),
-    "pretrain_epochs": (_int, FROM_PROFILE),
-    "learning_rate": (_float, 1e-3),
-    "batch_size": (_int, 256),
+    "hidden": (_list_of(_int), None),
+    **_defaults_of(build, activation=_str),
+    "pretrain_epochs": (_int, None),
+    **_defaults_of(TrainConfig, learning_rate=_float, batch_size=_int),
 }
-_DEEP = _PRETRAIN | {
-    "finetune_epochs": (_int, FROM_PROFILE),
-    "gamma": (_float, 0.1),
-    "target_update_interval": (_int, 10),
-    "recon_weight": (_float, 1.0),
-}
+_DEEP = _PRETRAIN | {"finetune_epochs": (_int, None)} | _defaults_of(
+    DeepClusterConfig, gamma=_float, target_update_interval=_int, recon_weight=_float,
+)
 
 
 def _train_config(p: dict, seed: int) -> TrainConfig:
@@ -185,15 +173,12 @@ def _pretrained(ds: Dataset, p: dict, train: TrainConfig):
 
 
 def _kmeans(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
-    km = kmeans_fit(X, k, seed=seed, n_init=p["n_init"], max_iter=p["max_iter"], tol=p["tol"])
+    km = kmeans_fit(X, k, seed=seed, **{name: p[name] for name in _KMEANS})
     return kmeans_predict(km, X)
 
 
 def _gmm(X: np.ndarray, k: int, seed: int, p: dict) -> np.ndarray:
-    gm = gmm_fit(
-        X, k, cov_type=p["cov_type"], seed=seed,
-        max_iter=p["max_iter"], tol=p["tol"], reg_covar=p["reg_covar"],
-    )
+    gm = gmm_fit(X, k, seed=seed, **{name: p[name] for name in _GMM})
     labels, _ = gmm_predict(gm, X)
     return labels
 
@@ -280,14 +265,12 @@ METHODS = {
 }
 
 
-def _with_defaults(kind: str, profile: Profile, params: dict) -> dict:
-    """``params`` over ``kind``'s defaults, the FROM_PROFILE ones read from ``profile``."""
-    defaults = {
-        name: getattr(profile, name) if default == FROM_PROFILE else default
-        for name, (_, default) in METHODS[kind].params.items()
-        if default is not None
-    }
-    return {**defaults, **params}
+def _with_defaults(kind: str, profile: str, params: dict) -> dict:
+    """``params``, over the ``profile``'s entries for the params ``kind`` takes, over ``kind``'s
+    defaults; a param with neither a profile entry nor a default stays unset."""
+    entries = PROFILES[profile]
+    filled = ((name, entries.get(name, default)) for name, (_, default) in METHODS[kind].params.items())
+    return {**{name: value for name, value in filled if value is not None}, **params}
 
 
 def _check_ranges(p: dict) -> None:
@@ -298,9 +281,9 @@ def _check_ranges(p: dict) -> None:
     elif "batch_size" in p:
         _train_config(p, 0)
     if "n_init" in p:
-        check_kmeans_params(p["n_init"], p["max_iter"], p["tol"])
+        check_kmeans_params(**{name: p[name] for name in _KMEANS})
     if "cov_type" in p:
-        check_gmm_params(p["cov_type"], p["reg_covar"], p["max_iter"], p["tol"])
+        check_gmm_params(**{name: p[name] for name in _GMM})
     if "hidden" in p:
         for embed_dim in p.get("dims", [p.get("embed_dim", 1)]):
             mirrored_dims(1, embed_dim, p["hidden"], p["activation"])
@@ -321,7 +304,7 @@ def check_params(kind: str, params: dict, where: str) -> dict:
         out[name] = _cast(schema[name][0], value, f"{where}.{name}")
         # every other param at its default, which is in range, so a failure is this one's
         try:
-            _check_ranges(_with_defaults(kind, PROFILES["desk"], {name: out[name]}))
+            _check_ranges(_with_defaults(kind, "desk", {name: out[name]}))
         except ValidationError as exc:
             raise ConfigError(f"{where}.{name}: {exc}") from None
     return out
@@ -338,7 +321,7 @@ def check_k(k, kinds, where: str) -> int:
     return k
 
 
-def _cell(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: Profile) -> tuple[list[tuple], Callable]:
+def _cell(spec: MethodSpec, ds: Dataset, k: int, seed: int, profile: str) -> tuple[list[tuple], Callable]:
     """The cell's jobs, each (weight, fn, args), and its finish (see Method); raw kinds weigh 0 epochs."""
     p = _with_defaults(spec.kind, profile, spec.params)
     weight = p.get("pretrain_epochs", 0) + p.get("finetune_epochs", 0)
@@ -474,7 +457,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def _cohorts(config: ExperimentConfig) -> list[Dataset]:
     """Every cohort preprocessed, in config order: every group_column checked against the schema,
     the CSV read once, then each cohort subset, subsampled, preprocessed and checked for labels and
-    for at least k samples."""
+    for more than k samples."""
     csv = isinstance(config.data, CsvSource)
     if csv:
         specs = load_feature_schema(config.data.schema)
@@ -505,8 +488,8 @@ def _cohorts(config: ExperimentConfig) -> list[Dataset]:
         prep, _scaler = preprocess(ds, config.max_missing_rate)
         if prep.labels is None:
             raise ConfigError(f"cohort {cohort.name!r} has no ground-truth labels to score against")
-        if prep.n_samples < config.k:  # every method splits the cohort into k clusters
-            raise ConfigError(f"cohort {cohort.name!r}: {prep.n_samples} sample(s) kept, fewer than k={config.k}")
+        if prep.n_samples <= config.k:  # every method splits the cohort into k clusters, not singletons
+            raise ConfigError(f"cohort {cohort.name!r}: {prep.n_samples} sample(s) kept, need more than k={config.k}")
         preps.append(prep)
     return preps
 
@@ -684,12 +667,11 @@ def _fit_grid(config: ExperimentConfig, preps: list[Dataset], cores: int) -> tup
     or more ``cores``, else here; either way this process holds one BLAS thread while they run,
     which the pool's forked workers inherit, so every job computes the same bytes.
     """
-    profile = PROFILES[config.profile]
     grid = [(ci, m, derive_seed(config.seed, ci, j))
             for ci in range(len(preps)) for j, m in enumerate(config.methods)]
     # a cell that names voters comes after them; parse_config lets no voter vote
     order = sorted(grid, key=lambda cell: "voters" in cell[1].params)
-    cells = {(ci, m.name): _attempt(_cell, m, preps[ci], config.k, seed, profile) for ci, m, seed in order}
+    cells = {(ci, m.name): _attempt(_cell, m, preps[ci], config.k, seed, config.profile) for ci, m, seed in order}
     flat = [job for cell in cells.values() if not isinstance(cell, Exception) for job in cell[0]]
     workers = min(cores, len(flat))
     with _one_blas_thread():
@@ -743,6 +725,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Python is refused as its document would be.
     """
     config = parse_config(_config_doc(config))
+    check_output_dir(config.output_dir, "output_dir")
     preps = _cohorts(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -780,7 +763,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "config": doc,
         "config_hash": _config_hash(doc),
         "versions": _versions(),
-        "profile": asdict(PROFILES[config.profile]),
+        "profile": PROFILES[config.profile],
         "workers": workers,
         "cells": cells,
         "failures": failures,

@@ -149,6 +149,15 @@ def _build(cls, raw, where: str, **defaults):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def check_output_dir(path: str | Path, where: str) -> None:
+    """ConfigError naming ``where`` if ``path`` cannot be made a directory: it, or its nearest
+    parent that exists, is not one."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{where}: {str(existing)!r} is not a directory")
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write rows with a fixed header; '\\n' line endings for byte-stable output."""
     path = Path(path)

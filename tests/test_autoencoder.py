@@ -795,6 +795,14 @@ class TestPretrain:
         with pytest.raises(NonFiniteLoss):
             pretrain(m, ds, TrainConfig(epochs=30, learning_rate=1e200))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_diverging_network_fails_with_non_finite_loss_not_a_numpy_warning(self):
+        # a float32 network at this rate overflows in its first epoch; numpy warns of it, which -W
+        # error would raise before the NonFiniteLoss check
+        ds = small_training_set(12)
+        with pytest.raises(NonFiniteLoss):
+            pretrain(build(10, 2, [8], seed=1, dtype="float32"), ds, TrainConfig(epochs=5, learning_rate=1e10))
+
 
 class TestDtype:
     def test_a_float32_model_computes_in_float32_throughout(self):
@@ -830,7 +838,7 @@ class TestDtype:
         import ehrcluster.ensemble as ensemble
         import ehrcluster.experiment as experiment
         from ehrcluster.deepcluster import DeepClusterConfig
-        from ehrcluster.experiment import PROFILES, MethodSpec
+        from ehrcluster.experiment import MethodSpec
         from test_acceptance import _kink_safe_instance
         from test_experiment import fit_cell
 
@@ -840,7 +848,7 @@ class TestDtype:
         ds = small_training_set(40)
         params = {"hidden": (8,), "embed_dim": 2, "pretrain_epochs": 2}
         for profile in ("desk", "paper"):
-            result = fit_cell(MethodSpec("m", "kmeans_z", params), ds, 2, 0, PROFILES[profile])
+            result = fit_cell(MethodSpec("m", "kmeans_z", params), ds, 2, 0, profile)
             assert result.embedding.dtype == np.float64
             assert all(np.isfinite(result.pretrain_history))
         assert [m.dtype for m in built] == [np.float32, np.float32]

@@ -31,7 +31,7 @@ from ehrcluster.errors import (
     UnsupportedK,
     ValidationError,
 )
-from ehrcluster.experiment import METHODS, PROFILES, MethodSpec, _cell, _check_ranges, _with_defaults, parse_config
+from ehrcluster.experiment import METHODS, MethodSpec, _cell, _check_ranges, _with_defaults, parse_config
 from ehrcluster.traditional import kmeans_fit, kmeans_predict
 from ehrcluster.util import _build
 
@@ -507,8 +507,33 @@ class TestExitCodes:
         (tmp_path / "s.json").write_text(json.dumps([{"name": "f00", "bound_lo": -100, "bound_hi": 100}]))
         config = tiny_config(tmp_path, data={"csv": {"path": "d.csv", "schema": "s.json", "label_column": "y"}})
         assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 1
-        assert "error: cohort 'all': 1 sample(s) kept, fewer than k=2" in capsys.readouterr().err
+        assert "error: cohort 'all': 1 sample(s) kept, need more than k=2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["kmeans_x", "gmm_x"])
+    def test_a_cohort_of_exactly_k_samples_fails_before_the_output_dir(self, tmp_path, capsys, kind):
+        # k rows split only into singletons: gmm_x failed its cell (exit 2), kmeans_x scored ARI 0 (exit 0)
+        (tmp_path / "d.csv").write_text("f00,y\n1.0,0\n2.0,1\n")
+        (tmp_path / "s.json").write_text(json.dumps([{"name": "f00", "bound_lo": -100, "bound_hi": 100}]))
+        config = tiny_config(tmp_path, data={"csv": {"path": "d.csv", "schema": "s.json", "label_column": "y"}},
+                             methods=[{"name": "m", "kind": kind}])
+        assert run_cli("benchmark", "--config", config, "--out", str(tmp_path / "o")) == 1
+        assert "error: cohort 'all': 2 sample(s) kept, need more than k=2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("command", ["generate", "benchmark"])
+    def test_an_out_that_names_a_file_is_validation_error(self, tmp_path, capsys, synth_spec, command, out):
+        (tmp_path / "afile").write_text("kept")
+        config = str(synth_spec) if command == "generate" else tiny_config(tmp_path)
+        assert run_cli(command, "--config", config, "--out", str(tmp_path / out)) == 1
+        assert capsys.readouterr().err == f"error: --out: {str(tmp_path / 'afile')!r} is not a directory\n"
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    def test_an_output_dir_that_names_a_file_is_validation_error(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("kept")
+        assert run_cli("benchmark", "--config", tiny_config(tmp_path, output_dir=str(tmp_path / "afile"))) == 1
+        assert capsys.readouterr().err == f"error: output_dir: {str(tmp_path / 'afile')!r} is not a directory\n"
 
     def test_malformed_json_configs_are_validation_errors(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -533,9 +558,9 @@ class TestExitCodes:
         # the load refuses a param with the error its fit would raise; in the library the fit raises it itself
         ds = generate_synthetic(SyntheticSpec(30, 4, 1.0, 4.0, missing_rate=0.0, seed=3))
         with pytest.raises(ValidationError, match=re.escape(named)) as at_load:
-            _check_ranges(_with_defaults(kind, PROFILES["desk"], params))
+            _check_ranges(_with_defaults(kind, "desk", params))
         with pytest.raises(type(at_load.value), match=re.escape(named)):
-            jobs, finish = _cell(MethodSpec("m", kind, params), ds, 2, 1, PROFILES["desk"])
+            jobs, finish = _cell(MethodSpec("m", kind, params), ds, 2, 1, "desk")
             finish([fn(*args) for _, fn, args in jobs])
 
     @pytest.mark.parametrize("cohort, named", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ehrcluster.autoencoder import TrainConfig, build, encode, pretrain
+from ehrcluster.autoencoder import TrainConfig, build, encode, forward, pretrain
 from ehrcluster.data import SyntheticSpec, generate_synthetic
 from ehrcluster.deepcluster import (
     DeepClusterConfig,
@@ -23,7 +23,7 @@ from ehrcluster.deepcluster import (
     soft_assign_student_t,
     target_distribution,
 )
-from ehrcluster.errors import DimensionMismatch, InvalidDimension
+from ehrcluster.errors import DimensionMismatch, InvalidDimension, NonFiniteLoss
 from ehrcluster.metrics import acc
 from ehrcluster.traditional import GmmModel, gmm_fit, gmm_predict, kmeans_fit, kmeans_predict
 
@@ -187,6 +187,22 @@ class TestJointLoss:
         T, S = np.array([[1.0, 0.0]]), np.array([[s00, 1 - s00]])
         assert joint_loss(X, Xhat, T, np.log(S), 0.1) == pytest.approx(1.05, abs=1e-12)
 
+    def test_it_is_the_loss_finetune_records_at_dec_s_settings(self):
+        # one epoch at gamma 1, recon_weight 0: T is the initial network's, the loss the final one's
+        ds = generate_synthetic(SyntheticSpec(50, 4, 1.0, 4.0, "spherical", 0.0, seed=2))
+        model = build(4, 2, [6], seed=3)
+        cfg = DeepClusterConfig("student_t", gamma=1.0, finetune_epochs=1, recon_weight=0.0,
+                                train=TrainConfig(seed=5))
+        Z0 = encode(model, ds.X)
+        dcm = finetune(model, ds, 2, cfg)
+        assert dcm.collapse_events == []
+        T = target_distribution(soft_assign(Z0, init_clusters(Z0, 2, "student_t", seed=5)))
+        Z, Xhat, _ = forward(dcm.network, ds.X)
+        log_S = np.log(soft_assign_student_t(Z, dcm.params))
+        recon, kl, joint = dcm.history[-1]
+        assert joint_loss(ds.X, Xhat, T, log_S, 1.0, recon_weight=0.0) == pytest.approx(joint, rel=1e-12)
+        assert joint == kl != pytest.approx(joint_loss(ds.X, Xhat, T, log_S, 1.0), rel=0.1)
+
 
 class TestInitClusters:
     def test_exact_point_clusters(self):
@@ -279,6 +295,16 @@ class TestFinetune:
             train=TrainConfig(epochs=100, batch_size=128, seed=seed),
         )
         return replace(cfg, **overrides) if overrides else cfg
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["student_t", "gaussian"])
+    def test_a_diverging_network_fails_with_non_finite_loss_not_a_numpy_warning(self, blobs, variant):
+        # a float32 network at this rate overflows in its first epoch; numpy warns of it, which -W
+        # error would raise before the NonFiniteLoss check
+        model = build(blobs.n_features, 2, (8,), seed=1, dtype="float32")
+        cfg = DeepClusterConfig(variant, gamma=1.0, finetune_epochs=5, train=TrainConfig(learning_rate=1e10))
+        with pytest.raises(NonFiniteLoss):
+            finetune(model, blobs, 2, cfg)
 
     def test_gamma_zero_is_hybrid_kmeans(self, blobs):
         model, _ = pretrained_on_blobs(blobs)

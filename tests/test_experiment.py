@@ -20,6 +20,7 @@ from ehrcluster.data import SyntheticSpec, generate_synthetic
 from ehrcluster.deepcluster import DeepClusterConfig
 from ehrcluster.errors import ConfigError
 from ehrcluster.experiment import (
+    METHODS,
     PROFILES,
     CohortSpec,
     ExperimentConfig,
@@ -252,14 +253,41 @@ class TestParseConfig:
             pass
 
     def test_profiles_table(self):
-        assert PROFILES["desk"].pretrain_epochs == 200
-        assert PROFILES["desk"].finetune_epochs == 100
-        assert PROFILES["paper"].pretrain_epochs == 1000
-        assert PROFILES["paper"].hidden == (500, 500, 2000)
+        assert PROFILES["desk"]["pretrain_epochs"] == 200
+        assert PROFILES["desk"]["finetune_epochs"] == 100
+        assert PROFILES["paper"]["pretrain_epochs"] == 1000
+        assert PROFILES["paper"]["hidden"] == (500, 500, 2000)
+
+    @pytest.mark.parametrize("profile, schedule", [
+        ("desk", {"hidden": (64, 64), "pretrain_epochs": 200, "finetune_epochs": 100}),
+        ("paper", {"hidden": (500, 500, 2000), "pretrain_epochs": 1000, "finetune_epochs": 1000}),
+    ])
+    def test_every_kind_s_params_at_each_profile_are_written_out(self, profile, schedule):
+        # each default written out once here, so a default that moves in any of its sources is seen
+        kmeans = {"n_init": 10, "max_iter": 300, "tol": 1e-4}
+        gmm = {"cov_type": "full", "max_iter": 300, "tol": 1e-3, "reg_covar": 1e-6}
+        trained = {"hidden": schedule["hidden"], "activation": "relu", "pretrain_epochs": schedule["pretrain_epochs"],
+                   "learning_rate": 1e-3, "batch_size": 256}
+        finetuned = {**trained, "finetune_epochs": schedule["finetune_epochs"], "target_update_interval": 10}
+        idec = {**finetuned, "embed_dim": 10, "gamma": 0.1, "recon_weight": 1.0}
+        expected = {
+            "kmeans_x": kmeans,
+            "gmm_x": gmm,
+            "kmeans_z": {**trained, "embed_dim": 10, **kmeans},
+            "gmm_z": {**trained, "embed_dim": 10, **gmm},
+            "deep_student_t": {**finetuned, "embed_dim": 10, "gamma": 1.0, "recon_weight": 0.0},
+            "deep_student_t_recon": idec,
+            "deep_gaussian": idec,
+            "deep_gaussian_sweep": {**finetuned, "gamma": 0.1, "recon_weight": 1.0},
+            "kgg": {},
+        }
+        assert expected.keys() == METHODS.keys()
+        for kind, params in expected.items():
+            assert _with_defaults(kind, profile, {}) == params, kind
 
     @pytest.mark.parametrize("kind", ["deep_student_t", "deep_gaussian", "deep_gaussian_sweep"])
     def test_every_deep_cluster_config_field_a_param_names_reaches_the_config(self, kind):
-        p = _with_defaults(kind, PROFILES["desk"], {})
+        p = _with_defaults(kind, "desk", {})
         defaults = {f.name: f.default for f in fields(DeepClusterConfig)}
         assert defaults.keys() - p.keys() == {"variant", "train"}
         changed = {name: p[name] * 2 + 3 for name in defaults.keys() & p.keys()}
@@ -330,19 +358,21 @@ class TestRunExperiment:
 
     def test_a_kgg_cell_whose_voter_failed_fails_with_a_record_naming_it(self, tmp_path):
         doc = minimal_doc(methods=[
-            {"name": "km", "kind": "kmeans_x"}, {"name": "boom", "kind": "gmm_x"},
+            {"name": "km", "kind": "kmeans_x"},
+            {"name": "boom", "kind": "deep_gaussian", "params": {  # a network that diverges
+                "hidden": [4], "embed_dim": 2, "pretrain_epochs": 2, "finetune_epochs": 1, "learning_rate": 1e200}},
             {"name": "km2", "kind": "kmeans_x", "params": {"n_init": 2}},
             {"name": "vote", "kind": "kgg", "params": {"voters": ["km", "boom", "km2"]}},
         ], output_dir=str(tmp_path / "o"))
-        doc["data"]["synthetic"]["n_samples"] = 2  # k-means takes two rows, a mixture needs more than k
         res = run_experiment(parse_config(doc))
         assert [r.method for r in res.scores] == ["km", "km2"]
         boom, vote = res.failures
         assert boom["method"] == "boom" and vote["method"] == "vote"
         assert vote["type"] == "ToolkitError"
-        assert vote["error"] == "voter 'boom' failed: need more than k=2 samples, got 2"
+        assert vote["error"] == f"voter 'boom' failed: {boom['error']}"
+        assert boom["error"].startswith("loss or parameters became non-finite at epoch ")
         # the voter's own exception, chained
-        assert "DegenerateInput: need more than k=2" in vote["traceback"]
+        assert "NonFiniteLoss: loss or parameters became non-finite" in vote["traceback"]
         assert "The above exception was the direct cause" in vote["traceback"]
         assert not (tmp_path / "o" / "labels" / "all__vote.csv").exists()
 
@@ -501,7 +531,7 @@ class TestRunExperiment:
         ds = generate_synthetic(SyntheticSpec(40, 5, 1.0, 4.0, "spherical", 0.0, seed=1))
         for profile, params in (("desk", {}), ("paper", {}), ("paper", {"hidden": (8,), "embed_dim": 2})):
             with pytest.raises(RuntimeError, match="stop"):
-                fit_cell(MethodSpec("m", "kmeans_z", params), ds, 2, 0, PROFILES[profile])
+                fit_cell(MethodSpec("m", "kmeans_z", params), ds, 2, 0, profile)
         assert seen == [(10, (64, 64), "relu"), (10, (500, 500, 2000), "relu"), (2, (8,), "relu")]
 
     def test_a_sweep_cell_is_the_vote_of_run_dimension_sweep(self):
@@ -511,7 +541,7 @@ class TestRunExperiment:
 
         ds = generate_synthetic(SyntheticSpec(80, 5, 1.0, 4.0, "spherical", 0.0, seed=1))
         params = {"dims": (2, 3), "hidden": (8,), "pretrain_epochs": 4, "finetune_epochs": 3}
-        got = fit_cell(MethodSpec("m", "deep_gaussian_sweep", params), ds, 2, 5, PROFILES["desk"])
+        got = fit_cell(MethodSpec("m", "deep_gaussian_sweep", params), ds, 2, 5, "desk")
         cfg = DeepClusterConfig(finetune_epochs=3, train=TrainConfig(epochs=4, seed=5))
         runs = run_dimension_sweep(ds, [2, 3], cfg, k=2, hidden=(8,))
         assert np.array_equal(got.label_runs, runs)
@@ -698,7 +728,7 @@ class TestEncodeReuseInPipeline:
     def fit(self, monkeypatch, kind, params, reuse):
         with monkeypatch.context() as patch:
             passes = self.spy_layers(patch, reuse)
-            result = fit_cell(MethodSpec("m", kind, params), self.DS, 2, 4, PROFILES["desk"])
+            result = fit_cell(MethodSpec("m", kind, params), self.DS, 2, 4, "desk")
         return result, passes
 
     @pytest.mark.parametrize("kind,params", _reuse_cases())
@@ -723,36 +753,23 @@ class TestPool:
     def test_one_failed_job_is_one_failed_cell(self, tmp_path):
         train = {"hidden": [8], "embed_dim": 2, "pretrain_epochs": 3}
         deep = {**train, "finetune_epochs": 2}
-        trainings = minimal_doc(methods=[
+        doc = minimal_doc(methods=[
             {"name": "kmeans_z", "kind": "kmeans_z", "params": train},
             {"name": "boom", "kind": "deep_gaussian", "params": {**deep, "learning_rate": 1e200}},
             {"name": "idec", "kind": "deep_student_t_recon", "params": deep},
-        ])
-        # two rows: k-means takes them, a mixture needs more than k
-        two_rows = minimal_doc(methods=[
-            {"name": "kmeans_x", "kind": "kmeans_x"}, {"name": "boom", "kind": "gmm_x"},
-        ])
-        two_rows["data"]["synthetic"]["n_samples"] = 2
-        cases = [
-            # config, the cells that score, the failure's type, its message, the worker's raise
-            (trainings, ["kmeans_z", "idec"], "NonFiniteLoss",
-             r"loss or parameters became non-finite at epoch \d+", "raise NonFiniteLoss(epoch)"),
-            (two_rows, ["kmeans_x"], "DegenerateInput",
-             r"need more than k=2 samples, got 2", "raise DegenerateInput(f\"need more than k="),
-        ]
-        for i, (doc, scored, kind, error, raised) in enumerate(cases):
-            res = run_experiment(parse_config({**doc, "output_dir": str(tmp_path / str(i))}))
-            manifest = json.loads((tmp_path / str(i) / "manifest.json").read_text())
-            if len(os.sched_getaffinity(0)) >= 2:
-                assert manifest["workers"] == 2
-            assert multiprocessing.active_children() == []
-            assert [r.method for r in res.scores] == scored
-            (failure,) = res.failures
-            assert failure["method"] == "boom"
-            assert failure["type"] == kind
-            assert re.fullmatch(error, failure["error"])
-            # the worker's frames, down to the raise
-            assert raised in failure["traceback"]
+        ], output_dir=str(tmp_path / "o"))
+        res = run_experiment(parse_config(doc))
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert manifest["workers"] == 2
+        assert multiprocessing.active_children() == []
+        assert [r.method for r in res.scores] == ["kmeans_z", "idec"]
+        (failure,) = res.failures
+        assert failure["method"] == "boom"
+        assert failure["type"] == "NonFiniteLoss"
+        assert re.fullmatch(r"loss or parameters became non-finite at epoch \d+", failure["error"])
+        # the worker's frames, down to the raise
+        assert "raise NonFiniteLoss(epoch)" in failure["traceback"]
 
     @pytest.mark.parametrize("spy", [False, True])
     def test_a_sweep_dim_above_the_feature_count_fails_before_training(self, tmp_path, monkeypatch, spy):
