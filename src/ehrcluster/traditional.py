@@ -10,7 +10,9 @@ reduction keeps numpy's own summation order, so a faster form must
 reproduce the one it replaces byte for byte: each distance is the per-row
 einsum of a (n, k, d) difference block, each centre sum adds its members in
 row order as their mean did, and each fold over k columns runs left to
-right as ``argmin`` and ``logaddexp.reduce`` do.
+right as ``argmin`` and ``logaddexp.reduce`` do. Lloyd's assignment step
+recomputes only the rows whose label Hamerly's bounds cannot prove (Hamerly
+2010; Elkan 2003), with that same expression, so it returns Lloyd's bytes.
 """
 from __future__ import annotations
 
@@ -44,7 +46,6 @@ class KMeansModel:
     centroids: np.ndarray
     inertia: float
     n_iter: int
-    inertia_history: list[float]
 
 
 def _nearest(d2: np.ndarray, labels: np.ndarray, dmin: np.ndarray) -> np.ndarray:
@@ -92,6 +93,28 @@ def _fix_empty_clusters(X, centers, d2, labels, dmin, work) -> np.ndarray:
     return counts
 
 
+def _bounds(d2, labels, dmin, upper, lower) -> None:
+    """Exact bounds: a row's distance to its own centre into ``upper``, to the next into ``lower``."""
+    np.sqrt(dmin, out=upper)
+    lower.fill(np.inf)
+    for j in range(d2.shape[1]):
+        np.minimum(lower, d2[:, j], out=lower, where=labels != j)
+    np.sqrt(lower, out=lower)
+
+
+def _reassign(X, centers, rows, d2, labels, upper, lower, work, near, dist, other) -> None:
+    """Exact distances, labels and bounds for ``rows`` alone: they are gathered into the leading
+    rows of ``work`` and differenced in the ones after, so ``work`` holds at least twice as many;
+    ``near``, ``dist`` and ``other`` are (n,) scratch."""
+    m = rows.size
+    gathered = np.take(X, rows, axis=0, out=work[:m], mode="clip")
+    block = squared_distances(gathered, centers, out=d2[:m], work=work[m : 2 * m])
+    near, dist, other = near[:m], dist[:m], other[:m]
+    _nearest(block, near, dist)
+    _bounds(block, near, dist, dist, other)
+    labels[rows], upper[rows], lower[rows] = near, dist, other
+
+
 def _check_iterations(max_iter: int, tol: float) -> None:
     if max_iter < 1:
         raise DegenerateInput(f"max_iter must be >= 1, got {max_iter}")
@@ -116,9 +139,17 @@ def kmeans_fit(
 ) -> KMeansModel:
     """Lloyd's algorithm with k-means++ seeding, best of ``n_init`` restarts.
 
-    Converges when the largest centroid shift drops below ``tol``. The
-    inertia history (one entry per assignment step, plus the final
-    assignment) is non-increasing within a run.
+    Converges when the largest centroid shift drops below ``tol``. After a
+    restart's first full assignment pass each row keeps Hamerly's bounds: an
+    upper bound on its distance to its own centre, raised by that centre's
+    move, and a lower bound on its distance to the nearest other one, cut by
+    the largest move among the other centres. A row is recomputed, over all k
+    centres, only where ``upper * (1 + 1e-9) >= lower * (1 - 1e-9)``; every
+    other row's own centre is nearer than any other by far more than a
+    distance's rounding, so its label is the one Lloyd's full pass gives.
+    When more than half the rows are in doubt, or a cluster empties (its
+    re-seeding reads every row's exact distance), the pass covers every row.
+    Labels, centroids, ``n_iter`` and ``inertia`` equal Lloyd's bit for bit.
     """
     X = np.ascontiguousarray(X, dtype=float)  # the centre sums run along rows
     if X.ndim != 2:
@@ -134,21 +165,36 @@ def kmeans_fit(
     if not np.isfinite(bound):
         raise DegenerateInput("X must be finite, and its squared distances must not overflow")
 
-    # one fit's scratch: distances, differences, labels, each row's distance to its centre, weights
+    # one fit's scratch: distances, differences, labels, the recomputed rows' labels, each row's
+    # distance to its centre, weights, and its bounds on that distance and on the next centre's
     n, d = X.shape
     d2, work = np.empty((n, k)), np.empty((n, d))
-    labels, dmin, w = np.empty(n, np.intp), np.empty(n), np.empty(n)
+    labels, near, dmin, w = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n), np.empty(n)
+    upper, lower = np.empty(n), np.empty(n)
     best: KMeansModel | None = None
     for restart in range(n_init):
         rng = rng_from(seed, restart)
         centers = _kmeans_pp_init(X, k, rng, dmin, w, work)
-        history: list[float] = []
+        moves = None
         n_iter = 0
         for _ in range(max_iter):
-            squared_distances(X, centers, out=d2, work=work)
-            _nearest(d2, labels, dmin)
-            counts = _fix_empty_clusters(X, centers, d2, labels, dmin, work)
-            history.append(float(dmin.sum()))
+            counts = None
+            if moves is not None:
+                second, top = np.sort(moves)[-2:]
+                # mode "clip" takes straight into out, where "raise" would buffer
+                upper += np.take(moves, labels, out=w, mode="clip")
+                lower -= np.take(np.where(moves < top, top, second), labels, out=w, mode="clip")
+                # a relative margin far wider than a distance's rounding (a few ulps)
+                np.multiply(upper, 1 + 1e-9, out=w)
+                doubt = np.flatnonzero(np.multiply(lower, 1 - 1e-9, out=dmin) <= w)
+                if 2 * doubt.size <= n:
+                    _reassign(X, centers, doubt, d2, labels, upper, lower, work, near, dmin, w)
+                    counts = np.bincount(labels, minlength=k)
+            if counts is None or not counts.all():
+                squared_distances(X, centers, out=d2, work=work)
+                _nearest(d2, labels, dmin)
+                counts = _fix_empty_clusters(X, centers, d2, labels, dmin, work)
+                _bounds(d2, labels, dmin, upper, lower)
             new_centers = centers.copy()
             for j in np.flatnonzero(counts):
                 if d == 1:  # one column's mean sums pairwise, not in row order
@@ -157,16 +203,14 @@ def kmeans_fit(
                     # could differ, on a numpy whose reduction starts from the first row, not +0.0
                     np.equal(labels, j, out=w)
                     new_centers[j] = np.einsum("i,ij->j", w, X) / counts[j]
-            shift = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
+            moves = np.sqrt(((new_centers - centers) ** 2).sum(axis=1))
             centers = new_centers
             n_iter += 1
-            if shift < tol:
+            if moves.max() < tol:
                 break
         squared_distances(X, centers, out=d2, work=work)
         _nearest(d2, labels, dmin)
-        inertia = float(dmin.sum())
-        history.append(inertia)
-        model = KMeansModel(centers, inertia, n_iter, history)
+        model = KMeansModel(centers, float(dmin.sum()), n_iter)
         if best is None or model.inertia < best.inertia:
             best = model
     return best
@@ -179,6 +223,8 @@ def kmeans_predict(model: KMeansModel, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"X has {X.shape[-1] if X.ndim else 0} columns, centroids have {model.centroids.shape[1]}"
         )
+    if not np.isfinite(X).all():
+        raise DegenerateInput("X must be finite")
     n = X.shape[0]
     return _nearest(squared_distances(X, model.centroids), np.empty(n, np.intp), np.empty(n))
 
@@ -328,6 +374,9 @@ def gmm_fit(
 
 def gmm_predict(model: GmmModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels (argmax posterior, ties to lowest index) and responsibilities."""
+    X = np.asarray(X, dtype=float)
+    if not np.isfinite(X).all():  # here, not in the E-step, which fine-tuning runs every step
+        raise DegenerateInput("X must be finite")
     log_resp, _ = gaussian_log_responsibilities(X, model)
     resp = np.exp(log_resp)
     return resp.argmax(axis=1), resp

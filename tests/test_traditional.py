@@ -25,6 +25,13 @@ def blob_pair(n=600, d=5, separation=8.0, seed=0, ratio=1.0):
     return ds.X, ds.labels
 
 
+def lloyd_inertias(X, k, seed):
+    """One restart's fitted inertia at max_iter = 1 ... n_iter + 1: the inertia after each of
+    Lloyd's steps, which must not increase."""
+    n_iter = kmeans_fit(X, k, seed, n_init=1).n_iter
+    return [kmeans_fit(X, k, seed, n_init=1, max_iter=m).inertia for m in range(1, n_iter + 2)]
+
+
 class TestKMeansFit:
     def test_exact_point_clusters(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0], [10.0, 10.0]])
@@ -59,12 +66,12 @@ class TestKMeansFit:
         with pytest.raises(DegenerateInput, match="n_init"):
             kmeans_fit(X, 2, seed=0, n_init=0)
 
-    def test_inertia_history_non_increasing(self):
+    def test_inertia_non_increasing_in_max_iter(self):
         rng = np.random.default_rng(5)
         for trial in range(10):
             X = rng.normal(size=(rng.integers(30, 80), rng.integers(2, 5)))
-            km = kmeans_fit(X, int(rng.integers(2, 5)), seed=trial)
-            assert np.all(np.diff(km.inertia_history) <= 1e-9)
+            k = int(rng.integers(2, 5))
+            assert np.all(np.diff(lloyd_inertias(X, k, trial)) <= 1e-9)
 
     def test_deterministic(self):
         X, _ = blob_pair(n=120, separation=1.0, seed=7)
@@ -85,11 +92,11 @@ class TestKMeansFit:
 
 class TestKMeansPredict:
     def test_point_at_centroid(self):
-        km = KMeansModel(np.array([[0.0, 0.0], [5.0, 5.0]]), 0.0, 1, [0.0])
+        km = KMeansModel(np.array([[0.0, 0.0], [5.0, 5.0]]), 0.0, 1)
         assert kmeans_predict(km, np.array([[5.0, 5.0]]))[0] == 1
 
     def test_tie_breaks_low_index(self):
-        km = KMeansModel(np.array([[0.0], [2.0]]), 0.0, 1, [0.0])
+        km = KMeansModel(np.array([[0.0], [2.0]]), 0.0, 1)
         assert kmeans_predict(km, np.array([[1.0]]))[0] == 0
 
     def test_fit_predict_consistency(self):
@@ -100,9 +107,15 @@ class TestKMeansPredict:
         assert np.array_equal(once, twice)
 
     def test_dimension_mismatch(self):
-        km = KMeansModel(np.zeros((2, 3)), 0.0, 1, [0.0])
+        km = KMeansModel(np.zeros((2, 3)), 0.0, 1)
         with pytest.raises(DimensionMismatch):
             kmeans_predict(km, np.zeros((4, 2)))
+
+    def test_non_finite_rows_rejected(self):
+        km = KMeansModel(np.array([[0.0, 0.0], [5.0, 5.0]]), 0.0, 1)
+        Y = np.array([[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [5.0, 5.0]])
+        with pytest.raises(DegenerateInput, match="X must be finite"):
+            kmeans_predict(km, Y)
 
 
 # A reference copy of the Lloyd step the column kernels replaced: a (n, k, d) difference block,
@@ -141,15 +154,15 @@ def ref_fix_empty_clusters(X, centers, labels, d2):
     return centers, labels, d2
 
 
-def ref_kmeans_fit(X, k, seed, n_init, max_iter, tol):
+def ref_kmeans_fit(X, k, seed, n_init, max_iter, tol, init=ref_kmeans_pp_init):
+    """The best restart's model and its final assignment."""
     best = None
     for restart in range(n_init):
-        centers = ref_kmeans_pp_init(X, k, rng_from(seed, restart))
-        history, n_iter = [], 0
+        centers = init(X, k, rng_from(seed, restart))
+        n_iter = 0
         for _ in range(max_iter):
             d2 = ref_squared_distances(X, centers)
             centers, labels, d2 = ref_fix_empty_clusters(X, centers, d2.argmin(axis=1), d2)
-            history.append(float(d2[np.arange(X.shape[0]), labels].sum()))
             new_centers = centers.copy()
             for j in range(k):
                 members = labels == j
@@ -161,11 +174,18 @@ def ref_kmeans_fit(X, k, seed, n_init, max_iter, tol):
             if shift < tol:
                 break
         d2 = ref_squared_distances(X, centers)
-        inertia = float(d2[np.arange(X.shape[0]), d2.argmin(axis=1)].sum())
-        model = KMeansModel(centers, inertia, n_iter, history + [inertia])
-        if best is None or model.inertia < best.inertia:
-            best = model
+        labels = d2.argmin(axis=1)
+        model = KMeansModel(centers, float(d2[np.arange(X.shape[0]), labels].sum()), n_iter)
+        if best is None or model.inertia < best[0].inertia:
+            best = model, labels
     return best
+
+
+def assert_matches_reference(got, want, X):
+    model, labels = want
+    assert got.centroids.tobytes() == model.centroids.tobytes()
+    assert (got.inertia, got.n_iter) == (model.inertia, model.n_iter)
+    assert np.array_equal(kmeans_predict(got, X), labels)
 
 
 @st.composite
@@ -188,12 +208,8 @@ class TestLloydMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_fit_and_predict_bytes(self, case):
         X, k, seed, n_init, max_iter = case
-        want = ref_kmeans_fit(X, k, seed, n_init, max_iter, 1e-4)
         got = kmeans_fit(X, k, seed, n_init=n_init, max_iter=max_iter)
-        assert got.centroids.tobytes() == want.centroids.tobytes()
-        assert (got.inertia, got.n_iter, got.inertia_history) == (
-            want.inertia, want.n_iter, want.inertia_history
-        )
+        assert_matches_reference(got, ref_kmeans_fit(X, k, seed, n_init, max_iter, 1e-4), X)
         grid = np.floor(2.0 * X) / 2.0 + 0.0  # other rows, with exact ties between centres
         for Y in (X, grid):
             want_labels = ref_squared_distances(Y, got.centroids).argmin(axis=1)
@@ -213,9 +229,7 @@ class TestLloydMatchesReference:
 
         monkeypatch.setattr(traditional, "_fix_empty_clusters", spy)
         for seed in range(5):
-            got, want = kmeans_fit(X, 3, seed), ref_kmeans_fit(X, 3, seed, 10, 300, 1e-4)
-            assert got.centroids.tobytes() == want.centroids.tobytes()
-            assert (got.n_iter, got.inertia_history) == (want.n_iter, want.inertia_history)
+            assert_matches_reference(kmeans_fit(X, 3, seed), ref_kmeans_fit(X, 3, seed, 10, 300, 1e-4), X)
         assert any(emptied)
 
     def test_distances_match_the_difference_block(self):
@@ -227,6 +241,91 @@ class TestLloydMatchesReference:
             out, work = np.empty((n, k)), np.empty((n, d))
             assert traditional.squared_distances(X, C, out=out, work=work) is out
             assert out.tobytes() == want.tobytes()
+
+
+def fixed_init(centers):
+    """A stand-in for k-means++ (either fit's) that starts every restart from ``centers``."""
+    return lambda X, k, rng, *scratch: np.array(centers, dtype=float)
+
+
+# a (near-)converged centre moves far less than the gap between centres, so the bounds place most
+# rows without their distances; these fits run long enough for that, on cohorts of the benchmark's
+# sizes, where the reference test's few dozen rows are nearly all recomputed
+class TestBoundedAssignment:
+    @pytest.fixture(scope="class")
+    def cohorts(self):
+        big = generate_synthetic(SyntheticSpec(6000, 33, 0.3, 3.0, "correlated", 0.0, seed=7)).X
+        small = generate_synthetic(SyntheticSpec(2000, 10, 0.5, 2.0, "spherical", 0.0, seed=3)).X
+        return {"6000x33": big + 0.0, "2000x10": small + 0.0}
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("name,seeds", [("6000x33", (1, 2)), ("2000x10", (1, 2, 3))])
+    def test_matches_the_reference(self, cohorts, name, seeds, k):
+        X = cohorts[name]
+        for seed in seeds:
+            got = kmeans_fit(X, k, seed, n_init=2)
+            assert_matches_reference(got, ref_kmeans_fit(X, k, seed, 2, 300, 1e-4), X)
+
+    def test_evaluates_under_half_of_lloyds_rows(self, cohorts, monkeypatch):
+        X = cohorts["6000x33"]
+        evaluated = []
+        real = traditional.squared_distances
+
+        def spy(Y, C, **scratch):
+            if len(C) > 1:  # an assignment pass; k-means++ measures one centre at a time
+                evaluated.append(len(Y))
+            return real(Y, C, **scratch)
+
+        monkeypatch.setattr(traditional, "squared_distances", spy)
+        lloyd = 0
+        for seed in range(3):
+            lloyd += len(X) * (kmeans_fit(X, 2, seed, n_init=1).n_iter + 1)  # a full pass per step
+        assert sum(evaluated) < lloyd / 2
+
+    def test_a_cluster_that_empties_after_the_first_step(self, monkeypatch):
+        # the middle centre's two rows go to the outer centres once those move in, so the bounded
+        # second step leaves it empty; the 40 rows on the far centre keep that step bounded
+        X = np.array([[-1.6, 0.0]] * 10 + [[1.6, 0.0]] * 10 + [[-0.9, 0.0], [0.9, 0.0]]
+                     + [[100.0, 0.0]] * 40)
+        start = [[-3.0, 0.0], [3.0, 0.0], [0.0, 0.0], [100.0, 0.0]]
+        steps = []
+        reassign, fix = traditional._reassign, traditional._fix_empty_clusters
+
+        def reassign_spy(*args):
+            steps.append("bounded")
+            return reassign(*args)
+
+        def fix_spy(X, centers, d2, labels, dmin, work):
+            steps.append("empty" if np.bincount(labels, minlength=len(centers)).min() == 0 else "full")
+            return fix(X, centers, d2, labels, dmin, work)
+
+        monkeypatch.setattr(traditional, "_reassign", reassign_spy)
+        monkeypatch.setattr(traditional, "_fix_empty_clusters", fix_spy)
+        monkeypatch.setattr(traditional, "_kmeans_pp_init", fixed_init(start))
+        got = kmeans_fit(X, 4, 0, n_init=1)
+        assert steps[:3] == ["full", "bounded", "empty"]
+        assert_matches_reference(got, ref_kmeans_fit(X, 4, 0, 1, 300, 1e-4, init=fixed_init(start)), X)
+
+    def test_a_row_on_the_bisector_goes_to_the_lower_index(self, monkeypatch):
+        # the first step puts the row at 0 with the centre at 0.5 and then moves the centres to -1
+        # and 1, so the bounded second step finds it exactly as far from both and must move it to
+        # the first; the far rows keep that step bounded
+        X = np.array([[-1.5, 0.0], [-0.5, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+                     + [[100.0, 0.0]] * 10)
+        start = [[-1.0, 0.0], [0.5, 0.0], [100.0, 0.0]]
+        tied = []
+        reassign = traditional._reassign
+
+        def spy(X, centers, rows, d2, labels, *bounds):
+            reassign(X, centers, rows, d2, labels, *bounds)
+            on_bisector = rows[d2[: rows.size, 0] == d2[: rows.size, 1]]
+            tied.append((on_bisector.tolist(), labels[on_bisector].tolist()))
+
+        monkeypatch.setattr(traditional, "_reassign", spy)
+        monkeypatch.setattr(traditional, "_kmeans_pp_init", fixed_init(start))
+        got = kmeans_fit(X, 3, 0, n_init=1)
+        assert tied[0] == ([2], [0])
+        assert_matches_reference(got, ref_kmeans_fit(X, 3, 0, 1, 300, 1e-4, init=fixed_init(start)), X)
 
 
 class TestLogAddExpFold:
@@ -322,3 +421,10 @@ class TestGmmPredict:
         gm = self._separated_model()
         with pytest.raises(DimensionMismatch):
             gmm_predict(gm, np.zeros((2, 7)))
+
+    def test_non_finite_rows_rejected(self):
+        gm = self._separated_model()
+        Y = np.zeros((4, 3))
+        Y[1, 0], Y[2, 2] = np.nan, np.inf
+        with pytest.raises(DegenerateInput, match="X must be finite"):
+            gmm_predict(gm, Y)
