@@ -2,14 +2,16 @@
 
 Usage:
     python scripts/regenerate_golden.py
+    OPENBLAS_CORETYPE=Haswell python scripts/regenerate_golden.py   # another OpenBLAS kernel
 
 Runs tests/golden/config.json (60 rows, 33 features, one-epoch schedules; about
 a second) and rewrites sha256.json, the digests of scores.csv, ranks.csv and
-every labels/ and labels_runs/ file, and the embeddings/ and history/ CSVs,
-which tests/test_golden.py compares with rtol 1e-12 so that BLAS builds may
-differ in the last bits. For each file it prints "unchanged", "new", "removed"
-or, for a CSV whose values moved, their largest relative difference. A change
-that moves any of them says which and why.
+every labels/ and labels_runs/ file, and the embeddings/ and history/ CSVs of
+the OpenBLAS kernel it runs on, under tests/golden/<kernel>/. The float32
+matrix products round differently per kernel, so tests/test_golden.py compares
+those CSVs with the ones of its own kernel, with rtol 1e-12. For each file it
+prints "unchanged", "new", "removed" or, for a CSV whose values moved, their
+largest relative difference. A change that moves any of them says which and why.
 """
 import hashlib
 import json
@@ -25,7 +27,12 @@ GOLDEN = REPO / "tests" / "golden"
 COMPARED = ("embeddings", "history")
 sys.path.insert(0, str(REPO / "src"))
 
-from ehrcluster.experiment import parse_config, run_experiment  # noqa: E402
+from ehrcluster.experiment import _blas_core, parse_config, run_experiment  # noqa: E402
+
+
+def kernel_dir() -> Path:
+    """Where the compared CSVs of the OpenBLAS kernel numpy runs on live: tests/golden/<kernel>/."""
+    return GOLDEN / str(_blas_core())
 
 
 def run_grid(out: Path):
@@ -66,14 +73,16 @@ def main() -> int:
             print(f"the grid failed: {result.failures}", file=sys.stderr)
             return 1
         (out / "sha256.json").write_text(json.dumps(digests(out), indent=2) + "\n")
-        names = {f"{sub}/{p.name}" for sub in COMPARED for d in (GOLDEN, out) for p in (d / sub).glob("*")}
-        for name in ["sha256.json", *sorted(names)]:
-            print(f"{name}: {drift(GOLDEN / name, out / name)}")
+        frozen = kernel_dir()
+        names = {f"{sub}/{p.name}" for sub in COMPARED for d in (frozen, out) for p in (d / sub).glob("*")}
+        print(f"sha256.json: {drift(GOLDEN / 'sha256.json', out / 'sha256.json')}")
+        for name in sorted(names):
+            print(f"{frozen.name}/{name}: {drift(frozen / name, out / name)}")
         shutil.copyfile(out / "sha256.json", GOLDEN / "sha256.json")
         for sub in COMPARED:
-            shutil.rmtree(GOLDEN / sub, ignore_errors=True)
-            shutil.copytree(out / sub, GOLDEN / sub)
-    print(f"rewrote {GOLDEN}")
+            shutil.rmtree(frozen / sub, ignore_errors=True)
+            shutil.copytree(out / sub, frozen / sub)
+    print(f"rewrote {GOLDEN / 'sha256.json'} and {frozen}")
     return 0
 
 

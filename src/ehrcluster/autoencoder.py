@@ -35,15 +35,15 @@ the callers' heads, k-means, EM and metrics take Z cast to float64, and
 A pass that no ``backward`` reads (the training loops' full-data history
 forward, every ``encode``) uses a ``ForwardCache.for_pass`` cache instead:
 Z and Xhat get their own arrays, and the hidden layers take turns in two
-arenas, so it holds about half of what ``for_model`` does. ``encode(model,
-X, out=)`` runs the encoder half into such a cache, or into a fresh one,
-and returns Z as a view of it; the next pass into the cache overwrites Z.
-Every pass into a caller's pass cache leaves (``model.version``, its input,
-Z) in ``model.last_pass``, and an ``encode`` of that same array object at
-that version reuses the Z without running a layer. So any write to theta but
-``adam_step``'s must bump ``model.version``, as ``backward``'s ``StaleCache``
-check already assumes; nor may the input be written in place, or a pass
-cache serve two models.
+arenas, so it holds about half of what ``for_model`` does. A ``forward``
+into a caller's pass cache is the one writer of ``model.last_pass``: it
+leaves (``model.version``, its input, Z) there. ``encode(model, X)`` is the
+one reader: for that same array object at that version it returns a copy of
+that Z without running a layer, and otherwise runs the encoder half in a
+fresh pass cache, so its Z is always the caller's own. So any write to theta
+but ``adam_step``'s must bump ``model.version``, as ``backward``'s
+``StaleCache`` check already assumes; nor may the input be written in
+place, or a pass cache serve two models.
 
 ``pretrain`` and ``finetune`` take their pass cache's hidden arenas, their
 batch cache and their gradients from one ``training_buffers`` buffer, as
@@ -125,33 +125,31 @@ class ForwardCache:
 
     @classmethod
     def for_model(cls, model: AutoencoderModel, rows: int, into: np.ndarray | None = None) -> ForwardCache:
-        """Room for one forward pass of up to ``rows`` samples, for ``forward(out=)``; with
-        ``into``, the layers are laid end to end in its leading entries."""
+        """Room for one forward pass of up to ``rows`` samples, for ``forward(out=)``: the layers
+        laid end to end in one buffer, by default a fresh one, else the leading entries of ``into``."""
         widths = model.layer_dims[1:]
-        if into is None:
-            return cls([np.empty((rows, width), model.dtype) for width in widths])
         ends = (rows * np.cumsum([0, *widths])).tolist()
+        into = np.empty(ends[-1], model.dtype) if into is None else into
         return cls([into[a:b].reshape(rows, w) for a, b, w in zip(ends, ends[1:], widths)])
 
     @classmethod
     def for_pass(cls, model: AutoencoderModel, rows: int, into: np.ndarray | None = None) -> ForwardCache:
-        """Room for a forward or ``encode`` of up to ``rows`` samples that no ``backward`` reads.
+        """Room for a forward of up to ``rows`` samples that no ``backward`` reads.
 
         Z and Xhat get their own arrays. Encoder hidden layer i and its
         mirror in the decoder are written into arena i % 2, which is as long
         as the widest layer it holds, so a layer's input and output never
-        share memory. With ``into``, the two arenas are its leading entries.
+        share memory. The two arenas lie end to end in one buffer, by
+        default a fresh one, else the leading entries of ``into``.
         """
         a, b = (rows * width for width in _arena_widths(model))
-        arenas = [np.empty(n, model.dtype) for n in (a, b)] if into is None else [into[:a], into[a : a + b]]
-        buffers = []
-        for l, width in enumerate(model.layer_dims[1:]):
-            if _is_linear(model, l):
-                buffers.append(np.empty((rows, width), model.dtype))
-            else:
-                arena = arenas[min(l, model.n_layers - 2 - l) % 2]
-                buffers.append(arena[: rows * width].reshape(rows, width))
-        return cls(buffers, for_backward=False)
+        into = np.empty(a + b, model.dtype) if into is None else into
+        arenas = into[:a], into[a : a + b]
+        return cls([
+            np.empty((rows, w), model.dtype) if _is_linear(model, l)
+            else arenas[min(l, model.n_layers - 2 - l) % 2][: rows * w].reshape(rows, w)
+            for l, w in enumerate(model.layer_dims[1:])
+        ], for_backward=False)
 
 
 @dataclass
@@ -270,13 +268,15 @@ def _is_linear(model: AutoencoderModel, layer: int) -> bool:
 
 def _run_layers(model: AutoencoderModel, batch, out: ForwardCache | None, new_cache, layers: int):
     """a_0 = batch .. a_layers, each written into the leading rows of its buffer in ``out``
-    (by default ``new_cache(model, rows)``); returns the activations and the cache."""
+    (by default ``new_cache(model, rows)``); returns the activations and the cache. Only a
+    pass into a caller's pass cache is left in ``model.last_pass``."""
     X = np.atleast_2d(np.asarray(batch, dtype=model.dtype))
     if X.shape[1] != model.input_dim:
         raise DimensionMismatch(f"batch width {X.shape[1]} != input dim {model.input_dim}")
     rows = X.shape[0]
     cache = new_cache(model, rows) if out is None else out
-    _check_fits(model, cache, rows)
+    if rows > len(cache.buffers[0]) or [b.shape[1] for b in cache.buffers] != model.layer_dims[1:]:
+        raise DimensionMismatch(f"a {rows}-row batch does not fit the cache")
     activations = [X]
     for l, buffer in enumerate(cache.buffers[:layers]):
         u = np.matmul(activations[-1], model.weights[l], out=buffer[:rows])
@@ -290,11 +290,6 @@ def _run_layers(model: AutoencoderModel, batch, out: ForwardCache | None, new_ca
     return activations, cache
 
 
-def _check_fits(model: AutoencoderModel, cache: ForwardCache, rows: int) -> None:
-    if rows > len(cache.buffers[0]) or [b.shape[1] for b in cache.buffers] != model.layer_dims[1:]:
-        raise DimensionMismatch(f"a {rows}-row batch does not fit the cache")
-
-
 def forward(model: AutoencoderModel, batch: np.ndarray, *, out: ForwardCache | None = None):
     """Full pass. Returns (Z, Xhat, cache); cache feeds ``backward``.
 
@@ -306,27 +301,14 @@ def forward(model: AutoencoderModel, batch: np.ndarray, *, out: ForwardCache | N
     return activations[model.bottleneck + 1], activations[-1], cache
 
 
-def encode(model: AutoencoderModel, X: np.ndarray, *, out: ForwardCache | None = None) -> np.ndarray:
-    """Encoder half only: Z, a view into ``out`` (by default a fresh ``ForwardCache.for_pass``).
-
-    The next pass into the same cache overwrites Z. ``out`` is spent afterwards.
-    A Z reused from ``model.last_pass`` is returned as is when it lives in
-    ``out``, else copied into ``out`` or, without one, into a fresh array.
-    """
+def encode(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
+    """Encoder half only: Z in the model's dtype, in an array nothing else holds: a copy of
+    ``model.last_pass``'s Z if that pass read this same array object at the model's version,
+    else computed in a fresh ``ForwardCache.for_pass``."""
     version, seen, Z = model.last_pass
-    if version != model.version or seen is not X:
-        return _run_layers(model, X, out, ForwardCache.for_pass, model.bottleneck + 1)[0][-1]
-    if out is None:
+    if version == model.version and seen is X:
         return Z.copy()
-    if Z.base is not out.buffers[model.bottleneck]:
-        _check_fits(model, out, len(Z))
-        into = out.buffers[model.bottleneck][: len(Z)]
-        into[...] = Z
-        Z = into
-    out.spent = True
-    if not out.for_backward:
-        model.last_pass = (version, X, Z)
-    return Z
+    return _run_layers(model, X, None, ForwardCache.for_pass, model.bottleneck + 1)[0][-1]
 
 
 def reconstruction_loss(X: np.ndarray, Xhat: np.ndarray) -> float:
@@ -442,7 +424,7 @@ def training_buffers(
     """A training loop's pass cache for ``rows`` samples, batch cache for ``batch_rows`` and
     gradients, in one buffer of the model's dtype: the pass cache's arenas over its leading
     entries, the batch cache and then the gradients laid end to end over them. Z and Xhat of
-    the pass cache keep their own arrays."""
+    the pass cache keep their own arrays, since Z outlives the steps in ``model.last_pass``."""
     batch = batch_rows * sum(model.layer_dims[1:])
     arenas = rows * sum(_arena_widths(model))
     buffer = np.empty(max(arenas, batch + model.theta.size), model.dtype)
@@ -463,7 +445,7 @@ def pretrain(
     ``NonFiniteLoss`` (training aborted) if the loss or any parameter
     stops being finite. One batch cache and one set of gradients serve
     every step, and one pass cache every epoch's full-data forward, all in
-    one ``training_buffers`` buffer.
+    one ``training_buffers`` buffer; ``encode(model, ds.X)`` then copies the last pass's Z.
     """
     if ds.missing.any():
         raise DimensionMismatch("pretrain requires a fully imputed dataset")

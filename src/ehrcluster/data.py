@@ -158,11 +158,14 @@ def load_csv(path: str | Path, specs: list[FeatureSpec], label_column: str | Non
     """Load a header-bearing CSV into a Dataset, column order following ``specs``.
 
     Cells equal to one of ``MISSING_TOKENS`` (after stripping whitespace)
-    become ``NaN``; anything else must parse as a finite float. The label
-    column, when given, must hold non-negative integers on every row. The file is
-    read a row at a time into one float buffer that becomes ``X`` without a copy,
-    about 8 bytes held per cell; the first problem in file order is the one reported.
+    become ``NaN``; anything else must parse as a finite float. The label column, when
+    given, must not be in ``specs`` (a ConfigError: it would put the labels in X) and must
+    hold non-negative integers on every row. The file is read a row at a time into one float
+    buffer that becomes ``X`` without a copy, about 8 bytes held per cell; the first problem
+    in file order is the one reported.
     """
+    if label_column and any(s.name == label_column for s in specs):
+        raise ConfigError(f"{path}: label column {label_column!r} is also a feature in the schema")
     header, data_rows = read_csv_rows(path)
     col_index = column_index(path, header, [s.name for s in specs] + ([label_column] if label_column else []))
     values, labels = array("d"), array("q")

@@ -220,8 +220,9 @@ def finetune(
     Adam step on the joint objective, with the clustering gradient injected
     at the bottleneck (student-t centers get their own Adam update, in place).
     One batch cache and one set of gradients serve every step, and one
-    pass cache every refresh encode and every epoch's full-data forward,
-    all in one ``training_buffers`` buffer.
+    pass cache every epoch's full-data forward, all in one
+    ``training_buffers`` buffer; each refresh encode copies the Z of the
+    last full-data pass (pretraining's, at epoch 0).
     """
     if ds.missing.any():
         raise DimensionMismatch("finetune requires a fully imputed dataset")
@@ -231,13 +232,13 @@ def finetune(
     n = X.shape[0]
     cfg_t = config.train
     seed = cfg_t.seed
-    full, cache, grads = training_buffers(model, n, min(cfg_t.batch_size, n))
-    head = init_clusters(encode(model, X, out=full), k, config.variant, seed)
+    head = init_clusters(encode(model, X), k, config.variant, seed)
     dcm = DeepClusterModel(model, head)
     if config.gamma == 0.0:
         # hybrid baseline: cluster the pretrained embedding, no fine-tuning
         return dcm
 
+    full, cache, grads = training_buffers(model, n, min(cfg_t.batch_size, n))
     reset_adam(model)
     rng = np.random.default_rng(derive_seed(seed, _SHUFFLE_SALT))
 
@@ -250,9 +251,7 @@ def finetune(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.finetune_epochs):
             if epoch % config.target_update_interval == 0:
-                # a view into full, which this epoch's full-data forward overwrites, or for a
-                # network in another dtype a copy, since the head computes in float64
-                Z_full = np.asarray(encode(model, X, out=full), dtype=float)
+                Z_full = np.asarray(encode(model, X), dtype=float)  # the head computes in float64
                 if gaussian:  # one EM step, into a new mixture, as in gmm_fit's loop
                     head = GmmModel(*_gmm_m_step(Z_full, soft_assign_gaussian(Z_full, head), "full", REG_COVAR))
                 S_full = soft_assign(Z_full, head)

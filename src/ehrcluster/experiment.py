@@ -287,7 +287,7 @@ def _check_ranges(p: dict) -> None:
     if "hidden" in p:
         for embed_dim in p.get("dims", [p.get("embed_dim", 1)]):
             mirrored_dims(1, embed_dim, p["hidden"], p["activation"])
-    if "dims" in p:  # their upper bound, the cohort's feature count, is checked as its cells are made
+    if "dims" in p:  # their upper bound, the cohort's feature count, is checked as the cohorts load
         check_sweep_dims(p["dims"], float("inf"))
 
 
@@ -457,7 +457,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def _cohorts(config: ExperimentConfig) -> list[Dataset]:
     """Every cohort preprocessed, in config order: every group_column checked against the schema,
     the CSV read once, then each cohort subset, subsampled, preprocessed and checked for labels and
-    for more than k samples."""
+    for more than k samples; then every sweep size checked against the cohorts' feature count."""
     csv = isinstance(config.data, CsvSource)
     if csv:
         specs = load_feature_schema(config.data.schema)
@@ -491,6 +491,11 @@ def _cohorts(config: ExperimentConfig) -> list[Dataset]:
         if prep.n_samples <= config.k:  # every method splits the cohort into k clusters, not singletons
             raise ConfigError(f"cohort {cohort.name!r}: {prep.n_samples} sample(s) kept, need more than k={config.k}")
         preps.append(prep)
+    for i, method in enumerate(config.methods):
+        try:
+            check_sweep_dims(method.params.get("dims", [1]), preps[0].n_features)
+        except ValidationError as exc:
+            raise ConfigError(f"methods[{i}].params.dims: {exc}") from None
     return preps
 
 

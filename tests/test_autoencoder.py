@@ -132,16 +132,17 @@ class TestForward:
     @pytest.mark.parametrize("hidden", [[], [5], [5, 7], [5, 9, 4]])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_encode_matches_forward(self, hidden, activation):
-        # fresh, into a pass cache, and into its leading rows; a pass cache's forward too
+        # computed afresh, and copied from a forward into a pass cache or into its leading rows
         m = build(6, 3, hidden, activation, seed=3)
         X = np.random.default_rng(3).normal(size=(7, 6))
         cache = ForwardCache.for_pass(m, 7)
         for rows in (7, 4, 7):
             z, xhat, _ = forward(m, X[:rows])
             assert same_bits(encode(m, X[:rows]), z)
-            assert same_bits(encode(m, X[:rows], out=cache), z)
-            zp, xhatp, got = forward(m, X[:rows], out=cache)
+            batch = X[:rows]
+            zp, xhatp, got = forward(m, batch, out=cache)
             assert got is cache and same_bits(zp, z) and same_bits(xhatp, xhat)
+            assert same_bits(encode(m, batch), z)
 
     @pytest.mark.parametrize("hidden", [[], [5], [5, 7]])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -153,7 +154,7 @@ class TestForward:
         forward(m, X)
         encode(m, X)
         forward(m, X, out=ForwardCache.for_pass(m, 7))
-        encode(m, X, out=ForwardCache.for_pass(m, 7))
+        encode(m, X)  # a copy of that pass's Z
         assert np.array_equal(X, before)
 
 
@@ -400,11 +401,13 @@ class TestReusedBuffers:
 
     def test_pass_cache_arenas_hold_the_widest_layer_of_each_parity(self):
         # 33-200-200-800-10: arena 0 holds the 200- and 800-wide layers and their mirrors,
-        # arena 1 the other 200
+        # arena 1 the other 200; the two lie end to end in one buffer
         m = build(33, 10, [200, 200, 800], seed=0)
         cache = ForwardCache.for_pass(m, 4)
-        arenas = {id(b.base): b.base for b in cache.buffers if b.base is not None}
-        assert sorted(a.size for a in arenas.values()) == [4 * 200, 4 * 800]
+        buffer = cache.buffers[0].base
+        assert buffer.size == 4 * (800 + 200)
+        starts = {b.ctypes.data - buffer.ctypes.data for b in cache.buffers if b.base is buffer}
+        assert starts == {0, 4 * 800 * buffer.itemsize}
         assert [b.shape for b in cache.buffers if b.base is None] == [(4, 10), (4, 33)]
         for a, b in zip(cache.buffers[:-1], cache.buffers[1:]):
             assert not np.shares_memory(a, b)  # a layer's input and output
@@ -417,12 +420,6 @@ class TestReusedBuffers:
         assert cache.spent
         with pytest.raises(StaleCache, match="holds no activations for backward"):
             backward(m, cache, xhat - X)
-        # encode leaves a for_model cache spent too: its encoder layers were overwritten
-        cache = ForwardCache.for_model(m, 5)
-        forward(m, X, out=cache)
-        encode(m, X, out=cache)
-        with pytest.raises(StaleCache, match="spent"):
-            backward(m, cache, xhat - X)
 
     def test_batch_larger_than_the_cache_is_refused(self):
         m = build(4, 2, [3], seed=0)
@@ -431,9 +428,9 @@ class TestReusedBuffers:
         with pytest.raises(DimensionMismatch):
             forward(m, np.zeros((2, 4)), out=ForwardCache.for_model(build(4, 2, [5], seed=0), 5))
         with pytest.raises(DimensionMismatch):
-            encode(m, np.zeros((6, 4)), out=ForwardCache.for_pass(m, 5))
+            forward(m, np.zeros((6, 4)), out=ForwardCache.for_pass(m, 5))
         with pytest.raises(DimensionMismatch):
-            encode(m, np.zeros((2, 4)), out=ForwardCache.for_pass(build(4, 2, [5], seed=0), 5))
+            forward(m, np.zeros((2, 4)), out=ForwardCache.for_pass(build(4, 2, [5], seed=0), 5))
 
     def test_reconstruction_loss_of_float32_is_that_of_its_float64_cast_and_writes_no_input(self):
         rng = np.random.default_rng(3)
@@ -518,8 +515,9 @@ class TestFullDataPassMemory:
         m = build(self.D, self.d, self.HIDDEN, seed=0)
         X = np.random.default_rng(0).normal(size=(self.N, self.D))
         assert traced_peak(lambda: encode(m, X)) <= self.pass_cache_bytes() + self.SCRATCH
-        cache = ForwardCache.for_pass(m, self.N)
-        assert traced_peak(lambda: encode(m, X, out=cache)) <= self.SCRATCH
+        # after a pass into a pass cache, only the copy of its Z
+        forward(m, X, out=ForwardCache.for_pass(m, self.N))
+        assert traced_peak(lambda: encode(m, X)) <= 8 * self.N * self.d + self.SCRATCH
 
     def test_pretrain_epoch_holds_one_pass_cache_beside_its_step_buffers(self):
         # theta and Adam's moments exist before the trace starts
@@ -677,9 +675,9 @@ class TestEncodeReuse:
         monkeypatch.setattr(ae, "_run_layers", spy)
         return runs
 
-    def model_and_pass(self, hidden=(5, 7), activation="relu"):
+    def model_and_pass(self, hidden=(5, 7), activation="relu", dtype="float64"):
         # a model, its input, and the pass cache its full-data forward just wrote
-        m = build(6, 3, list(hidden), activation, seed=3)
+        m = build(6, 3, list(hidden), activation, seed=3, dtype=dtype)
         X = np.random.default_rng(3).normal(size=(self.N, 6))
         full = ForwardCache.for_pass(m, self.N)
         forward(m, X, out=full)
@@ -691,8 +689,7 @@ class TestEncodeReuse:
         m, X, full = self.model_and_pass(hidden, activation)
         fresh = encode(m, X.copy())
         del layer_runs[:]
-        other = ForwardCache.for_pass(m, self.N)
-        for z in (encode(m, X), encode(m, X, out=full), encode(m, X, out=other)):
+        for z in (encode(m, X), encode(m, X)):
             assert same_bits(z, fresh)
         assert layer_runs == []
 
@@ -703,7 +700,7 @@ class TestEncodeReuse:
         grads.flat[:] = 1.0
         adam_step(m, grads, TrainConfig())
         del layer_runs[:]
-        z = encode(m, X, out=full)
+        z = encode(m, X)
         assert layer_runs == [m.bottleneck + 1]
         assert same_bits(z, encode(m, X.copy())) and not np.array_equal(z, before)
 
@@ -713,27 +710,23 @@ class TestEncodeReuse:
         encode(m, X.copy())
         assert layer_runs == [m.bottleneck + 1]
 
-    def test_a_hit_without_out_is_the_callers_to_write(self):
-        m, X, full = self.model_and_pass()
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_z_is_the_callers_own_on_a_hit_and_on_a_miss(self, layer_runs, dtype):
+        m, X, full = self.model_and_pass(dtype=dtype)
         want = full.buffers[m.bottleneck].copy()
-        z = encode(m, X)
-        assert not np.shares_memory(z, full.buffers[m.bottleneck])
-        z[...] = 99.0
-        assert same_bits(encode(m, X), want)
-
-    def test_a_hit_with_out_is_a_view_into_out(self, layer_runs):
-        m, X, full = self.model_and_pass()
-        other, batch = ForwardCache.for_pass(m, self.N), ForwardCache.for_model(m, self.N)
-        forward(m, X, out=batch)  # leaves batch what backward reads, until the encode copies Z in
         del layer_runs[:]
-        for cache in (full, other, batch):
-            z = encode(m, X, out=cache)
-            assert z.base is cache.buffers[m.bottleneck] and cache.spent
-        assert layer_runs == []
-        with pytest.raises(StaleCache):
-            backward(m, batch, np.zeros((self.N, 6)))
-        with pytest.raises(DimensionMismatch):
-            encode(m, X, out=ForwardCache.for_pass(m, self.N - 1))
+        hit, miss = encode(m, X), encode(m, X.copy())
+        assert layer_runs == [m.bottleneck + 1]  # the miss's encoder half only
+        for z in (hit, miss):
+            assert z.dtype == m.dtype and same_bits(z, want)
+            assert not np.shares_memory(z, full.buffers[m.bottleneck])
+        assert not np.shares_memory(hit, miss)
+        assert not np.shares_memory(encode(m, X.copy()), miss)  # a second miss's fresh cache
+        hit[...] = 99.0
+        miss[...] = 99.0
+        assert same_bits(encode(m, X), want) and same_bits(full.buffers[m.bottleneck], want)
+        with pytest.raises(TypeError):
+            encode(m, X, out=full)  # it takes no cache
 
     def test_batch_forwards_and_fresh_encodes_record_nothing(self, layer_runs):
         m = build(6, 3, [5, 7], seed=3)
@@ -817,7 +810,8 @@ class TestDtype:
         arrays = [model.theta, model.adam.m, model.adam.v, model.adam.scratch, grads.flat]
         assert [a.dtype for a in arrays + cache.buffers] == [np.float32] * (len(arrays) + len(cache.buffers))
         full = ForwardCache.for_pass(model, 10)
-        assert encode(model, X).dtype == encode(model, X, out=full).dtype == np.float32
+        forward(model, X, out=full)
+        assert encode(model, X).dtype == encode(model, X.copy()).dtype == np.float32  # a hit, a miss
         assert {b.dtype for b in full.buffers} == {np.dtype(np.float32)}
 
     def test_float32_gradients_match_float64_of_the_same_theta(self):

@@ -35,8 +35,11 @@ from ehrcluster.experiment import METHODS, MethodSpec, _cell, _check_ranges, _wi
 from ehrcluster.traditional import kmeans_fit, kmeans_predict
 from ehrcluster.util import _build
 
+from conftest import JSON_VALUES, swap_fields
+
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
+FROZEN_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
 
 # params out of the range their fit accepts, each with its error's wording and the kind it applies to
 OUT_OF_RANGE = [
@@ -670,15 +673,18 @@ def test_import_leaves_scipy_unloaded():
 # Each input below is one bad file (None: a directory, False: no file); every command must
 # exit 1 with an error that starts with that file's path or, where ``named`` is given, with
 # what is wrong with the input, where ``{bad}`` is that file's path.
-# ``{csv_config}`` reads the bad file as its CSV, ``{schema_config}`` as its schema.
+# ``{csv_config}`` reads the bad file as its CSV, ``{schema_config}`` as its schema, and
+# ``{labelled_schema_config}`` as its schema beside the label column ``label``.
 LABELS = "sample_index,label\n0,0\n1,1\n2,1\n"
 SCHEMA = [{"name": name, "bound_lo": 0, "bound_hi": 10} for name in ("f00", "f01")]
 CSV_CONFIG = {"seed": 1, "data": {"csv": {"path": "bad", "schema": "schema.json", "label_column": "y"}},
               "methods": [{"name": "m", "kind": "kmeans_x"}]}
 SCHEMA_CONFIG = {"seed": 1, "data": {"csv": {"path": "labels.csv", "schema": "bad"}},
                  "methods": [{"name": "m", "kind": "kmeans_x"}]}
+LABELLED_SCHEMA_CONFIG = {**SCHEMA_CONFIG, "data": {"csv": {**SCHEMA_CONFIG["data"]["csv"], "label_column": "label"}}}
 BENCHMARK_CSV = ["benchmark", "--config", "{csv_config}", "--out", "{out}"]
 BENCHMARK_SCHEMA = ["benchmark", "--config", "{schema_config}", "--out", "{out}"]
+BENCHMARK_LABELLED_SCHEMA = ["benchmark", "--config", "{labelled_schema_config}", "--out", "{out}"]
 
 
 @pytest.mark.parametrize("argv, content, named", [
@@ -719,6 +725,8 @@ BENCHMARK_SCHEMA = ["benchmark", "--config", "{schema_config}", "--out", "{out}"
     (BENCHMARK_SCHEMA, '[{"name": "label", "lo": 0, "bound_lo": 0, "bound_hi": 1}]', "{bad}[0].lo: unknown field"),
     (BENCHMARK_SCHEMA, None, None),  # a directory
     (BENCHMARK_SCHEMA, '[{"name": "zz", "bound_lo": 0, "bound_hi": 1}]', "{labels}: required column 'zz'"),
+    (BENCHMARK_LABELLED_SCHEMA, '[{"name": "label", "bound_lo": -1, "bound_hi": 2}]',
+     "{labels}: label column 'label' is also a feature"),
 ], ids=[
     "csv-not-utf8", "config-not-utf8", "spec-not-utf8", "schema-not-utf8", "schema-not-json",
     "schema-an-object", "schema-entry-without-name", "schema-bound-not-a-number", "csv-a-directory",
@@ -728,11 +736,12 @@ BENCHMARK_SCHEMA = ["benchmark", "--config", "{schema_config}", "--out", "{out}"
     "csv-cell-infinite", "csv-quote-never-closed", "csv-row-short-of-the-label", "csv-cell-holding-a-nul",
     "csv-missing", "schema-empty", "schema-an-empty-list", "schema-name-repeated", "schema-bounds-reversed",
     "schema-bound-nan", "schema-unit-not-a-string", "schema-entry-with-an-unknown-field", "schema-a-directory",
-    "schema-names-a-column-the-csv-lacks",
+    "schema-names-a-column-the-csv-lacks", "schema-lists-the-label-column",
 ])
 def test_bad_input_file_exits_1_and_names_itself(tmp_path, capsys, argv, content, named):
     tmp_path = tmp_path.resolve()
-    bad, configs = tmp_path / "bad", {"csv_config": CSV_CONFIG, "schema_config": SCHEMA_CONFIG}
+    bad, configs = tmp_path / "bad", {
+        "csv_config": CSV_CONFIG, "schema_config": SCHEMA_CONFIG, "labelled_schema_config": LABELLED_SCHEMA_CONFIG}
     labels = tmp_path / "labels.csv"
     labels.write_text(LABELS)
     (tmp_path / "schema.json").write_text(json.dumps(SCHEMA))
@@ -815,15 +824,16 @@ SIZED = {"n_samples", "n_features", "embed_dim", "hidden", "dims", "pretrain_epo
          "n_init", "max_iter", "learning_rate", "gamma", "recon_weight"}
 
 
-def too_big(node, key=None) -> bool:
-    """Whether a SIZED field of the JSON ``node`` holds a finite number above 50 (a CSV cohort here
-    has 12 rows; a synthetic one is made with as many as n_samples says)."""
+def too_big(node, key=None, limit=50) -> bool:
+    """Whether a SIZED field of the JSON ``node`` holds a finite number above ``limit`` (a CSV cohort
+    here has 12 rows; a synthetic one is made with as many as n_samples says)."""
     if isinstance(node, dict):
-        return any(too_big(value, name) for name, value in node.items())
+        return any(too_big(value, name, limit) for name, value in node.items())
     if isinstance(node, list):
-        return any(too_big(value, key) for value in node)
-    number = isinstance(node, (int, float)) and not isinstance(node, bool)
-    return key in SIZED and number and math.isfinite(node) and abs(node) > 50
+        return any(too_big(value, key, limit) for value in node)
+    if key not in SIZED or isinstance(node, bool) or not isinstance(node, (int, float)):
+        return False
+    return (isinstance(node, int) or math.isfinite(node)) and abs(node) > limit  # an int past any float too
 
 
 # a spec's fields over small cohorts, most of them in range
@@ -962,6 +972,52 @@ def test_any_value_in_any_config_field_exit_0_or_1(tmp_path, name, data):
         _build(SyntheticSpec, doc, "synthetic") if command == "generate" else parse_config(doc, base_dir=tmp_path)
     except ValidationError:
         pass
+
+
+def cut_frozen_doc() -> dict:
+    """configs/benchmark.json with its schedules cut: every trained method at 1 pretraining and
+    1 fine-tuning epoch, the sweep at dims [2, 5] and the cohort at 200 rows."""
+    doc = json.loads(FROZEN_CONFIG.read_text())
+    doc["data"]["synthetic"]["n_samples"] = 200
+    cut = {"pretrain_epochs": 1, "finetune_epochs": 1, "dims": [2, 5]}
+    for method in doc["methods"]:
+        method["params"] = {name: value for name, value in cut.items() if name in METHODS[method["kind"]].params}
+    return doc
+
+
+# beside any JSON value, values like those the document's fields hold, so more documents load and fit
+NEAR_VALUES = (st.integers(-2, 250) | st.floats(-1, 3) | st.lists(st.integers(0, 40), max_size=3)
+               | st.sampled_from(["", "c", "desk", "full", "diagonal", "correlated", "tanh", "kmeans_x", "kgg"]))
+
+
+# about 1 in 35 of these documents loads, and each of those fits the frozen nine-method grid
+@settings(max_examples=60, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fields_of_the_cut_frozen_document_swapped_for_any_json_value_exit_0_or_1(tmp_path, data):
+    doc = swap_fields(data, cut_frozen_doc(), JSON_VALUES | NEAR_VALUES)
+    if too_big(doc, limit=200):  # a size, schedule or step above the cut cohort's 200 rows is only loaded
+        try:
+            parse_config(doc, base_dir=tmp_path)
+        except ValidationError:
+            pass
+        return
+    config, out = tmp_path / "config.json", tmp_path / "o"
+    config.write_text(json.dumps(doc))
+    shutil.rmtree(out, ignore_errors=True)  # hypothesis runs every example in the one tmp_path
+    code = run_cli("benchmark", "--config", str(config), "--out", str(out))
+    assert code in (0, 1)
+    assert code == 0 or not out.exists()
+
+
+def test_a_sweep_size_above_the_cohort_s_features_exits_1_before_any_fit(tmp_path, capsys):
+    # found by the test above: the sweep's cell failed at run time, and the run exited 2
+    doc = cut_frozen_doc()
+    doc["methods"][7]["params"]["dims"] = [2, 98]
+    config, out = tmp_path / "config.json", tmp_path / "o"
+    config.write_text(json.dumps(doc))
+    assert run_cli("benchmark", "--config", str(config), "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: methods[7].params.dims: embed dim 98 outside [1, 33]\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "benchmark"])

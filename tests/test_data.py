@@ -99,6 +99,15 @@ class TestLoadCsv:
         assert np.array_equal(ds.X, [[1, 2], [3, 4]])
         assert np.array_equal(ds.labels, [0, 1])
 
+    def test_a_label_column_listed_as_a_feature_is_refused(self, tmp_path):
+        # read as a feature too, the ground truth would sit in X beside the labels
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,y\n1,2,0\n3,4,1\n")
+        specs = two_specs() + [FeatureSpec("y", "", -1.0, 2.0)]
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: label column 'y' is also a feature"):
+            load_csv(p, specs, label_column="y")
+        assert load_csv(p, specs).X.shape == (2, 3)  # without labels it is an ordinary feature
+
     def test_missing_is_where_x_is_nan(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,NA\n,2\n 3 , \n4\n")

@@ -47,6 +47,8 @@ from ehrcluster.experiment import (
 )
 from ehrcluster.util import derive_seed
 
+from conftest import swap_fields
+
 
 def minimal_doc(**overrides):
     doc = {
@@ -71,25 +73,6 @@ def fit_cell(spec: MethodSpec, ds, k: int, seed: int, profile):
 
 ROOT = Path(__file__).resolve().parents[1]
 FROZEN_DOC = json.loads((ROOT / "configs" / "benchmark.json").read_text())
-
-# JSON leaves, the edge cases among them drawn on purpose: non-finite floats (JSON NaN, Infinity,
-# and 1e400, which reads as inf), integers past int64 and strings holding a lone surrogate
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-    | st.sampled_from([float("nan"), float("inf"), float("-inf"), 2**63, -2**64, 10**40, 10**400])
-    | st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), min_size=1, max_size=2),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=5,
-)
-
-
-def field_paths(node, path=()):
-    """The path of every field under a JSON object or list, depth first."""
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield path + (key,)
-        yield from field_paths(child, path + (key,))
-
 
 class TestParseConfig:
     def test_minimal_valid(self):
@@ -240,13 +223,7 @@ class TestParseConfig:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_fields_swapped_for_any_json_value_parse_or_raise_config_error(self, data):
-        doc = copy.deepcopy(FROZEN_DOC)
-        for _ in range(data.draw(st.integers(1, 3))):
-            *parents, key = data.draw(st.sampled_from(list(field_paths(doc))))
-            node = doc
-            for step in parents:
-                node = node[step]
-            node[key] = data.draw(JSON_VALUES)
+        doc = swap_fields(data, copy.deepcopy(FROZEN_DOC))
         try:
             parse_config(doc)
         except ConfigError:
@@ -772,11 +749,11 @@ class TestPool:
         assert "raise NonFiniteLoss(epoch)" in failure["traceback"]
 
     @pytest.mark.parametrize("spy", [False, True])
-    def test_a_sweep_dim_above_the_feature_count_fails_before_training(self, tmp_path, monkeypatch, spy):
+    def test_a_sweep_dim_above_the_feature_count_is_refused_before_training(self, tmp_path, monkeypatch, spy):
         import ehrcluster.experiment as experiment
 
         trained = []
-        if spy:  # a swapped package function: every job runs in this process
+        if spy:  # a swapped package function: every job would run in this process
             real = experiment.run_dimension_sweep
             monkeypatch.setattr(
                 experiment, "run_dimension_sweep", lambda *args: trained.append(args[1]) or real(*args)
@@ -787,14 +764,9 @@ class TestPool:
             {"name": "sweep", "kind": "deep_gaussian_sweep",
              "params": {"dims": [2, 99], "hidden": [8], "pretrain_epochs": 2, "finetune_epochs": 2}},
         ], output_dir=str(tmp_path / "o"))
-        res = run_experiment(parse_config(doc))
-        assert [r.method for r in res.scores] == ["kmeans_x", "gmm_x"]
-        (failure,) = res.failures
-        assert failure["method"] == "sweep" and failure["type"] == "UnsupportedK"
-        assert failure["error"] == "embed dim 99 outside [1, 5]"
-        workers = json.loads((tmp_path / "o" / "manifest.json").read_text())["workers"]
-        assert workers == (1 if spy else min(len(os.sched_getaffinity(0)), 2))
-        assert trained == []
+        with pytest.raises(ConfigError, match=re.escape("methods[2].params.dims: embed dim 99 outside [1, 5]")):
+            run_experiment(parse_config(doc))
+        assert not (tmp_path / "o").exists() and trained == []
 
     def test_a_dead_worker_fails_only_its_job(self):
         from concurrent.futures.process import BrokenProcessPool
