@@ -45,13 +45,17 @@ but ``adam_step``'s must bump ``model.version``, as ``backward``'s
 ``StaleCache`` check already assumes; nor may the input be written in
 place, or a pass cache serve two models.
 
-``pretrain`` and ``finetune`` take their pass cache's hidden arenas, their
-batch cache and their gradients from one ``training_buffers`` buffer, as
-large as the larger of the arenas and the other two together. That is safe
-because a full-data pass never overlaps a step: the batch cache is spent once
-``backward`` has run, ``backward(out=)`` writes every gradient entry, and
-``adam_step`` has read them all before the next pass. Z and Xhat stay in
-arrays of their own, since Z outlives the steps in ``model.last_pass``.
+``pretrain`` and ``finetune`` run one training loop, ``_train``: the
+seeded shuffles, every batch's forward, ``backward`` and ``adam_step``, and
+each epoch's full-data forward, finite checks and ``NonFiniteLoss``.
+``finetune`` hands it a target refresh, a bottleneck gradient and an epoch
+loss. The loop takes its pass cache's hidden arenas, its batch cache and its
+gradients from one ``training_buffers`` buffer, as large as the larger of
+the arenas and the other two together. That is safe because a full-data pass
+never overlaps a step: the batch cache is spent once ``backward`` has run,
+``backward(out=)`` writes every gradient entry, and ``adam_step`` has read
+them all before the next pass. Z and Xhat stay in arrays of their own, since
+Z outlives the steps in ``model.last_pass``.
 """
 from __future__ import annotations
 
@@ -435,41 +439,53 @@ def training_buffers(
     )
 
 
-def pretrain(
-    model: AutoencoderModel, ds: Dataset, config: TrainConfig
-) -> tuple[AutoencoderModel, list[float]]:
-    """Mini-batch reconstruction training over seeded shuffles.
-
-    The history holds the full-dataset reconstruction loss after each
-    epoch. The last incomplete mini-batch is used, not dropped. Raises
-    ``NonFiniteLoss`` (training aborted) if the loss or any parameter
-    stops being finite. One batch cache and one set of gradients serve
-    every step, and one pass cache every epoch's full-data forward, all in
-    one ``training_buffers`` buffer; ``encode(model, ds.X)`` then copies the last pass's Z.
-    """
-    if ds.missing.any():
-        raise DimensionMismatch("pretrain requires a fully imputed dataset")
-    X = ds.X
-    rng = np.random.default_rng(config.seed)
+def _train(model: AutoencoderModel, X: np.ndarray, config: TrainConfig, seed: int, epochs: int,
+           epoch_loss, recon_weight: float = 1.0, refresh=None, bottleneck=None) -> list:
+    """The training loop of ``pretrain`` and ``finetune``: ``epochs`` passes over X, each in a
+    shuffle drawn from ``seed``, the last short batch kept. ``refresh(epoch)`` runs before an
+    epoch's steps. Each step trains on recon_weight times the batch's reconstruction loss, plus
+    what ``bottleneck(idx, Z)`` returns, the gradient at the batch's embedding. After each
+    epoch, ``epoch_loss(Z, Xhat)`` of a full-data pass gives the history entry and the values
+    that must be finite; ``NonFiniteLoss`` if any is not, or a parameter. Returns the history."""
+    rng = np.random.default_rng(seed)
     n = X.shape[0]
     full, cache, grads = training_buffers(model, n, min(config.batch_size, n))
-    history: list[float] = []
+    history = []
     # a diverging network overflows; NonFiniteLoss, raised at the end of its epoch, is the one signal
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for epoch in range(config.epochs):
+        for epoch in range(epochs):
+            if refresh is not None:
+                refresh(epoch)
             perm = rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 idx = perm[start : start + config.batch_size]
                 xb = X[idx]
-                _, xhat, _ = forward(model, xb, out=cache)
-                d_xhat = np.subtract(xhat, xb, out=xhat)  # 2 (xhat - xb) / rows, over xhat
-                d_xhat *= 2.0
+                zb, xhat, _ = forward(model, xb, out=cache)
+                d_xhat = np.subtract(xhat, xb, out=xhat)  # recon_weight 2 (xhat - xb) / rows, over xhat
+                d_xhat *= recon_weight * 2.0
                 d_xhat /= xb.shape[0]
-                backward(model, cache, d_xhat, out=grads)
+                backward(model, cache, d_xhat, None if bottleneck is None else bottleneck(idx, zb), out=grads)
                 adam_step(model, grads, config)
-            _, xhat, _ = forward(model, X, out=full)
-            loss = reconstruction_loss(X, xhat)
-            if not np.isfinite(loss) or not params_finite(model):
+            entry, finite = epoch_loss(*forward(model, X, out=full)[:2])
+            if not np.isfinite(finite).all() or not params_finite(model):
                 raise NonFiniteLoss(epoch)
-            history.append(loss)
-    return model, history
+            history.append(entry)
+    return history
+
+
+def pretrain(
+    model: AutoencoderModel, ds: Dataset, config: TrainConfig
+) -> tuple[AutoencoderModel, list[float]]:
+    """Mini-batch reconstruction training over seeded shuffles, in ``_train``'s loop.
+
+    The history holds the full-dataset reconstruction loss after each
+    epoch. The last incomplete mini-batch is used, not dropped. Raises
+    ``NonFiniteLoss`` (training aborted) if the loss or any parameter
+    stops being finite. The loop's one ``training_buffers`` buffer holds
+    its batch cache, its gradients and the hidden layers of every
+    full-data pass; ``encode(model, ds.X)`` then copies the last pass's Z.
+    """
+    if ds.missing.any():
+        raise DimensionMismatch("pretrain requires a fully imputed dataset")
+    return model, _train(model, ds.X, config, config.seed, config.epochs,
+                         lambda Z, Xhat: (reconstruction_loss(ds.X, Xhat),) * 2)

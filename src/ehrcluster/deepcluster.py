@@ -36,17 +36,13 @@ from .autoencoder import (
     ADAM_EPS,
     AutoencoderModel,
     TrainConfig,
-    adam_step,
-    backward,
+    _train,
     encode,
-    forward,
-    params_finite,
     reconstruction_loss,
     reset_adam,
-    training_buffers,
 )
 from .data import Dataset
-from .errors import DegenerateInput, DimensionMismatch, InvalidDimension, NonFiniteLoss
+from .errors import DegenerateInput, DimensionMismatch, InvalidDimension
 from .traditional import (
     REG_COVAR,
     GmmModel,
@@ -211,7 +207,8 @@ def _reseed_collapsed(
 def finetune(
     model: AutoencoderModel, ds: Dataset, k: int, config: DeepClusterConfig
 ) -> DeepClusterModel:
-    """Alternate target refreshes with mini-batch joint gradient steps.
+    """Alternate target refreshes with mini-batch joint gradient steps, in ``autoencoder``'s one
+    training loop.
 
     ``config.variant`` chooses the head (``init_clusters``). Every
     ``target_update_interval`` epochs the full-data embedding is recomputed,
@@ -219,78 +216,57 @@ def finetune(
     are reseeded, and T is frozen. Between refreshes each batch takes one
     Adam step on the joint objective, with the clustering gradient injected
     at the bottleneck (student-t centers get their own Adam update, in place).
-    One batch cache and one set of gradients serve every step, and one
-    pass cache every epoch's full-data forward, all in one
-    ``training_buffers`` buffer; each refresh encode copies the Z of the
-    last full-data pass (pretraining's, at epoch 0).
+    The loop's one ``training_buffers`` buffer holds its batch cache, its
+    gradients and the hidden layers of every full-data pass; each refresh
+    encode copies the Z of the last full-data pass (pretraining's, at epoch 0).
     """
     if ds.missing.any():
         raise DimensionMismatch("finetune requires a fully imputed dataset")
     if k < 2:
         raise DegenerateInput("k must be >= 2")
     X = ds.X
-    n = X.shape[0]
-    cfg_t = config.train
-    seed = cfg_t.seed
-    head = init_clusters(encode(model, X), k, config.variant, seed)
-    dcm = DeepClusterModel(model, head)
+    seed = config.train.seed
+    dcm = DeepClusterModel(model, init_clusters(encode(model, X), k, config.variant, seed))
     if config.gamma == 0.0:
         # hybrid baseline: cluster the pretrained embedding, no fine-tuning
         return dcm
-
-    full, cache, grads = training_buffers(model, n, min(cfg_t.batch_size, n))
     reset_adam(model)
-    rng = np.random.default_rng(derive_seed(seed, _SHUFFLE_SALT))
+    gaussian = isinstance(dcm.params, GmmModel)
+    moments = np.zeros((2, *_centers(dcm.params).shape))  # the student-t centers' Adam m and v
+    target = None
 
-    gaussian = isinstance(head, GmmModel)
-    mu_m = np.zeros_like(_centers(head))
-    mu_v = np.zeros_like(_centers(head))
-    mu_step = 0
+    def refresh(epoch):
+        nonlocal target
+        if epoch % config.target_update_interval == 0:
+            Z = np.asarray(encode(model, X), dtype=float)  # the head computes in float64
+            if gaussian:  # one EM step, into a new mixture, as in gmm_fit's loop
+                dcm.params = GmmModel(*_gmm_m_step(Z, soft_assign_gaussian(Z, dcm.params), "full", REG_COVAR))
+            S = soft_assign(Z, dcm.params)
+            dcm.params, S = _reseed_collapsed(Z, dcm.params, S, epoch, dcm.collapse_events)
+            target = target_distribution(S)
 
-    # a diverging network overflows; NonFiniteLoss, raised at the end of its epoch, is the one signal
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for epoch in range(config.finetune_epochs):
-            if epoch % config.target_update_interval == 0:
-                Z_full = np.asarray(encode(model, X), dtype=float)  # the head computes in float64
-                if gaussian:  # one EM step, into a new mixture, as in gmm_fit's loop
-                    head = GmmModel(*_gmm_m_step(Z_full, soft_assign_gaussian(Z_full, head), "full", REG_COVAR))
-                S_full = soft_assign(Z_full, head)
-                head, S_full = _reseed_collapsed(Z_full, head, S_full, epoch, dcm.collapse_events)
-                T_full = target_distribution(S_full)
+    def bottleneck(idx, zb):
+        dZ, dMu = clustering_gradients(zb, dcm.params, target[idx])
+        if not gaussian:  # the centers' own Adam step, in place
+            g, (m, v) = config.gamma * dMu, moments
+            step = model.adam.step + 1  # the network's step on this batch comes next
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            dcm.params -= config.train.learning_rate * (m / (1 - ADAM_BETA1**step)) / (
+                np.sqrt(v / (1 - ADAM_BETA2**step)) + ADAM_EPS)
+        return config.gamma * dZ
 
-            perm = rng.permutation(n)
-            for start in range(0, n, cfg_t.batch_size):
-                idx = perm[start : start + cfg_t.batch_size]
-                xb = X[idx]
-                zb, xhat, _ = forward(model, xb, out=cache)
-                d_xhat = np.subtract(xhat, xb, out=xhat)  # recon_weight 2 (xhat - xb) / rows, over xhat
-                d_xhat *= config.recon_weight * 2.0
-                d_xhat /= xb.shape[0]
-                dZ, dMu = clustering_gradients(zb, head, T_full[idx])
-                backward(model, cache, d_xhat, config.gamma * dZ, out=grads)
-                adam_step(model, grads, cfg_t)
-                if not gaussian:  # the centers' own Adam step, in place
-                    g = config.gamma * dMu
-                    mu_step += 1
-                    mu_m = ADAM_BETA1 * mu_m + (1 - ADAM_BETA1) * g
-                    mu_v = ADAM_BETA2 * mu_v + (1 - ADAM_BETA2) * g * g
-                    mhat = mu_m / (1 - ADAM_BETA1**mu_step)
-                    vhat = mu_v / (1 - ADAM_BETA2**mu_step)
-                    head -= cfg_t.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    def epoch_loss(Z, Xhat):
+        log_s = gaussian_log_responsibilities(Z, dcm.params)[0] if gaussian else np.log(
+            soft_assign_student_t(Z, dcm.params))
+        recon, kl = reconstruction_loss(X, Xhat), kl_loss(target, log_s) / X.shape[0]
+        joint = config.recon_weight * recon + config.gamma * kl
+        return (recon, kl, joint), np.append(joint, _centers(dcm.params))
 
-            zf, xhatf, _ = forward(model, X, out=full)
-            if gaussian:
-                log_sf, _ = gaussian_log_responsibilities(zf, head)
-            else:
-                log_sf = np.log(soft_assign_student_t(zf, head))
-            recon = reconstruction_loss(X, xhatf)
-            kl = kl_loss(T_full, log_sf) / n
-            joint = config.recon_weight * recon + config.gamma * kl
-            if not np.isfinite(joint) or not params_finite(model) or not np.all(np.isfinite(_centers(head))):
-                raise NonFiniteLoss(epoch)
-            dcm.history.append((recon, kl, joint))
-
-    dcm.params = head
+    dcm.history = _train(model, X, config.train, derive_seed(seed, _SHUFFLE_SALT), config.finetune_epochs,
+                         epoch_loss, config.recon_weight, refresh, bottleneck)
     return dcm
 
 

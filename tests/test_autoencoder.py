@@ -627,8 +627,7 @@ class TestTrainingBuffers:
             return full, ForwardCache.for_model(model, batch_rows), Gradients.for_model(model)
 
         with monkeypatch.context() as patch:
-            for module in (ae, dc):
-                patch.setattr(module, "training_buffers", separate)
+            patch.setattr(ae, "training_buffers", separate)
             want = self.train(hidden, batch_size, variant)
 
         # every forward and encode, the start of each step and of each full-data pass,
@@ -646,14 +645,48 @@ class TestTrainingBuffers:
                 return fn(*args, **kwargs)
             return call
 
+        # the one training loop, and so every buffer and forward, is autoencoder's
+        monkeypatch.setattr(ae, "training_buffers", shared)
+        monkeypatch.setattr(ae, "forward", nan_first(ae.forward))
         for module in (ae, dc):
-            monkeypatch.setattr(module, "training_buffers", shared)
-            monkeypatch.setattr(module, "forward", nan_first(module.forward))
             monkeypatch.setattr(module, "encode", nan_first(module.encode))
         got = self.train(hidden, batch_size, variant)
         assert len(buffers) == 2
         assert got[0] == want[0]
         assert all(same_bits(np.asarray(a), np.asarray(b)) for a, b in zip(got[1:], want[1:]))
+
+
+class TestTrainingLoop:
+    """``pretrain`` and ``finetune`` run one loop: its call sequence, epoch by epoch."""
+
+    @pytest.mark.parametrize("variant", ["student_t", "gaussian"])
+    def test_pretrain_then_finetune_call_in_the_loops_order(self, monkeypatch, variant):
+        calls = []
+
+        def spy(name, fn, rows=False):
+            def call(*args, **kwargs):
+                calls.append((name, len(args[1])) if rows else name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(ae, "forward", spy("forward", ae.forward, rows=True))
+        monkeypatch.setattr(dc, "encode", spy("encode", dc.encode))
+        monkeypatch.setattr(dc, "target_distribution", spy("target", dc.target_distribution))
+        spec = SyntheticSpec(70, 5, 0.5, 3.0, "correlated", 0.0, seed=3)
+        ds, _ = standardize(generate_synthetic(spec))
+        m = build(5, 2, [8], seed=3, dtype="float32")
+        train = TrainConfig(epochs=2, batch_size=32, seed=3)
+        _, history = pretrain(m, ds, train)
+        # every epoch: batches of 32, 32 and the last 6 rows, then the full-data pass
+        epoch = [("forward", 32), ("forward", 32), ("forward", 6), ("forward", 70)]
+        assert calls == 2 * epoch and len(history) == 2
+        calls.clear()
+        # an interval that does not divide the epochs: the refreshes fall before epochs 0, 2 and 4
+        cfg = dc.DeepClusterConfig(variant, finetune_epochs=5, target_update_interval=2, train=train)
+        dcm = dc.finetune(m, ds, 2, cfg)
+        refresh = ["encode", "target"]
+        assert calls == ["encode"] + refresh + 2 * epoch + refresh + 2 * epoch + refresh + epoch
+        assert len(dcm.history) == 5
 
 
 class TestEncodeReuse:
